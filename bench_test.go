@@ -20,7 +20,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/loader"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/scene"
 	"repro/internal/sched"
@@ -364,13 +363,12 @@ func BenchmarkMultiStream(b *testing.B) {
 func BenchmarkFleetSweep(b *testing.B) {
 	e := env(b)
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.FleetSweep(e, experiments.FleetSweepConfig{})
+		rows, err := experiments.RunCells(e, experiments.FleetGrid(experiments.FleetCell()))
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			rr, _ := res.Row(4, "round-robin")
-			aff, _ := res.Row(4, "residency-affinity")
+			rr, aff := rows[6], rows[8] // 4 devices: round-robin, residency-affinity
 			b.Logf("fleet @4 devices: round-robin p99=%.3fs loads=%d | residency-affinity p99=%.3fs loads=%d miss=%.1f%% util=%.0f%%",
 				rr.Latency.P99, rr.Loads, aff.Latency.P99, aff.Loads,
 				aff.DeadlineMissRate*100, aff.AvgUtilization*100)
@@ -384,13 +382,12 @@ func BenchmarkFleetSweep(b *testing.B) {
 func BenchmarkFaultSweep(b *testing.B) {
 	e := env(b)
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.FaultSweep(e, experiments.FaultSweepConfig{})
+		rows, err := experiments.RunCells(e, experiments.FaultGrid(experiments.FaultCell(), 6, 12))
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			clean, _ := res.Row(0, "residency-affinity")
-			worst, _ := res.Row(12, "residency-affinity")
+			clean, worst := rows[1], rows[len(rows)-1] // residency-affinity, fault-free and 12/min
 			b.Logf("faults @12/min: %d migrations, %d aborted, downtime=%.2fs, post-fault p99=%.3fs (fault-free p99=%.3fs), leaked refs=%d",
 				worst.Migrations, worst.Aborted, worst.AvgDowntimeSec,
 				worst.PostFaultP99, clean.Latency.P99, worst.LeakedRefs)
@@ -405,13 +402,12 @@ func BenchmarkFaultSweep(b *testing.B) {
 func BenchmarkCrashSweep(b *testing.B) {
 	e := env(b)
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.CrashSweep(e, experiments.CrashSweepConfig{})
+		rows, err := experiments.RunCells(e, experiments.FaultGrid(experiments.CrashCell(), 6, 12))
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			clean, _ := res.Row(0, "residency-affinity")
-			worst, _ := res.Row(12, "residency-affinity")
+			clean, worst := rows[1], rows[len(rows)-1] // residency-affinity, crash-free and 12/min
 			b.Logf("crashes @12/min: %d crashes, %d frames replayed, %d shed, journal %d writes %.1f KiB, post-fault p99=%.3fs (crash-free p99=%.3fs), leaked refs=%d",
 				worst.Crashes, worst.ReplayedFrames, worst.Shed,
 				worst.JournalWrites, float64(worst.JournalBytes)/1024,
@@ -427,14 +423,13 @@ func BenchmarkCrashSweep(b *testing.B) {
 func BenchmarkAutoscaleSweep(b *testing.B) {
 	e := env(b)
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.AutoscaleSweep(e, experiments.AutoscaleSweepConfig{})
+		rows, err := experiments.RunCells(e, experiments.AutoscaleGrid(experiments.AutoscaleCell()))
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			fixed, _ := res.Row("burst", "residency-affinity", "fixed")
-			elastic, _ := res.Row("burst", "residency-affinity", "elastic")
-			diurnal, _ := res.Row("diurnal", "residency-affinity", "elastic")
+			// Grid order: shape × placement × (fixed, elastic).
+			fixed, elastic, diurnal := rows[2], rows[3], rows[7]
 			b.Logf("autoscale burst: fixed4 p99=%.3fs queue=%.2fs | elastic p99=%.3fs peak=%d devices (%d outs) | diurnal: %d ins, %d drained, %d migrations, leaked=%d",
 				fixed.Latency.P99, fixed.AvgQueueDelaySec,
 				elastic.Latency.P99, elastic.PeakDevices, elastic.ScaleOuts,
@@ -444,32 +439,24 @@ func BenchmarkAutoscaleSweep(b *testing.B) {
 }
 
 // BenchmarkScaleSweep runs a reduced fleet-scale grid — a 100-device fleet
-// serving 5 000 streams over a compressed diurnal hour on the legacy scan,
-// the indexed heap, and a 4-region shard — and logs the event-loop headline:
-// events/sec per selector and the heap's wall-clock speedup. The full
-// 1 000-device / 100 000-stream flagship runs in cmd/bench.
+// serving 5 000 streams over a compressed diurnal half hour, single-region
+// and on a 4-region shard — and logs the event-loop headline: events/sec
+// per region count. The full 1 000-device / 100 000-stream flagship runs in
+// cmd/bench.
 func BenchmarkScaleSweep(b *testing.B) {
 	e := env(b)
-	cfg := experiments.ScaleSweepConfig{
-		Cells: []experiments.ScaleSweepCell{
-			{Devices: 100, Streams: 5000, LegacyScan: true},
-			{Devices: 100, Streams: 5000},
-			{Devices: 100, Streams: 5000, Regions: 4},
-		},
-		SpanSec: 1800,
-	}
+	sharded := experiments.DayCell(100, 5000, 1800)
+	sharded.Regions = 4
+	cells := []experiments.Cell{experiments.DayCell(100, 5000, 1800), sharded}
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.ScaleSweep(e, cfg)
+		rows, err := experiments.RunCells(e, cells)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			scan, _ := res.Row(100, 1, true)
-			heap, _ := res.Row(100, 1, false)
-			sharded, _ := res.Row(100, 4, false)
-			b.Logf("scale @100 devices: scan %.0f ev/s | heap %.0f ev/s (%.2fx) | 4-region %.0f ev/s, %d events, served %d/%d",
-				scan.EventsPerSec, heap.EventsPerSec, heap.EventsPerSec/scan.EventsPerSec,
-				sharded.EventsPerSec, heap.Events, heap.Served, heap.Served+heap.Rejected)
+			one, four := rows[0], rows[1]
+			b.Logf("scale @100 devices: 1-region %.0f ev/s | 4-region %.0f ev/s, %d events, served %d/%d",
+				one.EventsPerSec(), four.EventsPerSec(), one.Run.Events, one.Served, one.Offered)
 		}
 	}
 }
@@ -481,52 +468,52 @@ func BenchmarkScaleSweep(b *testing.B) {
 func BenchmarkPrefetchSweep(b *testing.B) {
 	e := env(b)
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.PrefetchSweep(e, experiments.PrefetchSweepConfig{})
+		rows, err := experiments.RunCells(e, experiments.PrefetchPair(experiments.PrefetchCell()))
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			st := res.Stats
+			off, on := rows[0], rows[1]
+			st := on.Run.Prefetch
 			b.Logf("prefetch: coverage=%.3f accuracy=%.3f timeliness=%.3f (%d issued, %d full + %d late hits, %.2fs saved) | swap-stall share of p99: %.4f -> %.4f",
 				st.Coverage(), st.Accuracy(), st.Timeliness(),
 				st.Issued, st.FullHits, st.LateHits, st.StallSavedSec,
-				res.Off.SwapStallShareOfP99, res.On.SwapStallShareOfP99)
+				off.Recorder.Attribution().SwapStallShareOfP99, on.Recorder.Attribution().SwapStallShareOfP99)
 		}
 	}
 }
 
 // BenchmarkRecorderOverhead measures the flight recorder's cost on the
-// standard obs fleet cell: the detached run carries only nil checks on the
-// hot paths, so attached-vs-detached wall clock is the whole observability
-// tax. The first attached iteration logs the headline attribution.
+// standard fleet cell: the detached run carries only nil checks on the hot
+// paths, so attached-vs-detached wall clock is the whole observability tax.
+// The first attached iteration logs the headline attribution.
 func BenchmarkRecorderOverhead(b *testing.B) {
 	e := env(b)
-	cfg := experiments.DefaultObsSweepConfig()
-	b.Run("detached", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := experiments.ObsCell(e, cfg, nil); err != nil {
-				b.Fatal(err)
+	for _, record := range []bool{false, true} {
+		cell := experiments.FleetCell()
+		cell.Record = record
+		name := map[bool]string{false: "detached", true: "attached"}[record]
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res, err := experiments.RunCell(e, cell)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if rec := res.Recorder; i == 0 && rec != nil {
+					a := rec.Attribution()
+					b.Logf("recorder: %d spans over %d frames | p99=%.3fs, swap-stall share of p99=%.1f%% (queue %.1f%%, exec %.1f%%, interference %.1f%%)",
+						len(rec.Spans()), a.Frames, a.P99Sec, a.SwapStallShareOfP99*100,
+						a.QueueShareOfP99*100, a.ExecShareOfP99*100, a.InterferenceShareOfP99*100)
+				}
 			}
-		}
-	})
-	b.Run("attached", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			rec := obs.NewRecorder()
-			if _, err := experiments.ObsCell(e, cfg, rec); err != nil {
-				b.Fatal(err)
-			}
-			if i == 0 {
-				a := rec.Attribution()
-				b.Logf("recorder: %d spans over %d frames | p99=%.3fs, swap-stall share of p99=%.1f%% (queue %.1f%%, exec %.1f%%, interference %.1f%%)",
-					len(rec.Spans()), a.Frames, a.P99Sec, a.SwapStallShareOfP99*100,
-					a.QueueShareOfP99*100, a.ExecShareOfP99*100, a.InterferenceShareOfP99*100)
-			}
-		}
-	})
+		})
+	}
 }
 
-// BenchmarkSHIFTFrame measures the per-frame cost of the full SHIFT loop
-// (load + exec + detect + decide) on the harness itself.
+// BenchmarkSHIFTFrame measures the cost of the full SHIFT loop (load +
+// exec + detect + decide) on the harness itself. One op is one whole
+// scenario-2 pass, so ns/op and allocs/op do not depend on b.N; ns/frame
+// divides by the frames that pass serves.
 func BenchmarkSHIFTFrame(b *testing.B) {
 	e := env(b)
 	sc := scene.Scenario2()
@@ -537,14 +524,12 @@ func BenchmarkSHIFTFrame(b *testing.B) {
 	}
 	b.ResetTimer()
 	b.ReportAllocs()
-	done := 0
-	for done < b.N {
-		res, err := shift.Run(sc.Name, frames)
-		if err != nil {
+	for i := 0; i < b.N; i++ {
+		if _, err := shift.Run(sc.Name, frames); err != nil {
 			b.Fatal(err)
 		}
-		done += len(res.Records)
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(frames)), "ns/frame")
 }
 
 // BenchmarkCharacterization measures the offline stage end to end.

@@ -10,9 +10,10 @@
 // With -baseline, per-benchmark speedups against the older file are computed
 // and embedded. With -date, the document's date stamp (and the default -out
 // filename derived from it) is pinned instead of read from the wall clock,
-// so CI can produce byte-stable artifact names. Wall-clock results measure the harness itself; the headline
-// block records simulated metrics (virtual seconds and Joules), which are
-// deterministic per seed and must not drift when only performance changes.
+// so CI can produce byte-stable artifact names. Wall-clock results measure
+// the harness itself; the headline block (experiments.Headline) records
+// simulated metrics (virtual seconds and Joules), which are deterministic
+// per seed and must not drift when only performance changes.
 package main
 
 import (
@@ -23,6 +24,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -94,7 +96,7 @@ func main() {
 		}()
 	}
 
-	// Load the baseline before spending a minute on benchmarks, so a bad
+	// Load the baseline before spending minutes on benchmarks, so a bad
 	// path fails immediately.
 	var baseDoc map[string]Result
 	if *basePath != "" {
@@ -115,18 +117,28 @@ func main() {
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Results:    map[string]Result{},
-		Headline:   map[string]float64{},
 		Notes:      *notes,
 	}
 
-	run := func(name, unit string, fn func(b *testing.B)) {
+	// run records one benchmark whose loop body does perOp units of work
+	// per iteration (a whole scenario is perOp frames), normalizing time and
+	// allocations per unit so they do not depend on the iteration count.
+	run := func(name, unit string, perOp int, fn func() error) {
 		fmt.Fprintf(os.Stderr, "benchmarking %s...\n", name)
-		r := testing.Benchmark(fn)
+		r := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := fn(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		ops := int64(r.N) * int64(perOp)
 		doc.Results[name] = Result{
 			Unit:        unit,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
+			NsPerOp:     float64(r.T.Nanoseconds()) / float64(ops),
+			BytesPerOp:  int64(r.MemBytes) / ops,
+			AllocsPerOp: int64(r.MemAllocs) / ops,
 			Iterations:  r.N,
 		}
 	}
@@ -135,412 +147,89 @@ func main() {
 	// detect + decide) — mirrors BenchmarkSHIFTFrame in bench_test.go.
 	sc2 := scene.Scenario2()
 	frames2 := env.Frames(sc2)
-	run("SHIFTFrame", "frame", func(b *testing.B) {
-		shift, err := pipeline.NewSHIFT(env.System(), env.Ch, env.Graph, pipeline.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		done := 0
-		for done < b.N {
-			res, err := shift.Run(sc2.Name, frames2)
-			if err != nil {
-				b.Fatal(err)
-			}
-			done += len(res.Records)
-		}
+	shift, err := pipeline.NewSHIFT(env.System(), env.Ch, env.Graph, pipeline.DefaultOptions())
+	if err != nil {
+		fatal(err)
+	}
+	run("SHIFTFrame", "frame", len(frames2), func() error {
+		_, err := shift.Run(sc2.Name, frames2)
+		return err
 	})
 
 	// MarlinFrame: per-frame cost of the tracker-heavy Marlin baseline —
 	// dominated by NCCSearch template matching.
 	sc1 := scene.Scenario1()
 	frames1 := env.Frames(sc1)
-	run("MarlinFrame", "frame", func(b *testing.B) {
-		b.ReportAllocs()
-		done := 0
-		for done < b.N {
-			m, err := baseline.NewMarlin(env.System(), baseline.DefaultMarlinConfig())
-			if err != nil {
-				b.Fatal(err)
-			}
-			res, err := m.Run(sc1.Name, frames1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			done += len(res.Records)
+	run("MarlinFrame", "frame", len(frames1), func() error {
+		m, err := baseline.NewMarlin(env.System(), baseline.DefaultMarlinConfig())
+		if err != nil {
+			return err
 		}
+		_, err = m.Run(sc1.Name, frames1)
+		return err
 	})
 
 	// Characterization: the full offline stage (validation render + zoo
 	// profiling + graph build), fresh seed per iteration to defeat caches —
 	// mirrors BenchmarkCharacterization.
-	run("Characterization", "env", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := experiments.NewEnv(uint64(i+1), 300); err != nil {
-				b.Fatal(err)
-			}
-		}
+	seed := uint64(0)
+	run("Characterization", "env", 1, func() error {
+		seed++
+		_, err := experiments.NewEnv(seed, 300)
+		return err
 	})
 
-	// RenderScenario1: scenario synthesis per frame.
-	run("RenderScenario1", "frame", func(b *testing.B) {
-		b.ReportAllocs()
-		done := 0
-		for done < b.N {
-			done += len(sc1.Render(uint64(done + 1)))
-		}
+	// RenderScenario1: scenario synthesis, one whole render per iteration,
+	// fresh seed each time.
+	renders := uint64(0)
+	run("RenderScenario1", "frame", len(frames1), func() error {
+		renders++
+		sc1.Render(renders)
+		return nil
 	})
 
-	// TableIII: the full six-scenario, six-method main results table.
-	run("TableIII", "table", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := experiments.TableIII(env, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
+	// The experiment grids, one whole pass per iteration: Table III, the
+	// multi-stream sweep, and every fleet sweep at its default grid.
+	run("TableIII", "table", 1, func() error { _, err := experiments.TableIII(env, nil); return err })
+	run("MultiStream", "sweep", 1, func() error {
+		_, err := experiments.MultiStream(env, experiments.DefaultMultiStreamConfig())
+		return err
 	})
-
-	// MultiStream: the full 1–8 stream serving sweep on the shared-platform
-	// event loop (queueing + reference-counted residency).
-	msCfg := experiments.DefaultMultiStreamConfig()
-	run("MultiStream", "sweep", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := experiments.MultiStream(env, msCfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	// FleetSweep: the multi-device serving grid (device count × placement
-	// under the tiered workload).
-	fsCfg := experiments.FleetSweepConfig{}
-	run("FleetSweep", "grid", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := experiments.FleetSweep(env, fsCfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	// FaultSweep: the fault-tolerance grid (failure rate × placement with
-	// checkpoint/migration).
-	fltCfg := experiments.FaultSweepConfig{}
-	run("FaultSweep", "grid", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := experiments.FaultSweep(env, fltCfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	// CrashSweep: the crash-recovery grid (worker-crash rate × placement on
-	// a journaled fleet, kill-and-recover from checkpoint wire bytes).
-	crashCfg := experiments.CrashSweepConfig{}
-	run("CrashSweep", "grid", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := experiments.CrashSweep(env, crashCfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	// AutoscaleSweep: the elasticity grid (workload shape × placement ×
-	// fixed/elastic capacity with SLO-driven scale-out and drain-based
-	// scale-in).
-	autoCfg := experiments.AutoscaleSweepConfig{}
-	run("AutoscaleSweep", "grid", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := experiments.AutoscaleSweep(env, autoCfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	// PrefetchSweep: the predictive-prefetch contrast cell — the miss-heavy
-	// oscillate workload served twice, TAGE swap predictor off then on, with
-	// the flight recorder attached to both runs.
-	pfCfg := experiments.PrefetchSweepConfig{}
-	var pfRes *experiments.PrefetchSweepResult
-	run("PrefetchSweep", "cell", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			r, err := experiments.PrefetchSweep(env, pfCfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			pfRes = r
-		}
-	})
-
-	// ScaleSweep: the fleet-scale grid — a day-long diurnal trace on fleets
-	// up to 1 000 devices / 100 000 streams, measuring the event loop's own
-	// wall-clock throughput on the legacy scan, the indexed heap and the
-	// sharded-region selectors. One pass of the whole grid per iteration;
-	// the rows feed the fleet1000_* headline block below.
-	var scaleRes *experiments.ScaleSweepResult
-	run("ScaleSweep", "grid", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			res, err := experiments.ScaleSweep(env, experiments.ScaleSweepConfig{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			scaleRes = res
-		}
-	})
+	for _, x := range []struct {
+		name, unit string
+		cells      []experiments.Cell
+	}{
+		{"FleetSweep", "grid", experiments.FleetGrid(experiments.FleetCell())},
+		{"FaultSweep", "grid", experiments.FaultGrid(experiments.FaultCell(), 6, 12)},
+		{"CrashSweep", "grid", experiments.FaultGrid(experiments.CrashCell(), 6, 12)},
+		{"AutoscaleSweep", "grid", experiments.AutoscaleGrid(experiments.AutoscaleCell())},
+		{"PrefetchSweep", "cell", experiments.PrefetchPair(experiments.PrefetchCell())},
+		// The 1 000-device / 100 000-stream day at 1 and 8 regions.
+		{"ScaleSweep", "grid", experiments.ScaleGrid()},
+	} {
+		run(x.name, x.unit, 1, func() error { _, err := experiments.RunCells(env, x.cells); return err })
+	}
 
 	// NCC / NCCSearch micro-benchmarks on tracker-scale inputs.
 	r := rng.New(1)
 	imgA := randomImage(r, 72, 72)
 	imgB := randomImage(r, 72, 72)
-	run("NCC72", "call", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			img.NCC(imgA, imgB)
-		}
-	})
+	run("NCC72", "call", 1, func() error { img.NCC(imgA, imgB); return nil })
 	search := randomImage(r, 41, 41)
 	tpl := search.Crop(10, 10, 21, 21)
-	run("NCCSearch41x41t21", "call", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			img.NCCSearch(search, tpl)
-		}
-	})
+	run("NCCSearch41x41t21", "call", 1, func() error { img.NCCSearch(search, tpl); return nil })
 
-	// Headline simulated metrics: deterministic per seed; a perf-only change
-	// must leave them untouched.
-	t3, err := experiments.TableIII(env, nil)
-	if err != nil {
+	fmt.Fprintln(os.Stderr, "serving the headline table...")
+	blocks := experiments.Headline()
+	if doc.Headline, err = experiments.HeadlineValues(env, blocks); err != nil {
 		fatal(err)
 	}
-	record := func(method, prefix string) {
-		s, ok := t3.Summary(method)
-		if !ok {
-			fatal(fmt.Errorf("missing %s summary", method))
-		}
-		doc.Headline[prefix+"_iou"] = s.AvgIoU
-		doc.Headline[prefix+"_time_s"] = s.AvgTimeSec
-		doc.Headline[prefix+"_energy_j"] = s.AvgEnergyJ
-		doc.Headline[prefix+"_swaps"] = float64(s.Swaps)
-	}
-	record("SHIFT", "shift")
-	record("Marlin", "marlin")
-
-	// Multi-stream serving headline: simulated contention metrics at 1 and 8
-	// concurrent streams. Deterministic per seed, like the Table III block.
-	ms, err := experiments.MultiStream(env, msCfg)
-	if err != nil {
-		fatal(err)
-	}
-	for _, n := range []int{1, 8} {
-		row, ok := ms.Row(n)
-		if !ok {
-			fatal(fmt.Errorf("missing multi-stream row for %d streams", n))
-		}
-		prefix := fmt.Sprintf("multistream%d", n)
-		doc.Headline[prefix+"_p99_latency_s"] = row.Latency.P99
-		doc.Headline[prefix+"_miss_rate"] = row.DeadlineMissRate
-		doc.Headline[prefix+"_queue_wait_s"] = row.AvgQueueWaitSec
-		doc.Headline[prefix+"_swaps_per_stream"] = row.SwapsPerStream
-	}
-
-	// Fleet serving headline: the multi-device grid's simulated metrics at
-	// the largest fleet, round-robin vs residency-affinity. Deterministic
-	// per seed, like the other headline blocks.
-	fs, err := experiments.FleetSweep(env, fsCfg)
-	if err != nil {
-		fatal(err)
-	}
-	for _, cell := range []struct {
-		placement, prefix string
-	}{
-		{"round-robin", "fleet4_rr"},
-		{"residency-affinity", "fleet4_affinity"},
-	} {
-		row, ok := fs.Row(4, cell.placement)
-		if !ok {
-			fatal(fmt.Errorf("missing fleet row for 4×%s", cell.placement))
-		}
-		doc.Headline[cell.prefix+"_p99_latency_s"] = row.Latency.P99
-		doc.Headline[cell.prefix+"_miss_rate"] = row.DeadlineMissRate
-		doc.Headline[cell.prefix+"_loads"] = float64(row.Loads)
-		doc.Headline[cell.prefix+"_evictions"] = float64(row.Evictions)
-		doc.Headline[cell.prefix+"_utilization"] = row.AvgUtilization
-	}
-
-	// Fault-tolerance headline: recovery metrics at the highest swept failure
-	// rate, residency-affinity placement. Deterministic per seed; the
-	// fault-free rows of the same grid must match fleet4_* exactly when the
-	// configurations coincide, and these keys are additive — existing
-	// headline blocks do not move.
-	flt, err := experiments.FaultSweep(env, fltCfg)
-	if err != nil {
-		fatal(err)
-	}
-	for _, cell := range []struct {
-		placement, prefix string
-	}{
-		{"round-robin", "fault12_rr"},
-		{"residency-affinity", "fault12_affinity"},
-	} {
-		row, ok := flt.Row(12, cell.placement)
-		if !ok {
-			fatal(fmt.Errorf("missing fault row for 12/min×%s", cell.placement))
-		}
-		doc.Headline[cell.prefix+"_migrations"] = float64(row.Migrations)
-		doc.Headline[cell.prefix+"_aborted"] = float64(row.Aborted)
-		doc.Headline[cell.prefix+"_downtime_s"] = row.AvgDowntimeSec
-		doc.Headline[cell.prefix+"_postfault_p99_s"] = row.PostFaultP99
-		doc.Headline[cell.prefix+"_p99_latency_s"] = row.Latency.P99
-		doc.Headline[cell.prefix+"_leaked_refs"] = float64(row.LeakedRefs)
-	}
-
-	// Crash-recovery headline: durability metrics at the highest swept crash
-	// rate. Deterministic per seed; the journal never steers serving
-	// decisions, so these keys are additive — existing headline blocks do
-	// not move.
-	crash, err := experiments.CrashSweep(env, crashCfg)
-	if err != nil {
-		fatal(err)
-	}
-	for _, cell := range []struct {
-		placement, prefix string
-	}{
-		{"round-robin", "crash12_rr"},
-		{"residency-affinity", "crash12_affinity"},
-	} {
-		row, ok := crash.Row(12, cell.placement)
-		if !ok {
-			fatal(fmt.Errorf("missing crash row for 12/min×%s", cell.placement))
-		}
-		doc.Headline[cell.prefix+"_crashes"] = float64(row.Crashes)
-		doc.Headline[cell.prefix+"_replayed_frames"] = float64(row.ReplayedFrames)
-		doc.Headline[cell.prefix+"_shed"] = float64(row.Shed)
-		doc.Headline[cell.prefix+"_journal_writes"] = float64(row.JournalWrites)
-		doc.Headline[cell.prefix+"_journal_bytes"] = float64(row.JournalBytes)
-		doc.Headline[cell.prefix+"_downtime_s"] = row.AvgDowntimeSec
-		doc.Headline[cell.prefix+"_postfault_p99_s"] = row.PostFaultP99
-		doc.Headline[cell.prefix+"_p99_latency_s"] = row.Latency.P99
-		doc.Headline[cell.prefix+"_leaked_refs"] = float64(row.LeakedRefs)
-	}
-
-	// Autoscale headline: the elasticity grid's simulated metrics — the
-	// burst-shape fixed-vs-elastic contrast and the diurnal drain activity,
-	// residency-affinity placement. Deterministic per seed; with the
-	// autoscaler disabled (every other experiment) no existing key moves —
-	// these are additive like the fault block.
-	auto, err := experiments.AutoscaleSweep(env, autoCfg)
-	if err != nil {
-		fatal(err)
-	}
-	for _, cell := range []struct {
-		shape, mode, prefix string
-	}{
-		{"burst", "fixed", "auto_burst_fixed4"},
-		{"burst", "elastic", "auto_burst_elastic"},
-		{"diurnal", "fixed", "auto_diurnal_fixed4"},
-		{"diurnal", "elastic", "auto_diurnal_elastic"},
-	} {
-		row, ok := auto.Row(cell.shape, "residency-affinity", cell.mode)
-		if !ok {
-			fatal(fmt.Errorf("missing autoscale row for %s×%s", cell.shape, cell.mode))
-		}
-		doc.Headline[cell.prefix+"_p99_latency_s"] = row.Latency.P99
-		doc.Headline[cell.prefix+"_miss_rate"] = row.DeadlineMissRate
-		doc.Headline[cell.prefix+"_queue_wait_s"] = row.AvgQueueDelaySec
-		doc.Headline[cell.prefix+"_peak_devices"] = float64(row.PeakDevices)
-		if cell.mode == "elastic" {
-			doc.Headline[cell.prefix+"_scale_outs"] = float64(row.ScaleOuts)
-			doc.Headline[cell.prefix+"_scale_ins"] = float64(row.ScaleIns)
-			doc.Headline[cell.prefix+"_drained"] = float64(row.Drained)
-			doc.Headline[cell.prefix+"_migrations"] = float64(row.Migrations)
-			doc.Headline[cell.prefix+"_leaked_refs"] = float64(row.LeakedRefs)
-		}
-	}
-
-	// Observability headline: the flight-recorder cell's latency attribution
-	// — where frame latency goes overall and over the p99 tail, with the
-	// swap-stall share of p99 as the headline the prefetch roadmap item is
-	// gated on. obs_attached_equals_detached is the zero-perturbation
-	// certificate (1 when the attached and detached runs summarize
-	// bit-identically). Deterministic per seed; these keys are additive —
-	// existing headline blocks do not move.
-	ob, err := experiments.ObsSweep(env, experiments.ObsSweepConfig{})
-	if err != nil {
-		fatal(err)
-	}
-	doc.Headline["obs_frames"] = float64(ob.Attribution.Frames)
-	doc.Headline["obs_spans"] = float64(ob.Spans)
-	doc.Headline["obs_p99_latency_s"] = ob.Attribution.P99Sec
-	doc.Headline["obs_queue_share"] = ob.Attribution.QueueShare
-	doc.Headline["obs_swap_stall_share"] = ob.Attribution.SwapShare
-	doc.Headline["obs_exec_share"] = ob.Attribution.ExecShare
-	doc.Headline["obs_interference_share"] = ob.Attribution.InterferenceShare
-	doc.Headline["obs_queue_share_p99"] = ob.Attribution.QueueShareOfP99
-	doc.Headline["obs_swap_stall_share_p99"] = ob.Attribution.SwapStallShareOfP99
-	doc.Headline["obs_exec_share_p99"] = ob.Attribution.ExecShareOfP99
-	doc.Headline["obs_interference_share_p99"] = ob.Attribution.InterferenceShareOfP99
-	doc.Headline["obs_attached_equals_detached"] = map[bool]float64{true: 1, false: 0}[ob.DetachedEqual]
-
-	// Predictive-prefetch headline: the TAGE swap predictor's SupraX-style
-	// scorecard (coverage / accuracy / timeliness) and the before/after
-	// swap-stall share of the p99 tail on the miss-heavy contrast cell. The
-	// before key is today's serving path bit-for-bit — the off run takes the
-	// identical code path as a build without the predictor — so it moves only
-	// when the serving path itself does. These keys are additive; existing
-	// headline blocks do not move.
-	doc.Headline["prefetch_coverage"] = pfRes.Stats.Coverage()
-	doc.Headline["prefetch_accuracy"] = pfRes.Stats.Accuracy()
-	doc.Headline["prefetch_timeliness"] = pfRes.Stats.Timeliness()
-	doc.Headline["prefetch_issued"] = float64(pfRes.Stats.Issued)
-	doc.Headline["prefetch_full_hits"] = float64(pfRes.Stats.FullHits)
-	doc.Headline["prefetch_late_hits"] = float64(pfRes.Stats.LateHits)
-	doc.Headline["prefetch_stall_saved_s"] = pfRes.Stats.StallSavedSec
-	doc.Headline["prefetch_swap_stall_share_p99_before"] = pfRes.Off.SwapStallShareOfP99
-	doc.Headline["prefetch_swap_stall_share_p99_after"] = pfRes.On.SwapStallShareOfP99
-
-	// Fleet-scale headline: the 1 000-device / 100 000-stream flagship trace.
-	// The serving profile (served, frames, events, horizon, latency, misses)
-	// is simulated and deterministic per seed — a perf-only change must leave
-	// it untouched. The *_events_per_sec and *_speedup keys are wall-clock
-	// measurements of the harness itself and drift run to run; they are
-	// recorded for the perf trajectory, not for bit-identity.
-	flagship, ok := scaleRes.Row(1000, 1, false)
-	if !ok {
-		fatal(fmt.Errorf("missing 1000-device scale row"))
-	}
-	doc.Headline["fleet1000_served"] = float64(flagship.Served)
-	doc.Headline["fleet1000_frames"] = float64(flagship.Frames)
-	doc.Headline["fleet1000_events"] = float64(flagship.Events)
-	doc.Headline["fleet1000_horizon_s"] = flagship.HorizonSec
-	doc.Headline["fleet1000_p50_latency_s"] = flagship.LatencyP50Sec
-	doc.Headline["fleet1000_p99_latency_s"] = flagship.LatencyP99Sec
-	doc.Headline["fleet1000_miss_rate"] = flagship.DeadlineMissRate
-	doc.Headline["fleet1000_events_per_sec"] = flagship.EventsPerSec
-	if sharded, ok := scaleRes.Row(1000, 8, false); ok {
-		doc.Headline["fleet1000_r8_events_per_sec"] = sharded.EventsPerSec
-	}
-	scan, okScan := scaleRes.Row(100, 1, true)
-	heap, okHeap := scaleRes.Row(100, 1, false)
-	if okScan && okHeap {
-		doc.Headline["fleet100_heap_speedup_vs_scan"] = heap.EventsPerSec / scan.EventsPerSec
-	}
-	const scaleNote = "fleet1000_*_events_per_sec, fleet1000_r8_events_per_sec and " +
-		"fleet100_heap_speedup_vs_scan are wall-clock measurements and drift run to run; " +
-		"every other headline key is simulated and deterministic per seed."
+	wallNote := strings.Join(experiments.WallKeys(blocks), ", ") +
+		" are wall-clock measurements and drift run to run; every other headline key is simulated and deterministic per seed."
 	if doc.Notes == "" {
-		doc.Notes = scaleNote
+		doc.Notes = wallNote
 	} else {
-		doc.Notes += " " + scaleNote
+		doc.Notes += " " + wallNote
 	}
 
 	if baseDoc != nil {

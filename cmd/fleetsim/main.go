@@ -1,23 +1,29 @@
 // Command fleetsim serves a seeded open-loop workload of SHIFT streams on a
 // simulated multi-device fleet: K heterogeneous Xavier-NX-class devices
 // behind a dispatcher with admission control and a pluggable placement
-// policy. It prints the per-device serving table and utilization plot for
-// one run, or the full device-count × placement grid with -sweep.
+// policy. Its flags build one experiments.Cell, so the feature flags
+// compose:
 //
-// With -faults, a seeded fault schedule (transient outages, permanent
-// deaths, latency brownouts) is injected and in-flight streams are
-// checkpointed and migrated across the surviving devices; the report then
-// includes the recovery line (migrations, downtime, post-fault tail).
+//   - -faults N injects the default outage/death/brownout mix at N faults
+//     per minute over the workload's span; in-flight streams are
+//     checkpointed and migrated across the surviving devices.
+//   - -autoscale turns on the SLO-driven elastic controller, which
+//     provisions warm-pool devices under pressure and drains idle ones back
+//     (migrating their live sessions).
+//   - -prefetch turns on TAGE swap prediction with speculative overlap
+//     loads.
+//   - -trace FILE attaches the flight recorder and writes its spans as
+//     Chrome trace-event JSON (chrome://tracing, Perfetto).
+//   - -regions R shards the event loop; results are bit-identical at any R.
 //
-// With -autoscale, the elasticity grid runs instead: burst and diurnal
-// workload shapes served by the fixed reference fleet and by an elastic
-// fleet whose SLO-driven autoscaler provisions warm-pool devices under
-// pressure and drains idle ones back (migrating their live sessions).
-//
-// With -prefetch, the predictive-prefetch contrast cell runs: a miss-heavy
-// oscillating workload served twice — TAGE swap predictor off, then on —
-// reporting the predictor scorecard (coverage/accuracy/timeliness) and the
-// before/after swap-stall share of the p99 latency tail.
+// Without -sweep, fleetsim serves that one cell and prints its serving
+// table and utilization plot, then one section per feature turned on.
+// -sweep NAME serves a named grid instead — fleet, fault, crash, autoscale,
+// obs or prefetch — starting from the grid's own tuned cell and taking only
+// the flags given explicitly: -placement narrows the grid to that
+// placement, and -faults N narrows a fault or crash grid's rates to {0, N}
+// (keeping its fault mix). With -trace, a grid writes one trace per
+// recorded cell, numbered when there are several.
 //
 // With -workers N, serving splits across real OS processes: a coordinator
 // spawns N worker subprocesses of this binary (each re-exec'd with -worker),
@@ -31,43 +37,59 @@
 //	fleetsim -devices 4 -placement residency-affinity
 //	fleetsim -devices 2 -streams 24 -rate 0.5 -budget 2
 //	fleetsim -devices 8 -regions 4
-//	fleetsim -devices 4 -faults 6
-//	fleetsim -autoscale
-//	fleetsim -prefetch
-//	fleetsim -sweep
+//	fleetsim -faults 6 -autoscale -prefetch -trace out.json -regions 2
+//	fleetsim -sweep fleet
+//	fleetsim -sweep fault -faults 12 -placement residency-affinity
+//	fleetsim -sweep autoscale
+//	fleetsim -sweep obs -trace out.json
 //	fleetsim -workers 2 -streams 8 -kill-one
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 
 	"repro/internal/experiments"
 	"repro/internal/fleet"
+	"repro/internal/predict"
 )
 
+// options are the serving flags.
+type options struct {
+	devices, streams, budget, queue, regions, valFrames int
+	scales, placement, sweep, trace                     string
+	rate, period, faults                                float64
+	poolMB                                              int64
+	seed                                                uint64
+	autoscale, prefetch                                 bool
+}
+
 func main() {
+	var o options
+	flag.IntVar(&o.devices, "devices", 2, "number of devices in the fleet")
+	flag.StringVar(&o.scales, "scales", "1,1.25", "comma-separated per-device latency scales, cycled")
+	flag.StringVar(&o.placement, "placement", "residency-affinity", "placement: round-robin, least-outstanding, residency-affinity")
+	flag.IntVar(&o.streams, "streams", 16, "streams offered")
+	flag.Float64Var(&o.rate, "rate", 0.25, "mean stream arrival rate per second")
+	flag.Float64Var(&o.period, "period", 0.1, "camera frame period in seconds")
+	flag.IntVar(&o.budget, "budget", 3, "admission budget: max concurrent streams per device (0 = unlimited)")
+	flag.IntVar(&o.regions, "regions", 0, "shard the event loop across N parallel device regions (0/1 = single region; results are bit-identical at any count)")
+	flag.IntVar(&o.queue, "queue", 8, "admission queue slots when saturated (0 = reject immediately, -1 = unbounded)")
+	flag.Int64Var(&o.poolMB, "pool-mb", 1300, "per-device engine memory arena in MB")
+	flag.Uint64Var(&o.seed, "seed", 1, "experiment seed")
+	flag.IntVar(&o.valFrames, "val-frames", experiments.DefaultValidationFrames, "validation frames for characterization")
+	flag.StringVar(&o.sweep, "sweep", "", "serve a named grid instead of one cell: fleet, fault, crash, autoscale, obs, prefetch")
+	flag.Float64Var(&o.faults, "faults", 0, "mean device faults per minute; > 0 injects outages/deaths/brownouts with checkpoint/migration")
+	flag.BoolVar(&o.autoscale, "autoscale", false, "turn on the SLO-driven elastic controller (8-device warm pool, 2 s control loop)")
+	flag.BoolVar(&o.prefetch, "prefetch", false, "turn on TAGE swap prediction with speculative overlap prefetch")
+	flag.StringVar(&o.trace, "trace", "", "attach the flight recorder and write its spans as Chrome trace-event JSON to this file (open in chrome://tracing or Perfetto)")
 	var (
-		devices    = flag.Int("devices", 2, "number of devices in the fleet")
-		scales     = flag.String("scales", "1,1.25", "comma-separated per-device latency scales, cycled")
-		placement  = flag.String("placement", "residency-affinity", "placement: round-robin, least-outstanding, residency-affinity")
-		streams    = flag.Int("streams", 16, "streams offered")
-		rate       = flag.Float64("rate", 0.25, "mean stream arrival rate per second")
-		period     = flag.Float64("period", 0.1, "camera frame period in seconds")
-		budget     = flag.Int("budget", 3, "admission budget: max concurrent streams per device (0 = unlimited)")
-		regions    = flag.Int("regions", 0, "shard the event loop across N parallel device regions (0/1 = single region; results are bit-identical at any count)")
-		queue      = flag.Int("queue", 8, "admission queue slots when saturated (0 = reject immediately, -1 = unbounded)")
-		poolMB     = flag.Int64("pool-mb", 1300, "per-device engine memory arena in MB")
-		seed       = flag.Uint64("seed", 1, "experiment seed")
-		valFrames  = flag.Int("val-frames", experiments.DefaultValidationFrames, "validation frames for characterization")
-		sweep      = flag.Bool("sweep", false, "run the full device-count × placement grid (experiments.FleetSweep)")
-		faults     = flag.Float64("faults", 0, "mean device faults per minute; > 0 injects outages/deaths/brownouts with checkpoint/migration (experiments.FaultSweep)")
-		autoscale  = flag.Bool("autoscale", false, "run the elasticity grid: fixed vs SLO-autoscaled fleets under burst and diurnal workloads (experiments.AutoscaleSweep)")
-		prefetch   = flag.Bool("prefetch", false, "run the predictive-prefetch contrast cell: a miss-heavy workload served with the TAGE swap predictor off then on (experiments.PrefetchSweep)")
-		trace      = flag.String("trace", "", "write the serving run's flight-recorder spans as Chrome trace-event JSON to this file (single-cell run; open in chrome://tracing or Perfetto)")
 		worker     = flag.String("worker", "", "run as a worker process with this device name, protocol on stdio (spawned by -workers)")
 		workers    = flag.Int("workers", 0, "coordinator mode: spawn N worker subprocesses and serve -streams across them")
 		killOne    = flag.Bool("kill-one", false, "with -workers: SIGKILL worker w0 after its first journaled chunk to exercise crash recovery")
@@ -79,18 +101,18 @@ func main() {
 
 	if *worker != "" {
 		// Stdout is the protocol channel; nothing else runs in this mode.
-		if err := runWorker(*worker, *seed); err != nil {
+		if err := runWorker(*worker, o.seed); err != nil {
 			fmt.Fprintln(os.Stderr, "fleetsim worker:", err)
 			os.Exit(1)
 		}
 		return
 	}
 	if *workers > 0 {
-		if err := validateWorkersMode(*sweep, *autoscale, *faults, *trace, *prefetch); err != nil {
+		if err := validateWorkersMode(o); err != nil {
 			fmt.Fprintln(os.Stderr, "fleetsim:", err)
 			os.Exit(1)
 		}
-		if err := runCoordinator(*workers, *streams, *period, *seed, *killOne, *journalDir); err != nil {
+		if err := runCoordinator(*workers, o.streams, o.period, o.seed, *killOne, *journalDir); err != nil {
 			fmt.Fprintln(os.Stderr, "fleetsim:", err)
 			os.Exit(1)
 		}
@@ -100,261 +122,233 @@ func main() {
 		fmt.Fprintln(os.Stderr, "fleetsim: -kill-one and -journal-dir require -workers")
 		os.Exit(1)
 	}
-
-	if err := run(*devices, *scales, *placement, *streams, *rate, *period,
-		*budget, *queue, *regions, *poolMB, *seed, *valFrames, *sweep, *faults, *autoscale, *prefetch, *trace, set); err != nil {
+	if err := run(o, set, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "fleetsim:", err)
 		os.Exit(1)
 	}
 }
 
-// validateWorkersMode rejects flags coordinator mode cannot honor — the
-// other experiment grids, and -trace: the flight recorder observes the
-// in-process event loop, and worker subprocesses serve out-of-process, so
-// there is nothing to trace.
-func validateWorkersMode(sweep, autoscale bool, faults float64, trace string, prefetch bool) error {
-	if sweep || autoscale || faults > 0 || prefetch {
-		return fmt.Errorf("-workers is mutually exclusive with -sweep, -autoscale, -faults, and -prefetch")
-	}
-	if trace != "" {
-		return fmt.Errorf("-trace is mutually exclusive with -workers (the flight recorder observes the in-process event loop)")
+// validateWorkersMode rejects the flags coordinator mode cannot honor: the
+// worker processes serve a fixed-policy stream set out-of-process, so there
+// is no in-process cell to sweep, fault, scale, prefetch or trace.
+func validateWorkersMode(o options) error {
+	if o.sweep != "" || o.autoscale || o.faults > 0 || o.prefetch || o.trace != "" {
+		return fmt.Errorf("-workers serves out-of-process and cannot honor -sweep, -autoscale, -faults, -prefetch or -trace")
 	}
 	return nil
 }
+
+// sweeps lists the -sweep grid names.
+var sweeps = []string{"fleet", "fault", "crash", "autoscale", "obs", "prefetch"}
 
 // validate rejects malformed flags up front — one line on stderr and a
 // non-zero exit, instead of a panic (or a multi-second characterization)
 // deep in the run.
-func validate(devices int, placement string, streams int, rate, period float64,
-	budget, queue, regions int, poolMB int64, valFrames int, faults float64) error {
-	if _, err := fleet.PlacementByName(placement); err != nil {
+func validate(o options) error {
+	if _, err := fleet.PlacementByName(o.placement); err != nil {
 		return err
 	}
-	if devices <= 0 {
-		return fmt.Errorf("-devices must be positive, got %d", devices)
+	if o.sweep != "" && !slices.Contains(sweeps, o.sweep) {
+		return fmt.Errorf("-sweep %q: want one of %s", o.sweep, strings.Join(sweeps, ", "))
 	}
-	if streams <= 0 {
-		return fmt.Errorf("-streams must be positive, got %d", streams)
+	if o.devices <= 0 {
+		return fmt.Errorf("-devices must be positive, got %d", o.devices)
 	}
-	if rate <= 0 {
-		return fmt.Errorf("-rate must be positive, got %v", rate)
+	if o.streams <= 0 {
+		return fmt.Errorf("-streams must be positive, got %d", o.streams)
 	}
-	if period <= 0 {
-		return fmt.Errorf("-period must be positive, got %v", period)
+	if o.rate <= 0 {
+		return fmt.Errorf("-rate must be positive, got %v", o.rate)
 	}
-	if budget < 0 {
-		return fmt.Errorf("-budget must be >= 0 (0 = unlimited), got %d", budget)
+	if o.period <= 0 {
+		return fmt.Errorf("-period must be positive, got %v", o.period)
 	}
-	if queue < -1 {
-		return fmt.Errorf("-queue must be >= -1 (-1 = unbounded), got %d", queue)
+	if o.budget < 0 {
+		return fmt.Errorf("-budget must be >= 0 (0 = unlimited), got %d", o.budget)
 	}
-	if regions < 0 {
-		return fmt.Errorf("-regions must be >= 0 (0 = single region), got %d", regions)
+	if o.queue < -1 {
+		return fmt.Errorf("-queue must be >= -1 (-1 = unbounded), got %d", o.queue)
 	}
-	if poolMB <= 0 {
-		return fmt.Errorf("-pool-mb must be positive, got %d", poolMB)
+	if o.regions < 0 {
+		return fmt.Errorf("-regions must be >= 0 (0 = single region), got %d", o.regions)
 	}
-	if valFrames <= 0 {
-		return fmt.Errorf("-val-frames must be positive, got %d", valFrames)
+	if o.poolMB <= 0 {
+		return fmt.Errorf("-pool-mb must be positive, got %d", o.poolMB)
 	}
-	if faults < 0 {
-		return fmt.Errorf("-faults must be >= 0, got %v", faults)
+	if o.valFrames <= 0 {
+		return fmt.Errorf("-val-frames must be positive, got %d", o.valFrames)
+	}
+	if o.faults < 0 {
+		return fmt.Errorf("-faults must be >= 0, got %v", o.faults)
 	}
 	return nil
 }
 
-// run executes the selected experiment. set records which flags the user
-// passed explicitly, so the -autoscale grid keeps its tuned defaults unless
-// a flag was actually given — and flags a mode genuinely cannot honor are
-// rejected instead of silently ignored.
-func run(devices int, scales, placement string, streams int, rate, period float64,
-	budget, queue, regions int, poolMB int64, seed uint64, valFrames int, sweep bool, faults float64,
-	autoscale, prefetch bool, trace string, set map[string]bool) error {
-	if err := validate(devices, placement, streams, rate, period, budget, queue, regions, poolMB, valFrames, faults); err != nil {
+// run serves the cell the flags build — or the grid -sweep names — and
+// writes its report to w. A single cell takes every flag; a grid keeps its
+// tuned cell and takes only the flags in set.
+func run(o options, set map[string]bool, w io.Writer) error {
+	if err := validate(o); err != nil {
 		return err
 	}
-	if autoscale && faults > 0 {
-		return fmt.Errorf("-autoscale and -faults are mutually exclusive")
+	scales, err := parseScales(o.scales)
+	if err != nil {
+		return err
 	}
-	if autoscale && sweep {
-		return fmt.Errorf("-autoscale and -sweep are mutually exclusive")
-	}
-	if prefetch && (sweep || autoscale || faults > 0) {
-		return fmt.Errorf("-prefetch is mutually exclusive with -sweep, -autoscale, and -faults")
-	}
-	if prefetch && trace != "" {
-		return fmt.Errorf("-trace is mutually exclusive with -prefetch (the contrast cell attaches its own recorders; see experiments.PrefetchSweep)")
-	}
-	if set["regions"] && (autoscale || faults > 0) {
-		return fmt.Errorf("-regions applies to the serving sweep only, not -autoscale or -faults")
-	}
-	if trace != "" && (sweep || autoscale || faults > 0) {
-		return fmt.Errorf("-trace applies to the single serving run only; it is mutually exclusive with -sweep, -autoscale and -faults")
-	}
-	scaleList, err := parseScales(scales)
+	fmt.Fprintf(w, "characterizing %d-frame validation set (seed %d)...\n", o.valFrames, o.seed)
+	env, err := experiments.NewEnv(o.seed, o.valFrames)
 	if err != nil {
 		return err
 	}
 
-	fmt.Printf("characterizing %d-frame validation set (seed %d)...\n", valFrames, seed)
-	env, err := experiments.NewEnv(seed, valFrames)
+	var base experiments.Cell
+	switch o.sweep {
+	case "fault":
+		base = experiments.FaultCell()
+	case "crash":
+		base = experiments.CrashCell()
+	case "autoscale":
+		base = experiments.AutoscaleCell()
+	case "prefetch":
+		base = experiments.PrefetchCell()
+	default:
+		base = experiments.FleetCell()
+	}
+	if o.sweep == "" {
+		set = nil
+	}
+	c := apply(base, o, scales, set)
+	rates := []float64{6, 12}
+	if set["faults"] && o.faults > 0 {
+		rates = []float64{o.faults}
+	}
+	var cells []experiments.Cell
+	var report func([]*experiments.CellResult) string
+	switch o.sweep {
+	case "":
+		cells, report = []experiments.Cell{c}, func(rows []*experiments.CellResult) string { return rows[0].Report() }
+	case "fleet":
+		cells, report = experiments.FleetGrid(c), experiments.FleetReport
+	case "fault":
+		cells, report = experiments.FaultGrid(c, rates...), experiments.FaultReport
+	case "crash":
+		cells, report = experiments.FaultGrid(c, rates...), experiments.CrashReport
+	case "autoscale":
+		cells, report = experiments.AutoscaleGrid(c), experiments.AutoscaleReport
+	case "obs":
+		cells, report = experiments.ObsPair(c), experiments.ObsReport
+	case "prefetch":
+		cells, report = experiments.PrefetchPair(c), experiments.PrefetchReport
+	}
+	if set["placement"] {
+		var kept []experiments.Cell
+		for _, x := range cells {
+			if x.Placement == o.placement {
+				kept = append(kept, x)
+			}
+		}
+		cells = kept
+	}
+	rows, err := experiments.RunCells(env, cells)
 	if err != nil {
 		return err
 	}
-
-	workload := fleet.DefaultWorkloadConfig()
-	workload.Seed = seed
-	workload.Streams = streams
-	workload.RatePerSec = rate
-	workload.PeriodSec = period
-	admission := fleet.Admission{PerDeviceStreams: budget, QueueLimit: queue}
-
-	if autoscale {
-		cfg := experiments.DefaultAutoscaleSweepConfig()
-		cfg.Placements = []string{placement}
-		cfg.Scales = scaleList
-		cfg.PoolMB = poolMB
-		cfg.Workload.Seed = seed
-		if set["devices"] {
-			cfg.FixedDevices = devices // the fixed reference fleet's size
-		}
-		if set["streams"] {
-			cfg.Workload.Streams = streams
-		}
-		if set["rate"] {
-			cfg.Workload.RatePerSec = rate // the base rate the shapes modulate
-		}
-		if set["period"] {
-			cfg.Workload.PeriodSec = period
-		}
-		if set["budget"] || set["queue"] {
-			adm := *cfg.Admission
-			if set["budget"] {
-				adm.PerDeviceStreams = budget
-			}
-			if set["queue"] {
-				adm.QueueLimit = queue
-			}
-			cfg.Admission = &adm
-		}
-		res, err := experiments.AutoscaleSweep(env, cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println()
-		fmt.Println(res.Report())
-		return nil
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, report(rows))
+	if o.trace != "" {
+		return writeTraces(w, o.trace, rows)
 	}
+	return nil
+}
 
-	if prefetch {
-		cfg := experiments.DefaultPrefetchSweepConfig()
-		cfg.Cell.Workload.Seed = seed
-		if set["devices"] {
-			cfg.Cell.Devices = devices
-		}
-		if set["placement"] {
-			cfg.Cell.Placement = placement
-		}
-		if set["scales"] {
-			cfg.Cell.Scales = scaleList
-		}
-		if set["streams"] {
-			cfg.Cell.Workload.Streams = streams
-		}
-		if set["rate"] {
-			cfg.Cell.Workload.RatePerSec = rate
-		}
-		if set["period"] {
-			cfg.Cell.Workload.PeriodSec = period
-		}
-		if set["pool-mb"] {
-			cfg.Cell.PoolMB = poolMB
-		}
-		if set["regions"] {
-			cfg.Cell.Regions = regions
-		}
-		if set["budget"] || set["queue"] {
-			cfg.Cell.Admission = &admission
-		}
-		res, err := experiments.PrefetchSweep(env, cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println()
-		fmt.Println(res.Report())
-		return nil
+// apply sets the cell fields the flags name — every flag when set is nil,
+// else only those in set — and turns on the features the feature flags
+// ask for.
+func apply(c experiments.Cell, o options, scales []float64, set map[string]bool) experiments.Cell {
+	given := func(name string) bool { return set == nil || set[name] }
+	if given("devices") {
+		c.Devices = o.devices
 	}
-
-	if faults > 0 {
-		fcfg := fleet.DefaultFaultConfig()
-		fcfg.Horizon = experiments.FaultHorizonFor(workload)
-		fltCfg := experiments.FaultSweepConfig{
-			RatesPerMin: []float64{0, faults},
-			Placements:  []string{placement},
-			Devices:     devices,
-			Scales:      scaleList,
-			Workload:    workload,
-			Admission:   &admission,
-			PoolMB:      poolMB,
-			Fault:       fcfg,
-		}
-		res, err := experiments.FaultSweep(env, fltCfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println()
-		fmt.Println(res.Report())
-		return nil
+	if given("scales") {
+		c.Scales = scales
 	}
+	if given("placement") {
+		c.Placement = o.placement
+	}
+	if given("streams") {
+		c.Workload.Streams = o.streams
+	}
+	if given("rate") {
+		c.Workload.RatePerSec = o.rate
+	}
+	if given("period") {
+		c.Workload.PeriodSec = o.period
+	}
+	if given("budget") {
+		c.Admission.PerDeviceStreams = o.budget
+	}
+	if given("queue") {
+		c.Admission.QueueLimit = o.queue
+	}
+	if given("pool-mb") {
+		c.PoolMB = o.poolMB
+	}
+	if given("regions") {
+		c.Regions = o.regions
+	}
+	c.Workload.Seed = o.seed
+	if o.faults > 0 {
+		f := fleet.DefaultFaultConfig()
+		if c.Faults != nil {
+			f = *c.Faults // a fault or crash grid keeps its mix
+		}
+		f.Horizon = experiments.FaultHorizonFor(c.Workload)
+		f.RatePerSec = o.faults / 60
+		c.Faults = &f
+	}
+	if o.autoscale && c.Autoscale == nil {
+		c.Autoscale = experiments.AutoscaleCell().Autoscale
+	}
+	if o.prefetch && c.Prefetch == nil {
+		pf := predict.DefaultConfig()
+		c.Prefetch = &pf
+	}
+	if o.trace != "" {
+		c.Record = true
+	}
+	return c
+}
 
-	if trace != "" {
-		ocfg := experiments.ObsSweepConfig{
-			Devices:   devices,
-			Placement: placement,
-			Scales:    scaleList,
-			Workload:  workload,
-			Admission: &admission,
-			PoolMB:    poolMB,
-			Regions:   regions,
+// writeTraces exports every recorded row's spans as Chrome trace-event
+// JSON: to path itself when one row recorded, else to path with the row's
+// index before the extension.
+func writeTraces(w io.Writer, path string, rows []*experiments.CellResult) error {
+	var recorded []*experiments.CellResult
+	for _, r := range rows {
+		if r.Recorder != nil {
+			recorded = append(recorded, r)
 		}
-		res, err := experiments.ObsSweep(env, ocfg)
+	}
+	for i, r := range recorded {
+		name := path
+		if len(recorded) > 1 {
+			ext := filepath.Ext(path)
+			name = fmt.Sprintf("%s-%d%s", strings.TrimSuffix(path, ext), i, ext)
+		}
+		f, err := os.Create(name)
 		if err != nil {
 			return err
 		}
-		f, err := os.Create(trace)
-		if err != nil {
-			return err
-		}
-		if err := res.WriteChromeTrace(f); err != nil {
+		if err := r.Recorder.WriteChromeTrace(f); err != nil {
 			f.Close()
 			return err
 		}
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Println()
-		fmt.Println(res.Report())
-		fmt.Printf("wrote Chrome trace (%d spans) to %s — open in chrome://tracing or Perfetto\n", res.Spans, trace)
-		return nil
+		fmt.Fprintf(w, "wrote Chrome trace (%d spans) to %s — open in chrome://tracing or Perfetto\n",
+			len(r.Recorder.Spans()), name)
 	}
-
-	cfg := experiments.FleetSweepConfig{
-		Workload:  workload,
-		Admission: &admission,
-		PoolMB:    poolMB,
-		Scales:    scaleList,
-		Regions:   regions,
-	}
-	if !sweep {
-		cfg.DeviceCounts = []int{devices}
-		cfg.Placements = []string{placement}
-	}
-	res, err := experiments.FleetSweep(env, cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println()
-	fmt.Println(res.Report())
 	return nil
 }
 

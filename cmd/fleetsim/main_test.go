@@ -1,140 +1,138 @@
 package main
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// TestValidateRejectsBadFlags is the CLI smoke test for flag validation:
-// unknown placement names and malformed numeric flags must produce a
-// one-line error before any characterization work, never a panic mid-run.
-func TestValidateRejectsBadFlags(t *testing.T) {
-	ok := func() error {
-		return validate(2, "residency-affinity", 16, 0.25, 0.1, 3, 8, 0, 1300, 800, 0)
+// defaults mirrors the flag defaults.
+func defaults() options {
+	return options{
+		devices: 2, scales: "1,1.25", placement: "residency-affinity",
+		streams: 16, rate: 0.25, period: 0.1, budget: 3, queue: 8,
+		poolMB: 1300, seed: 1, valFrames: 800,
 	}
-	if err := ok(); err != nil {
+}
+
+// TestValidateRejectsBadFlags is the CLI smoke test for flag validation:
+// unknown placement or grid names and malformed numeric flags must produce
+// a one-line error before any characterization work, never a panic mid-run.
+func TestValidateRejectsBadFlags(t *testing.T) {
+	if err := validate(defaults()); err != nil {
 		t.Fatalf("default flags rejected: %v", err)
 	}
 	cases := []struct {
 		name string
-		err  error
+		mut  func(*options)
 		want string
 	}{
-		{"unknown placement", validate(2, "bogus", 16, 0.25, 0.1, 3, 8, 0, 1300, 800, 0), "unknown placement"},
-		{"zero devices", validate(0, "round-robin", 16, 0.25, 0.1, 3, 8, 0, 1300, 800, 0), "-devices"},
-		{"negative streams", validate(2, "round-robin", -1, 0.25, 0.1, 3, 8, 0, 1300, 800, 0), "-streams"},
-		{"negative rate", validate(2, "round-robin", 16, -0.25, 0.1, 3, 8, 0, 1300, 800, 0), "-rate"},
-		{"zero period", validate(2, "round-robin", 16, 0.25, 0, 3, 8, 0, 1300, 800, 0), "-period"},
-		{"negative budget", validate(2, "round-robin", 16, 0.25, 0.1, -3, 8, 0, 1300, 800, 0), "-budget"},
-		{"bad queue", validate(2, "round-robin", 16, 0.25, 0.1, 3, -2, 0, 1300, 800, 0), "-queue"},
-		{"negative regions", validate(2, "round-robin", 16, 0.25, 0.1, 3, 8, -1, 1300, 800, 0), "-regions"},
-		{"negative pool", validate(2, "round-robin", 16, 0.25, 0.1, 3, 8, 0, -1, 800, 0), "-pool-mb"},
-		{"zero val-frames", validate(2, "round-robin", 16, 0.25, 0.1, 3, 8, 0, 1300, 0, 0), "-val-frames"},
-		{"negative faults", validate(2, "round-robin", 16, 0.25, 0.1, 3, 8, 0, 1300, 800, -6), "-faults"},
+		{"unknown placement", func(o *options) { o.placement = "bogus" }, "unknown placement"},
+		{"unknown sweep", func(o *options) { o.sweep = "bogus" }, "-sweep"},
+		{"zero devices", func(o *options) { o.devices = 0 }, "-devices"},
+		{"negative streams", func(o *options) { o.streams = -1 }, "-streams"},
+		{"negative rate", func(o *options) { o.rate = -0.25 }, "-rate"},
+		{"zero period", func(o *options) { o.period = 0 }, "-period"},
+		{"negative budget", func(o *options) { o.budget = -3 }, "-budget"},
+		{"bad queue", func(o *options) { o.queue = -2 }, "-queue"},
+		{"negative regions", func(o *options) { o.regions = -1 }, "-regions"},
+		{"negative pool", func(o *options) { o.poolMB = -1 }, "-pool-mb"},
+		{"zero val-frames", func(o *options) { o.valFrames = 0 }, "-val-frames"},
+		{"negative faults", func(o *options) { o.faults = -6 }, "-faults"},
 	}
 	for _, c := range cases {
-		if c.err == nil {
+		o := defaults()
+		c.mut(&o)
+		err := validate(o)
+		if err == nil {
 			t.Errorf("%s accepted", c.name)
 			continue
 		}
-		if !strings.Contains(c.err.Error(), c.want) {
-			t.Errorf("%s: error %q does not name the flag (%q)", c.name, c.err, c.want)
+		if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q does not name the flag (%q)", c.name, err, c.want)
 		}
-		if strings.ContainsRune(c.err.Error(), '\n') {
-			t.Errorf("%s: multi-line error %q", c.name, c.err)
+		if strings.ContainsRune(err.Error(), '\n') {
+			t.Errorf("%s: multi-line error %q", c.name, err)
 		}
 	}
 	// run() must refuse bad flags before characterizing: a bogus placement
 	// returns (quickly) with the validation error, not a deep failure.
-	none := map[string]bool{}
-	if err := run(2, "1", "bogus", 16, 0.25, 0.1, 3, 8, 0, 1300, 1, 800, false, 0, false, false, "", none); err == nil {
-		t.Fatal("run accepted an unknown placement")
-	} else if !strings.Contains(err.Error(), "unknown placement") {
-		t.Fatalf("run surfaced the wrong error: %v", err)
+	var out bytes.Buffer
+	o := defaults()
+	o.placement = "bogus"
+	if err := run(o, nil, &out); err == nil || !strings.Contains(err.Error(), "unknown placement") {
+		t.Fatalf("run accepted an unknown placement or surfaced the wrong error: %v", err)
 	}
 	// Malformed -scales fail in the same pre-characterization pass.
-	if err := run(2, "1,-2", "round-robin", 16, 0.25, 0.1, 3, 8, 0, 1300, 1, 800, false, 0, false, false, "", none); err == nil {
+	o = defaults()
+	o.scales = "1,-2"
+	if err := run(o, nil, &out); err == nil {
 		t.Fatal("run accepted a negative scale")
 	}
-	// Mode combinations a run cannot honor are rejected, not ignored.
-	if err := run(2, "1", "round-robin", 16, 0.25, 0.1, 3, 8, 0, 1300, 1, 800, false, 6, true, false, "", none); err == nil ||
-		!strings.Contains(err.Error(), "mutually exclusive") {
-		t.Fatalf("-autoscale -faults accepted: %v", err)
+	if out.Len() != 0 {
+		t.Fatalf("rejected runs characterized anyway:\n%s", out.String())
 	}
-	if err := run(2, "1", "round-robin", 16, 0.25, 0.1, 3, 8, 0, 1300, 1, 800, true, 0, true, false, "", none); err == nil ||
-		!strings.Contains(err.Error(), "mutually exclusive") {
-		t.Fatalf("-autoscale -sweep accepted: %v", err)
-	}
-	// -regions steers the serving sweep's event loop only; modes that run a
-	// different grid reject it rather than silently ignore it.
-	withRegions := map[string]bool{"regions": true}
-	if err := run(2, "1", "round-robin", 16, 0.25, 0.1, 3, 8, 2, 1300, 1, 800, false, 6, false, false, "", withRegions); err == nil ||
-		!strings.Contains(err.Error(), "-regions") {
-		t.Fatalf("-regions -faults accepted: %v", err)
-	}
-	if err := run(2, "1", "round-robin", 16, 0.25, 0.1, 3, 8, 2, 1300, 1, 800, false, 0, true, false, "", withRegions); err == nil ||
-		!strings.Contains(err.Error(), "-regions") {
-		t.Fatalf("-regions -autoscale accepted: %v", err)
-	}
-	// -trace exports the single serving run's flight recording; grid modes
-	// have no single run to trace, and both rejections are one-line errors.
-	for _, c := range []struct {
-		name             string
-		sweep, autoscale bool
-		faults           float64
-	}{
-		{"sweep", true, false, 0},
-		{"autoscale", false, true, 0},
-		{"faults", false, false, 6},
-	} {
-		err := run(2, "1", "round-robin", 16, 0.25, 0.1, 3, 8, 0, 1300, 1, 800, c.sweep, c.faults, c.autoscale, false, "out.json", none)
-		if err == nil || !strings.Contains(err.Error(), "-trace") {
-			t.Fatalf("-trace -%s accepted: %v", c.name, err)
-		}
-		if strings.ContainsRune(err.Error(), '\n') {
-			t.Fatalf("-trace -%s: multi-line error %q", c.name, err)
-		}
-	}
-	// Coordinator mode serves out-of-process: -trace (and the grid modes)
-	// are refused with a one-line error before any worker spawns.
-	if err := validateWorkersMode(false, false, 0, "", false); err != nil {
+	// Coordinator mode serves out-of-process: the in-process features are
+	// refused with a one-line error before any worker spawns.
+	if err := validateWorkersMode(defaults()); err != nil {
 		t.Fatalf("plain -workers rejected: %v", err)
 	}
-	if err := validateWorkersMode(false, false, 0, "out.json", false); err == nil ||
-		!strings.Contains(err.Error(), "-trace") || !strings.Contains(err.Error(), "-workers") {
-		t.Fatalf("-trace -workers accepted: %v", err)
-	} else if strings.ContainsRune(err.Error(), '\n') {
-		t.Fatalf("-trace -workers: multi-line error %q", err)
-	}
-	if err := validateWorkersMode(true, false, 0, "", false); err == nil ||
-		!strings.Contains(err.Error(), "mutually exclusive") {
-		t.Fatalf("-sweep -workers accepted: %v", err)
-	}
-	// -prefetch runs its own two-pass contrast cell: grid modes, -trace and
-	// -workers are all refused with one-line errors.
-	for _, c := range []struct {
-		name             string
-		sweep, autoscale bool
-		faults           float64
-	}{
-		{"sweep", true, false, 0},
-		{"autoscale", false, true, 0},
-		{"faults", false, false, 6},
+	for name, mut := range map[string]func(*options){
+		"-trace":     func(o *options) { o.trace = "out.json" },
+		"-sweep":     func(o *options) { o.sweep = "fleet" },
+		"-autoscale": func(o *options) { o.autoscale = true },
+		"-faults":    func(o *options) { o.faults = 6 },
+		"-prefetch":  func(o *options) { o.prefetch = true },
 	} {
-		err := run(2, "1", "round-robin", 16, 0.25, 0.1, 3, 8, 0, 1300, 1, 800, c.sweep, c.faults, c.autoscale, true, "", none)
-		if err == nil || !strings.Contains(err.Error(), "-prefetch") {
-			t.Fatalf("-prefetch -%s accepted: %v", c.name, err)
+		o := defaults()
+		mut(&o)
+		err := validateWorkersMode(o)
+		if err == nil || !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), "-workers") {
+			t.Fatalf("%s -workers accepted: %v", name, err)
 		}
 		if strings.ContainsRune(err.Error(), '\n') {
-			t.Fatalf("-prefetch -%s: multi-line error %q", c.name, err)
+			t.Fatalf("%s -workers: multi-line error %q", name, err)
 		}
 	}
-	if err := run(2, "1", "round-robin", 16, 0.25, 0.1, 3, 8, 0, 1300, 1, 800, false, 0, false, true, "out.json", none); err == nil ||
-		!strings.Contains(err.Error(), "-prefetch") || !strings.Contains(err.Error(), "-trace") {
-		t.Fatalf("-trace -prefetch accepted: %v", err)
+}
+
+// TestComposedFlagsMatchAcrossRegions: every feature flag composes on one
+// cell — faults, the elastic controller, prefetch and the recorder at once —
+// and the composed run's report and Chrome trace are byte-identical sharded
+// across 2 regions and single-region.
+func TestComposedFlagsMatchAcrossRegions(t *testing.T) {
+	dir := t.TempDir()
+	serve := func(regions int) (string, []byte) {
+		o := defaults()
+		o.valFrames = 100
+		o.faults = 6
+		o.autoscale = true
+		o.prefetch = true
+		o.regions = regions
+		o.trace = filepath.Join(dir, "trace.json")
+		var out bytes.Buffer
+		if err := run(o, nil, &out); err != nil {
+			t.Fatal(err)
+		}
+		trace, err := os.ReadFile(o.trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out.String(), trace
 	}
-	if err := validateWorkersMode(false, false, 0, "", true); err == nil ||
-		!strings.Contains(err.Error(), "-prefetch") {
-		t.Fatalf("-prefetch -workers accepted: %v", err)
+	sharded, shardedTrace := serve(2)
+	single, singleTrace := serve(0)
+	if sharded != single {
+		t.Fatalf("report differs across region counts:\n%s\nvs\n%s", sharded, single)
+	}
+	if !bytes.Equal(shardedTrace, singleTrace) {
+		t.Fatal("Chrome trace differs across region counts")
+	}
+	for _, want := range []string{"Faults:", "Autoscale:", "Predictor scorecard", "Latency attribution", "wrote Chrome trace"} {
+		if !strings.Contains(single, want) {
+			t.Errorf("composed report lacks %q:\n%s", want, single)
+		}
 	}
 }

@@ -72,20 +72,21 @@
 //     the simulated substrates (videos, models, hardware, binding).
 //   - internal/baseline: Marlin, single-model, frame-skip and Oracle
 //     comparison methods, all thin policies over the engine.
-//   - internal/experiments: one runner per paper table/figure, plus the
-//     multi-stream contention sweep (experiments.MultiStream), the
-//     multi-device fleet grid (experiments.FleetSweep), the
-//     fault-tolerance grid (experiments.FaultSweep), the elasticity
-//     grid (experiments.AutoscaleSweep: fixed vs autoscaled fleets under
-//     burst and diurnal workload shapes), the crash-recovery grid
-//     (experiments.CrashSweep: kill-and-recover on a journaled fleet) and
-//     the fleet-scale grid (experiments.ScaleSweep: day-long diurnal
-//     traces on fleets up to 1 000 devices / 100 000 streams, measuring
-//     the event loop's wall-clock events/sec per selector) and the
-//     predictive-prefetch cell (experiments.PrefetchSweep: one miss-heavy
-//     recorder cell served predictor-off then predictor-on, putting the
-//     SupraX-style coverage/accuracy/timeliness scorecard next to the
-//     swap-stall share of the p99 tail before and after).
+//   - internal/experiments: one runner per paper table/figure, the
+//     multi-stream contention sweep (experiments.MultiStream), and every
+//     fleet experiment as a list of declarative cells (experiments.Cell:
+//     devices, placement, admission, pool, workload and arrival shape,
+//     tiers, faults, durability, autoscale, prefetch, recorder, regions)
+//     served by one assembler, experiments.RunCell, and rendered by one
+//     report per sweep — the device-count × placement grid (FleetGrid),
+//     the fault and crash-recovery grids (FaultGrid over FaultCell and
+//     CrashCell), the fixed-vs-elastic grid (AutoscaleGrid), the
+//     flight-recorder pair (ObsPair), the predictor-off/on pair
+//     (PrefetchPair) and the 1 000-device day (ScaleGrid).
+//     experiments.Headline is the BENCH headline table
+//     (prefix, cells, keys) that cmd/bench records and
+//     TestHeadlineMatchesCommittedBench checks bit-for-bit against the
+//     newest committed BENCH file (DESIGN.md §5, §16).
 //   - internal/analysis: detlint, the static determinism-lint suite — five
 //     analyzers (wallclock, globalrand, maporder, goroutine, forkshare)
 //     built on the standard library's go/ast and go/types that enforce the
@@ -93,7 +94,9 @@
 //     site-by-site escape hatch whose inventory is pinned by a golden test
 //     (DESIGN.md §15).
 //   - cmd/: shiftsim, characterize, sweep, figures, bench, render, report,
-//     fleetsim, detlint (standalone linter, go vet -vettool, and
+//     fleetsim (flags map onto one experiments.Cell, so -faults,
+//     -autoscale, -prefetch, -trace and -regions compose; -sweep picks a
+//     grid by name), detlint (standalone linter, go vet -vettool, and
 //     -inventory suppression listing).
 //   - examples/: quickstart, dronechase, energybudget, customzoo, livefeed,
 //     edgefarm.

@@ -4,300 +4,95 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/accel"
 	"repro/internal/fleet"
-	"repro/internal/pipeline"
-	"repro/internal/runtime"
 	"repro/internal/textplot"
-	"repro/internal/zoo"
 )
 
-// AutoscaleSweepConfig parameterizes the elasticity experiment: workload
-// shape × placement policy, each served twice — by a fixed reference fleet
-// and by an elastic fleet that starts smaller and scales on the SLO.
-type AutoscaleSweepConfig struct {
-	// Shapes lists the arrival shapes swept: "burst" (a traffic spike) and
-	// "diurnal" (a sinusoidal day/night swing). Default both.
-	Shapes []string
-	// Placements lists the dispatch policies compared per shape (default
-	// round-robin and residency-affinity).
-	Placements []string
-	// FixedDevices sizes the fixed reference fleet (default 4 — the
-	// FleetSweep flagship). BaseDevices is the elastic fleet's always-on
-	// core (default 2); its warm pool tops out above the fixed size so
-	// scale-out has headroom to win.
-	FixedDevices int
-	BaseDevices  int
-	// Scales cycles per-device accel time scales (default {1, 1.25}).
-	Scales []float64
-	// Workload is the base trace (stream count, camera period, lengths);
-	// its RatePerSec is the *base* rate the shapes modulate.
-	Workload fleet.WorkloadConfig
-	// BurstFactor multiplies the base rate inside [BurstStart,
-	// BurstStart+BurstLen) (defaults 12, 40s, 25s).
-	BurstFactor          float64
-	BurstStart, BurstLen time.Duration
-	// DiurnalAmp and DiurnalPeriod shape the sinusoid: base×(1 +
-	// amp·sin(2πt/period)) (defaults 0.85, 100s).
-	DiurnalAmp    float64
-	DiurnalPeriod time.Duration
-	// Admission gates per-device concurrency; nil means 3 streams/device
-	// with an unbounded queue, so fixed and elastic fleets serve the same
-	// stream population and differ in latency only.
-	Admission *fleet.Admission
-	// PoolMB sizes each device's SoC engine arena in MB (default 1300, the
-	// memory-tight fleet tier).
-	PoolMB int64
-	// Autoscale is the elastic controller shape. A zero value means the
-	// sweep default: fleet.DefaultAutoscaleConfig tightened to a 2 s
-	// control loop with ScaleOutStep 2 and an 8-device "auto" warm pool at
-	// scale 1 (Templates set alone keep that controller with the given
-	// pool); a partially set config keeps every given field, with
-	// fleet.New filling the documented per-field defaults.
-	Autoscale fleet.AutoscaleConfig
-}
+// The arrival shapes the elasticity grid sweeps: a 12× traffic spike
+// inside [40 s, 65 s), and a 0.85-amplitude day/night swing over 100 s.
+var (
+	Burst   = Shape{Kind: "burst", Factor: 12, Start: 40 * time.Second, Len: 25 * time.Second}
+	Diurnal = Shape{Kind: "diurnal", Amp: 0.85, Period: 100 * time.Second}
+)
 
-// DefaultAutoscaleSweepConfig returns the standard grid: a 12× burst and an
-// 0.85-amplitude diurnal swing over a 20-stream trace, served by the fixed
-// 4-device FleetSweep reference and by a 2-device elastic core with an
-// 8-device warm pool behind a 2 s control loop.
-func DefaultAutoscaleSweepConfig() AutoscaleSweepConfig {
-	adm := fleet.Admission{PerDeviceStreams: 3, QueueLimit: -1}
-	wl := fleet.DefaultWorkloadConfig()
-	wl.Streams = 20
-	wl.RatePerSec = 0.08
+// elasticCore is the always-on device count of the grid's elastic fleets.
+const elasticCore = 2
+
+// AutoscaleCell is the elasticity cell: the fixed 4-device FleetCell
+// reference fleet serving a 20-stream SHIFT trace at base rate 0.08/s with
+// 3 streams/device and an unbounded queue — so fixed and elastic fleets
+// serve the same stream population and differ in latency only — carrying
+// the elastic controller AutoscaleGrid turns on: fleet.DefaultAutoscaleConfig
+// tightened to a 2 s control loop with ScaleOutStep 2 and an 8-device "auto"
+// warm pool at scale 1.
+func AutoscaleCell() Cell {
+	c := FleetCell()
+	c.PremiumFraction = 0
+	c.Admission = fleet.Admission{PerDeviceStreams: 3, QueueLimit: -1}
+	c.Workload.Streams = 20
+	c.Workload.RatePerSec = 0.08
 	auto := fleet.DefaultAutoscaleConfig()
 	auto.Interval = 2 * time.Second
 	auto.ScaleOutStep = 2
 	auto.Templates = []fleet.DeviceTemplate{{Prefix: "auto", Scale: 1, Count: 8}}
-	return AutoscaleSweepConfig{
-		Shapes:        []string{"burst", "diurnal"},
-		Placements:    []string{"round-robin", "residency-affinity"},
-		FixedDevices:  4,
-		BaseDevices:   2,
-		Scales:        []float64{1, 1.25},
-		Workload:      wl,
-		BurstFactor:   12,
-		BurstStart:    40 * time.Second,
-		BurstLen:      25 * time.Second,
-		DiurnalAmp:    0.85,
-		DiurnalPeriod: 100 * time.Second,
-		Admission:     &adm,
-		PoolMB:        1300,
-		Autoscale:     auto,
-	}
+	c.Autoscale = &auto
+	return c
 }
 
-// AutoscaleSweepRow is one (shape, placement, mode) cell of the grid. Mode
-// is "fixed" (the reference fleet) or "elastic" (autoscaled).
-type AutoscaleSweepRow struct {
-	Shape     string
-	Placement string
-	Mode      string
-	Devices   int // configured devices: fixed size, or the elastic base
-	fleet.Summary
-	// HorizonSec is the cell's makespan; PerDevice carries the cell's
-	// device stats (provision/retire times).
-	HorizonSec float64
-	PerDevice  []fleet.DeviceStats
+// AutoscaleGrid is the elasticity sweep: base expanded over arrival shape
+// (burst, diurnal) × placement (round-robin, residency-affinity) ×
+// capacity regime. "fixed" serves base's fleet with the autoscaler off;
+// "elastic" serves a 2-device core under base's controller, which
+// provisions warm-pool devices when queue depth or rolling per-device p99
+// breach the target and drains idle ones back, migrating their live
+// sessions through the checkpoint/restore path — its warm pool tops out
+// above the fixed size so scale-out has headroom to win. Every cell serves
+// an identical shaped trace (non-homogeneous Poisson arrivals) and is
+// checked leak-free. AutoscaleReport renders it.
+func AutoscaleGrid(base Cell) []Cell {
+	var cells []Cell
+	for _, shape := range []Shape{Burst, Diurnal} {
+		for _, p := range []string{"round-robin", "residency-affinity"} {
+			fixed := base
+			fixed.Shape = &shape
+			fixed.Placement = p
+			fixed.Autoscale = nil
+			elastic := fixed
+			elastic.Devices = elasticCore
+			elastic.Autoscale = base.Autoscale
+			cells = append(cells, fixed, elastic)
+		}
+	}
+	return cells
 }
 
-// AutoscaleSweepResult is the full grid.
-type AutoscaleSweepResult struct {
-	Workload fleet.WorkloadConfig
-	Rows     []AutoscaleSweepRow
+// mode names a cell's capacity regime.
+func (c Cell) mode() string {
+	if c.Autoscale != nil {
+		return "elastic"
+	}
+	return "fixed"
 }
 
-// Row returns the cell for a shape, placement and mode.
-func (r *AutoscaleSweepResult) Row(shape, placement, mode string) (AutoscaleSweepRow, bool) {
-	for _, row := range r.Rows {
-		if row.Shape == shape && row.Placement == placement && row.Mode == mode {
-			return row, true
-		}
+// shapeName names a cell's arrival shape ("poisson" when unshaped).
+func (c Cell) shapeName() string {
+	if c.Shape == nil {
+		return "poisson"
 	}
-	return AutoscaleSweepRow{}, false
+	return c.Shape.Kind
 }
 
-// AutoscaleSweep sweeps workload shape × placement under two capacity
-// regimes: the fixed reference fleet, and an elastic fleet whose SLO-driven
-// autoscaler provisions warm-pool devices when queue depth or rolling
-// per-device p99 breach the target and drains idle ones back — migrating
-// their live sessions through the checkpoint/restore path. Every cell
-// serves an identical shaped trace (non-homogeneous Poisson arrivals via
-// fleet.GenerateShapedWorkload) and is checked leak-free; the whole grid is
-// deterministic per seed.
-func AutoscaleSweep(env *Env, cfg AutoscaleSweepConfig) (*AutoscaleSweepResult, error) {
-	def := DefaultAutoscaleSweepConfig()
-	if len(cfg.Shapes) == 0 {
-		cfg.Shapes = def.Shapes
-	}
-	if len(cfg.Placements) == 0 {
-		cfg.Placements = def.Placements
-	}
-	if cfg.FixedDevices == 0 {
-		cfg.FixedDevices = def.FixedDevices
-	}
-	if cfg.BaseDevices == 0 {
-		cfg.BaseDevices = def.BaseDevices
-	}
-	if cfg.FixedDevices < 0 || cfg.BaseDevices < 0 {
-		return nil, fmt.Errorf("experiments: negative autoscale fleet size")
-	}
-	if len(cfg.Scales) == 0 {
-		cfg.Scales = def.Scales
-	}
-	if cfg.Workload.Streams == 0 {
-		cfg.Workload = def.Workload
-	}
-	if cfg.Workload.RatePerSec <= 0 {
-		return nil, fmt.Errorf("experiments: autoscale sweep needs a positive base rate, got %v",
-			cfg.Workload.RatePerSec)
-	}
-	if cfg.BurstFactor == 0 {
-		cfg.BurstFactor = def.BurstFactor
-	}
-	if cfg.BurstFactor < 1 {
-		return nil, fmt.Errorf("experiments: burst factor %v below 1", cfg.BurstFactor)
-	}
-	if cfg.BurstStart == 0 {
-		cfg.BurstStart = def.BurstStart
-	}
-	if cfg.BurstLen == 0 {
-		cfg.BurstLen = def.BurstLen
-	}
-	if cfg.DiurnalAmp == 0 {
-		cfg.DiurnalAmp = def.DiurnalAmp
-	}
-	if cfg.DiurnalAmp < 0 || cfg.DiurnalAmp >= 1 {
-		return nil, fmt.Errorf("experiments: diurnal amplitude %v outside [0, 1)", cfg.DiurnalAmp)
-	}
-	if cfg.DiurnalPeriod == 0 {
-		cfg.DiurnalPeriod = def.DiurnalPeriod
-	}
-	if cfg.Admission == nil {
-		cfg.Admission = def.Admission
-	}
-	if cfg.PoolMB == 0 {
-		cfg.PoolMB = def.PoolMB
-	}
-	if zeroAutoscale(cfg.Autoscale) {
-		tpls := cfg.Autoscale.Templates
-		cfg.Autoscale = def.Autoscale
-		if tpls != nil {
-			cfg.Autoscale.Templates = tpls
-		}
-	}
-
-	newSystem := func(seed uint64) *zoo.System {
-		sys := zoo.Default(seed)
-		sys.SoC.Pools[accel.SoCPoolName] = accel.NewMemPool(accel.SoCPoolName, cfg.PoolMB*accel.MB)
-		return sys
-	}
-	policy := func(sys *zoo.System) (runtime.Policy, error) {
-		return pipeline.NewPolicy(sys, env.Ch, env.Graph, pipeline.DefaultOptions())
-	}
-	rateFor := func(shape string) (fleet.RateFn, float64, error) {
-		base := cfg.Workload.RatePerSec
-		switch shape {
-		case "burst":
-			return fleet.BurstRate(base, cfg.BurstFactor, cfg.BurstStart, cfg.BurstLen),
-				base * cfg.BurstFactor, nil
-		case "diurnal":
-			return fleet.DiurnalRate(base, cfg.DiurnalAmp, cfg.DiurnalPeriod),
-				base * (1 + cfg.DiurnalAmp), nil
-		}
-		return nil, 0, fmt.Errorf("experiments: unknown workload shape %q", shape)
-	}
-	mkDevices := func(k int) []fleet.DeviceConfig {
-		devices := make([]fleet.DeviceConfig, k)
-		for i := range devices {
-			devices[i] = fleet.DeviceConfig{
-				Name:  fmt.Sprintf("edge%02d", i),
-				Scale: cfg.Scales[i%len(cfg.Scales)],
-			}
-		}
-		return devices
-	}
-
-	res := &AutoscaleSweepResult{Workload: cfg.Workload}
-	for _, shape := range cfg.Shapes {
-		rate, peak, err := rateFor(shape)
-		if err != nil {
-			return nil, err
-		}
-		for _, pname := range cfg.Placements {
-			for _, mode := range []string{"fixed", "elastic"} {
-				place, err := fleet.PlacementByName(pname)
-				if err != nil {
-					return nil, err
-				}
-				fcfg := fleet.Config{
-					Seed:      env.Seed,
-					Placement: place,
-					Admission: *cfg.Admission,
-					NewSystem: newSystem,
-				}
-				if mode == "fixed" {
-					fcfg.Devices = mkDevices(cfg.FixedDevices)
-				} else {
-					fcfg.Devices = mkDevices(cfg.BaseDevices)
-					auto := cfg.Autoscale
-					fcfg.Autoscale = &auto
-				}
-				fl, err := fleet.New(fcfg)
-				if err != nil {
-					return nil, err
-				}
-				// The shaped trace is re-generated per cell so every fleet
-				// sees identical requests with fresh policy state.
-				reqs, err := fleet.GenerateShapedWorkload(cfg.Workload, rate, peak, env.Frames, policy)
-				if err != nil {
-					return nil, err
-				}
-				run, err := fl.Run(reqs)
-				if err != nil {
-					return nil, fmt.Errorf("experiments: autoscale %s×%s×%s: %w", shape, pname, mode, err)
-				}
-				sum := fleet.Summarize(run)
-				if sum.LeakedRefs != 0 {
-					return nil, fmt.Errorf("experiments: autoscale %s×%s×%s leaked %d residency refs",
-						shape, pname, mode, sum.LeakedRefs)
-				}
-				res.Rows = append(res.Rows, AutoscaleSweepRow{
-					Shape:      shape,
-					Placement:  pname,
-					Mode:       mode,
-					Devices:    len(fcfg.Devices),
-					Summary:    sum,
-					HorizonSec: run.Horizon.Seconds(),
-					PerDevice:  run.Devices,
-				})
-			}
-		}
-	}
-	return res, nil
-}
-
-// zeroAutoscale reports whether every controller knob is unset (Templates
-// excepted — a templates-only config still means "sweep-default controller,
-// custom pool"). A single set knob keeps the whole user config, so partial
-// tunings are never silently replaced by the sweep defaults.
-func zeroAutoscale(c fleet.AutoscaleConfig) bool {
-	return c.Interval == 0 && c.Window == 0 && c.TargetP99Sec == 0 &&
-		c.QueueHighWater == 0 && c.ScaleOutStep == 0 && c.ScaleInStreams == 0 &&
-		c.ScaleInFactor == 0 && c.IdleTicks == 0 && c.Cooldown == 0 && c.MinDevices == 0
-}
-
-// Report renders the grid as a table plus the device timeline of the first
-// elastic burst cell — when each warm-pool device came and went.
-func (r *AutoscaleSweepResult) Report() string {
-	rows := [][]string{{"Shape", "Placement", "Mode", "Served", "Lat p50 (s)",
+// AutoscaleReport renders the grid as a table plus the device timeline of
+// the first elastic cell with scale activity — when each warm-pool device
+// came and went.
+func AutoscaleReport(rows []*CellResult) string {
+	table := [][]string{{"Shape", "Placement", "Mode", "Served", "Lat p50 (s)",
 		"Lat p99 (s)", "Miss", "Queue (s)", "Out", "In", "Drain", "Peak dev"}}
-	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			row.Shape,
-			row.Placement,
-			row.Mode,
+	for _, row := range rows {
+		table = append(table, []string{
+			row.Cell.shapeName(),
+			row.Cell.Placement,
+			row.Cell.mode(),
 			fmt.Sprintf("%d/%d", row.Served, row.Offered),
 			fmt.Sprintf("%.3f", row.Latency.P50),
 			fmt.Sprintf("%.3f", row.Latency.P99),
@@ -309,34 +104,35 @@ func (r *AutoscaleSweepResult) Report() string {
 			fmt.Sprintf("%d", row.PeakDevices),
 		})
 	}
+	c := first(rows)
 	out := textplot.Table(fmt.Sprintf(
 		"Elastic autoscaling: %d streams, base rate %.2f/s, SLO-driven warm pool",
-		r.Workload.Streams, r.Workload.RatePerSec), rows)
-	// Timeline plot: the first elastic cell with scale activity. Devices
-	// never retired run to the cell's horizon.
-	for _, row := range r.Rows {
-		if row.Mode != "elastic" || row.ScaleOuts == 0 {
+		c.Workload.Streams, c.Workload.RatePerSec), table)
+	// Devices never retired run to the cell's horizon.
+	for _, row := range rows {
+		if row.Cell.Autoscale == nil || row.ScaleOuts == 0 {
 			continue
 		}
+		horizon := row.Run.Horizon.Seconds()
 		var labels []string
 		var spans []float64
-		for _, d := range row.PerDevice {
+		for _, d := range row.Run.Devices {
 			if !d.Auto {
 				continue
 			}
 			end := d.RetiredSec
 			if !d.Retired {
-				end = row.HorizonSec
+				end = horizon
 			}
 			labels = append(labels, fmt.Sprintf("%s %4.0fs→%4.0fs", d.Name, d.ProvisionedSec, end))
-			spans = append(spans, (end-d.ProvisionedSec)/row.HorizonSec)
+			spans = append(spans, (end-d.ProvisionedSec)/horizon)
 		}
 		if len(spans) == 0 {
 			continue
 		}
 		out += "\n" + textplot.PercentBars(
 			fmt.Sprintf("Warm-pool device lifetimes, %s×%s (fraction of the %.0fs horizon)",
-				row.Shape, row.Placement, row.HorizonSec),
+				row.Cell.shapeName(), row.Cell.Placement, horizon),
 			labels, spans, 40)
 		break
 	}

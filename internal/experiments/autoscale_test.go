@@ -4,13 +4,17 @@ import (
 	"testing"
 )
 
-// quickAutoscaleConfig restricts the grid to the flagship placement so unit
+// quickAutoscaleGrid restricts the grid to the flagship placement so unit
 // tests stay fast; shapes, rates and the controller keep their defaults —
 // the same cells the BENCH auto_* headline pins.
-func quickAutoscaleConfig() AutoscaleSweepConfig {
-	cfg := DefaultAutoscaleSweepConfig()
-	cfg.Placements = []string{"residency-affinity"}
-	return cfg
+func quickAutoscaleGrid(base Cell, shape string) []Cell {
+	var cells []Cell
+	for _, c := range AutoscaleGrid(base) {
+		if c.Placement == "residency-affinity" && (shape == "" || c.Shape.Kind == shape) {
+			cells = append(cells, c)
+		}
+	}
+	return cells
 }
 
 // TestAutoscaleSweepElasticBeatsFixedBurst pins the acceptance criteria:
@@ -23,15 +27,18 @@ func TestAutoscaleSweepElasticBeatsFixedBurst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := AutoscaleSweep(env, quickAutoscaleConfig())
+	rows, err := RunCells(env, quickAutoscaleGrid(AutoscaleCell(), ""))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fixed, ok := res.Row("burst", "residency-affinity", "fixed")
+	at := func(shape, mode string) (*CellResult, bool) {
+		return find(rows, func(c Cell) bool { return c.shapeName() == shape && c.mode() == mode })
+	}
+	fixed, ok := at("burst", "fixed")
 	if !ok {
 		t.Fatal("missing fixed burst row")
 	}
-	elastic, ok := res.Row("burst", "residency-affinity", "elastic")
+	elastic, ok := at("burst", "elastic")
 	if !ok {
 		t.Fatal("missing elastic burst row")
 	}
@@ -54,7 +61,7 @@ func TestAutoscaleSweepElasticBeatsFixedBurst(t *testing.T) {
 			elastic.AvgQueueDelaySec, fixed.AvgQueueDelaySec)
 	}
 
-	diurnal, ok := res.Row("diurnal", "residency-affinity", "elastic")
+	diurnal, ok := at("diurnal", "elastic")
 	if !ok {
 		t.Fatal("missing elastic diurnal row")
 	}
@@ -65,16 +72,17 @@ func TestAutoscaleSweepElasticBeatsFixedBurst(t *testing.T) {
 		t.Fatalf("no drain-based scale-in migrated a live session: drained %d, migrations %d",
 			diurnal.Drained, diurnal.Migrations)
 	}
-	for _, row := range res.Rows {
+	for _, row := range rows {
+		c := row.Cell
 		if row.LeakedRefs != 0 {
-			t.Fatalf("%s×%s×%s leaked %d residency refs", row.Shape, row.Placement, row.Mode, row.LeakedRefs)
+			t.Fatalf("%s×%s×%s leaked %d residency refs", c.shapeName(), c.Placement, c.mode(), row.LeakedRefs)
 		}
 		if got := row.Served + row.Aborted + row.Rejected; got != row.Offered {
 			t.Fatalf("%s×%s×%s stream accounting: %d != offered %d",
-				row.Shape, row.Placement, row.Mode, got, row.Offered)
+				c.shapeName(), c.Placement, c.mode(), got, row.Offered)
 		}
 	}
-	if report := res.Report(); len(report) == 0 {
+	if report := AutoscaleReport(rows); len(report) == 0 {
 		t.Fatal("empty report")
 	}
 }
@@ -86,46 +94,45 @@ func TestAutoscaleSweepDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := quickAutoscaleConfig()
-	cfg.Shapes = []string{"burst"}
-	a, err := AutoscaleSweep(env, cfg)
+	burst := quickAutoscaleGrid(AutoscaleCell(), "burst")
+	a, err := RunCells(env, burst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := AutoscaleSweep(env, cfg)
+	b, err := RunCells(env, burst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Rows) != len(b.Rows) {
-		t.Fatalf("row counts differ: %d vs %d", len(a.Rows), len(b.Rows))
+	if len(a) != len(b) {
+		t.Fatalf("row counts differ: %d vs %d", len(a), len(b))
 	}
-	for i := range a.Rows {
-		if a.Rows[i].Summary != b.Rows[i].Summary || a.Rows[i].HorizonSec != b.Rows[i].HorizonSec {
-			t.Fatalf("row %d differs across identical runs:\n%+v\n%+v", i, a.Rows[i], b.Rows[i])
+	for i := range a {
+		if a[i].Summary != b[i].Summary || a[i].Run.Horizon != b[i].Run.Horizon {
+			t.Fatalf("row %d differs across identical runs:\n%+v\n%+v", i, a[i].Summary, b[i].Summary)
 		}
 	}
 }
 
-// TestAutoscaleSweepValidation covers the grid's argument contracts.
+// TestAutoscaleSweepValidation covers the shaped cells' argument contracts.
 func TestAutoscaleSweepValidation(t *testing.T) {
 	env, err := Shared()
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := []func(*AutoscaleSweepConfig){
-		func(c *AutoscaleSweepConfig) { c.Shapes = []string{"square-wave"} },
-		func(c *AutoscaleSweepConfig) { c.Placements = []string{"nope"} },
-		func(c *AutoscaleSweepConfig) { c.DiurnalAmp = 1.5 },
-		func(c *AutoscaleSweepConfig) { c.BurstFactor = 0.5 },
-		func(c *AutoscaleSweepConfig) { c.FixedDevices = -1 },
-		func(c *AutoscaleSweepConfig) { c.Workload.RatePerSec = -1 },
+	bad := []func(*Cell){
+		func(c *Cell) { c.Shape = &Shape{Kind: "square-wave"} },
+		func(c *Cell) { c.Placement = "nope" },
+		func(c *Cell) { c.Shape = &Shape{Kind: "diurnal", Amp: 1.5, Period: Diurnal.Period} },
+		func(c *Cell) { c.Shape = &Shape{Kind: "burst", Factor: 0.5, Start: Burst.Start, Len: Burst.Len} },
+		func(c *Cell) { c.Devices = -1 },
+		func(c *Cell) { c.Workload.RatePerSec = -1 },
 	}
 	for i, mut := range bad {
-		cfg := quickAutoscaleConfig()
-		cfg.Shapes = []string{"burst"}
-		mut(&cfg)
-		if _, err := AutoscaleSweep(env, cfg); err == nil {
-			t.Fatalf("bad config %d accepted", i)
+		for _, c := range quickAutoscaleGrid(AutoscaleCell(), "burst") {
+			mut(&c)
+			if _, err := RunCell(env, c); err == nil {
+				t.Fatalf("bad cell %d (%s) accepted", i, c.mode())
+			}
 		}
 	}
 }

@@ -3,234 +3,44 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/accel"
 	"repro/internal/fleet"
-	"repro/internal/pipeline"
-	"repro/internal/runtime"
 	"repro/internal/textplot"
-	"repro/internal/zoo"
 )
 
-// CrashSweepConfig parameterizes the crash-recovery experiment: worker-crash
-// rate × placement policy under one seeded workload, served with the
-// durability journal on, so every crash is recovered from checkpoint wire
-// bytes rather than live memory.
-type CrashSweepConfig struct {
-	// RatesPerMin lists the mean fleet-wide crash rates swept (crashes per
-	// minute; 0 is the crash-free reference row). Default 0, 6, 12.
-	RatesPerMin []float64
-	// Placements lists the dispatch policies compared at each rate (default
-	// round-robin and residency-affinity).
-	Placements []string
-	// Devices is the fleet size (default 4); Scales cycles per-device accel
-	// time scales (default {1, 1.25}).
-	Devices int
-	Scales  []float64
-	// Workload is the offered stream trace, identical across all grid cells
-	// (default fleet.DefaultWorkloadConfig).
-	Workload fleet.WorkloadConfig
-	// BestEffortEvery marks every Nth stream best-effort — sheddable when a
-	// crash displaces more streams than the survivors can absorb, so premium
-	// streams always recover first. Default 4; negative disables.
-	BestEffortEvery int
-	// Admission gates per-device concurrency; nil means
-	// fleet.DefaultAdmission.
-	Admission *fleet.Admission
-	// PoolMB sizes each device's SoC engine arena in MB (default 1300).
-	PoolMB int64
-	// Durability shapes the checkpoint journal (default: journal every 10
-	// observed steps).
-	Durability fleet.DurabilityConfig
-	// MeanRestartSec is the mean crashed-process restart time (default 5).
-	MeanRestartSec float64
+// CrashCell is the crash-recovery cell: the FleetCell fleet serving plain
+// SHIFT streams with the durability journal on (every session checkpointed
+// through the wire format every 10 observed steps) under a crash-only fault
+// mix — every fault kills a device's worker process, restarting after 5 s on
+// average — over the workload's span. Every 4th stream is best-effort, so
+// premium streams always recover first.
+func CrashCell() Cell {
+	c := FleetCell()
+	c.PremiumFraction = 0
+	c.BestEffortEvery = 4
+	c.Durability = &fleet.DurabilityConfig{}
+	c.Faults = &fleet.FaultConfig{
+		Horizon:             FaultHorizonFor(c.Workload),
+		PCrash:              1,
+		MeanCrashRestartSec: 5,
+	}
+	return c
 }
 
-// DefaultCrashSweepConfig returns the standard grid.
-func DefaultCrashSweepConfig() CrashSweepConfig {
-	adm := fleet.DefaultAdmission()
-	return CrashSweepConfig{
-		RatesPerMin:     []float64{0, 6, 12},
-		Placements:      []string{"round-robin", "residency-affinity"},
-		Devices:         4,
-		Scales:          []float64{1, 1.25},
-		Workload:        fleet.DefaultWorkloadConfig(),
-		BestEffortEvery: 4,
-		Admission:       &adm,
-		PoolMB:          1300,
-		MeanRestartSec:  5,
-	}
-}
-
-// CrashSweepRow is one (crash rate, placement) cell of the grid.
-type CrashSweepRow struct {
-	RatePerMin float64
-	Placement  string
-	Faults     int
-	fleet.Summary
-	// PerDevice carries the cell's device stats (crashes, displacements).
-	PerDevice []fleet.DeviceStats
-}
-
-// CrashSweepResult is the full grid.
-type CrashSweepResult struct {
-	Workload fleet.WorkloadConfig
-	Devices  int
-	Rows     []CrashSweepRow
-}
-
-// Row returns the cell for a crash rate and placement.
-func (r *CrashSweepResult) Row(ratePerMin float64, placement string) (CrashSweepRow, bool) {
-	for _, row := range r.Rows {
-		if row.RatePerMin == ratePerMin && row.Placement == placement {
-			return row, true
-		}
-	}
-	return CrashSweepRow{}, false
-}
-
-// CrashSweep sweeps worker-crash rate × placement policy under one seeded
-// workload on a journaled fleet: every fault is a process kill (the device's
-// live session state is destroyed, not drained), recovery rebuilds each
-// stream from its last journaled checkpoint — the versioned wire format — and
-// replays the frames lost past it. Every cell enforces the recovery contract:
-// premium streams are never shed (only best-effort streams may be, and only
-// when a crash destroys more capacity than the survivors hold), and no
-// residency reference leaks. The rate-0 row is the crash-free reference.
-func CrashSweep(env *Env, cfg CrashSweepConfig) (*CrashSweepResult, error) {
-	def := DefaultCrashSweepConfig()
-	if cfg.RatesPerMin == nil {
-		cfg.RatesPerMin = def.RatesPerMin
-	}
-	if len(cfg.Placements) == 0 {
-		cfg.Placements = def.Placements
-	}
-	if cfg.Devices == 0 {
-		cfg.Devices = def.Devices
-	}
-	if cfg.Devices < 0 {
-		return nil, fmt.Errorf("experiments: invalid device count %d", cfg.Devices)
-	}
-	if len(cfg.Scales) == 0 {
-		cfg.Scales = def.Scales
-	}
-	if cfg.Workload.Streams == 0 {
-		cfg.Workload = def.Workload
-	}
-	if cfg.BestEffortEvery == 0 {
-		cfg.BestEffortEvery = def.BestEffortEvery
-	}
-	if cfg.Admission == nil {
-		cfg.Admission = def.Admission
-	}
-	if cfg.PoolMB == 0 {
-		cfg.PoolMB = def.PoolMB
-	}
-	if cfg.MeanRestartSec == 0 {
-		cfg.MeanRestartSec = def.MeanRestartSec
-	}
-	newSystem := func(seed uint64) *zoo.System {
-		sys := zoo.Default(seed)
-		sys.SoC.Pools[accel.SoCPoolName] = accel.NewMemPool(accel.SoCPoolName, cfg.PoolMB*accel.MB)
-		return sys
-	}
-	policy := func(sys *zoo.System) (runtime.Policy, error) {
-		return pipeline.NewPolicy(sys, env.Ch, env.Graph, pipeline.DefaultOptions())
-	}
-	devices := make([]fleet.DeviceConfig, cfg.Devices)
-	names := make([]string, cfg.Devices)
-	for i := range devices {
-		devices[i] = fleet.DeviceConfig{
-			Name:  fmt.Sprintf("edge%02d", i),
-			Scale: cfg.Scales[i%len(cfg.Scales)],
-		}
-		names[i] = devices[i].Name
-	}
-	res := &CrashSweepResult{Workload: cfg.Workload, Devices: cfg.Devices}
-	for _, rate := range cfg.RatesPerMin {
-		if rate < 0 {
-			return nil, fmt.Errorf("experiments: negative crash rate %v", rate)
-		}
-		var faults []fleet.Fault
-		if rate > 0 {
-			// A crash-only mix: every scheduled fault is a process kill.
-			fcfg := fleet.FaultConfig{
-				Seed:                env.Seed,
-				RatePerSec:          rate / 60,
-				Horizon:             FaultHorizonFor(cfg.Workload),
-				PCrash:              1,
-				MeanCrashRestartSec: cfg.MeanRestartSec,
-			}
-			var err error
-			faults, err = fleet.GenerateFaults(fcfg, names)
-			if err != nil {
-				return nil, err
-			}
-		}
-		for _, pname := range cfg.Placements {
-			place, err := fleet.PlacementByName(pname)
-			if err != nil {
-				return nil, err
-			}
-			durable := cfg.Durability
-			fl, err := fleet.New(fleet.Config{
-				Seed:       env.Seed,
-				Devices:    devices,
-				Placement:  place,
-				Admission:  *cfg.Admission,
-				NewSystem:  newSystem,
-				Durability: &durable,
-			})
-			if err != nil {
-				return nil, err
-			}
-			reqs, err := fleet.GenerateWorkload(cfg.Workload, env.Frames, policy)
-			if err != nil {
-				return nil, err
-			}
-			if cfg.BestEffortEvery > 0 {
-				for i := range reqs {
-					if (i+1)%cfg.BestEffortEvery == 0 {
-						reqs[i].BestEffort = true
-					}
-				}
-			}
-			run, err := fl.RunWithFaults(reqs, faults)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: crash sweep %v/min×%s: %w", rate, pname, err)
-			}
-			sum := fleet.Summarize(run)
-			if sum.LeakedRefs != 0 {
-				return nil, fmt.Errorf("experiments: crash sweep %v/min×%s leaked %d residency refs",
-					rate, pname, sum.LeakedRefs)
-			}
-			// The recovery contract: only best-effort streams may be shed.
-			for _, out := range run.Outcomes {
-				if out.Shed && !out.BestEffort {
-					return nil, fmt.Errorf("experiments: crash sweep %v/min×%s shed premium stream %s",
-						rate, pname, out.Name)
-				}
-			}
-			res.Rows = append(res.Rows, CrashSweepRow{
-				RatePerMin: rate,
-				Placement:  pname,
-				Faults:     len(faults),
-				Summary:    sum,
-				PerDevice:  run.Devices,
-			})
-		}
-	}
-	return res, nil
-}
-
-// Report renders the grid as a table plus a replay gauge for the
-// highest-rate residency-affinity cell.
-func (r *CrashSweepResult) Report() string {
-	rows := [][]string{{"Crashes/min", "Placement", "Served", "Shed", "Crashes",
+// CrashReport renders the crash-recovery grid — FaultGrid(CrashCell(), …)
+// on a journaled fleet, where a crash destroys the device's live session
+// state and recovery rebuilds each stream from its last journaled
+// checkpoint (the versioned wire format), replaying the frames lost past
+// it — as a table plus a crash gauge for the highest-rate
+// residency-affinity cell. RunCell has already enforced the recovery
+// contract in every cell: premium streams are never shed, and no residency
+// reference leaks.
+func CrashReport(rows []*CellResult) string {
+	table := [][]string{{"Crashes/min", "Placement", "Served", "Shed", "Crashes",
 		"Replayed", "Journal (KiB)", "Downtime (s)", "Lat p99 (s)", "Post-fault p99", "Miss"}}
-	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			fmt.Sprintf("%.0f", row.RatePerMin),
-			row.Placement,
+	for _, row := range rows {
+		table = append(table, []string{
+			fmt.Sprintf("%.0f", row.Cell.faultsPerMin()),
+			row.Cell.Placement,
 			fmt.Sprintf("%d/%d", row.Served, row.Offered),
 			fmt.Sprintf("%d", row.Shed),
 			fmt.Sprintf("%d", row.Crashes),
@@ -242,35 +52,25 @@ func (r *CrashSweepResult) Report() string {
 			fmt.Sprintf("%.1f%%", row.DeadlineMissRate*100),
 		})
 	}
+	c := first(rows)
 	out := textplot.Table(fmt.Sprintf(
 		"Crash recovery: %d streams on %d devices, journaled checkpoints, kill-and-recover",
-		r.Workload.Streams, r.Devices), rows)
-	var best *CrashSweepRow
-	for i := range r.Rows {
-		row := &r.Rows[i]
-		better := best == nil ||
-			row.RatePerMin > best.RatePerMin ||
-			(row.RatePerMin == best.RatePerMin &&
-				row.Placement == "residency-affinity" && best.Placement != "residency-affinity")
-		if better {
-			best = row
-		}
-	}
-	if best != nil && best.RatePerMin > 0 {
-		labels := make([]string, len(best.PerDevice))
-		crashes := make([]float64, len(best.PerDevice))
+		c.Workload.Streams, c.Devices), table)
+	if best := worstRow(rows); best != nil && best.Cell.Faults != nil {
+		labels := make([]string, len(best.Run.Devices))
+		crashes := make([]float64, len(best.Run.Devices))
 		max := 1.0
-		for _, d := range best.PerDevice {
+		for _, d := range best.Run.Devices {
 			if float64(d.Crashes) > max {
 				max = float64(d.Crashes)
 			}
 		}
-		for i, d := range best.PerDevice {
+		for i, d := range best.Run.Devices {
 			labels[i] = fmt.Sprintf("%s (%d moved)", d.Name, d.Displaced)
 			crashes[i] = float64(d.Crashes) / max
 		}
 		out += "\n" + textplot.PercentBars(
-			fmt.Sprintf("Relative crash count at %.0f crashes/min, %s", best.RatePerMin, best.Placement),
+			fmt.Sprintf("Relative crash count at %.0f crashes/min, %s", best.Cell.faultsPerMin(), best.Cell.Placement),
 			labels, crashes, 40)
 	}
 	return out

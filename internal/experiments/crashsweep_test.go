@@ -1,35 +1,22 @@
 package experiments
 
-import (
-	"testing"
+import "testing"
 
-	"repro/internal/fleet"
-	"repro/internal/scene"
-)
-
-// quickCrashSweepConfig keeps the grid small enough for unit tests: a short
-// workload on two devices, one crash-free and one heavily crashed rate, with
-// a fast journal cadence so most recovery replays little.
-func quickCrashSweepConfig() CrashSweepConfig {
-	adm := fleet.DefaultAdmission()
-	wl := fleet.WorkloadConfig{
-		Seed: 1, Streams: 6, RatePerSec: 0.5, PeriodSec: 0.1,
-		MinFrames: 120, MaxFrames: 240,
-		Scenarios: []*scene.Scenario{scene.Scenario2()},
-	}
-	return CrashSweepConfig{
-		RatesPerMin:     []float64{0, 20},
-		Placements:      []string{"residency-affinity"},
-		Devices:         2,
-		Workload:        wl,
-		BestEffortEvery: 3,
-		Admission:       &adm,
-		MeanRestartSec:  3,
-	}
+// quickCrashCell keeps the grid small enough for unit tests: the quick
+// fault workload on two devices, with every 3rd stream best-effort and fast
+// restarts, crash-free and heavily crashed.
+func quickCrashCell() Cell {
+	q := quickFaultCell()
+	c := CrashCell()
+	c.Devices, c.Placement, c.Workload = q.Devices, q.Placement, q.Workload
+	c.BestEffortEvery = 3
+	c.Faults.Horizon = FaultHorizonFor(c.Workload)
+	c.Faults.MeanCrashRestartSec = 3
+	return c
 }
 
 // TestCrashSweepRecoversAndStaysClean pins the acceptance criterion: with a
-// positive crash rate every premium stream recovers (CrashSweep errors if one
+// positive crash rate every premium stream recovers (RunCell errors if one
 // is shed), stream accounting closes (served + shed + aborted + rejected ==
 // offered), no residency reference leaks, and the journal absorbed real
 // checkpoint traffic — while the rate-0 row reports no crash activity.
@@ -38,27 +25,27 @@ func TestCrashSweepRecoversAndStaysClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := CrashSweep(env, quickCrashSweepConfig())
+	rows, err := RunCells(env, quickFaultGrid(quickCrashCell()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, ok := res.Row(0, "residency-affinity")
+	clean, ok := find(rows, func(c Cell) bool { return c.Faults == nil })
 	if !ok {
 		t.Fatal("missing crash-free row")
 	}
-	if clean.Crashes != 0 || clean.Shed != 0 || clean.ReplayedFrames != 0 || clean.Faults != 0 {
+	if clean.Crashes != 0 || clean.Shed != 0 || clean.ReplayedFrames != 0 || len(clean.Run.Faults) != 0 {
 		t.Fatalf("crash-free row reports crash activity: %+v", clean.Summary)
 	}
 	if clean.JournalWrites == 0 || clean.JournalBytes == 0 {
 		t.Fatal("crash-free row journaled nothing; durability should be on in every cell")
 	}
-	crashed, ok := res.Row(20, "residency-affinity")
+	crashed, ok := find(rows, func(c Cell) bool { return c.Faults != nil })
 	if !ok {
 		t.Fatal("missing crashed row")
 	}
-	if crashed.Faults == 0 || crashed.Crashes == 0 {
+	if len(crashed.Run.Faults) == 0 || crashed.Crashes == 0 {
 		t.Fatalf("crashed row saw %d faults, %d crashes; raise the rate or horizon",
-			crashed.Faults, crashed.Crashes)
+			len(crashed.Run.Faults), crashed.Crashes)
 	}
 	if crashed.LeakedRefs != 0 {
 		t.Fatalf("crashed row leaked %d residency refs", crashed.LeakedRefs)
@@ -70,7 +57,7 @@ func TestCrashSweepRecoversAndStaysClean(t *testing.T) {
 	if crashed.Frames == 0 {
 		t.Fatal("crashed row served no frames")
 	}
-	if report := res.Report(); len(report) == 0 {
+	if report := CrashReport(rows); len(report) == 0 {
 		t.Fatal("empty report")
 	}
 }
@@ -83,19 +70,15 @@ func TestCrashSweepCrashFreeMatchesFaultSweepReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ccfg := quickCrashSweepConfig()
-	ccfg.RatesPerMin = []float64{0}
-	cres, err := CrashSweep(env, ccfg)
+	cres, err := RunCells(env, quickFaultGrid(quickCrashCell())[:1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	fcfg := quickFaultSweepConfig()
-	fcfg.RatesPerMin = []float64{0}
-	fres, err := FaultSweep(env, fcfg)
+	fres, err := RunCells(env, quickFaultGrid(quickFaultCell())[:1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := cres.Rows[0].Summary, fres.Rows[0].Summary
+	a, b := cres[0].Summary, fres[0].Summary
 	// Strip the durability counters (journal on vs off) — everything the
 	// serving path decides must be bit-identical.
 	a.JournalWrites, a.JournalBytes = 0, 0

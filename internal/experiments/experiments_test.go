@@ -9,6 +9,16 @@ import (
 	"repro/internal/scene"
 )
 
+// find returns the first row whose cell match accepts.
+func find(rows []*CellResult, match func(Cell) bool) (*CellResult, bool) {
+	for _, r := range rows {
+		if match(r.Cell) {
+			return r, true
+		}
+	}
+	return nil, false
+}
+
 // testEnv returns the shared environment (characterization + graph).
 func testEnv(t *testing.T) *Env {
 	t.Helper()

@@ -4,211 +4,85 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/accel"
 	"repro/internal/fleet"
-	"repro/internal/pipeline"
-	"repro/internal/runtime"
 	"repro/internal/textplot"
-	"repro/internal/zoo"
 )
 
-// FaultSweepConfig parameterizes the fault-tolerance experiment: failure rate
-// × placement policy under one fixed seeded workload and one seeded fault
-// shape, on a fixed-size heterogeneous fleet.
-type FaultSweepConfig struct {
-	// RatesPerMin lists the mean fleet-wide fault rates swept (faults per
-	// minute; 0 is the fault-free reference row). Default 0, 6, 12.
-	RatesPerMin []float64
-	// Placements lists the dispatch policies compared at each rate (default
-	// round-robin and residency-affinity).
-	Placements []string
-	// Devices is the fleet size (default 4); Scales cycles per-device accel
-	// time scales (default {1, 1.25}).
-	Devices int
-	Scales  []float64
-	// Workload is the offered stream trace, identical across all grid cells
-	// (default fleet.DefaultWorkloadConfig).
-	Workload fleet.WorkloadConfig
-	// Admission gates per-device concurrency; nil means
-	// fleet.DefaultAdmission.
-	Admission *fleet.Admission
-	// PoolMB sizes each device's SoC engine arena in MB (default 1300, the
-	// memory-tight fleet tier — so migrated streams contend for residency on
-	// their new device, exercising re-acquisition and warm adoption).
-	PoolMB int64
-	// Fault shapes the schedule (kind mix, outage/brownout lengths); its
-	// Seed and RatePerSec are overridden per cell from the experiment seed
-	// and the swept rate. A zero value means fleet.DefaultFaultConfig; a
-	// partially specified one keeps its fields (only a missing Horizon is
-	// defaulted — the generator itself defaults lengths and the kind mix).
-	Fault fleet.FaultConfig
+// FaultCell is the fault-tolerance cell: the FleetCell fleet serving plain
+// SHIFT streams (no premium tier) under the default fault mix — transient
+// outages, one permanent death, latency brownouts. Its rate is set per grid
+// cell by FaultGrid.
+func FaultCell() Cell {
+	c := FleetCell()
+	c.PremiumFraction = 0
+	f := fleet.DefaultFaultConfig()
+	c.Faults = &f
+	return c
 }
 
-// DefaultFaultSweepConfig returns the standard grid.
-func DefaultFaultSweepConfig() FaultSweepConfig {
-	adm := fleet.DefaultAdmission()
-	return FaultSweepConfig{
-		RatesPerMin: []float64{0, 6, 12},
-		Placements:  []string{"round-robin", "residency-affinity"},
-		Devices:     4,
-		Scales:      []float64{1, 1.25},
-		Workload:    fleet.DefaultWorkloadConfig(),
-		Admission:   &adm,
-		PoolMB:      1300,
-		Fault:       fleet.DefaultFaultConfig(),
-	}
-}
-
-// FaultSweepRow is one (failure rate, placement) cell of the grid.
-type FaultSweepRow struct {
-	RatePerMin float64
-	Placement  string
-	Faults     int
-	fleet.Summary
-	// PerDevice carries the cell's device stats (downtime, displacements).
-	PerDevice []fleet.DeviceStats
-}
-
-// FaultSweepResult is the full grid.
-type FaultSweepResult struct {
-	Workload fleet.WorkloadConfig
-	Devices  int
-	Rows     []FaultSweepRow
-}
-
-// Row returns the cell for a failure rate and placement.
-func (r *FaultSweepResult) Row(ratePerMin float64, placement string) (FaultSweepRow, bool) {
-	for _, row := range r.Rows {
-		if row.RatePerMin == ratePerMin && row.Placement == placement {
-			return row, true
+// FaultGrid is the fault-tolerance sweep: base expanded over fleet-wide
+// fault rate × placement (round-robin, residency-affinity) — a fault-free
+// reference row (Faults nil), then one row per rate in faults per minute,
+// each injecting base's fault mix at that rate. Every cell offers the same
+// stream trace and, at equal rates, the same fault schedule; the rate-0
+// row reproduces the unfaulted fleet bit-for-bit, and RunCell checks every
+// cell leak-free. FaultGrid(FaultCell(), 6, 12) is the standard grid
+// (FaultReport), FaultGrid(CrashCell(), 6, 12) the crash-recovery one
+// (CrashReport).
+func FaultGrid(base Cell, perMin ...float64) []Cell {
+	var cells []Cell
+	for _, rate := range append([]float64{0}, perMin...) {
+		for _, p := range []string{"round-robin", "residency-affinity"} {
+			c := base
+			c.Placement = p
+			c.Faults = nil
+			if rate != 0 && base.Faults != nil {
+				f := *base.Faults
+				f.RatePerSec = rate / 60
+				c.Faults = &f
+			}
+			cells = append(cells, c)
 		}
 	}
-	return FaultSweepRow{}, false
+	return cells
 }
 
-// FaultSweep sweeps failure rate × placement policy under one seeded workload
-// of SHIFT streams on a heterogeneous fleet: every cell offers the same
-// stream trace and, at equal rates, the same fault schedule (outages, deaths
-// and brownouts), and reports serving quality next to the recovery metrics —
-// migrations, downtime, aborted streams and the post-failure latency tail.
-// The rate-0 row is the fault-free reference and reproduces the unfaulted
-// fleet bit-for-bit; every cell is checked leak-free (no residency reference
-// survives the run).
-func FaultSweep(env *Env, cfg FaultSweepConfig) (*FaultSweepResult, error) {
-	def := DefaultFaultSweepConfig()
-	if cfg.RatesPerMin == nil {
-		cfg.RatesPerMin = def.RatesPerMin
+// faultsPerMin is the cell's fleet-wide fault rate per minute (0: fault-free).
+func (c Cell) faultsPerMin() float64 {
+	if c.Faults == nil {
+		return 0
 	}
-	if len(cfg.Placements) == 0 {
-		cfg.Placements = def.Placements
-	}
-	if cfg.Devices == 0 {
-		cfg.Devices = def.Devices
-	}
-	if cfg.Devices < 0 {
-		return nil, fmt.Errorf("experiments: invalid device count %d", cfg.Devices)
-	}
-	if len(cfg.Scales) == 0 {
-		cfg.Scales = def.Scales
-	}
-	if cfg.Workload.Streams == 0 {
-		cfg.Workload = def.Workload
-	}
-	if cfg.Admission == nil {
-		cfg.Admission = def.Admission
-	}
-	if cfg.PoolMB == 0 {
-		cfg.PoolMB = def.PoolMB
-	}
-	if cfg.Fault == (fleet.FaultConfig{}) {
-		cfg.Fault = def.Fault
-	} else if cfg.Fault.Horizon == 0 {
-		cfg.Fault.Horizon = def.Fault.Horizon
-	}
-	newSystem := func(seed uint64) *zoo.System {
-		sys := zoo.Default(seed)
-		sys.SoC.Pools[accel.SoCPoolName] = accel.NewMemPool(accel.SoCPoolName, cfg.PoolMB*accel.MB)
-		return sys
-	}
-	policy := func(sys *zoo.System) (runtime.Policy, error) {
-		return pipeline.NewPolicy(sys, env.Ch, env.Graph, pipeline.DefaultOptions())
-	}
-	devices := make([]fleet.DeviceConfig, cfg.Devices)
-	names := make([]string, cfg.Devices)
-	for i := range devices {
-		devices[i] = fleet.DeviceConfig{
-			Name:  fmt.Sprintf("edge%02d", i),
-			Scale: cfg.Scales[i%len(cfg.Scales)],
-		}
-		names[i] = devices[i].Name
-	}
-	res := &FaultSweepResult{Workload: cfg.Workload, Devices: cfg.Devices}
-	for _, rate := range cfg.RatesPerMin {
-		if rate < 0 {
-			return nil, fmt.Errorf("experiments: negative fault rate %v", rate)
-		}
-		var faults []fleet.Fault
-		if rate > 0 {
-			fcfg := cfg.Fault
-			fcfg.Seed = env.Seed
-			fcfg.RatePerSec = rate / 60
-			var err error
-			faults, err = fleet.GenerateFaults(fcfg, names)
-			if err != nil {
-				return nil, err
-			}
-		}
-		for _, pname := range cfg.Placements {
-			place, err := fleet.PlacementByName(pname)
-			if err != nil {
-				return nil, err
-			}
-			fl, err := fleet.New(fleet.Config{
-				Seed:      env.Seed,
-				Devices:   devices,
-				Placement: place,
-				Admission: *cfg.Admission,
-				NewSystem: newSystem,
-			})
-			if err != nil {
-				return nil, err
-			}
-			// The workload is re-generated per cell so every fleet sees
-			// identical requests with fresh policy state.
-			reqs, err := fleet.GenerateWorkload(cfg.Workload, env.Frames, policy)
-			if err != nil {
-				return nil, err
-			}
-			run, err := fl.RunWithFaults(reqs, faults)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: fault sweep %v/min×%s: %w", rate, pname, err)
-			}
-			sum := fleet.Summarize(run)
-			if sum.LeakedRefs != 0 {
-				return nil, fmt.Errorf("experiments: fault sweep %v/min×%s leaked %d residency refs",
-					rate, pname, sum.LeakedRefs)
-			}
-			res.Rows = append(res.Rows, FaultSweepRow{
-				RatePerMin: rate,
-				Placement:  pname,
-				Faults:     len(faults),
-				Summary:    sum,
-				PerDevice:  run.Devices,
-			})
-		}
-	}
-	return res, nil
+	return c.Faults.RatePerSec * 60
 }
 
-// Report renders the grid as a table plus a downtime gauge for the
-// highest-rate residency-affinity cell.
-func (r *FaultSweepResult) Report() string {
-	rows := [][]string{{"Faults/min", "Placement", "Served", "Abort", "Migr",
+// worstRow returns the highest-rate row, preferring residency-affinity at
+// equal rates — the row the fault and crash reports plot.
+func worstRow(rows []*CellResult) *CellResult {
+	var best *CellResult
+	for _, row := range rows {
+		r, b := row.Cell.faultsPerMin(), 0.0
+		if best != nil {
+			b = best.Cell.faultsPerMin()
+		}
+		better := best == nil || r > b ||
+			(r == b && row.Cell.Placement == "residency-affinity" && best.Cell.Placement != "residency-affinity")
+		if better {
+			best = row
+		}
+	}
+	return best
+}
+
+// FaultReport renders serving quality next to the recovery metrics —
+// migrations, downtime, aborted streams and the post-failure latency tail —
+// plus a downtime gauge for the highest-rate residency-affinity cell.
+func FaultReport(rows []*CellResult) string {
+	table := [][]string{{"Faults/min", "Placement", "Served", "Abort", "Migr",
 		"Downtime (s)", "IoU", "Lat p50 (s)", "Lat p99 (s)", "Post-fault p99", "Miss", "Loads"}}
-	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			fmt.Sprintf("%.0f", row.RatePerMin),
-			row.Placement,
+	for _, row := range rows {
+		table = append(table, []string{
+			fmt.Sprintf("%.0f", row.Cell.faultsPerMin()),
+			row.Cell.Placement,
 			fmt.Sprintf("%d/%d", row.Served, row.Offered),
 			fmt.Sprintf("%d", row.Aborted),
 			fmt.Sprintf("%d", row.Migrations),
@@ -221,26 +95,15 @@ func (r *FaultSweepResult) Report() string {
 			fmt.Sprintf("%d", row.Loads),
 		})
 	}
+	c := first(rows)
 	out := textplot.Table(fmt.Sprintf(
 		"Fault tolerance: %d streams on %d devices, checkpoint/migrate on failure",
-		r.Workload.Streams, r.Devices), rows)
-	// Downtime plot: the highest-rate cell, preferring residency-affinity.
-	var best *FaultSweepRow
-	for i := range r.Rows {
-		row := &r.Rows[i]
-		better := best == nil ||
-			row.RatePerMin > best.RatePerMin ||
-			(row.RatePerMin == best.RatePerMin &&
-				row.Placement == "residency-affinity" && best.Placement != "residency-affinity")
-		if better {
-			best = row
-		}
-	}
-	if best != nil && best.RatePerMin > 0 {
-		labels := make([]string, len(best.PerDevice))
-		downs := make([]float64, len(best.PerDevice))
+		c.Workload.Streams, c.Devices), table)
+	if best := worstRow(rows); best != nil && best.Cell.Faults != nil {
+		labels := make([]string, len(best.Run.Devices))
+		downs := make([]float64, len(best.Run.Devices))
 		horizon := 0.0
-		for _, d := range best.PerDevice {
+		for _, d := range best.Run.Devices {
 			if d.DownSec > horizon {
 				horizon = d.DownSec
 			}
@@ -248,7 +111,7 @@ func (r *FaultSweepResult) Report() string {
 		if horizon < 1 {
 			horizon = 1
 		}
-		for i, d := range best.PerDevice {
+		for i, d := range best.Run.Devices {
 			suffix := ""
 			if d.Dead {
 				suffix = " †"
@@ -257,7 +120,7 @@ func (r *FaultSweepResult) Report() string {
 			downs[i] = d.DownSec / horizon
 		}
 		out += "\n" + textplot.PercentBars(
-			fmt.Sprintf("Relative downtime at %.0f faults/min, %s (†=dead)", best.RatePerMin, best.Placement),
+			fmt.Sprintf("Relative downtime at %.0f faults/min, %s (†=dead)", best.Cell.faultsPerMin(), best.Cell.Placement),
 			labels, downs, 40)
 	}
 	return out

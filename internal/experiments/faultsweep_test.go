@@ -7,26 +7,32 @@ import (
 	"repro/internal/scene"
 )
 
-// quickFaultSweepConfig keeps the grid small enough for unit tests: a short
-// workload on two devices, one fault-free and one heavily faulted rate.
-func quickFaultSweepConfig() FaultSweepConfig {
-	adm := fleet.DefaultAdmission()
-	wl := fleet.WorkloadConfig{
+// quickFaultCell keeps the grid small enough for unit tests: a short
+// workload on two devices, served fault-free and heavily faulted.
+func quickFaultCell() Cell {
+	c := FaultCell()
+	c.Devices = 2
+	c.Placement = "residency-affinity"
+	c.Workload = fleet.WorkloadConfig{
 		Seed: 1, Streams: 6, RatePerSec: 0.5, PeriodSec: 0.1,
 		MinFrames: 120, MaxFrames: 240,
 		Scenarios: []*scene.Scenario{scene.Scenario2()},
 	}
-	fcfg := fleet.DefaultFaultConfig()
-	fcfg.Horizon = FaultHorizonFor(wl)
-	fcfg.MeanOutageSec = 3
-	return FaultSweepConfig{
-		RatesPerMin: []float64{0, 20},
-		Placements:  []string{"residency-affinity"},
-		Devices:     2,
-		Workload:    wl,
-		Admission:   &adm,
-		Fault:       fcfg,
+	c.Faults.Horizon = FaultHorizonFor(c.Workload)
+	c.Faults.MeanOutageSec = 3
+	return c
+}
+
+// quickFaultGrid is quickFaultCell fault-free and at 20 faults/min,
+// residency-affinity only.
+func quickFaultGrid(base Cell) []Cell {
+	var cells []Cell
+	for _, c := range FaultGrid(base, 20) {
+		if c.Placement == "residency-affinity" {
+			cells = append(cells, c)
+		}
 	}
+	return cells
 }
 
 // TestFaultSweepRecoversAndStaysClean pins the acceptance criterion: with a
@@ -39,22 +45,22 @@ func TestFaultSweepRecoversAndStaysClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := FaultSweep(env, quickFaultSweepConfig())
+	rows, err := RunCells(env, quickFaultGrid(quickFaultCell()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, ok := res.Row(0, "residency-affinity")
+	clean, ok := find(rows, func(c Cell) bool { return c.Faults == nil })
 	if !ok {
 		t.Fatal("missing fault-free row")
 	}
-	if clean.Migrations != 0 || clean.Aborted != 0 || clean.Faults != 0 || clean.PostFaultP99 != 0 {
-		t.Fatalf("fault-free row reports recovery activity: %+v", clean)
+	if clean.Migrations != 0 || clean.Aborted != 0 || len(clean.Run.Faults) != 0 || clean.PostFaultP99 != 0 {
+		t.Fatalf("fault-free row reports recovery activity: %+v", clean.Summary)
 	}
-	faulted, ok := res.Row(20, "residency-affinity")
+	faulted, ok := find(rows, func(c Cell) bool { return c.Faults != nil })
 	if !ok {
 		t.Fatal("missing faulted row")
 	}
-	if faulted.Faults == 0 {
+	if len(faulted.Run.Faults) == 0 {
 		t.Fatal("faulted row saw no faults; raise the rate or horizon")
 	}
 	if faulted.Migrations < 1 {
@@ -74,7 +80,7 @@ func TestFaultSweepRecoversAndStaysClean(t *testing.T) {
 	if faulted.AvgDowntimeSec < 0 {
 		t.Fatalf("negative mean downtime %v", faulted.AvgDowntimeSec)
 	}
-	if report := res.Report(); len(report) == 0 {
+	if report := FaultReport(rows); len(report) == 0 {
 		t.Fatal("empty report")
 	}
 }
@@ -87,18 +93,16 @@ func TestFaultSweepFaultFreeMatchesUnfaultedFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := quickFaultSweepConfig()
-	cfg.RatesPerMin = []float64{0}
-	a, err := FaultSweep(env, cfg)
+	ref := quickFaultGrid(quickFaultCell())[:1]
+	a, err := RunCells(env, ref)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := FaultSweep(env, cfg)
+	b, err := RunCells(env, ref)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ra := a.Rows[0]
-	rb := b.Rows[0]
+	ra, rb := a[0], b[0]
 	if ra.Summary != rb.Summary {
 		t.Fatalf("fault-free rows differ across runs:\n%+v\n%+v", ra.Summary, rb.Summary)
 	}

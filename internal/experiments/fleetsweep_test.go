@@ -14,33 +14,37 @@ func TestFleetSweepDefaultGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := FleetSweep(env, FleetSweepConfig{})
+	rows, err := RunCells(env, FleetGrid(FleetCell()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 9 {
-		t.Fatalf("%d rows, want 9 (3 sizes × 3 placements)", len(res.Rows))
+	if len(rows) != 9 {
+		t.Fatalf("%d rows, want 9 (3 sizes × 3 placements)", len(rows))
 	}
-	for _, row := range res.Rows {
-		if row.Offered != res.Workload.Streams {
-			t.Fatalf("%d×%s offered %d, want %d", row.Devices, row.Placement, row.Offered, res.Workload.Streams)
+	at := func(devices int, placement string) (*CellResult, bool) {
+		return find(rows, func(c Cell) bool { return c.Devices == devices && c.Placement == placement })
+	}
+	for _, row := range rows {
+		c := row.Cell
+		if row.Offered != c.Workload.Streams {
+			t.Fatalf("%d×%s offered %d, want %d", c.Devices, c.Placement, row.Offered, c.Workload.Streams)
 		}
 		if row.Served+row.Rejected != row.Offered {
 			t.Fatalf("%d×%s served %d + rejected %d != offered %d",
-				row.Devices, row.Placement, row.Served, row.Rejected, row.Offered)
+				c.Devices, c.Placement, row.Served, row.Rejected, row.Offered)
 		}
 		if row.Served > 0 && (row.AvgIoU <= 0 || row.Latency.P99 <= 0) {
-			t.Fatalf("%d×%s has degenerate metrics: %+v", row.Devices, row.Placement, row.Summary)
+			t.Fatalf("%d×%s has degenerate metrics: %+v", c.Devices, c.Placement, row.Summary)
 		}
-		if len(row.PerDevice) != row.Devices {
-			t.Fatalf("%d×%s carries %d device stats", row.Devices, row.Placement, len(row.PerDevice))
+		if len(row.Run.Devices) != c.Devices {
+			t.Fatalf("%d×%s carries %d device stats", c.Devices, c.Placement, len(row.Run.Devices))
 		}
 	}
 
 	// One device: placement cannot matter — all three rows identical.
-	rr1, _ := res.Row(1, "round-robin")
+	rr1, _ := at(1, "round-robin")
 	for _, p := range []string{"least-outstanding", "residency-affinity"} {
-		row, ok := res.Row(1, p)
+		row, ok := at(1, p)
 		if !ok {
 			t.Fatalf("missing 1×%s row", p)
 		}
@@ -53,8 +57,8 @@ func TestFleetSweepDefaultGrid(t *testing.T) {
 	// loads; at 4 devices the gap is structural (grouped tiers avoid the
 	// memory-tight eviction churn), so pin the strict win there.
 	for _, k := range []int{2, 4} {
-		rr, okRR := res.Row(k, "round-robin")
-		aff, okAff := res.Row(k, "residency-affinity")
+		rr, okRR := at(k, "round-robin")
+		aff, okAff := at(k, "residency-affinity")
 		if !okRR || !okAff {
 			t.Fatalf("missing %d-device rows", k)
 		}
@@ -63,8 +67,8 @@ func TestFleetSweepDefaultGrid(t *testing.T) {
 				k, aff.Latency.P99, aff.Loads, rr.Latency.P99, rr.Loads)
 		}
 	}
-	aff4, _ := res.Row(4, "residency-affinity")
-	rr4, _ := res.Row(4, "round-robin")
+	aff4, _ := at(4, "residency-affinity")
+	rr4, _ := at(4, "round-robin")
 	if aff4.Latency.P99 >= rr4.Latency.P99 || aff4.Loads >= rr4.Loads {
 		t.Fatalf("4 devices: affinity (p99 %.3f, loads %d) should strictly beat round-robin (p99 %.3f, loads %d)",
 			aff4.Latency.P99, aff4.Loads, rr4.Latency.P99, rr4.Loads)
@@ -77,21 +81,25 @@ func TestFleetSweepDefaultGrid(t *testing.T) {
 			aff4.DeadlineMissRate, rr1.DeadlineMissRate)
 	}
 
-	if report := res.Report(); len(report) == 0 {
+	if report := FleetReport(rows); len(report) == 0 {
 		t.Fatal("empty report")
 	}
 }
 
-// TestFleetSweepValidation covers the config contract.
+// TestFleetSweepValidation covers the cell contract.
 func TestFleetSweepValidation(t *testing.T) {
 	env, err := Shared()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := FleetSweep(env, FleetSweepConfig{DeviceCounts: []int{0}}); err == nil {
+	zero := FleetCell()
+	zero.Devices = 0
+	if _, err := RunCells(env, []Cell{zero}); err == nil {
 		t.Fatal("zero device count should fail")
 	}
-	if _, err := FleetSweep(env, FleetSweepConfig{Placements: []string{"nope"}}); err == nil {
+	bogus := FleetCell()
+	bogus.Placement = "nope"
+	if _, err := RunCells(env, []Cell{bogus}); err == nil {
 		t.Fatal("unknown placement should fail")
 	}
 }

@@ -3,151 +3,80 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/fleet"
-	"repro/internal/obs"
 	"repro/internal/predict"
 	"repro/internal/scene"
 	"repro/internal/textplot"
 )
 
-// PrefetchSweepConfig parameterizes the predictive-prefetch experiment: one
-// miss-heavy, memory-tight recorder cell (same construction as the ObsSweep
-// cell) run twice — once with the TAGE swap predictor off (the before run,
-// today's serving path bit-for-bit) and once with it on — so the report can
-// put the predictor's SupraX-style coverage/accuracy/timeliness next to the
-// swap-stall share of the p99 tail it is supposed to shrink.
-type PrefetchSweepConfig struct {
-	// Cell is the fleet serving cell, shared by both runs. Zero-valued
-	// fields default via DefaultPrefetchSweepConfig: a tighter pool
-	// (1000 MB shared across gpu+dla) and the oscillate scenario, so engine
-	// loads miss periodically and swap stalls own a visible share of the
-	// tail without the tail drowning in queue backlog.
-	Cell ObsSweepConfig
-	// Prefetch is the predictor configuration for the on run (zero value:
-	// predict.DefaultConfig).
-	Prefetch predict.Config
+// PrefetchCell is the miss-heavy, memory-tight predictive-prefetch cell:
+// the FleetCell tiers on 2 round-robin devices with 1000 MB pools, 12
+// oscillating-scenario streams of 240 frames at 0.3 s periods, and the
+// default TAGE swap predictor — engine loads miss periodically, so swap
+// stalls own a visible share of the tail without the tail drowning in
+// queue backlog.
+func PrefetchCell() Cell {
+	c := FleetCell()
+	c.Devices = 2
+	c.Placement = "round-robin"
+	c.PoolMB = 1000
+	c.Workload.Streams = 12
+	c.Workload.RatePerSec = 0.05
+	c.Workload.PeriodSec = 0.3
+	c.Workload.MinFrames = 240
+	c.Workload.MaxFrames = 240
+	c.Workload.Scenarios = []*scene.Scenario{scene.ScenarioOscillate()}
+	pf := predict.DefaultConfig()
+	c.Prefetch = &pf
+	return c
 }
 
-// DefaultPrefetchSweepConfig returns the standard miss-heavy prefetch cell.
-func DefaultPrefetchSweepConfig() PrefetchSweepConfig {
-	cell := DefaultObsSweepConfig()
-	cell.Devices = 2
-	cell.Placement = "round-robin"
-	cell.PoolMB = 1000
-	cell.Workload.Streams = 12
-	cell.Workload.RatePerSec = 0.05
-	cell.Workload.PeriodSec = 0.3
-	cell.Workload.MinFrames = 240
-	cell.Workload.MaxFrames = 240
-	cell.Workload.Scenarios = []*scene.Scenario{scene.ScenarioOscillate()}
-	return PrefetchSweepConfig{Cell: cell, Prefetch: predict.DefaultConfig()}
+// PrefetchPair is the predictive-prefetch experiment: the cell — by default
+// PrefetchCell() — served with the predictor off, then with the cell's
+// predictor on, the flight recorder attached to both. The off run is the
+// committed serving path bit-for-bit (a nil predictor takes the identical
+// code path as a build without it); the on run overlaps predicted engine
+// loads with compute and pre-warms admission targets, so its swap-stall
+// share of the p99 tail is the number the predictor is judged on. The
+// predictor never steers decisions, but prefetch does change frame latency
+// (that is the point), so the two summaries differ in timing while serving
+// counts stay comparable. PrefetchReport renders the pair.
+func PrefetchPair(c Cell) []Cell {
+	c.Record = true
+	off := c
+	off.Prefetch = nil
+	return []Cell{off, c}
 }
 
-// PrefetchSweepResult is the prefetch experiment's outcome: the off and on
-// runs' latency attributions plus the on run's aggregated predictor stats.
-type PrefetchSweepResult struct {
-	Devices   int
-	Placement string
-	PoolMB    int64
-	// Off and On are the latency attributions of the predictor-off and
-	// predictor-on runs; Off.SwapStallShareOfP99 vs On.SwapStallShareOfP99
-	// is the headline contrast.
-	Off, On obs.Attribution
-	// OffSummary and OnSummary are the two runs' serving summaries. The
-	// predictor never steers decisions, but prefetch does change frame
-	// latency (that is the point), so the summaries differ in timing while
-	// serving counts stay comparable.
-	OffSummary, OnSummary fleet.Summary
-	// Stats aggregates every departed session's predictor counters from the
-	// on run: coverage, accuracy, timeliness and the stall seconds hidden.
-	Stats predict.Stats
-	// OffRecorder and OnRecorder expose the two span streams for trace
-	// export and registry inspection (prefetch_issued / prefetch_hits).
-	OffRecorder, OnRecorder *obs.Recorder
-}
-
-// PrefetchSweep serves the cell twice — predictor off, then on — with the
-// flight recorder attached to both, and reduces each span stream to its
-// latency attribution. The off run is the committed serving path bit-for-bit
-// (Config.Prefetch nil takes the identical code path as a build without the
-// predictor); the on run overlaps predicted engine loads with compute and
-// pre-warms admission targets, so its swap-stall share of the p99 tail is
-// the number the predictor is judged on.
-func PrefetchSweep(env *Env, cfg PrefetchSweepConfig) (*PrefetchSweepResult, error) {
-	def := DefaultPrefetchSweepConfig()
-	if cfg.Cell.Devices == 0 {
-		cfg.Cell.Devices = def.Cell.Devices
-	}
-	if cfg.Cell.Devices < 0 {
-		return nil, fmt.Errorf("experiments: invalid device count %d", cfg.Cell.Devices)
-	}
-	if cfg.Cell.Placement == "" {
-		cfg.Cell.Placement = def.Cell.Placement
-	}
-	if len(cfg.Cell.Scales) == 0 {
-		cfg.Cell.Scales = def.Cell.Scales
-	}
-	if cfg.Cell.Workload.Streams == 0 {
-		cfg.Cell.Workload = def.Cell.Workload
-	}
-	if cfg.Cell.Admission == nil {
-		cfg.Cell.Admission = def.Cell.Admission
-	}
-	if cfg.Cell.PoolMB == 0 {
-		cfg.Cell.PoolMB = def.Cell.PoolMB
-	}
-	if cfg.Cell.PremiumFraction == 0 {
-		cfg.Cell.PremiumFraction = def.Cell.PremiumFraction
-	}
-	pf := cfg.Prefetch
-	offRec := obs.NewRecorder()
-	offRes, err := obsCell(env, cfg.Cell, offRec, nil)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: prefetch off run: %w", err)
-	}
-	onRec := obs.NewRecorder()
-	onRes, err := obsCell(env, cfg.Cell, onRec, &pf)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: prefetch on run: %w", err)
-	}
-	return &PrefetchSweepResult{
-		Devices:     cfg.Cell.Devices,
-		Placement:   cfg.Cell.Placement,
-		PoolMB:      cfg.Cell.PoolMB,
-		Off:         offRec.Attribution(),
-		On:          onRec.Attribution(),
-		OffSummary:  fleet.Summarize(offRes),
-		OnSummary:   fleet.Summarize(onRes),
-		Stats:       onRes.Prefetch,
-		OffRecorder: offRec,
-		OnRecorder:  onRec,
-	}, nil
-}
-
-// Report renders the SupraX-style predictor scorecard and the before/after
-// latency attribution contrast.
-func (r *PrefetchSweepResult) Report() string {
-	s := r.Stats
+// PrefetchReport renders a PrefetchPair's rows: the SupraX-style predictor
+// scorecard of the on run and the before/after latency attribution
+// contrast.
+func PrefetchReport(rows []*CellResult) string {
+	offRow, onRow := rows[0], rows[1]
+	s := onRow.Run.Prefetch
+	c := onRow.Cell
 	head := fmt.Sprintf(
 		"Predictive prefetch: %d devices, %s, %d MB pools | %d swaps, %d prefetches issued",
-		r.Devices, r.Placement, r.PoolMB, s.Swaps, s.Issued)
-	score := [][]string{
+		c.Devices, c.Placement, c.PoolMB, s.Swaps, s.Issued)
+	off, on := offRow.Recorder.Attribution(), onRow.Recorder.Attribution()
+	contrast := [][]string{
+		{"Metric", "Prefetch off", "Prefetch on"},
+		{"swap-stall share of p99", fmt.Sprintf("%.1f%%", off.SwapStallShareOfP99*100), fmt.Sprintf("%.1f%%", on.SwapStallShareOfP99*100)},
+		{"swap-stall share overall", fmt.Sprintf("%.1f%%", off.SwapShare*100), fmt.Sprintf("%.1f%%", on.SwapShare*100)},
+		{"p99 latency", fmt.Sprintf("%.3fs", off.P99Sec), fmt.Sprintf("%.3fs", on.P99Sec)},
+		{"deadline miss rate", fmt.Sprintf("%.1f%%", offRow.DeadlineMissRate*100), fmt.Sprintf("%.1f%%", onRow.DeadlineMissRate*100)},
+	}
+	return head + "\n\n" + scorecard(s) + "\n" +
+		textplot.Table(fmt.Sprintf("Tail attribution over %d frames", on.Frames), contrast)
+}
+
+// scorecard renders the predictor's coverage, accuracy and timeliness.
+func scorecard(s predict.Stats) string {
+	return textplot.Table("Predictor scorecard (SupraX-style)", [][]string{
 		{"Metric", "Value", "Definition"},
 		{"coverage", fmt.Sprintf("%.1f%%", s.Coverage()*100), "swaps with a confident prediction"},
 		{"accuracy", fmt.Sprintf("%.1f%%", s.Accuracy()*100), "confident predictions that were right"},
 		{"timeliness", fmt.Sprintf("%.1f%%", s.Timeliness()*100), "hits fully loaded by demand time"},
 		{"stall saved", fmt.Sprintf("%.2fs", s.StallSavedSec), "load seconds hidden by overlap"},
 		{"stall residual", fmt.Sprintf("%.2fs", s.StallResidualSec), "late-hit stall still paid"},
-	}
-	off, on := r.Off, r.On
-	contrast := [][]string{
-		{"Metric", "Prefetch off", "Prefetch on"},
-		{"swap-stall share of p99", fmt.Sprintf("%.1f%%", off.SwapStallShareOfP99*100), fmt.Sprintf("%.1f%%", on.SwapStallShareOfP99*100)},
-		{"swap-stall share overall", fmt.Sprintf("%.1f%%", off.SwapShare*100), fmt.Sprintf("%.1f%%", on.SwapShare*100)},
-		{"p99 latency", fmt.Sprintf("%.3fs", off.P99Sec), fmt.Sprintf("%.3fs", on.P99Sec)},
-		{"deadline miss rate", fmt.Sprintf("%.1f%%", r.OffSummary.DeadlineMissRate*100), fmt.Sprintf("%.1f%%", r.OnSummary.DeadlineMissRate*100)},
-	}
-	return head + "\n\n" +
-		textplot.Table("Predictor scorecard (SupraX-style)", score) + "\n" +
-		textplot.Table(fmt.Sprintf("Tail attribution over %d frames", on.Frames), contrast)
+	})
 }

@@ -11,17 +11,19 @@ import (
 // strictly lower with prefetch on than off.
 func TestPrefetchSweep(t *testing.T) {
 	env := testEnv(t)
-	res, err := PrefetchSweep(env, PrefetchSweepConfig{})
+	rows, err := RunCells(env, PrefetchPair(PrefetchCell()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := res.Stats
+	offRow, onRow := rows[0], rows[1]
+	s := onRow.Run.Prefetch
+	off, on := offRow.Recorder.Attribution(), onRow.Recorder.Attribution()
 	t.Logf("swaps=%d predicted=%d correct=%d issued=%d full=%d late=%d saveds=%.2f residual=%.2f",
 		s.Swaps, s.Predicted, s.Correct, s.Issued, s.FullHits, s.LateHits,
 		s.StallSavedSec, s.StallResidualSec)
 	t.Logf("coverage=%.3f accuracy=%.3f timeliness=%.3f", s.Coverage(), s.Accuracy(), s.Timeliness())
 	t.Logf("swap-stall share of p99: off=%.4f on=%.4f | p99 off=%.3fs on=%.3fs",
-		res.Off.SwapStallShareOfP99, res.On.SwapStallShareOfP99, res.Off.P99Sec, res.On.P99Sec)
+		off.SwapStallShareOfP99, on.SwapStallShareOfP99, off.P99Sec, on.P99Sec)
 	if s.Swaps == 0 {
 		t.Fatal("cell produced no swaps — not miss-heavy")
 	}
@@ -34,24 +36,24 @@ func TestPrefetchSweep(t *testing.T) {
 	if s.FullHits+s.LateHits == 0 {
 		t.Fatal("no prefetch hits")
 	}
-	if res.On.SwapStallShareOfP99 >= res.Off.SwapStallShareOfP99 {
+	if on.SwapStallShareOfP99 >= off.SwapStallShareOfP99 {
 		t.Fatalf("prefetch did not shrink the p99 swap-stall share: off=%.4f on=%.4f",
-			res.Off.SwapStallShareOfP99, res.On.SwapStallShareOfP99)
+			off.SwapStallShareOfP99, on.SwapStallShareOfP99)
 	}
 	// The off run with Prefetch nil takes the identical code path as a
 	// build without the predictor — its registry must contain no prefetch
 	// counters at all, and the on run's counters must match the predictor's
 	// own accounting.
-	if n := res.OffRecorder.Registry().Counter("prefetch_issued"); n != 0 {
+	if n := offRow.Recorder.Registry().Counter("prefetch_issued"); n != 0 {
 		t.Fatalf("off run recorded %d prefetch spans", n)
 	}
-	if n := res.OnRecorder.Registry().Counter("prefetch_issued"); int(n) != s.Issued {
+	if n := onRow.Recorder.Registry().Counter("prefetch_issued"); int(n) != s.Issued {
 		t.Errorf("registry prefetch_issued=%d, predictor Issued=%d", n, s.Issued)
 	}
-	if n := res.OnRecorder.Registry().Counter("prefetch_hits"); int(n) != s.FullHits {
+	if n := onRow.Recorder.Registry().Counter("prefetch_hits"); int(n) != s.FullHits {
 		t.Errorf("registry prefetch_hits=%d, predictor FullHits=%d", n, s.FullHits)
 	}
-	rep := res.Report()
+	rep := PrefetchReport(rows)
 	for _, want := range []string{"coverage", "accuracy", "timeliness", "swap-stall share of p99"} {
 		if !strings.Contains(rep, want) {
 			t.Errorf("report missing %q:\n%s", want, rep)

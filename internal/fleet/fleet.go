@@ -287,10 +287,6 @@ type Config struct {
 	// independently. Rejected, aborted and shed streams do not pass through
 	// the hook.
 	OnDepart func(*StreamOutcome)
-	// LegacyScan pins event selection to the pre-heap O(devices × sessions)
-	// rescan. Results are bit-identical either way — the scan survives only
-	// as the equivalence-test oracle and the scale sweep's baseline.
-	LegacyScan bool
 	// Recorder attaches the flight recorder (internal/obs): the run records
 	// typed lifecycle spans and derives the metrics registry from them.
 	// Strictly observational — results are bit-identical with or without it,
@@ -360,15 +356,14 @@ type Fleet struct {
 	replayedFrames int
 
 	// Event-loop state: nregions/regions hold the sharded session-event
-	// heaps (one region when sharding is off); legacyScan pins the selector
-	// to the rescan; auditCache (tests only) cross-checks every cached
-	// session view before each selection; events counts processed loop
+	// heaps (one region when sharding is off); auditCache (tests only)
+	// cross-checks every cached session view, and the heap's pick against
+	// a full rescan, before each selection; events counts processed loop
 	// events; resHorizon accumulates departure completion times so
 	// Result.Horizon survives outcomes whose records an OnDepart hook
 	// released.
 	nregions   int
 	regions    []*region
-	legacyScan bool
 	auditCache bool
 	onDepart   func(*StreamOutcome)
 	resHorizon time.Duration
@@ -412,7 +407,6 @@ func New(cfg Config) (*Fleet, error) {
 		durable:      cfg.Durability,
 		journalStore: map[*StreamOutcome]*journalEntry{},
 		nregions:     max(1, cfg.Regions),
-		legacyScan:   cfg.LegacyScan,
 		onDepart:     cfg.OnDepart,
 		rec:          cfg.Recorder,
 		prefetch:     cfg.Prefetch,
@@ -699,7 +693,7 @@ func (f *Fleet) RunWithFaults(reqs []StreamRequest, faults []Fault) (*Result, er
 	}
 
 	for {
-		if f.nregions > 1 && !f.legacyScan && len(queue) == 0 {
+		if f.nregions > 1 && len(queue) == 0 {
 			// Advance all regions in parallel up to the next global event.
 			// Admissions happen only at global events, so a non-empty queue
 			// pins the loop sequential until it drains (a departure could

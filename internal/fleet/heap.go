@@ -15,8 +15,9 @@ import (
 // need a real priority structure: each resident session contributes exactly
 // one pending event, its next step at ReadyAt() or its departure at
 // Horizon() once Done(). Each region keeps those on an indexed binary
-// min-heap ordered by the same key the legacy rescan's first-minimum-wins
-// selection implied, making selection O(log n) per event instead of
+// min-heap ordered by the same key the rescan's first-minimum-wins
+// selection implies (scanSession, which the test-armed audit runs against
+// every pick), making selection O(log n) per event instead of
 // O(devices × sessions).
 
 // eventKind ranks the event classes at equal virtual time. The numeric
@@ -149,9 +150,7 @@ func (h *sessHeap) swap(i, j int) {
 
 // track enqueues a just-admitted session on its region's heap; untrack
 // removes a departing/evacuated one; retrack re-sorts after a cached-event
-// refresh. Maintenance runs in every mode — the legacy scan ignores the
-// heaps for selection but keeps them consistent, so the equivalence tests
-// exercise identical structures.
+// refresh.
 func (f *Fleet) track(as *activeSession)   { f.regions[as.dev.region].heap.push(as) }
 func (f *Fleet) untrack(as *activeSession) { f.regions[as.dev.region].heap.remove(as) }
 func (f *Fleet) retrack(as *activeSession) { f.regions[as.dev.region].heap.fix(as) }
@@ -167,34 +166,8 @@ type nextPick struct {
 }
 
 // bestSession returns the earliest pending session event — the minimum over
-// the region heap tops, or the legacy full rescan when the scan selector is
-// pinned — and nil when no session is resident. The two selectors agree
-// bit-for-bit: the rescan visits devices in name order and sessions in
-// admission order, so its first-minimum-wins choice is exactly the heap key.
+// the region heap tops — and nil when no session is resident.
 func (f *Fleet) bestSession() *activeSession {
-	if f.legacyScan {
-		// The pre-heap O(devices × sessions) selection, retained as the
-		// equivalence-test oracle and the scale sweep's baseline.
-		var dep, step *activeSession
-		var depAt, stepAt time.Duration
-		for _, d := range f.devices {
-			for _, as := range d.sessions {
-				if as.finished {
-					if t := as.horizon; dep == nil || t < depAt {
-						dep, depAt = as, t
-					}
-				} else {
-					if t := as.readyAt; step == nil || t < stepAt {
-						step, stepAt = as, t
-					}
-				}
-			}
-		}
-		if dep == nil || (step != nil && stepAt < depAt) {
-			return step
-		}
-		return dep
-	}
 	var best *activeSession
 	for _, rg := range f.regions {
 		if top := rg.heap.peek(); top != nil && (best == nil || sessBefore(top, best)) {
@@ -204,14 +177,42 @@ func (f *Fleet) bestSession() *activeSession {
 	return best
 }
 
+// scanSession is the pre-heap O(devices × sessions) selection, kept as the
+// audit's oracle: it visits devices in name order and sessions in admission
+// order, so its first-minimum-wins choice is exactly the heap key.
+func (f *Fleet) scanSession() *activeSession {
+	var dep, step *activeSession
+	var depAt, stepAt time.Duration
+	for _, d := range f.devices {
+		for _, as := range d.sessions {
+			if as.finished {
+				if t := as.horizon; dep == nil || t < depAt {
+					dep, depAt = as, t
+				}
+			} else {
+				if t := as.readyAt; step == nil || t < stepAt {
+					step, stepAt = as, t
+				}
+			}
+		}
+	}
+	if dep == nil || (step != nil && stepAt < depAt) {
+		return step
+	}
+	return dep
+}
+
 // nextEvent selects the earliest pending event across all five classes,
 // replicating the legacy switch's `<=` chains: at equal time the smaller
 // kind wins. ok is false when nothing remains — the loop's terminal state.
 func (f *Fleet) nextEvent(reqs []StreamRequest, order []int, next int, fevs []faultEvent, fi, queued int) (pick nextPick, ok bool) {
+	sess := f.bestSession()
 	if f.auditCache {
 		f.auditSessionCache()
+		if scan := f.scanSession(); scan != sess {
+			panic(fmt.Sprintf("fleet: heap picked %s, the rescan %s", sessName(sess), sessName(scan)))
+		}
 	}
-	sess := f.bestSession()
 	if sess != nil {
 		at, kind := sess.eventKey()
 		pick, ok = nextPick{kind: kind, at: at, as: sess}, true
@@ -242,6 +243,14 @@ func (f *Fleet) nextEvent(reqs []StreamRequest, order []int, next int, fevs []fa
 		}
 	}
 	return pick, ok
+}
+
+// sessName names a selected session in audit panics.
+func sessName(as *activeSession) string {
+	if as == nil {
+		return "nothing"
+	}
+	return as.out.Name + " on " + as.dev.Name
 }
 
 // auditSessionCache cross-checks every session's cached event view against

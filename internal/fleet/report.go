@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/metrics"
@@ -185,23 +186,34 @@ func Report(res *Result) string {
 		"Fleet: %d offered, %d served, %d rejected | IoU %.3f | p50 %.3fs p99 %.3fs | miss %.1f%% | horizon %.1fs",
 		sum.Offered, sum.Served, sum.Rejected, sum.AvgIoU,
 		sum.Latency.P50, sum.Latency.P99, sum.DeadlineMissRate*100, res.Horizon.Seconds())
-	if len(res.Faults) > 0 {
-		head += fmt.Sprintf(
-			"\nFaults: %d injected | %d migrations, %d aborted | mean downtime %.2fs | post-fault p99 %.3fs | leaked refs %d",
-			len(res.Faults), sum.Migrations, sum.Aborted, sum.AvgDowntimeSec, sum.PostFaultP99, sum.LeakedRefs)
-	}
-	if sum.ScaleOuts > 0 || sum.ScaleIns > 0 {
-		head += fmt.Sprintf(
-			"\nAutoscale: %d scale-outs, %d scale-ins (↓=retired) | peak %d devices | %d sessions drained",
-			sum.ScaleOuts, sum.ScaleIns, sum.PeakDevices, sum.Drained)
-	}
-	if sum.JournalWrites > 0 {
-		head += fmt.Sprintf(
-			"\nDurability: %d crashes | %d frames replayed, %d best-effort shed | journal %d writes, %.1f KiB",
-			sum.Crashes, sum.ReplayedFrames, sum.Shed,
-			sum.JournalWrites, float64(sum.JournalBytes)/1024)
+	if st := Status(res); st != "" {
+		head += "\n" + st
 	}
 	return head + "\n\n" +
 		textplot.Table("Per-device serving totals", rows) + "\n" +
 		textplot.PercentBars("Peak-processor utilization over the fleet horizon", labels, utils, 40)
+}
+
+// Status renders one line per recovery feature the run exercised — faults,
+// autoscaling, the durability journal — and "" for a plain run.
+func Status(res *Result) string {
+	sum := Summarize(res)
+	var lines []string
+	if len(res.Faults) > 0 {
+		lines = append(lines, fmt.Sprintf(
+			"Faults: %d injected | %d migrations, %d aborted | mean downtime %.2fs | post-fault p99 %.3fs | leaked refs %d",
+			len(res.Faults), sum.Migrations, sum.Aborted, sum.AvgDowntimeSec, sum.PostFaultP99, sum.LeakedRefs))
+	}
+	if sum.ScaleOuts > 0 || sum.ScaleIns > 0 {
+		lines = append(lines, fmt.Sprintf(
+			"Autoscale: %d scale-outs, %d scale-ins (↓=retired) | peak %d devices | %d sessions drained",
+			sum.ScaleOuts, sum.ScaleIns, sum.PeakDevices, sum.Drained))
+	}
+	if sum.JournalWrites > 0 {
+		lines = append(lines, fmt.Sprintf(
+			"Durability: %d crashes | %d frames replayed, %d best-effort shed | journal %d writes, %.1f KiB",
+			sum.Crashes, sum.ReplayedFrames, sum.Shed,
+			sum.JournalWrites, float64(sum.JournalBytes)/1024))
+	}
+	return strings.Join(lines, "\n")
 }

@@ -11,19 +11,19 @@ import (
 	"repro/internal/zoo"
 )
 
-// selectorGrid runs one (workload, faults, config) scenario through every
-// event-loop selector — indexed heap (the default), legacy rescan, and
-// sharded regions at two counts — with the stale-cache audit armed, and
-// asserts all four runs are bit-identical, event counts and journal traffic
-// included. This is the scan-vs-heap / R=1-vs-R>1 equivalence test the heap
-// refactor is pinned by, on scenarios richer than the fuzz corpus explores
-// per input: elastic scale-out/in, brownout TimeScale churn, crash recovery.
+// selectorGrid runs one (workload, faults, config) scenario single-region
+// and sharded at two region counts, with the audit armed — every selection
+// re-derives the cached session views and checks the heap's pick against
+// the full rescan — and asserts all three runs are bit-identical, event
+// counts and journal traffic included. This is the heap-vs-scan /
+// R=1-vs-R>1 equivalence test the heap refactor is pinned by, on scenarios
+// richer than the fuzz corpus explores per input: elastic scale-out/in,
+// brownout TimeScale churn, crash recovery.
 func selectorGrid(t *testing.T, label string, reqs []StreamRequest, faults []Fault, base Config, check func(*Result)) {
 	t.Helper()
-	run := func(regions int, legacy bool) *Result {
+	run := func(regions int) *Result {
 		cfg := base
 		cfg.Regions = regions
-		cfg.LegacyScan = legacy
 		fl, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -45,18 +45,16 @@ func selectorGrid(t *testing.T, label string, reqs []StreamRequest, faults []Fau
 		}
 		return res
 	}
-	heap := run(0, false)
+	heap := run(0)
 	check(heap)
 	for _, v := range []struct {
 		name    string
 		regions int
-		legacy  bool
 	}{
-		{"legacy-scan", 0, true},
-		{"regions-2", 2, false},
-		{"regions-5", 5, false},
+		{"regions-2", 2},
+		{"regions-5", 5},
 	} {
-		got := run(v.regions, v.legacy)
+		got := run(v.regions)
 		compareRuns(t, heap, got, label+"/"+v.name)
 		if heap.Events != got.Events {
 			t.Fatalf("%s/%s: event counts differ: %d vs %d", label, v.name, heap.Events, got.Events)
@@ -69,8 +67,8 @@ func selectorGrid(t *testing.T, label string, reqs []StreamRequest, faults []Fau
 }
 
 // TestFleetSelectorEquivalenceElastic: an elastic fleet under queue pressure
-// (scale-out, then drain-based scale-in) replays identically on every
-// selector and region count.
+// (scale-out, then drain-based scale-in) replays identically at every
+// region count, and the heap agrees with the rescan at every selection.
 func TestFleetSelectorEquivalenceElastic(t *testing.T) {
 	cfg := WorkloadConfig{
 		Seed: 11, Streams: 8, RatePerSec: 1.5, PeriodSec: 0.1,
@@ -98,8 +96,9 @@ func TestFleetSelectorEquivalenceElastic(t *testing.T) {
 
 // TestFleetSelectorEquivalenceFaulty: brownout TimeScale churn, an outage
 // migration and a crash recovery from the durable journal replay identically
-// on every selector and region count — the fault paths all maintain the heap
-// (and the cached event views) correctly.
+// at every region count, with the heap agreeing with the rescan at every
+// selection — the fault paths all maintain the heap (and the cached event
+// views) correctly.
 func TestFleetSelectorEquivalenceFaulty(t *testing.T) {
 	cfg := WorkloadConfig{
 		Seed: 5, Streams: 6, RatePerSec: 1, PeriodSec: 0.1,
@@ -128,6 +127,33 @@ func TestFleetSelectorEquivalenceFaulty(t *testing.T) {
 		if res.Crashes == 0 || res.Migrations == 0 {
 			t.Fatalf("faulty scenario crashes=%d migrations=%d — not exercising recovery",
 				res.Crashes, res.Migrations)
+		}
+	})
+}
+
+// TestFleetSelectorEquivalenceTies: streams admitted at the same instant
+// with one camera period step at identical virtual times on every device,
+// and streams of different lengths depart at instants other devices step
+// at, so selection falls to the tie-breaks — departure before step, then
+// device name, then admission order — which the audit checks against the
+// rescan at every pick.
+func TestFleetSelectorEquivalenceTies(t *testing.T) {
+	frames := testFrames(t)
+	var reqs []StreamRequest
+	for i := 0; i < 6; i++ {
+		reqs = append(reqs, StreamRequest{
+			Name: fmt.Sprintf("cam%d", i), Scenario: "s2", Frames: frames[:10+5*(i%3)],
+			PeriodSec: 0.1, Policy: fixedFactory(detmodel.YoloV7Tiny, "gpu"),
+		})
+	}
+	selectorGrid(t, "ties", reqs, nil, Config{
+		Seed:      9,
+		Devices:   []DeviceConfig{{Name: "edge-a"}, {Name: "edge-b"}, {Name: "edge-c"}},
+		Placement: NewRoundRobin(),
+		Admission: Admission{PerDeviceStreams: 2, QueueLimit: -1},
+	}, func(res *Result) {
+		if res.Served != len(reqs) {
+			t.Fatalf("served %d of %d streams", res.Served, len(reqs))
 		}
 	})
 }

@@ -283,7 +283,7 @@ func ScenarioFastManeuver() *Scenario {
 // the predictive-prefetch experiment measures: the swap sequence is periodic,
 // so a history-based predictor can see every swap coming. Not part of
 // EvaluationSuite — Table III stays faithful to the paper — but used by
-// experiments.PrefetchSweep and available via ByName.
+// experiments.PrefetchCell and available via ByName.
 func ScenarioOscillate() *Scenario {
 	osc := func(name string, easy bool) Segment {
 		if easy {
