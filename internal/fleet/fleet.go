@@ -1176,7 +1176,12 @@ func (f *Fleet) teach(scenario string, recs []runtime.FrameRecord) {
 		m = map[string]zoo.Pair{}
 		f.affinity[scenario] = m
 	}
-	for _, rec := range recs {
+	// A run of equal pairs writes one key with one value, so only the first
+	// record of each run pays for the key string.
+	for i, rec := range recs {
+		if i > 0 && rec.Pair == recs[i-1].Pair {
+			continue
+		}
 		m[rec.Pair.Model+"/"+rec.Pair.Kind.String()] = rec.Pair
 	}
 }

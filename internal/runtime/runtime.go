@@ -429,10 +429,10 @@ func (e *Engine) Run(scenario string, frames []scene.Frame) (*Result, error) {
 		Records:  make([]FrameRecord, 0, len(frames)),
 	}
 	var prev zoo.Pair
-	for i, frame := range frames {
-		st := e.beginStep(frame, i)
+	for i := range frames {
+		st := e.beginStep(&frames[i], i)
 		if err := e.policy.Step(st); err != nil {
-			return nil, fmt.Errorf("runtime: %s frame %d: %w", e.policy.Name(), frame.Index, err)
+			return nil, fmt.Errorf("runtime: %s frame %d: %w", e.policy.Name(), frames[i].Index, err)
 		}
 		// A swap is recorded on the first frame the new pair serves.
 		st.rec.Swapped = i > 0 && st.rec.Pair != prev
@@ -444,7 +444,7 @@ func (e *Engine) Run(scenario string, frames []scene.Frame) (*Result, error) {
 
 // beginStep readies the engine's reusable per-frame context. The returned
 // Step is only valid until the next beginStep call.
-func (e *Engine) beginStep(frame scene.Frame, pos int) *Step {
+func (e *Engine) beginStep(frame *scene.Frame, pos int) *Step {
 	e.step = Step{eng: e, frame: frame, pos: pos, rec: FrameRecord{Index: frame.Index}}
 	e.frameIdx = pos
 	e.loadDur = 0
@@ -455,14 +455,16 @@ func (e *Engine) beginStep(frame scene.Frame, pos int) *Step {
 // being assembled, and the charging primitives. All costs a primitive incurs
 // are accumulated into the record automatically.
 type Step struct {
-	eng   *Engine
-	frame scene.Frame
+	eng *Engine
+	// frame points into the stream's frame slice, which outlives the step;
+	// holding it by value would size every Engine by scene.Frame.
+	frame *scene.Frame
 	pos   int
 	rec   FrameRecord
 }
 
 // Frame returns the frame being processed.
-func (st *Step) Frame() scene.Frame { return st.frame }
+func (st *Step) Frame() scene.Frame { return *st.frame }
 
 // Pos returns the frame's position within the stream (0-based loop index,
 // which differs from Rec().Index for scenarios that do not start at 0).
@@ -590,7 +592,7 @@ func (st *Step) Detect(model string) (detmodel.Detection, error) {
 	if err != nil {
 		return detmodel.Detection{}, err
 	}
-	return e.Model.Detect(st.frame, st.eng.sys.Seed), nil
+	return e.Model.Detect(*st.frame, st.eng.sys.Seed), nil
 }
 
 // RecordDetection commits a detection outcome to the record.

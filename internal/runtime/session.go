@@ -167,7 +167,7 @@ func (s *Session) Step() error {
 		return fmt.Errorf("runtime: stream %s stepped past its last frame", s.res.Name)
 	}
 	i := s.next
-	frame := s.spec.Frames[i]
+	frame := &s.spec.Frames[i]
 	ready := s.ReadyAt()
 	s.eng.at, s.eng.wait = ready, 0
 	st := s.eng.beginStep(frame, i)

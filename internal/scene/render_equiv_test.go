@@ -1,6 +1,11 @@
 package scene
 
-import "testing"
+import (
+	"math"
+	"testing"
+
+	"repro/internal/img"
+)
 
 func framesEqual(t *testing.T, a, b []Frame, label string) {
 	t.Helper()
@@ -20,6 +25,17 @@ func framesEqual(t *testing.T, a, b []Frame, label string) {
 		if !a[i].Image.Equal(b[i].Image) {
 			t.Fatalf("%s: frame %d pixels differ", label, i)
 		}
+		// The gate memo: both frames follow no image or each follows the
+		// frame before it, and the moments and score agree to the bit.
+		if (a[i].prev == nil) != (b[i].prev == nil) || a[i].prev != nil &&
+			(i == 0 || a[i].prev != a[i-1].Image || b[i].prev != b[i-1].Image) {
+			t.Fatalf("%s: frame %d predecessor differs", label, i)
+		}
+		if a[i].sum != b[i].sum || a[i].sumSq != b[i].sumSq ||
+			math.Float64bits(a[i].prevNCC) != math.Float64bits(b[i].prevNCC) {
+			t.Fatalf("%s: frame %d gate memo (%d, %d, %v) vs (%d, %d, %v)", label, i,
+				a[i].sum, a[i].sumSq, a[i].prevNCC, b[i].sum, b[i].sumSq, b[i].prevNCC)
+		}
 	}
 }
 
@@ -33,6 +49,29 @@ func TestRenderMatchesSequential(t *testing.T) {
 			par := sc.Render(seed)
 			seq := sc.renderSequential(seed)
 			framesEqual(t, par, seq, sc.Name)
+		}
+	}
+}
+
+// TestPrevNCCNeedsTheRenderedPredecessor pins the memo's accessor: frame 0
+// has no predecessor, and a frame answers only for the exact image rendered
+// before it, with the value the scheduler would compute itself.
+func TestPrevNCCNeedsTheRenderedPredecessor(t *testing.T) {
+	frames := Scenario2().Render(3)[:3]
+	if _, _, _, ok := frames[0].PrevNCC(nil); ok || frames[0].prev != nil {
+		t.Fatal("frame 0 has a predecessor")
+	}
+	p := frames[0].Image
+	pSum, pSumSq := p.Moments()
+	wantScore, wantSum, wantSumSq := img.NCCMoments(p, frames[1].Image, pSum, pSumSq)
+	score, sum, sumSq, ok := frames[1].PrevNCC(p)
+	if !ok || math.Float64bits(score) != math.Float64bits(wantScore) || sum != wantSum || sumSq != wantSumSq {
+		t.Fatalf("PrevNCC(predecessor) = (%v, %d, %d, %v), want (%v, %d, %d, true)",
+			score, sum, sumSq, ok, wantScore, wantSum, wantSumSq)
+	}
+	for i, other := range []*img.Image{nil, p.Clone(), frames[1].Image, frames[2].Image} {
+		if _, _, _, ok := frames[1].PrevNCC(other); ok {
+			t.Errorf("PrevNCC accepted image %d of nil, clone, itself, successor", i)
 		}
 	}
 }

@@ -71,6 +71,38 @@ type Frame struct {
 	Image *img.Image
 	GT    geom.Rect // ground-truth box; Empty() when the target is absent
 	Ctx   Context
+
+	// Render fills the context gate's whole-frame term once per frame, so
+	// every stream replaying this render shares it: prev is the image
+	// rendered just before this one (nil for frame 0 and for frames not
+	// made by Render), prevNCC is img.NCCMoments(prev, Image) and
+	// sum/sumSq are Image's integer pixel moments.
+	prev       *img.Image
+	prevNCC    float64
+	sum, sumSq uint64
+}
+
+// PrevNCC returns what img.NCCMoments(prev, f.Image, prev's moments) would:
+// the NCC score against prev and f.Image's integer pixel moments, as
+// computed at render time. ok is false unless prev is the very image Render
+// produced just before this frame; a pixel-equal copy does not qualify.
+// Rendered images are immutable, so the stored values stay exact.
+func (f *Frame) PrevNCC(prev *img.Image) (score float64, sum, sumSq uint64, ok bool) {
+	if prev == nil || prev != f.prev {
+		return 0, 0, 0, false
+	}
+	return f.prevNCC, f.sum, f.sumSq, true
+}
+
+// follow fills the gate memo for a frame rendered right after p, whose
+// moments are pSum and pSumSq; p is nil for a scenario's first frame.
+func (f *Frame) follow(p *img.Image, pSum, pSumSq uint64) {
+	if p == nil {
+		f.sum, f.sumSq = f.Image.Moments()
+		return
+	}
+	f.prev = p
+	f.prevNCC, f.sum, f.sumSq = img.NCCMoments(p, f.Image, pSum, pSumSq)
 }
 
 // Segment describes a contiguous stretch of a scenario with linearly
@@ -168,6 +200,17 @@ func (s *Scenario) Render(seed uint64) []Frame {
 	frames := make([]Frame, len(plans))
 	par.ForEach(len(plans), func(i int) {
 		frames[i] = s.renderPlanned(i, &plans[i])
+	})
+	// The gate memo reads each frame's predecessor, so it waits for every
+	// pixel; each worker derives the predecessor's moments itself.
+	par.ForEach(len(frames), func(i int) {
+		if i == 0 {
+			frames[0].follow(nil, 0, 0)
+			return
+		}
+		p := frames[i-1].Image
+		pSum, pSumSq := p.Moments()
+		frames[i].follow(p, pSum, pSumSq)
 	})
 	return frames
 }
@@ -331,7 +374,14 @@ func (s *Scenario) renderSequential(seed uint64) []Frame {
 				addNoise(frame, seg.NoiseStd, noiseRand)
 			}
 
-			frames = append(frames, Frame{Index: idx, Image: frame, GT: gt, Ctx: ctx})
+			f := Frame{Index: idx, Image: frame, GT: gt, Ctx: ctx}
+			if idx == 0 {
+				f.follow(nil, 0, 0)
+			} else {
+				p := &frames[idx-1]
+				f.follow(p.Image, p.sum, p.sumSq)
+			}
+			frames = append(frames, f)
 			idx++
 			phase += seg.PanSpeed
 		}

@@ -44,7 +44,7 @@ func TestBoxCropMisses(t *testing.T) {
 func TestSimilarityNoHistory(t *testing.T) {
 	s := newSched(t, DefaultConfig())
 	frame := img.New(32, 32)
-	if got := s.similarity(frame, nil); got != 0 {
+	if got := s.similarity(&scene.Frame{Image: frame}, nil); got != 0 {
 		t.Fatalf("similarity with no history = %v, want 0", got)
 	}
 }
@@ -68,7 +68,7 @@ func TestSimilarityTakesMinimum(t *testing.T) {
 	}
 	s.lastImg = frame
 	s.lastBox = boxA
-	got := s.similarity(frame, boxB)
+	got := s.similarity(&scene.Frame{Image: frame}, boxB)
 	imgNCC := img.NCC(frame, frame) // 1.0
 	boxNCC := img.NCC(boxA, boxB)   // ~0
 	if got >= imgNCC {
@@ -116,7 +116,7 @@ func TestHysteresisPreventsMarginalSwaps(t *testing.T) {
 		if dec.Rescheduled && dec.Pair != cur {
 			// A swap is only legitimate if the incumbent's model failed the
 			// accuracy filter entirely.
-			if _, ok := dec.Predicted[cur.Model]; ok && dec.MetThreshold {
+			if _, ok := s.predicted()[cur.Model]; ok && dec.MetThreshold {
 				t.Fatalf("iteration %d: swapped to %v despite infinite margin", i, dec.Pair)
 			}
 		}

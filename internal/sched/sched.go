@@ -97,9 +97,6 @@ type Decision struct {
 	Similarity float64
 	// Gate is s × c, compared against AccuracyThreshold.
 	Gate float64
-	// Predicted holds the momentum-averaged accuracy predictions (R in
-	// Algorithm 1) when a re-schedule happened.
-	Predicted map[string]float64
 	// MetThreshold reports whether any candidate met the accuracy goal
 	// (when false, the scheduler fell back to efficiency-only selection).
 	MetThreshold bool
@@ -303,13 +300,18 @@ func (s *Scheduler) boxCrop(frame *img.Image, det detmodel.Detection) *img.Image
 // detection yields 0 for that component, forcing the gate open — exactly
 // when re-evaluation is needed. Each comparison reuses the previous image's
 // cached moments, so only the new image is traversed (incremental NCC).
-func (s *Scheduler) similarity(frame *img.Image, curBox *img.Image) float64 {
-	imgNCC := 0.0
-	var fSum, fSumSq uint64
-	if s.lastImg != nil {
-		imgNCC, fSum, fSumSq = img.NCCMoments(s.lastImg, frame, s.lastImgSum, s.lastImgSumSq)
-	} else {
-		fSum, fSumSq = frame.Moments()
+// When lastImg is the frame's rendered predecessor, the image term is the
+// one Render already computed: the same NCCMoments call over the same
+// immutable pixels, since lastImgSum/lastImgSumSq always hold lastImg's
+// moments.
+func (s *Scheduler) similarity(frame *scene.Frame, curBox *img.Image) float64 {
+	imgNCC, fSum, fSumSq, ok := frame.PrevNCC(s.lastImg)
+	if !ok {
+		if s.lastImg != nil {
+			imgNCC, fSum, fSumSq = img.NCCMoments(s.lastImg, frame.Image, s.lastImgSum, s.lastImgSumSq)
+		} else {
+			fSum, fSumSq = frame.Image.Moments()
+		}
 	}
 	boxNCC := 0.0
 	if curBox != nil {
@@ -321,7 +323,7 @@ func (s *Scheduler) similarity(frame *img.Image, curBox *img.Image) float64 {
 		}
 		s.lastBox, s.lastBoxSum, s.lastBoxSumSq = curBox, bSum, bSumSq
 	}
-	s.lastImg, s.lastImgSum, s.lastImgSumSq = frame, fSum, fSumSq
+	s.lastImg, s.lastImgSum, s.lastImgSumSq = frame.Image, fSum, fSumSq
 	if boxNCC < imgNCC {
 		return boxNCC
 	}
@@ -335,7 +337,7 @@ func (s *Scheduler) Decide(cur zoo.Pair, det detmodel.Detection, frame scene.Fra
 	curBox := s.boxCrop(frame.Image, det)
 	// similarity also updates the NCC history (image, box and their moments)
 	// for the next frame, regardless of the gate outcome.
-	sim := s.similarity(frame.Image, curBox)
+	sim := s.similarity(&frame, curBox)
 
 	gate := sim * det.Conf
 	if !s.cfg.DisableGate && gate >= s.cfg.AccuracyThreshold {
@@ -415,19 +417,11 @@ func (s *Scheduler) Decide(cur zoo.Pair, det detmodel.Detection, frame scene.Fra
 			best = cur
 		}
 	}
-	// Predicted mirrors the momentum averages for diagnostics and tests.
-	r := make(map[string]float64, len(s.modelNames))
-	for idx, set := range s.rSet {
-		if set {
-			r[s.modelNames[idx]] = s.rVals[idx]
-		}
-	}
 	return Decision{
 		Pair:         best,
 		Rescheduled:  true,
 		Similarity:   sim,
 		Gate:         gate,
-		Predicted:    r,
 		MetThreshold: met,
 	}
 }

@@ -66,6 +66,18 @@ func hardFrame(i int) scene.Frame {
 	return scene.RenderSingle(i, ctx, rng.New(uint64(i)).Fork("sched-hard"))
 }
 
+// predicted returns the momentum-averaged accuracy predictions (R in
+// Algorithm 1) of every model that has at least one buffered prediction.
+func (s *Scheduler) predicted() map[string]float64 {
+	r := make(map[string]float64, len(s.modelNames))
+	for idx, set := range s.rSet {
+		if set {
+			r[s.modelNames[idx]] = s.rVals[idx]
+		}
+	}
+	return r
+}
+
 func detect(t *testing.T, f *fixture, model string, frame scene.Frame) detmodel.Detection {
 	t.Helper()
 	e, err := f.sys.Entry(model)
@@ -189,8 +201,9 @@ func TestEnergyKnobSteersToFrugalPairs(t *testing.T) {
 	// met the goal) whose prediction cleared the accuracy threshold.
 	key := profile.PairKey{Model: dec.Pair.Model, Kind: dec.Pair.Kind}
 	best := f.ch.EnergyScore[key]
+	preds := s.predicted()
 	for k, v := range f.ch.EnergyScore {
-		r, predicted := dec.Predicted[k.Model]
+		r, predicted := preds[k.Model]
 		if !predicted || (dec.MetThreshold && r < cfg.AccuracyThreshold) {
 			continue
 		}
@@ -214,8 +227,9 @@ func TestLatencyKnobSteersToFastPairs(t *testing.T) {
 	}
 	key := profile.PairKey{Model: dec.Pair.Model, Kind: dec.Pair.Kind}
 	best := f.ch.LatencyScore[key]
+	preds := s.predicted()
 	for k, v := range f.ch.LatencyScore {
-		r, predicted := dec.Predicted[k.Model]
+		r, predicted := preds[k.Model]
 		if !predicted || (dec.MetThreshold && r < cfg.AccuracyThreshold) {
 			continue
 		}
@@ -345,7 +359,10 @@ func TestCandidatesDeduplicateDLAs(t *testing.T) {
 	}
 }
 
-func BenchmarkDecide(b *testing.B) {
+// benchSched builds a default scheduler over a small characterization, with
+// the YoloV7 detection of each frame.
+func benchSched(b *testing.B, frames []scene.Frame) (*Scheduler, []detmodel.Detection) {
+	b.Helper()
 	sys := zoo.Default(1)
 	ch := profile.Characterize(sys, scene.ValidationSet(1, 300))
 	g, err := confgraph.Build(ch, confgraph.DefaultOptions())
@@ -356,15 +373,47 @@ func BenchmarkDecide(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	e, err := sys.Entry(detmodel.YoloV7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dets := make([]detmodel.Detection, len(frames))
+	for i, frame := range frames {
+		dets[i] = e.Model.Detect(frame, sys.Seed)
+	}
+	return s, dets
+}
+
+// BenchmarkDecide feeds one standalone frame over and over, so the gate
+// always recomputes the whole-frame NCC.
+func BenchmarkDecide(b *testing.B) {
 	ctx := scene.Context{Present: true, Distance: 0.5, Contrast: 0.6, Clutter: 0.4}
 	frame := scene.RenderSingle(0, ctx, rng.New(1))
-	e, _ := sys.Entry(detmodel.YoloV7)
-	det := e.Model.Detect(frame, sys.Seed)
+	s, dets := benchSched(b, []scene.Frame{frame})
 	cur := s.Pairs()[0]
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		dec := s.Decide(cur, det, frame)
+		dec := s.Decide(cur, dets[0], frame)
+		cur = dec.Pair
+	}
+}
+
+// BenchmarkDecideRendered steps a scheduler through the first 240 frames of
+// a rendered scenario, restarting the stream at the end: the traffic fleet
+// streams serve, where the whole-frame NCC comes from the render.
+func BenchmarkDecideRendered(b *testing.B) {
+	frames := scene.Scenario2().Render(1)[:240]
+	s, dets := benchSched(b, frames)
+	cur := s.Pairs()[0]
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		k := i % len(frames)
+		if k == 0 {
+			s.Reset()
+		}
+		dec := s.Decide(cur, dets[k], frames[k])
 		cur = dec.Pair
 	}
 }

@@ -1,23 +1,30 @@
 package sched
 
 import (
+	"maps"
 	"testing"
 
 	"repro/internal/accel"
 	"repro/internal/scene"
 )
 
+// outcome is one decision with the momentum averages it left behind.
+type outcome struct {
+	Decision
+	predicted map[string]float64
+}
+
 // decideSeq runs the scheduler over frames, feeding each decision's pair back
-// as the next frame's current pair, and returns the decisions.
-func decideSeq(t *testing.T, s *Scheduler, frames []scene.Frame) []Decision {
+// as the next frame's current pair, and returns the outcomes.
+func decideSeq(t *testing.T, s *Scheduler, frames []scene.Frame) []outcome {
 	t.Helper()
 	f := fx(t)
 	cur := pairFor(t, s, "YoloV7", accel.KindGPU)
-	out := make([]Decision, 0, len(frames))
+	out := make([]outcome, 0, len(frames))
 	for _, frame := range frames {
 		det := detect(t, f, cur.Model, frame)
 		dec := s.Decide(cur, det, frame)
-		out = append(out, dec)
+		out = append(out, outcome{dec, s.predicted()})
 		cur = dec.Pair
 	}
 	return out
@@ -53,7 +60,7 @@ func TestSnapshotRestoreMatchesUninterrupted(t *testing.T) {
 		for _, frame := range frames[k:] {
 			det := detect(t, f, cur.Model, frame)
 			dec := b.Decide(cur, det, frame)
-			got = append(got, dec)
+			got = append(got, outcome{dec, b.predicted()})
 			cur = dec.Pair
 		}
 		if len(got) != len(want) {
@@ -96,17 +103,7 @@ func TestSnapshotIsolatedFromSource(t *testing.T) {
 	}
 }
 
-// decisionsEqual compares all decision fields, including the momentum map.
-func decisionsEqual(a, b Decision) bool {
-	if a.Pair != b.Pair || a.Rescheduled != b.Rescheduled ||
-		a.Similarity != b.Similarity || a.Gate != b.Gate ||
-		a.MetThreshold != b.MetThreshold || len(a.Predicted) != len(b.Predicted) {
-		return false
-	}
-	for k, v := range a.Predicted {
-		if bv, ok := b.Predicted[k]; !ok || bv != v {
-			return false
-		}
-	}
-	return true
+// decisionsEqual compares all decision fields and the momentum averages.
+func decisionsEqual(a, b outcome) bool {
+	return a.Decision == b.Decision && maps.Equal(a.predicted, b.predicted)
 }
