@@ -181,7 +181,7 @@ func runSHIFTWith(b *testing.B, e *experiments.Env, mutate func(*pipeline.Option
 	if err != nil {
 		b.Fatal(err)
 	}
-	return metrics.Summarize(res), shift.LoaderStats()
+	return metrics.Summarize(res), shift.Loader().Stats()
 }
 
 // BenchmarkAblationGraphDepth compares the full confidence graph against a
@@ -248,7 +248,7 @@ func BenchmarkAblationEviction(b *testing.B) {
 			}
 			if i == 0 {
 				s := metrics.Summarize(res)
-				stats := shift.LoaderStats()
+				stats := shift.Loader().Stats()
 				b.Logf("eviction=%s: loads=%d evictions=%d loadEnergy=%.1fJ frameEnergy=%.3fJ",
 					policy, stats.Loads, stats.Evictions, stats.LoadEnergyJ, s.AvgEnergyJ)
 			}

@@ -14,12 +14,14 @@
 //
 //   - internal/confgraph, internal/sched, internal/loader, internal/pipeline:
 //     the paper's contribution (offline graph, Algorithm 1, DML, SHIFT).
-//   - internal/runtime: the shared serving engine — one step loop behind a
-//     Policy interface that SHIFT and every baseline run on, plus the
-//     deterministic multi-stream event loop (runtime.Serve) with FIFO
-//     processor queueing and reference-counted engine residency, factored
-//     into steppable per-stream Sessions with checkpoint/restore
+//   - internal/runtime: the shared serving engine — one frame loop,
+//     Session.Step, behind a Policy interface that SHIFT and every baseline
+//     run on. Each per-stream Session queues FIFO on processors and holds
+//     reference-counted engine residency, with checkpoint/restore
 //     (Session.Snapshot, RestoreSession, PortablePolicy) for migration.
+//     Engine.Run (the paper's sequential loop), Engine.RunLive (a live
+//     camera that drops frames while busy) and the multi-stream event loop
+//     runtime.Serve all step sessions.
 //   - internal/fleet: the multi-device serving layer — K heterogeneous
 //     devices behind a dispatcher with pluggable placement policies
 //     (round-robin, least-outstanding, residency-affinity), admission
@@ -71,7 +73,8 @@
 //   - internal/scene, internal/detmodel, internal/accel, internal/zoo:
 //     the simulated substrates (videos, models, hardware, binding).
 //   - internal/baseline: Marlin, single-model, frame-skip and Oracle
-//     comparison methods, all thin policies over the engine.
+//     comparison methods, all thin policies whose constructors return a
+//     runtime.Engine, as pipeline.NewSHIFT does.
 //   - internal/experiments: one runner per paper table/figure, the
 //     multi-stream contention sweep (experiments.MultiStream), and every
 //     fleet experiment as a list of declarative cells (experiments.Cell:

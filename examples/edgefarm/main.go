@@ -92,7 +92,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := fl.Run(reqs)
+		res, err := fl.RunWithFaults(reqs, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -3,9 +3,10 @@
 // The offline evaluation processes every frame; a deployed system receives
 // frames at the camera's pace. This example shows both live regimes:
 //
-//  1. A single camera with a one-slot queue (pipeline.RunLive): frames that
-//     arrive while the pipeline is busy are dropped, and stale detections
-//     are scored against the current ground truth.
+//  1. A single camera that does not queue (runtime.Engine.RunLive): every
+//     frame that arrives while the stream is busy is dropped, the stream
+//     starts the next frame when it arrives, and stale detections are
+//     scored against the current ground truth.
 //
 //  2. Two concurrent cameras served over one shared platform
 //     (runtime.Serve): each stream has its own SHIFT scheduler, but the

@@ -60,5 +60,5 @@ func main() {
 	fmt.Printf("non-GPU frames %.1f%%\n", s.NonGPUFrac*100)
 	fmt.Printf("model swaps    %d across %d pairs\n", s.Swaps, int(s.PairsUsed))
 	fmt.Printf("loader         %d loads, %d evictions\n",
-		shift.LoaderStats().Loads, shift.LoaderStats().Evictions)
+		shift.Loader().Stats().Loads, shift.Loader().Stats().Evictions)
 }

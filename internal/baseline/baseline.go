@@ -1,19 +1,20 @@
 // Package baseline implements the comparison methods of the paper's
 // evaluation (Table III):
 //
-//   - SingleModel: the conventional deployment — one fixed (model,
+//   - NewSingleModel: the conventional deployment — one fixed (model,
 //     accelerator) pair for every frame.
-//   - Marlin [5]: power-thrifty detection that alternates a DNN with a
+//   - NewMarlin [5]: power-thrifty detection that alternates a DNN with a
 //     lightweight NCC template tracker, re-invoking the DNN when the tracker
 //     loses confidence, the target moves, or the track ages out.
-//   - Oracle: the performance ceiling — per frame it inspects every
+//   - NewOracle: the performance ceiling — per frame it inspects every
 //     (model, kind) pair's actual outcome, keeps those clearing 0.5 IoU and
 //     picks the one optimizing the target metric (energy, accuracy or
 //     latency). Following the paper, the Oracle assumes all models are
 //     resident (no load costs) and pays only the chosen pair's execution.
 //
-// Each baseline is a thin runtime.Policy over the shared step engine
-// (package runtime), so all methods — including SHIFT — run the same
+// NewFrameSkip adds the frame-skipping family of the related work. Each
+// baseline is a thin runtime.Policy that its constructor returns inside a
+// runtime.Engine, so all methods — including SHIFT — run the same
 // per-frame loop on the same virtual platform, the same deterministic
 // detections and the same rendered frames, and Table III comparisons are
 // apples-to-apples. The conformance suite in this package pins the loop
@@ -25,9 +26,7 @@ import (
 
 	"repro/internal/detmodel"
 	"repro/internal/loader"
-	"repro/internal/pipeline"
 	"repro/internal/runtime"
-	"repro/internal/scene"
 	"repro/internal/track"
 	"repro/internal/zoo"
 )
@@ -42,32 +41,19 @@ func findPair(sys *zoo.System, model, procID string) (zoo.Pair, error) {
 	return zoo.Pair{}, fmt.Errorf("baseline: no runtime pair %s@%s", model, procID)
 }
 
-// newEngine wraps a policy in a solo engine with its own LRR loader.
+// newEngine wraps a policy in an engine with its own LRR loader.
 func newEngine(sys *zoo.System, pol runtime.Policy) *runtime.Engine {
 	return runtime.NewEngine(sys, loader.New(sys, loader.EvictLRR), pol)
 }
 
-// SingleModel runs one fixed pair on every frame.
-type SingleModel struct {
-	pair zoo.Pair
-	eng  *runtime.Engine
-}
-
-// NewSingleModel builds the conventional single-model runner.
-func NewSingleModel(sys *zoo.System, model, procID string) (*SingleModel, error) {
+// NewSingleModel builds the conventional single-model runner: one fixed pair
+// on every frame.
+func NewSingleModel(sys *zoo.System, model, procID string) (*runtime.Engine, error) {
 	pair, err := findPair(sys, model, procID)
 	if err != nil {
 		return nil, err
 	}
-	return &SingleModel{pair: pair, eng: newEngine(sys, &singleModelPolicy{pair: pair})}, nil
-}
-
-// Name implements pipeline.Runner.
-func (s *SingleModel) Name() string { return s.pair.Model + "@" + s.pair.ProcID }
-
-// Run implements pipeline.Runner.
-func (s *SingleModel) Run(scenario string, frames []scene.Frame) (*pipeline.Result, error) {
-	return s.eng.Run(scenario, frames)
+	return newEngine(sys, &singleModelPolicy{pair: pair}), nil
 }
 
 // singleModelPolicy serves every frame from one fixed pair.
@@ -132,27 +118,13 @@ func DefaultMarlinConfig() MarlinConfig {
 	}
 }
 
-// Marlin is the DNN+tracker alternation baseline.
-type Marlin struct {
-	pol *marlinPolicy
-	eng *runtime.Engine
-}
-
-// NewMarlin builds a Marlin runner.
-func NewMarlin(sys *zoo.System, cfg MarlinConfig) (*Marlin, error) {
+// NewMarlin builds a Marlin runner: the DNN+tracker alternation baseline.
+func NewMarlin(sys *zoo.System, cfg MarlinConfig) (*runtime.Engine, error) {
 	pol, err := newMarlinPolicy(sys, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Marlin{pol: pol, eng: newEngine(sys, pol)}, nil
-}
-
-// Name implements pipeline.Runner.
-func (m *Marlin) Name() string { return m.pol.Name() }
-
-// Run implements pipeline.Runner.
-func (m *Marlin) Run(scenario string, frames []scene.Frame) (*pipeline.Result, error) {
-	return m.eng.Run(scenario, frames)
+	return newEngine(sys, pol), nil
 }
 
 // marlinPolicy alternates the DNN with the template tracker.

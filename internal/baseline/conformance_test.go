@@ -7,6 +7,7 @@ import (
 	"repro/internal/detmodel"
 	"repro/internal/pipeline"
 	"repro/internal/profile"
+	"repro/internal/runtime"
 	"repro/internal/scene"
 	"repro/internal/zoo"
 )
@@ -15,7 +16,7 @@ import (
 // loader and policy state), so every row of the table is independent.
 type conformanceCase struct {
 	name  string
-	build func(t *testing.T) pipeline.Runner
+	build func(t *testing.T) *runtime.Engine
 	// extra holds method-specific invariants beyond the shared loop
 	// contract.
 	extra func(t *testing.T, res *pipeline.Result)
@@ -35,7 +36,7 @@ func conformanceCases(t *testing.T) []conformanceCase {
 	return []conformanceCase{
 		{
 			name: "SingleModel",
-			build: func(t *testing.T) pipeline.Runner {
+			build: func(t *testing.T) *runtime.Engine {
 				r, err := NewSingleModel(zoo.Default(1), detmodel.YoloV7, "gpu")
 				if err != nil {
 					t.Fatal(err)
@@ -55,7 +56,7 @@ func conformanceCases(t *testing.T) []conformanceCase {
 		},
 		{
 			name: "Marlin",
-			build: func(t *testing.T) pipeline.Runner {
+			build: func(t *testing.T) *runtime.Engine {
 				r, err := NewMarlin(zoo.Default(1), DefaultMarlinConfig())
 				if err != nil {
 					t.Fatal(err)
@@ -70,7 +71,7 @@ func conformanceCases(t *testing.T) []conformanceCase {
 		},
 		{
 			name: "FrameSkip",
-			build: func(t *testing.T) pipeline.Runner {
+			build: func(t *testing.T) *runtime.Engine {
 				r, err := NewFrameSkip(zoo.Default(1), detmodel.YoloV7, "gpu", 4)
 				if err != nil {
 					t.Fatal(err)
@@ -88,7 +89,7 @@ func conformanceCases(t *testing.T) []conformanceCase {
 		},
 		{
 			name: "Oracle",
-			build: func(t *testing.T) pipeline.Runner {
+			build: func(t *testing.T) *runtime.Engine {
 				r, err := NewOracle(zoo.Default(1), OracleAccuracy)
 				if err != nil {
 					t.Fatal(err)
@@ -105,7 +106,7 @@ func conformanceCases(t *testing.T) []conformanceCase {
 		},
 		{
 			name: "OracleWithLoads",
-			build: func(t *testing.T) pipeline.Runner {
+			build: func(t *testing.T) *runtime.Engine {
 				r, err := NewOracleWithLoads(zoo.Default(1), OracleEnergy)
 				if err != nil {
 					t.Fatal(err)
@@ -115,7 +116,7 @@ func conformanceCases(t *testing.T) []conformanceCase {
 		},
 		{
 			name: "SHIFT",
-			build: func(t *testing.T) pipeline.Runner {
+			build: func(t *testing.T) *runtime.Engine {
 				r, err := pipeline.NewSHIFT(zoo.Default(1), ch, graph, pipeline.DefaultOptions())
 				if err != nil {
 					t.Fatal(err)
@@ -134,8 +135,9 @@ func conformanceCases(t *testing.T) []conformanceCase {
 // TestRunnerConformance is the shared loop contract every policy must
 // satisfy, replacing the per-baseline copies of these assertions: one
 // record per frame in order, swap flags derived from the pair sequence,
-// well-formed costs and detections, and bit-exact determinism across fresh
-// runner constructions.
+// well-formed costs and detections, bit-exact determinism across fresh
+// runner constructions, and a live camera on the same loop (RunLive at
+// period 0 reproduces Run; a fast camera drops what it does not serve).
 func TestRunnerConformance(t *testing.T) {
 	frames := testFrames(t)
 	for _, c := range conformanceCases(t) {
@@ -189,6 +191,36 @@ func TestRunnerConformance(t *testing.T) {
 			}
 			if c.extra != nil {
 				c.extra(t, res)
+			}
+			// Live at period 0 serves every frame exactly as Run does.
+			live, err := c.build(t).RunLive("scenario2", frames, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if live.Dropped != 0 || len(live.Result.Records) != len(res.Records) {
+				t.Fatalf("period-0 live run dropped %d and served %d of %d frames",
+					live.Dropped, len(live.Result.Records), len(res.Records))
+			}
+			for i := range res.Records {
+				if live.Result.Records[i] != res.Records[i] {
+					t.Fatalf("period-0 live record %d differs from Run:\n%+v\n%+v", i, live.Result.Records[i], res.Records[i])
+				}
+			}
+			// A 100 fps camera outruns the stream: every delivered frame is
+			// either served or dropped, and swap flags follow the served
+			// pair sequence.
+			live, err = c.build(t).RunLive("scenario2", frames, 0.01)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if live.Delivered != len(frames) || live.Dropped+len(live.Result.Records) != live.Delivered {
+				t.Fatalf("fast camera: dropped %d + served %d != delivered %d (%d frames)",
+					live.Dropped, len(live.Result.Records), live.Delivered, len(frames))
+			}
+			for i, rec := range live.Result.Records {
+				if want := i > 0 && rec.Pair != live.Result.Records[i-1].Pair; rec.Swapped != want {
+					t.Fatalf("fast camera: served frame %d Swapped=%v, want %v", i, rec.Swapped, want)
+				}
 			}
 		})
 	}

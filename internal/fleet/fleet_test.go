@@ -111,7 +111,7 @@ func TestFleetSingleDeviceReproducesServe(t *testing.T) {
 				Policy:    fixedFactory(detmodel.YoloV7, "gpu"),
 			}
 		}
-		res, err := f.Run(reqs)
+		res, err := f.RunWithFaults(reqs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,11 +167,11 @@ func TestFleetAdmissionBudgetAndQueue(t *testing.T) {
 	}
 	// 30 frames at 10 fps ≈ 3 s per stream; all three arrive inside the
 	// first stream's service time.
-	res, err := f.Run([]StreamRequest{
+	res, err := f.RunWithFaults([]StreamRequest{
 		mk("s0", 0),
 		mk("s1", 500*time.Millisecond),
 		mk("s2", time.Second),
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestFleetRoundRobinRotation(t *testing.T) {
 			Policy: fixedFactory(detmodel.YoloV7Tiny, "gpu"),
 		})
 	}
-	res, err := f.Run(reqs)
+	res, err := f.RunWithFaults(reqs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestFleetLeastOutstandingAvoidsBacklog(t *testing.T) {
 		Frames: frames[:20], PeriodSec: 0.1,
 		Policy: fixedFactory(detmodel.YoloV7Tiny, "gpu"),
 	}
-	res, err := f.Run([]StreamRequest{long, short})
+	res, err := f.RunWithFaults([]StreamRequest{long, short}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,11 +287,11 @@ func TestFleetResidencyAffinityPrefersWarmDevice(t *testing.T) {
 		}
 	}
 	// Sequential (non-overlapping) arrivals: a0, then b0, then a1.
-	res, err := f.Run([]StreamRequest{
+	res, err := f.RunWithFaults([]StreamRequest{
 		mk("a0", "A", detmodel.YoloV7, 0),
 		mk("b0", "B", detmodel.SSDResnet50, 60*time.Second),
 		mk("a1", "A", detmodel.YoloV7, 120*time.Second),
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,11 +325,11 @@ func TestFleetHeterogeneousScale(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := f.Run([]StreamRequest{{
+		res, err := f.RunWithFaults([]StreamRequest{{
 			Name: "s", Scenario: "scenario2",
 			Frames: testFrames(t)[:50], PeriodSec: 0, // offline pacing: pure service time
 			Policy: fixedFactory(detmodel.YoloV7, "gpu"),
-		}})
+		}}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -37,7 +37,7 @@ func runRecordedWorkload(t *testing.T, regions int, rec *obs.Recorder) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := f.Run(seededRequests(t))
+	res, err := f.RunWithFaults(seededRequests(t), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestChromeTraceGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Run(reqs); err != nil {
+	if _, err := f.RunWithFaults(reqs, nil); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

@@ -105,7 +105,7 @@ func prefetchCell(t *testing.T, regions int, rec *obs.Recorder, pf *predict.Conf
 			},
 		}
 	}
-	res, err := fl.Run(reqs)
+	res, err := fl.RunWithFaults(reqs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,13 @@
 package pipeline
 
 import (
-	"repro/internal/confgraph"
-	"repro/internal/profile"
-	"repro/internal/zoo"
 	"testing"
 
+	"repro/internal/confgraph"
+	"repro/internal/profile"
+	"repro/internal/runtime"
 	"repro/internal/scene"
+	"repro/internal/zoo"
 )
 
 func TestRunLiveValidation(t *testing.T) {
@@ -99,7 +100,7 @@ func TestRunLiveEffectiveIoUBelowProcessedIoU(t *testing.T) {
 
 func TestRunLiveDeterministic(t *testing.T) {
 	name, frames := shortScenario(t)
-	run := func() *LiveResult {
+	run := func() *runtime.LiveResult {
 		s := freshSHIFT(t, DefaultOptions())
 		live, err := s.RunLive(name, frames, 0.05)
 		if err != nil {
@@ -113,20 +114,55 @@ func TestRunLiveDeterministic(t *testing.T) {
 	}
 }
 
-func TestStaleIoU(t *testing.T) {
+// TestRunLiveAfterRunServesFrameZero: a live run measures camera arrivals
+// from its own open time, not from virtual time 0, so an engine that has
+// already run (its platform clock far past 0) still serves the first frame.
+// Its loader is warm, so it drops no more frames than a fresh engine, which
+// pays the initial load while the camera keeps delivering.
+func TestRunLiveAfterRunServesFrameZero(t *testing.T) {
 	name, frames := shortScenario(t)
-	_ = name
-	rec := FrameRecord{Found: true, IoU: 0.8, Box: frames[0].GT}
-	// Against its own frame the stale score equals a perfect overlap.
-	if got := staleIoU(rec, frames[0]); got != 1 {
-		t.Fatalf("self stale IoU %v", got)
+	fresh, err := freshSHIFT(t, DefaultOptions()).RunLive(name, frames, 0.05)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Against the departed segment there is no GT.
-	if got := staleIoU(rec, frames[len(frames)-1]); got != 0 {
-		t.Fatalf("stale IoU vs empty GT %v", got)
+	s := freshSHIFT(t, DefaultOptions())
+	if _, err := s.Run(name, frames); err != nil {
+		t.Fatal(err)
 	}
-	if got := staleIoU(FrameRecord{}, frames[0]); got != 0 {
-		t.Fatalf("miss stale IoU %v", got)
+	for pass := 1; pass <= 2; pass++ {
+		live, err := s.RunLive(name, frames, 0.05)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(live.Result.Records) == 0 || live.Result.Records[0].Index != frames[0].Index {
+			t.Fatalf("live pass %d after Run dropped frame 0", pass)
+		}
+		if live.Dropped > fresh.Dropped {
+			t.Fatalf("live pass %d after Run dropped %d frames, a fresh engine %d", pass, live.Dropped, fresh.Dropped)
+		}
+	}
+}
+
+// TestRunLiveSwapFlagsFollowServedFrames: start-of-stream prefetch keeps the
+// stream busy past the camera's first frames, so they drop. The first frame
+// served has no predecessor to swap from, and every later flag compares
+// against the previous served frame, not the previous delivered one.
+func TestRunLiveSwapFlagsFollowServedFrames(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Prefetch = true
+	name, frames := shortScenario(t)
+	live, err := freshSHIFT(t, opts).RunLive(name, frames, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := live.Result.Records
+	if len(recs) == 0 || recs[0].Index == frames[0].Index {
+		t.Fatal("start-of-stream prefetch should keep the stream busy past frame 0")
+	}
+	for i, rec := range recs {
+		if want := i > 0 && rec.Pair != recs[i-1].Pair; rec.Swapped != want {
+			t.Fatalf("served frame %d (index %d) Swapped=%v, want %v", i, rec.Index, rec.Swapped, want)
+		}
 	}
 }
 

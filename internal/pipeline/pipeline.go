@@ -19,7 +19,6 @@ import (
 	"repro/internal/loader"
 	"repro/internal/profile"
 	"repro/internal/runtime"
-	"repro/internal/scene"
 	"repro/internal/sched"
 	"repro/internal/zoo"
 )
@@ -32,25 +31,10 @@ type (
 	FrameRecord = runtime.FrameRecord
 	// Result is one method's run over one scenario.
 	Result = runtime.Result
-	// Runner produces a Result over a rendered scenario. SHIFT and each
-	// baseline (package baseline) implement it.
+	// Runner produces a Result over a rendered scenario. The engine NewSHIFT
+	// returns and each baseline (package baseline) implement it.
 	Runner = runtime.Runner
 )
-
-// SHIFT is the full system of the paper: scheduler + dynamic model loader
-// over the simulated platform, run by the shared step engine.
-type SHIFT struct {
-	sys       *zoo.System
-	scheduler *sched.Scheduler
-	dml       *loader.Loader
-	initial   zoo.Pair
-	pol       *shiftPolicy
-	eng       *runtime.Engine
-	// PrefetchOnStart optionally fills free memory with the smallest
-	// engines before the stream starts (the DML's occupy-all-memory
-	// strategy); costs are charged up front.
-	PrefetchOnStart bool
-}
 
 // Options assembles a SHIFT runtime.
 type Options struct {
@@ -60,7 +44,10 @@ type Options struct {
 	// deployment default: the strongest model on the GPU).
 	InitialModel string
 	InitialProc  string
-	Prefetch     bool
+	// Prefetch fills free memory with the smallest engines at the start of
+	// every stream (the DML's occupy-all-memory strategy); costs are charged
+	// up front.
+	Prefetch bool
 }
 
 // DefaultOptions mirrors the paper's Table III configuration.
@@ -73,48 +60,15 @@ func DefaultOptions() Options {
 	}
 }
 
-// NewSHIFT builds the SHIFT runtime from its three components.
-func NewSHIFT(sys *zoo.System, ch *profile.Characterization, graph *confgraph.Graph, opts Options) (*SHIFT, error) {
-	pol, err := newShiftPolicy(sys, ch, graph, opts)
+// NewSHIFT builds the full system of the paper from its three components:
+// the scheduler's policy and a dynamic model loader over the simulated
+// platform, run by the shared step engine.
+func NewSHIFT(sys *zoo.System, ch *profile.Characterization, graph *confgraph.Graph, opts Options) (*runtime.Engine, error) {
+	pol, err := NewPolicy(sys, ch, graph, opts)
 	if err != nil {
 		return nil, err
 	}
-	dml := loader.New(sys, opts.Eviction)
-	return &SHIFT{
-		sys:             sys,
-		scheduler:       pol.scheduler,
-		dml:             dml,
-		initial:         pol.initial,
-		pol:             pol,
-		eng:             runtime.NewEngine(sys, dml, pol),
-		PrefetchOnStart: opts.Prefetch,
-	}, nil
-}
-
-// NewPolicy builds the SHIFT decision logic as a runtime.Policy for the
-// multi-stream serving engine (runtime.Serve). The policy is stateful
-// (scheduler NCC history and momentum buffers), so every stream needs its
-// own instance even when streams share one platform and loader.
-func NewPolicy(sys *zoo.System, ch *profile.Characterization, graph *confgraph.Graph, opts Options) (runtime.Policy, error) {
-	pol, err := newShiftPolicy(sys, ch, graph, opts)
-	if err != nil {
-		return nil, err
-	}
-	pol.prefetch = opts.Prefetch
-	return pol, nil
-}
-
-// Name implements Runner.
-func (s *SHIFT) Name() string { return s.pol.Name() }
-
-// LoaderStats exposes the DML counters for reporting.
-func (s *SHIFT) LoaderStats() loader.Stats { return s.dml.Stats() }
-
-// Run implements Runner: the continuous detection loop of the paper, driven
-// by the shared engine.
-func (s *SHIFT) Run(scenario string, frames []scene.Frame) (*Result, error) {
-	s.pol.prefetch = s.PrefetchOnStart
-	return s.eng.Run(scenario, frames)
+	return runtime.NewEngine(sys, loader.New(sys, opts.Eviction), pol), nil
 }
 
 // shiftPolicy is SHIFT expressed as a runtime.Policy: per-frame it serves
@@ -127,8 +81,11 @@ type shiftPolicy struct {
 	cur       zoo.Pair
 }
 
-// newShiftPolicy resolves the scheduler and the initial pair.
-func newShiftPolicy(sys *zoo.System, ch *profile.Characterization, graph *confgraph.Graph, opts Options) (*shiftPolicy, error) {
+// NewPolicy builds the SHIFT decision logic as a runtime.Policy: the
+// scheduler plus the initial pair. The policy is stateful (scheduler NCC
+// history and momentum buffers), so every stream needs its own instance even
+// when streams share one platform and loader.
+func NewPolicy(sys *zoo.System, ch *profile.Characterization, graph *confgraph.Graph, opts Options) (runtime.Policy, error) {
 	sc, err := sched.New(sys, ch, graph, opts.Sched)
 	if err != nil {
 		return nil, err
@@ -153,7 +110,7 @@ func newShiftPolicy(sys *zoo.System, ch *profile.Characterization, graph *confgr
 				opts.InitialModel, opts.InitialProc)
 		}
 	}
-	return &shiftPolicy{scheduler: sc, initial: initial}, nil
+	return &shiftPolicy{scheduler: sc, initial: initial, prefetch: opts.Prefetch}, nil
 }
 
 // Name implements runtime.Policy.

@@ -6,6 +6,7 @@ import (
 	"repro/internal/accel"
 	"repro/internal/confgraph"
 	"repro/internal/profile"
+	"repro/internal/runtime"
 	"repro/internal/scene"
 	"repro/internal/zoo"
 )
@@ -34,7 +35,7 @@ func testEnv(t *testing.T) *env {
 
 // freshSHIFT builds a SHIFT runtime on a fresh system (fresh clock and
 // memory) reusing the cached characterization.
-func freshSHIFT(t *testing.T, opts Options) *SHIFT {
+func freshSHIFT(t *testing.T, opts Options) *runtime.Engine {
 	t.Helper()
 	e := testEnv(t)
 	sys := zoo.Default(1)
@@ -110,12 +111,12 @@ func TestFirstFramePaysLoad(t *testing.T) {
 func TestVirtualClockAdvancesMonotonically(t *testing.T) {
 	s := freshSHIFT(t, DefaultOptions())
 	name, frames := shortScenario(t)
-	before := s.sys.SoC.Clock.Now()
+	before := s.System().SoC.Clock.Now()
 	res, err := s.Run(name, frames)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := s.sys.SoC.Clock.Now()
+	after := s.System().SoC.Clock.Now()
 	var totalLat float64
 	for _, rec := range res.Records {
 		totalLat += rec.LatSec
@@ -231,9 +232,9 @@ func TestPrefetchReducesMidStreamLoads(t *testing.T) {
 	}
 	// With prefetching, engines for small models are already resident, so
 	// the demand-load count during the stream must not increase.
-	if prefetched.LoaderStats().Loads < base.LoaderStats().Loads {
+	if prefetched.Loader().Stats().Loads < base.Loader().Stats().Loads {
 		t.Fatalf("prefetch increased demand loads: %d vs %d",
-			prefetched.LoaderStats().Loads, base.LoaderStats().Loads)
+			prefetched.Loader().Stats().Loads, base.Loader().Stats().Loads)
 	}
 }
 

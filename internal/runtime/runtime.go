@@ -5,24 +5,26 @@
 // copy-paste: loader charging, platform execution, detection bookkeeping,
 // swap tracking and record assembly; a policy expresses only its decisions.
 //
-// The engine runs in two modes:
+// There is one frame loop, Session.Step. A Session is one stream on a
+// virtual-clock platform: executions queue FIFO on their processor
+// (accel.SoC.ExecFrom), engines are shared across streams under
+// reference-counted residency (loader.Acquire/Release), and a stream that
+// cannot load its chosen engine because every byte is held by other streams
+// falls back to the engine it already holds. Everything steps sessions:
 //
-//   - Solo (Engine.Run): the paper's sequential loop. Every operation charges
-//     the platform exactly as the historical per-method loops did — the same
-//     calls in the same order consume the same jitter draws, so solo results
-//     are bit-identical to the pre-engine runners (pinned by the golden
-//     tests in internal/experiments).
-//   - Served (runtime.Serve): N streams interleaved over one shared platform
-//     on a deterministic virtual-clock event loop. Executions queue FIFO on
-//     their processor (accel.SoC.ExecFrom), engines are shared across
-//     streams under reference-counted residency (loader.Acquire/Release),
-//     and a stream that cannot load its chosen engine because every byte is
-//     held by other streams falls back to the engine it already holds.
+//   - Engine.Run serves one stream to the end: the paper's sequential loop.
+//     With nothing to queue behind, every charge lands exactly where the
+//     historical per-method loops put it, on the same jitter draws (pinned
+//     by the golden tests in internal/experiments).
+//   - Engine.RunLive serves one stream from a live camera, dropping the
+//     frames that arrive while the stream is busy.
+//   - Serve interleaves N streams over one shared platform on a
+//     deterministic event loop; the fleet layer (internal/fleet) drives
+//     sessions across many devices.
 package runtime
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"repro/internal/accel"
@@ -73,8 +75,9 @@ type Result struct {
 	Records  []FrameRecord
 }
 
-// Runner produces a Result over a rendered scenario. SHIFT (package pipeline)
-// and each baseline (package baseline) implement it by wrapping an Engine.
+// Runner produces a Result over a rendered scenario. *Engine implements it;
+// SHIFT's constructor (package pipeline) and each baseline's (package
+// baseline) return one.
 type Runner interface {
 	// Name identifies the method in report tables.
 	Name() string
@@ -119,10 +122,10 @@ type PortablePolicy interface {
 	RestoreState(state any) error
 }
 
-// Engine drives the shared per-frame loop for one stream. In solo mode it is
-// self-contained (own loader, global virtual clock); in served mode it is one
-// stream's view of a shared platform, with its own stream-local time and its
-// reference-counted hold on the engine it is currently serving from.
+// Engine is one stream's view of a platform: its policy, its stream-local
+// time and its reference-counted hold on the engine it is currently serving
+// from. Engine.Run and Engine.RunLive step it as a one-stream Session;
+// Serve and the fleet build one engine per session.
 type Engine struct {
 	sys    *zoo.System
 	dml    *loader.Loader
@@ -133,16 +136,13 @@ type Engine struct {
 	entries map[string]*zoo.Entry
 	perfs   map[zoo.Pair]zoo.Perf
 
-	// served switches the execution primitives from the clock-advancing
-	// SoC.Exec to the queueing SoC.ExecFrom.
-	served bool
-	// at is the stream-local virtual time (served mode only): the point up
-	// to which this stream's work has completed.
+	// at is the stream-local virtual time: the point up to which this
+	// stream's work has completed.
 	at time.Duration
 	// wait accumulates processor queueing delay within the current frame.
 	wait time.Duration
 	// held is the engine this stream currently holds a residency reference
-	// on (served mode only).
+	// on.
 	held     zoo.Pair
 	haveHeld bool
 
@@ -185,8 +185,8 @@ type prefFlight struct {
 // matching the loader's per-pool key.
 func resKey(p zoo.Pair) string { return p.Model + "/" + p.Kind.String() }
 
-// NewEngine builds a solo engine: policy over system and loader, running the
-// sequential single-stream loop.
+// NewEngine builds an engine: policy over system and loader. It satisfies
+// Runner through Run.
 func NewEngine(sys *zoo.System, dml *loader.Loader, policy Policy) *Engine {
 	return &Engine{
 		sys:      sys,
@@ -233,18 +233,15 @@ func (e *Engine) perf(pair zoo.Pair) (zoo.Perf, error) {
 	return p, nil
 }
 
-// exec charges one workload: solo mode advances the global clock (exactly
-// the historical charging), served mode queues FIFO on the processor from
-// the stream's current time.
+// exec charges one workload, queued FIFO on the processor from the stream's
+// current time. A lone stream never queues, so its charges match the
+// clock-advancing SoC.Exec's exactly.
 func (e *Engine) exec(procID string, latSec, powerW float64) (accel.Cost, error) {
 	soc := e.sys.SoC
 	if soc.TraceAttached() {
 		// Stamp the power trace's attribution labels only when a trace is
 		// recording — the label write is off the detached hot path.
 		soc.SetExecLabel(e.stream, e.execModel)
-	}
-	if !e.served {
-		return soc.Exec(procID, latSec, powerW)
 	}
 	span, err := soc.ExecFrom(procID, e.at, latSec, powerW)
 	if err != nil {
@@ -263,7 +260,7 @@ func (e *Engine) exec(procID string, latSec, powerW float64) (accel.Cost, error)
 	return span.Cost, nil
 }
 
-// ensureLoad routes a served-mode engine-residency ensure through exec with
+// ensureLoad routes an engine-residency ensure through exec with
 // the loading flag and model label set, so any charge it incurs is recorded
 // as a demand-load (swap-stall) span — and a zero-cost ensure is recorded
 // as a residency hit. A zero-cost ensure of an engine with a speculative
@@ -356,7 +353,7 @@ func (e *Engine) overlapExec(pair zoo.Pair) loader.ExecFn {
 	}
 }
 
-// prefetchTick runs at the start of a served frame: if the predictor has a
+// prefetchTick runs at the start of a frame: if the predictor has a
 // confident next-engine prediction whose engine is not already resident,
 // issue a speculative load for it over the DMA channel. Redundant and
 // no-memory issues are skipped inside the loader; held engines are never
@@ -395,9 +392,6 @@ func (e *Engine) prewarm(pairs []zoo.Pair) error {
 // Prefetch greedily loads pairs into free memory, charging like demand loads
 // (the DML's occupy-all-memory strategy).
 func (e *Engine) Prefetch(pairs []zoo.Pair) (int, error) {
-	if !e.served {
-		return e.dml.Prefetch(pairs)
-	}
 	// Prefetch loads are batched below the engine's per-pair visibility, so
 	// their spans carry the loading flag but no model label.
 	e.loading = true
@@ -415,31 +409,96 @@ func (e *Engine) releaseHeld() error {
 	return e.dml.Release(e.held)
 }
 
-// Run executes the policy over the frames in order — the solo single-stream
-// loop. Loader state persists across calls (as the historical runners'
-// loaders did); policy state is reset at the start of every run.
+// Run serves the frames in order as one stream: a session over e, opened at
+// the platform clock's current time, stepped to the end. Loader state and the
+// clock carry over between runs (as the historical runners' did); policy
+// state is reset at the start of every run.
 func (e *Engine) Run(scenario string, frames []scene.Frame) (*Result, error) {
-	e.stream = scenario
-	if err := e.policy.Reset(e); err != nil {
+	s, err := e.open(scenario, frames, 0)
+	if err != nil {
 		return nil, err
 	}
-	res := &Result{
-		Method:   e.policy.Name(),
-		Scenario: scenario,
-		Records:  make([]FrameRecord, 0, len(frames)),
-	}
-	var prev zoo.Pair
-	for i := range frames {
-		st := e.beginStep(&frames[i], i)
-		if err := e.policy.Step(st); err != nil {
-			return nil, fmt.Errorf("runtime: %s frame %d: %w", e.policy.Name(), frames[i].Index, err)
+	for !s.Done() {
+		if err := s.Step(); err != nil {
+			return nil, errors.Join(err, s.Close())
 		}
-		// A swap is recorded on the first frame the new pair serves.
-		st.rec.Swapped = i > 0 && st.rec.Pair != prev
-		prev = st.rec.Pair
-		res.Records = append(res.Records, st.rec)
 	}
-	return res, nil
+	return s.res.Result, s.Close()
+}
+
+// LiveResult is the outcome of a live-camera run: the records of the frames
+// the stream served, plus what the camera delivered and what was dropped.
+type LiveResult struct {
+	// Result holds records for the frames that were actually served.
+	Result *Result
+	// Delivered is the number of frames the camera produced.
+	Delivered int
+	// Dropped is the number of frames that arrived while the stream was
+	// still busy with an earlier frame. No frame waits: the stream serves
+	// the first frame that arrives after it is free.
+	Dropped int
+	// EffectiveIoU is the stream-level accuracy: the per-frame IoU of every
+	// delivered frame, where a dropped frame scores the IoU of the most
+	// recent detection evaluated against the dropped frame's ground truth —
+	// what a consumer of stale detections actually experiences.
+	EffectiveIoU float64
+}
+
+// DropRate returns the fraction of delivered frames that were dropped.
+func (l *LiveResult) DropRate() float64 {
+	if l.Delivered == 0 {
+		return 0
+	}
+	return float64(l.Dropped) / float64(l.Delivered)
+}
+
+// RunLive replays the frames as a live camera with the given frame period
+// (seconds): frame i arrives i·period after the run opens, whether or not
+// the stream is ready. A frame that arrives while the stream is still busy
+// is dropped, and the stream starts the next frame when it arrives. This is
+// the streaming regime of the paper's related work (Marlin, AdaVP,
+// FrameHopper); at period 0 nothing drops and the records equal Run's. It
+// steps the same session as Run, so every policy runs live, and loader
+// state and the clock carry over exactly as they do for Run.
+func (e *Engine) RunLive(scenario string, frames []scene.Frame, periodSec float64) (*LiveResult, error) {
+	s, err := e.open(scenario, frames, periodSec)
+	if err != nil {
+		return nil, err
+	}
+	live := &LiveResult{Result: s.res.Result, Delivered: len(frames)}
+	live.Result.Method += " (live)"
+	var iouSum float64
+	for !s.Done() {
+		recs := live.Result.Records
+		if periodSec > 0 && s.arrivalOf(s.next) < s.done {
+			// Busy: the consumer keeps the last detection, scored against
+			// this frame's ground truth.
+			live.Dropped++
+			if len(recs) > 0 {
+				iouSum += staleIoU(recs[len(recs)-1], s.spec.Frames[s.next])
+			}
+			s.next++
+			continue
+		}
+		if err := s.Step(); err != nil {
+			return nil, errors.Join(err, s.Close())
+		}
+		iouSum += live.Result.Records[len(recs)].IoU
+	}
+	if live.Delivered > 0 {
+		live.EffectiveIoU = iouSum / float64(live.Delivered)
+	}
+	return live, s.Close()
+}
+
+// staleIoU evaluates a past detection's box against a newer frame's ground
+// truth: the overlap a consumer of the stale detection actually gets. Zero
+// when either side has nothing.
+func staleIoU(rec FrameRecord, frame scene.Frame) float64 {
+	if !rec.Found || frame.GT.Empty() {
+		return 0
+	}
+	return rec.Box.IoU(frame.GT)
 }
 
 // beginStep readies the engine's reusable per-frame context. The returned
@@ -480,24 +539,16 @@ func (st *Step) charge(c accel.Cost) {
 }
 
 // Acquire makes pair's engine resident, charging load costs into the record,
-// and returns the pair actually being served. In solo mode this is exactly
-// the historical loader call. In served mode the stream's residency
+// and returns the pair actually being served. The stream's residency
 // reference moves from its previously held engine to the new one, and when
 // the load is refused because every evictable byte is reference-held by
 // other streams (loader.ErrNoMemory), the stream falls back to the engine it
 // already holds — one stream's pressure can never unload another stream's
-// resident engine, and a refused swap costs nothing.
+// resident engine, and a refused swap costs nothing. A lone stream drops its
+// only hold before every swap, so wherever a plain loader.Ensure would
+// succeed it loads and evicts exactly as Ensure does.
 func (st *Step) Acquire(pair zoo.Pair) (zoo.Pair, error) {
 	e := st.eng
-	if !e.served {
-		cost, err := e.dml.Ensure(pair)
-		if err != nil {
-			return zoo.Pair{}, err
-		}
-		st.rec.LoadedModel = cost.Lat > 0
-		st.charge(cost)
-		return pair, nil
-	}
 	if e.haveHeld && e.held == pair {
 		// Same engine: refresh request recency; the hold guarantees
 		// residency, so this never charges.

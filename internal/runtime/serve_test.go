@@ -33,12 +33,12 @@ func serveFixed(t *testing.T, n int, frames int, periodSec float64) ([]*StreamRe
 }
 
 // TestServeSingleStreamMatchesRun pins the serving engine's compatibility
-// core: one stream through the queueing event loop produces records
-// bit-identical to the solo loop (nothing to queue behind, so the same
-// jitter draws land in the same charges).
+// core: one stream through Serve at a 10 fps camera produces records
+// bit-identical to Engine.Run's unpaced ones (nothing to queue behind, so
+// the same jitter draws land in the same charges).
 func TestServeSingleStreamMatchesRun(t *testing.T) {
 	frames := testFrames(t)[:120]
-	solo := func() *Result {
+	run := func() *Result {
 		sys := zoo.Default(1)
 		eng := soloEngine(sys, &fixedPolicy{pair: testPair(t, sys, detmodel.YoloV7, "gpu")})
 		res, err := eng.Run("s", frames)
@@ -48,13 +48,13 @@ func TestServeSingleStreamMatchesRun(t *testing.T) {
 		return res
 	}()
 	served, _, _ := serveFixed(t, 1, 120, 0.1)
-	if len(served[0].Result.Records) != len(solo.Records) {
-		t.Fatalf("served %d records, solo %d", len(served[0].Result.Records), len(solo.Records))
+	if len(served[0].Result.Records) != len(run.Records) {
+		t.Fatalf("served %d records, Run %d", len(served[0].Result.Records), len(run.Records))
 	}
-	for i := range solo.Records {
-		if served[0].Result.Records[i] != solo.Records[i] {
-			t.Fatalf("record %d differs:\nserved %+v\nsolo   %+v",
-				i, served[0].Result.Records[i], solo.Records[i])
+	for i := range run.Records {
+		if served[0].Result.Records[i] != run.Records[i] {
+			t.Fatalf("record %d differs:\nserved %+v\nrun    %+v",
+				i, served[0].Result.Records[i], run.Records[i])
 		}
 	}
 	// A lone stream never queues.

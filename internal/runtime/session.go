@@ -44,30 +44,35 @@ type Session struct {
 	drained *SessionSnapshot
 }
 
-// newSession validates a spec and builds its unstarted session. The policy's
-// Reset (start-of-stream charges) runs in start, so callers can validate a
-// whole batch of specs before any of them touches the platform.
+// newSession validates a spec and builds its unstarted session over a fresh
+// engine. The policy's Reset (start-of-stream charges) runs in start, so
+// callers can validate a whole batch of specs before any of them touches the
+// platform.
 func newSession(sys *zoo.System, dml *loader.Loader, spec StreamSpec, name string, at time.Duration) (*Session, error) {
 	if spec.Policy == nil {
 		return nil, fmt.Errorf("runtime: stream %q has no policy", name)
 	}
+	return NewEngine(sys, dml, spec.Policy).session(spec, name, at)
+}
+
+// session builds an unstarted session for spec over e, whose policy must be
+// spec.Policy.
+func (e *Engine) session(spec StreamSpec, name string, at time.Duration) (*Session, error) {
 	if spec.PeriodSec < 0 {
 		return nil, fmt.Errorf("runtime: stream %q has negative period %v", name, spec.PeriodSec)
 	}
 	if at < 0 {
 		return nil, fmt.Errorf("runtime: stream %q opens at negative time %v", name, at)
 	}
-	eng := NewEngine(sys, dml, spec.Policy)
-	eng.served = true
-	eng.at = at
-	eng.stream = name
+	e.at = at
+	e.stream = name
 	if spec.Prefetch != nil {
-		eng.pred = predict.New(*spec.Prefetch)
-		eng.prefReady = map[string]prefFlight{}
+		e.pred = predict.New(*spec.Prefetch)
+		e.prefReady = map[string]prefFlight{}
 	}
 	return &Session{
 		spec: spec,
-		eng:  eng,
+		eng:  e,
 		base: at,
 		res: &StreamResult{
 			Name: name,
@@ -108,7 +113,18 @@ func OpenSessionAt(sys *zoo.System, dml *loader.Loader, spec StreamSpec, at time
 	if name == "" {
 		name = "stream"
 	}
-	s, err := newSession(sys, dml, spec, name, at)
+	return started(newSession(sys, dml, spec, name, at))
+}
+
+// open starts a one-stream session over e at the platform clock's current
+// time: the session Run and RunLive step. The caller must Close it.
+func (e *Engine) open(scenario string, frames []scene.Frame, periodSec float64) (*Session, error) {
+	spec := StreamSpec{Name: scenario, Frames: frames, PeriodSec: periodSec, Policy: e.policy}
+	return started(e.session(spec, scenario, e.sys.SoC.Clock.Now()))
+}
+
+// started runs a freshly built session's start, closing it on failure.
+func started(s *Session, err error) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -181,7 +197,9 @@ func (s *Session) Step() error {
 	if err := s.spec.Policy.Step(st); err != nil {
 		return fmt.Errorf("runtime: %s frame %d: %w", s.res.Name, frame.Index, err)
 	}
-	st.rec.Swapped = i > 0 && st.rec.Pair != s.prev
+	// A swap is recorded on the first frame the new pair serves; the first
+	// frame a stream serves has no predecessor.
+	st.rec.Swapped = len(s.res.Result.Records) > 0 && st.rec.Pair != s.prev
 	s.prev = st.rec.Pair
 	if s.eng.pred != nil {
 		// Train on the engine that actually served: swap episodes are
