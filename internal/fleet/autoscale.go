@@ -201,19 +201,6 @@ func newAutoscaler(cfg AutoscaleConfig) *autoscaler {
 	}
 }
 
-// observeStep folds one served frame into the rolling latency window. Called
-// by the event loop after every session step when the autoscaler is on.
-func (f *Fleet) observeStep(as *activeSession) {
-	if f.auto == nil {
-		return
-	}
-	tms := as.sess.Result().Timings
-	tm := tms[len(tms)-1]
-	f.auto.samples = append(f.auto.samples, latSample{
-		dev: as.dev.Name, done: tm.Done, lat: tm.LatencySec(),
-	})
-}
-
 // worstDeviceP99 returns the maximum per-device rolling p99 frame latency,
 // or -1 when the window holds no samples. Devices are reduced in name order;
 // the maximum is order-independent anyway, but determinism stays auditable.
@@ -401,9 +388,12 @@ func (f *Fleet) headroomExcluding(skip *Device) int {
 // sessions resume on surviving devices through the same RestoreSession path
 // a fault displacement uses, accruing downtime until re-admission.
 func (f *Fleet) drainDevice(d *Device, at time.Duration, queue *[]*pending) error {
-	if err := f.evacuate(d, at, queue, "drain", func() { d.drained++ }); err != nil {
+	moved, err := f.evacuate(d, at, false)
+	if err != nil {
 		return err
 	}
+	d.drained += len(moved)
+	requeue(queue, moved)
 	if n := d.DML.TotalRefs(); n != 0 {
 		return fmt.Errorf("fleet: drained device %s still holds %d residency refs", d.Name, n)
 	}

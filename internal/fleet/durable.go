@@ -50,23 +50,12 @@ type journalEntry struct {
 	served int
 }
 
-// writeJournal serializes the stream's current checkpoint through the wire
-// format and replaces its journal entry. Encoding exercises the same bytes a
-// real coordinator would persist, so journal size metrics are honest.
-func (f *Fleet) writeJournal(as *activeSession) error {
-	snap := as.sess.Snapshot()
-	// Snapshot is a read barrier on the session: refresh the cached event
-	// view (and heap slot), per the cache invariant.
-	as.refresh()
-	f.retrack(as)
-	return f.commitJournal(as, snap)
-}
-
-// commitJournal stamps the next global journal sequence number and encodes
-// and stores the entry — split from the snapshot so region advances can
-// snapshot at the step and encode at the merge, keeping the embedded
-// sequence numbers (and so the exact journal bytes) identical to a
-// sequential run.
+// commitJournal stamps the next global journal sequence number, serializes
+// the checkpoint through the wire format and replaces the stream's journal
+// entry. Encoding exercises the same bytes a real coordinator would
+// persist, so journal size metrics are honest. It runs in global event
+// order (commit, admission), so the embedded sequence numbers — and so the
+// exact journal bytes — are the same at every region count.
 func (f *Fleet) commitJournal(as *activeSession, snap *runtime.SessionSnapshot) error {
 	f.journalSeq++
 	data, err := checkpoint.EncodeSnapshot(snap, as.req.Scenario, f.durable.RenderSeed, map[string]uint64{
@@ -96,22 +85,39 @@ func (f *Fleet) journalDue(as *activeSession) bool {
 	return true
 }
 
-// observeDurable advances the per-stream journal cadence after a served
-// frame.
-func (f *Fleet) observeDurable(as *activeSession) error {
-	if !f.journalDue(as) {
-		return nil
-	}
-	return f.writeJournal(as)
-}
-
 // journalOnAdmit seeds a just-placed stream's journal entry, so a crash can
 // never catch a stream with no durable checkpoint at all.
 func (f *Fleet) journalOnAdmit(as *activeSession) error {
 	if f.durable == nil {
 		return nil
 	}
-	return f.writeJournal(as)
+	return f.commitJournal(as, as.sess.Snapshot())
+}
+
+// recoverJournal is a crash's checkpoint for one stream: the process died,
+// so the session is closed without a drain (the OS reclaiming its
+// references) and the checkpoint is rebuilt from the stream's last journal
+// entry. The frames served since are lost work, metered as replay.
+func (f *Fleet) recoverJournal(as *activeSession) (*runtime.SessionSnapshot, error) {
+	entry := f.journalStore[as.out]
+	if entry == nil {
+		return nil, fmt.Errorf("no journaled checkpoint")
+	}
+	if err := as.sess.Close(); err != nil {
+		return nil, fmt.Errorf("close: %w", err)
+	}
+	c, err := checkpoint.Decode(entry.data)
+	if err != nil {
+		return nil, fmt.Errorf("decode journal: %w", err)
+	}
+	snap, err := c.Snapshot(as.req.Frames)
+	if err != nil {
+		return nil, fmt.Errorf("rebuild checkpoint: %w", err)
+	}
+	lost := len(as.sess.Result().Result.Records) - snap.Served()
+	as.out.ReplayedFrames += lost
+	f.replayedFrames += lost
+	return snap, nil
 }
 
 // crash models a worker process dying under a stream load — kill -9, OOM, a
@@ -125,41 +131,11 @@ func (f *Fleet) journalOnAdmit(as *activeSession) error {
 func (f *Fleet) crash(d *Device, at time.Duration, queue *[]*pending) error {
 	d.crashes++
 	f.crashes++
-	moved := make([]*pending, 0, len(d.sessions))
-	for _, as := range d.sessions {
-		f.untrack(as)
-		entry := f.journalStore[as.out]
-		if entry == nil {
-			return fmt.Errorf("fleet: crash on %s: stream %s has no journaled checkpoint", d.Name, as.out.Name)
-		}
-		liveServed := len(as.sess.Result().Result.Records)
-		// The process died: closing the session models the OS reclaiming its
-		// references; its un-journaled progress is not checkpointed.
-		if err := as.sess.Close(); err != nil {
-			return fmt.Errorf("fleet: crash on %s: close %s: %w", d.Name, as.out.Name, err)
-		}
-		c, err := checkpoint.Decode(entry.data)
-		if err != nil {
-			return fmt.Errorf("fleet: crash on %s: journal for %s: %w", d.Name, as.out.Name, err)
-		}
-		snap, err := c.Snapshot(as.req.Frames)
-		if err != nil {
-			return fmt.Errorf("fleet: crash on %s: rebuild %s: %w", d.Name, as.out.Name, err)
-		}
-		// The device is credited only with the frames the journal preserved;
-		// the remainder is lost work, metered as replay.
-		d.frames += snap.Served() - as.prevRecords
-		if h := as.sess.Horizon(); h > d.horizon {
-			d.horizon = h
-		}
-		lost := liveServed - snap.Served()
-		as.out.ReplayedFrames += lost
-		f.replayedFrames += lost
-		d.displaced++
-		f.teach(as.out.Scenario, snap.Partial().Result.Records)
-		moved = append(moved, &pending{out: as.out, req: as.req, snap: snap, since: at, crashed: true})
+	moved, err := f.evacuate(d, at, true)
+	if err != nil {
+		return err
 	}
-	d.sessions = d.sessions[:0]
+	d.displaced += len(moved)
 	if err := d.DML.Flush(); err != nil {
 		return fmt.Errorf("fleet: crash on %s: %w", d.Name, err)
 	}

@@ -147,7 +147,7 @@ func (d *Device) AutoProvisioned() bool { return d.auto }
 func (d *Device) OutstandingFrames() int {
 	n := 0
 	for _, as := range d.sessions {
-		n += as.left
+		n += as.sess.Remaining()
 	}
 	return n
 }
@@ -156,8 +156,8 @@ func (d *Device) OutstandingFrames() int {
 func (d *Device) Horizon() time.Duration {
 	h := d.horizon
 	for _, as := range d.sessions {
-		if as.horizon > h {
-			h = as.horizon
+		if sh := as.sess.Horizon(); sh > h {
+			h = sh
 		}
 	}
 	return h
@@ -184,32 +184,10 @@ type activeSession struct {
 	// the loop collects them at globally-ordered points.
 	sr *obs.StreamRec
 
-	// Cached event view: ReadyAt/Horizon/Done/Remaining mirrored from the
-	// session, refreshed only on the transitions that can change them
-	// (admission, Step, Snapshot, Drain, displacement, TimeScale change), so
-	// neither the event loop nor the placement signals recompute through the
-	// session per comparison. heapPos is the session's slot in its region's
-	// event heap (-1 when not enqueued).
-	readyAt  time.Duration
-	horizon  time.Duration
-	finished bool
-	left     int
-	heapPos  int
-}
-
-// refresh re-mirrors the cached event view from the live session. Every
-// transition that can move ReadyAt/Horizon/Done/Remaining must call it (the
-// auditSessionCache test hook panics otherwise).
-func (as *activeSession) refresh() {
-	s := as.sess
-	as.finished = s.Done()
-	as.horizon = s.Horizon()
-	as.left = s.Remaining()
-	if as.finished {
-		as.readyAt = as.horizon
-	} else {
-		as.readyAt = s.ReadyAt()
-	}
+	// key is the session's pending event in its region's heap, written only
+	// by sessHeap.push and fix; heapPos is its slot (-1 when not enqueued).
+	key     evKey
+	heapPos int
 }
 
 // pending is one stream waiting for admission: a new arrival, or a displaced
@@ -356,15 +334,14 @@ type Fleet struct {
 	replayedFrames int
 
 	// Event-loop state: nregions/regions hold the sharded session-event
-	// heaps (one region when sharding is off); auditCache (tests only)
-	// cross-checks every cached session view, and the heap's pick against
-	// a full rescan, before each selection; events counts processed loop
-	// events; resHorizon accumulates departure completion times so
-	// Result.Horizon survives outcomes whose records an OnDepart hook
-	// released.
+	// heaps (one region when sharding is off); audit (tests only) checks the
+	// heap's pick, and its key, against a full rescan of the live sessions
+	// before each selection; events counts processed loop events;
+	// resHorizon accumulates departure completion times so Result.Horizon
+	// survives outcomes whose records an OnDepart hook released.
 	nregions   int
 	regions    []*region
-	auditCache bool
+	audit      bool
 	onDepart   func(*StreamOutcome)
 	resHorizon time.Duration
 	events     int64
@@ -722,10 +699,20 @@ func (f *Fleet) RunWithFaults(reqs []StreamRequest, faults []Fault) (*Result, er
 		}
 		f.events++
 		switch pick.kind {
-		case evDeparture:
-			f.depart(pick.as)
-			if err := f.drainQueue(&queue, pick.at); err != nil {
+		case evDeparture, evStep:
+			// A session event commits at once; only a departure can free
+			// an admission slot for the queue.
+			var ev sessEvent
+			if err := f.serveLocal(pick.as, &ev); err != nil {
 				return fail(err)
+			}
+			if err := f.commit(&ev); err != nil {
+				return fail(err)
+			}
+			if pick.kind == evDeparture {
+				if err := f.drainQueue(&queue, pick.at); err != nil {
+					return fail(err)
+				}
 			}
 		case evFault:
 			ev := fevs[fi]
@@ -760,18 +747,6 @@ func (f *Fleet) RunWithFaults(reqs []StreamRequest, faults []Fault) (*Result, er
 				return fail(err)
 			}
 			outcomes = append(outcomes, out)
-		case evStep:
-			as := pick.as
-			if err := as.sess.Step(); err != nil {
-				return fail(err)
-			}
-			as.refresh()
-			f.retrack(as)
-			f.observeStep(as)
-			if err := f.observeDurable(as); err != nil {
-				return fail(err)
-			}
-			f.flushSpans(as)
 		}
 	}
 	res.Horizon = f.resHorizon
@@ -845,18 +820,11 @@ func (f *Fleet) applyFault(ev faultEvent, queue *[]*pending) error {
 		for _, bf := range d.brownouts {
 			scale *= bf.Factor
 		}
-		// Validated positive; only a harness bug could fail here.
+		// Validated positive; only a harness bug could fail here. The
+		// sessions' event keys stay put: ReadyAt and Horizon derive from
+		// completed work and the camera schedule, not future speed.
 		if err := d.Sys.SoC.SetTimeScale(scale); err != nil {
 			panic(err)
-		}
-		// A TimeScale change cannot move an already-scheduled ReadyAt or
-		// Horizon (both derive from completed work and the camera schedule,
-		// not future execution speed), but the cached-event invariant is
-		// "refresh on every transition that could" — so refresh and re-sort;
-		// the audit test pins the invariant rather than the coincidence.
-		for _, as := range d.sessions {
-			as.refresh()
-			f.retrack(as)
 		}
 	case FaultOutage, FaultDeath:
 		if ev.recovery {
@@ -879,7 +847,10 @@ func (f *Fleet) applyFault(ev faultEvent, queue *[]*pending) error {
 		if !d.down {
 			d.down = true
 			d.downSince = ev.at
-			return f.displace(d, ev.at, queue)
+			moved, err := f.evacuate(d, ev.at, false)
+			d.displaced += len(moved)
+			requeue(queue, moved)
+			return err
 		}
 	case FaultCrash:
 		if ev.recovery {
@@ -903,32 +874,30 @@ func (f *Fleet) applyFault(ev faultEvent, queue *[]*pending) error {
 	return nil
 }
 
-// displace evacuates a failed device: every in-flight stream is checkpointed
-// and re-queued, counted against the device's displacement meter.
-func (f *Fleet) displace(d *Device, at time.Duration, queue *[]*pending) error {
-	return f.evacuate(d, at, queue, "displace", func() { d.displaced++ })
-}
-
-// evacuate checkpoints every in-flight stream on a device through the
-// runtime drain hook (snapshot + close, releasing its residency holds),
-// frees its admission slots, and re-queues the checkpoints ahead of new
-// arrivals (behind earlier displacements), in admission order — the shared
-// body of fault displacement and autoscaler drain. The partial records teach
-// the affinity model so residency-affinity placement re-learns the
-// scenario's working set before the stream is re-placed; count meters each
-// evacuated session on the caller's counter (displaced vs drained).
-func (f *Fleet) evacuate(d *Device, at time.Duration, queue *[]*pending, reason string, count func()) error {
-	if len(d.sessions) == 0 {
-		return nil
-	}
+// evacuate checkpoints every in-flight stream on a device and frees its
+// admission slots — the shared body of fault displacement, crash and
+// autoscaler drain. A live evacuation drains each session through the
+// runtime hook (snapshot + close, releasing its residency holds); a crashed
+// one closes it and rebuilds the checkpoint from the journal. The partial
+// records teach the affinity model so residency-affinity placement
+// re-learns the scenario's working set before the stream is re-placed. It
+// returns the checkpoints in admission order; the caller meters and
+// re-queues them.
+func (f *Fleet) evacuate(d *Device, at time.Duration, crashed bool) ([]*pending, error) {
 	moved := make([]*pending, 0, len(d.sessions))
 	for _, as := range d.sessions {
 		f.untrack(as)
-		snap, err := as.sess.Drain()
-		if err != nil {
-			return fmt.Errorf("fleet: %s %s off %s: %w", reason, as.out.Name, d.Name, err)
+		var snap *runtime.SessionSnapshot
+		var err error
+		if crashed {
+			snap, err = f.recoverJournal(as)
+		} else {
+			snap, err = as.sess.Drain()
 		}
-		// Credit the evacuated device with the frames it actually served,
+		if err != nil {
+			return nil, fmt.Errorf("fleet: evacuate %s off %s: %w", as.out.Name, d.Name, err)
+		}
+		// Credit the evacuated device with the frames the checkpoint keeps,
 		// and keep its horizon covering that work for utilization
 		// accounting.
 		d.frames += snap.Served() - as.prevRecords
@@ -936,23 +905,24 @@ func (f *Fleet) evacuate(d *Device, at time.Duration, queue *[]*pending, reason 
 			d.horizon = h
 		}
 		f.teach(as.out.Scenario, snap.Partial().Result.Records)
-		count()
-		// Drain emitted its span into the session's buffer; evacuations run
-		// on the sequential global path, so collect it in event order now.
+		// Collect the drain span (a crash closes without one) in event
+		// order: evacuations run on the sequential global path.
 		f.flushSpans(as)
-		moved = append(moved, &pending{out: as.out, req: as.req, snap: snap, since: at})
+		moved = append(moved, &pending{out: as.out, req: as.req, snap: snap, since: at, crashed: crashed})
 	}
 	// Evacuated streams must stop consuming the device's budget slots — a
 	// stream waiting in the admission queue holds no slot anywhere.
 	d.sessions = d.sessions[:0]
-	requeue(queue, moved)
-	return nil
+	return moved, nil
 }
 
 // requeue inserts evacuated sessions ahead of new arrivals, behind earlier
 // displacements — they were already admitted once, so they resume before
 // newcomers are let in.
 func requeue(queue *[]*pending, moved []*pending) {
+	if len(moved) == 0 {
+		return
+	}
 	i := 0
 	for i < len(*queue) && (*queue)[i].snap != nil {
 		i++
@@ -1109,23 +1079,86 @@ func (f *Fleet) admit(p *pending, at time.Duration, cands []*Device) error {
 		f.flushSpans(as)
 	}
 	dev.sessions = append(dev.sessions, as)
-	as.refresh()
 	f.track(as)
 	// Seed (or refresh, after a migration) the stream's durable checkpoint,
 	// so a crash can never catch it without one.
 	return f.journalOnAdmit(as)
 }
 
-// depart closes a completed stream's session, records its outcome, frees its
-// admission slot and teaches the affinity model.
-func (f *Fleet) depart(as *activeSession) {
-	f.departGlobal(as, f.departLocal(as))
+// sessEvent is one session event's device-local result, filled by
+// serveLocal and applied by commit: its key, and for a step the autoscaler
+// sample, due journal snapshot and emitted span range. A region advance
+// logs these and its merge commits them in eventBefore order.
+type sessEvent struct {
+	evKey
+	as *activeSession
+
+	sample latSample
+	snap   *runtime.SessionSnapshot
+	// spanLo and spanHi bound the span range the step emitted into the
+	// session's pending buffer (equal when no recorder is attached).
+	spanLo, spanHi int
+}
+
+// serveLocal is the device-local half of a session event: it steps the
+// session, or closes it once its departure is due, and fills ev in place.
+// It touches only the session's device, loader and region heap, so a region
+// advance runs it inside the parallel interval. The journal snapshot is
+// taken here but encoded at commit, so journal sequence numbers stay
+// global.
+func (f *Fleet) serveLocal(as *activeSession, ev *sessEvent) error {
+	*ev = sessEvent{evKey: as.key, as: as}
+	if ev.kind == evDeparture {
+		f.departLocal(as)
+		return nil
+	}
+	if as.sr != nil {
+		ev.spanLo = as.sr.PendLen()
+	}
+	if err := as.sess.Step(); err != nil {
+		return err
+	}
+	if as.sr != nil {
+		ev.spanHi = as.sr.PendLen()
+	}
+	f.regions[as.dev.region].heap.fix(as)
+	if f.auto != nil {
+		tms := as.sess.Result().Timings
+		tm := tms[len(tms)-1]
+		ev.sample = latSample{dev: as.dev.Name, done: tm.Done, lat: tm.LatencySec()}
+	}
+	if f.journalDue(as) {
+		ev.snap = as.sess.Snapshot()
+	}
+	return nil
+}
+
+// commit is the global half of a session event, run in global event order:
+// a step's autoscaler sample, journal write and span range, in that order,
+// or a departure's global half.
+func (f *Fleet) commit(ev *sessEvent) error {
+	if ev.kind == evDeparture {
+		f.departGlobal(ev.as)
+		return nil
+	}
+	if f.auto != nil {
+		f.auto.samples = append(f.auto.samples, ev.sample)
+	}
+	if ev.snap != nil {
+		if err := f.commitJournal(ev.as, ev.snap); err != nil {
+			return err
+		}
+	}
+	if ev.spanHi > ev.spanLo {
+		f.rec.Collect(ev.as.sr, ev.spanLo, ev.spanHi)
+	}
+	return nil
 }
 
 // departLocal is the device-local half of departure: close the session,
 // unlink it from its heap and device, record the stream result and meter
-// the device. Region advances run it inside the parallel interval.
-func (f *Fleet) departLocal(as *activeSession) *runtime.StreamResult {
+// the device.
+func (f *Fleet) departLocal(as *activeSession) {
 	f.untrack(as)
 	_ = as.sess.Close() // a completed fixed sequence cannot fail to release
 	d := as.dev
@@ -1142,13 +1175,12 @@ func (f *Fleet) departLocal(as *activeSession) *runtime.StreamResult {
 	if h := as.sess.Horizon(); h > d.horizon {
 		d.horizon = h
 	}
-	return sr
 }
 
-// departGlobal is the cross-region half: journal release, affinity
-// teaching, the result horizon, and the caller's departure hook. Region
-// advances defer it to the merge so it applies in exact global event order.
-func (f *Fleet) departGlobal(as *activeSession, sr *runtime.StreamResult) {
+// departGlobal is the global half of departure: journal release, affinity
+// teaching, the result horizon, and the caller's departure hook.
+func (f *Fleet) departGlobal(as *activeSession) {
+	sr := as.sess.Result()
 	delete(f.journalStore, as.out)
 	f.prefTotal.Add(as.sess.PrefetchStats())
 	f.teach(as.out.Scenario, sr.Result.Records)
@@ -1181,13 +1213,12 @@ func (f *Fleet) teach(scenario string, recs []runtime.FrameRecord) {
 	}
 }
 
-// flushSpans collects a session's buffered engine spans into the recorder's
-// global list — called on the sequential path after each step and after an
-// evacuation drain (the region-sharded path collects exact ranges at the
-// merge barrier instead).
+// flushSpans collects all of a session's buffered spans into the
+// recorder's global list — the admission pre-warm and evacuation flushes,
+// both on the sequential global path.
 func (f *Fleet) flushSpans(as *activeSession) {
-	if f.rec != nil && as.sr != nil {
-		f.rec.Collect(as.sr)
+	if as.sr != nil {
+		f.rec.Collect(as.sr, 0, as.sr.PendLen())
 	}
 }
 

@@ -71,9 +71,9 @@ func FuzzFleetDeterminism(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The audit re-derives every cached session view and checks the
-			// heap's pick against the full rescan at every selection.
-			fl.auditCache = true
+			// The audit checks the heap's pick, and its key, against a full
+			// rescan of the live sessions at every selection.
+			fl.audit = true
 			res, err := fl.RunWithFaults(reqs, faults)
 			if err != nil {
 				t.Fatal(err)

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -30,36 +31,38 @@ const (
 	evScale
 	evArrival
 	evStep
-	// evNone is the open-barrier sentinel: it sorts after every real kind,
-	// so a missing global event never stops a region from draining.
+	// evNone marks "no global event pending": it sorts after every real
+	// kind, so a region advance with no global event ahead drains fully.
 	evNone
 )
 
-// eventAt is when the session's pending event fires.
-func (as *activeSession) eventAt() time.Duration {
-	if as.finished {
-		return as.horizon
-	}
-	return as.readyAt
+// evKey is an event's (time, kind) selection key.
+type evKey struct {
+	at   time.Duration
+	kind eventKind
 }
 
-// eventKey is the session's (time, kind) selection key.
-func (as *activeSession) eventKey() (time.Duration, eventKind) {
-	if as.finished {
-		return as.horizon, evDeparture
-	}
-	return as.readyAt, evStep
+// before reports whether k sorts strictly before o: earlier, or at the same
+// instant a smaller kind.
+func (k evKey) before(o evKey) bool {
+	return k.at < o.at || (k.at == o.at && k.kind < o.kind)
 }
 
-// sessBefore is the heap order: the event-loop key (time, kind, device
-// name, admission seq) restricted to session events — a finished session's
-// departure outranks any step at the same instant.
-func sessBefore(a, b *activeSession) bool {
-	if at, bt := a.eventAt(), b.eventAt(); at != bt {
-		return at < bt
+// liveKey reads the session's pending event key from the session itself.
+func (as *activeSession) liveKey() evKey {
+	if as.sess.Done() {
+		return evKey{as.sess.Horizon(), evDeparture}
 	}
-	if a.finished != b.finished {
-		return a.finished
+	return evKey{as.sess.ReadyAt(), evStep}
+}
+
+// eventBefore is the loop's total order on session events: the key, then
+// device name, then admission seq — a finished session's departure outranks
+// any step at the same instant. Heap entries and logged region events both
+// sort by it.
+func eventBefore(ak evKey, a *activeSession, bk evKey, b *activeSession) bool {
+	if ak != bk {
+		return ak.before(bk)
 	}
 	if a.dev.Name != b.dev.Name {
 		return a.dev.Name < b.dev.Name
@@ -67,12 +70,14 @@ func sessBefore(a, b *activeSession) bool {
 	return a.seq < b.seq
 }
 
-// sessHeap is an indexed binary min-heap of one region's session events.
-// Each activeSession carries its slot (heapPos), so re-sorting after an
-// in-place key change and removing from the middle are both O(log n).
-type sessHeap struct{ evs []*activeSession }
+func sessBefore(a, b *activeSession) bool { return eventBefore(a.key, a, b.key, b) }
 
-func (h *sessHeap) len() int { return len(h.evs) }
+// sessHeap is an indexed binary min-heap of one region's session events.
+// Each activeSession carries its key and its slot (heapPos); push and fix
+// are the only writers of the key, which they read from the live session,
+// so re-sorting after a step and removing from the middle are both
+// O(log n).
+type sessHeap struct{ evs []*activeSession }
 
 func (h *sessHeap) peek() *activeSession {
 	if len(h.evs) == 0 {
@@ -82,6 +87,7 @@ func (h *sessHeap) peek() *activeSession {
 }
 
 func (h *sessHeap) push(as *activeSession) {
+	as.key = as.liveKey()
 	as.heapPos = len(h.evs)
 	h.evs = append(h.evs, as)
 	h.up(as.heapPos)
@@ -101,8 +107,11 @@ func (h *sessHeap) remove(as *activeSession) {
 	h.fixAt(i)
 }
 
-// fix restores heap order after as's cached event changed in place.
-func (h *sessHeap) fix(as *activeSession) { h.fixAt(as.heapPos) }
+// fix re-keys as from the live session and restores heap order.
+func (h *sessHeap) fix(as *activeSession) {
+	as.key = as.liveKey()
+	h.fixAt(as.heapPos)
+}
 
 func (h *sessHeap) fixAt(i int) {
 	if !h.down(i) {
@@ -149,18 +158,14 @@ func (h *sessHeap) swap(i, j int) {
 }
 
 // track enqueues a just-admitted session on its region's heap; untrack
-// removes a departing/evacuated one; retrack re-sorts after a cached-event
-// refresh.
+// removes a departing/evacuated one.
 func (f *Fleet) track(as *activeSession)   { f.regions[as.dev.region].heap.push(as) }
 func (f *Fleet) untrack(as *activeSession) { f.regions[as.dev.region].heap.remove(as) }
-func (f *Fleet) retrack(as *activeSession) { f.regions[as.dev.region].heap.fix(as) }
 
-// nextPick is one selected event: its class, firing time, the session
-// (departure and step only), and whether a scale tick fired with nothing
-// else left to serve.
+// nextPick is one selected event: its key, the session (departure and step
+// only), and whether a scale tick fired with nothing else left to serve.
 type nextPick struct {
-	kind       eventKind
-	at         time.Duration
+	evKey
 	as         *activeSession
 	lastResort bool
 }
@@ -177,22 +182,20 @@ func (f *Fleet) bestSession() *activeSession {
 	return best
 }
 
-// scanSession is the pre-heap O(devices × sessions) selection, kept as the
-// audit's oracle: it visits devices in name order and sessions in admission
-// order, so its first-minimum-wins choice is exactly the heap key.
+// scanSession is the pre-heap O(devices × sessions) selection over live
+// session keys, kept as the audit's oracle: it visits devices in name order
+// and sessions in admission order, so its first-minimum-wins choice is
+// exactly the heap order.
 func (f *Fleet) scanSession() *activeSession {
 	var dep, step *activeSession
 	var depAt, stepAt time.Duration
 	for _, d := range f.devices {
 		for _, as := range d.sessions {
-			if as.finished {
-				if t := as.horizon; dep == nil || t < depAt {
-					dep, depAt = as, t
-				}
-			} else {
-				if t := as.readyAt; step == nil || t < stepAt {
-					step, stepAt = as, t
-				}
+			switch k := as.liveKey(); {
+			case k.kind == evDeparture && (dep == nil || k.at < depAt):
+				dep, depAt = as, k.at
+			case k.kind == evStep && (step == nil || k.at < stepAt):
+				step, stepAt = as, k.at
 			}
 		}
 	}
@@ -202,47 +205,56 @@ func (f *Fleet) scanSession() *activeSession {
 	return dep
 }
 
-// nextEvent selects the earliest pending event across all five classes,
-// replicating the legacy switch's `<=` chains: at equal time the smaller
-// kind wins. ok is false when nothing remains — the loop's terminal state.
-func (f *Fleet) nextEvent(reqs []StreamRequest, order []int, next int, fevs []faultEvent, fi, queued int) (pick nextPick, ok bool) {
-	sess := f.bestSession()
-	if f.auditCache {
-		f.auditSessionCache()
-		if scan := f.scanSession(); scan != sess {
-			panic(fmt.Sprintf("fleet: heap picked %s, the rescan %s", sessName(sess), sessName(scan)))
+// nextGlobal picks the earliest pending global event — a fault edge, scale
+// tick or arrival — or, when none is pending, an evNone pick that sorts
+// after every session event. nextEvent weighs it against the best session
+// event, and a region advance drains up to it. sessions reports whether any
+// session event is pending.
+func (f *Fleet) nextGlobal(reqs []StreamRequest, order []int, next int, fevs []faultEvent, fi, queued int, sessions bool) nextPick {
+	pick := nextPick{evKey: evKey{time.Duration(math.MaxInt64), evNone}}
+	consider := func(k evKey) bool {
+		if k.before(pick.evKey) {
+			pick = nextPick{evKey: k}
+			return true
 		}
-	}
-	if sess != nil {
-		at, kind := sess.eventKey()
-		pick, ok = nextPick{kind: kind, at: at, as: sess}, true
-	}
-	consider := func(at time.Duration, kind eventKind) bool {
-		return !ok || at < pick.at || (at == pick.at && kind < pick.kind)
+		return false
 	}
 	haveFault := fi < len(fevs)
-	if haveFault && consider(fevs[fi].at, evFault) {
-		pick, ok = nextPick{kind: evFault, at: fevs[fi].at}, true
+	if haveFault {
+		consider(evKey{fevs[fi].at, evFault})
 	}
 	haveArr := next < len(order)
 	if haveArr {
-		if at := reqs[order[next]].Arrival; consider(at, evArrival) {
-			pick, ok = nextPick{kind: evArrival, at: at}, true
-		}
+		consider(evKey{reqs[order[next]].Arrival, evArrival})
 	}
 	// Scale ticks fire only while the simulation still has anything to serve
 	// or wait for — and stop for good once a tick could not act on an
 	// otherwise-idle fleet (see RunWithFaults).
-	if f.auto != nil && !f.auto.exhausted && (sess != nil || haveArr || haveFault || queued > 0) {
-		if consider(f.auto.nextAt, evScale) {
-			pick = nextPick{
-				kind: evScale, at: f.auto.nextAt,
-				lastResort: sess == nil && !haveArr && !haveFault,
-			}
-			ok = true
+	if f.auto != nil && !f.auto.exhausted && (sessions || haveArr || haveFault || queued > 0) {
+		if consider(evKey{f.auto.nextAt, evScale}) {
+			pick.lastResort = !sessions && !haveArr && !haveFault
 		}
 	}
-	return pick, ok
+	return pick
+}
+
+// nextEvent selects the earliest pending event across all five classes; ok
+// is false when nothing remains — the loop's terminal state.
+func (f *Fleet) nextEvent(reqs []StreamRequest, order []int, next int, fevs []faultEvent, fi, queued int) (pick nextPick, ok bool) {
+	sess := f.bestSession()
+	if f.audit {
+		if scan := f.scanSession(); scan != sess {
+			panic(fmt.Sprintf("fleet: heap picked %s, the rescan %s", sessName(sess), sessName(scan)))
+		}
+		if sess != nil && sess.key != sess.liveKey() {
+			panic(fmt.Sprintf("fleet: heap key of %s is stale", sessName(sess)))
+		}
+	}
+	pick = f.nextGlobal(reqs, order, next, fevs, fi, queued, sess != nil)
+	if sess != nil && sess.key.before(pick.evKey) {
+		return nextPick{evKey: sess.key, as: sess}, true
+	}
+	return pick, pick.kind != evNone
 }
 
 // sessName names a selected session in audit panics.
@@ -251,22 +263,4 @@ func sessName(as *activeSession) string {
 		return "nothing"
 	}
 	return as.out.Name + " on " + as.dev.Name
-}
-
-// auditSessionCache cross-checks every session's cached event view against
-// the live session — the stale-cache regression hook, enabled only by
-// tests. A mismatch means some transition that changes ReadyAt/Horizon/
-// Done/Remaining skipped its refresh.
-func (f *Fleet) auditSessionCache() {
-	for _, d := range f.devices {
-		for _, as := range d.sessions {
-			fresh := as.finished == as.sess.Done() &&
-				as.horizon == as.sess.Horizon() &&
-				as.left == as.sess.Remaining() &&
-				(as.finished || as.readyAt == as.sess.ReadyAt())
-			if !fresh {
-				panic(fmt.Sprintf("fleet: stale session cache for %s on %s", as.out.Name, d.Name))
-			}
-		}
-	}
 }

@@ -1,12 +1,6 @@
 package fleet
 
-import (
-	"math"
-	"time"
-
-	"repro/internal/par"
-	"repro/internal/runtime"
-)
+import "repro/internal/par"
 
 // Region sharding: the fleet's devices partition into R regions, each
 // owning a private session-event heap. Between two consecutive global
@@ -19,8 +13,15 @@ import (
 // count. This is the plan-then-fan-out draw-equivalence discipline of the
 // offline stages (DESIGN.md §2) applied to the event loop itself.
 
-// region is one shard of the fleet's devices.
-type region struct{ heap sessHeap }
+// region is one shard of the fleet's devices: its session-event heap, and
+// the log of session events its last advance served locally, kept across
+// intervals so a steady run stops allocating it; merged is the merge's
+// cursor into the log.
+type region struct {
+	heap   sessHeap
+	log    []sessEvent
+	merged int
+}
 
 // regionIndex assigns a device to a region by FNV-1a of its name — stable
 // across runs and device-listing order, the property every fleet decision
@@ -38,213 +39,74 @@ func regionIndex(name string, n int) int {
 	return int(h % uint64(n))
 }
 
-// barrier is the earliest global (cross-region) event's selection key.
-// Session events strictly before it are region-local by construction.
-type barrier struct {
-	at   time.Duration
-	kind eventKind
-}
-
-// openBarrier sorts after every real event, so with no global event left
-// the regions drain completely.
-func openBarrier() barrier {
-	return barrier{at: time.Duration(math.MaxInt64), kind: evNone}
-}
-
-func (b barrier) min(at time.Duration, kind eventKind) barrier {
-	if at < b.at || (at == b.at && kind < b.kind) {
-		return barrier{at: at, kind: kind}
-	}
-	return b
-}
-
-// admits reports whether the session's event sorts strictly before the
-// barrier — kind breaks the time tie exactly like the selection switch.
-func (b barrier) admits(as *activeSession) bool {
-	at, kind := as.eventKey()
-	return at < b.at || (at == b.at && kind < b.kind)
-}
-
-// regionEvent is one session event a region advance processed locally,
-// logged with its global key so cross-region side effects replay in exact
-// global order at the merge.
-type regionEvent struct {
-	at   time.Duration
-	kind eventKind
-	dev  string
-	seq  int
-	as   *activeSession
-
-	// Step payload: the autoscaler latency sample and, when the stream's
-	// journal cadence came due, the checkpoint snapshot taken at the step
-	// (encoded at merge time so journal sequence numbers stay global).
-	sample    latSample
-	hasSample bool
-	snap      *runtime.SessionSnapshot
-
-	// Departure payload: the completed stream result for departGlobal.
-	sr *runtime.StreamResult
-
-	// Flight-recorder payload: the [spanLo, spanHi) range of the session's
-	// pending span buffer this step emitted. The merge collects exactly that
-	// range in global key order, so the recorder's span list is bit-identical
-	// to the sequential run; buffers reset only after the whole merge (a
-	// session can step several times within one parallel interval).
-	spanLo, spanHi int
-}
-
-func regionEventBefore(a, b *regionEvent) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.kind != b.kind {
-		return a.kind < b.kind
-	}
-	if a.dev != b.dev {
-		return a.dev < b.dev
-	}
-	return a.seq < b.seq
-}
-
 // advanceRegions advances every region in parallel up to the next global
-// event, then replays the logged side effects in global order. The caller
-// guarantees the admission queue is empty, so a departure inside the
+// event, then commits the logged session events in global order. The
+// caller guarantees the admission queue is empty, so a departure inside the
 // interval cannot admit anything and stays region-local (a non-empty queue
 // pins the loop sequential until it drains).
 func (f *Fleet) advanceRegions(reqs []StreamRequest, order []int, next int, fevs []faultEvent, fi int) error {
-	bar := openBarrier()
-	if fi < len(fevs) {
-		bar = bar.min(fevs[fi].at, evFault)
-	}
-	if next < len(order) {
-		bar = bar.min(reqs[order[next]].Arrival, evArrival)
-	}
-	anySess := false
-	for _, rg := range f.regions {
-		if rg.heap.len() > 0 {
-			anySess = true
-			break
-		}
-	}
-	if f.auto != nil && !f.auto.exhausted && (anySess || fi < len(fevs) || next < len(order)) {
-		bar = bar.min(f.auto.nextAt, evScale)
-	}
-	// Skip the fan-out entirely when no region has an event inside the
+	best := f.bestSession()
+	bar := f.nextGlobal(reqs, order, next, fevs, fi, 0, best != nil)
+	// Skip the fan-out entirely when no session event falls inside the
 	// interval — the common case right before each arrival in a sparse
 	// trace.
-	work := false
-	for _, rg := range f.regions {
-		if top := rg.heap.peek(); top != nil && bar.admits(top) {
-			work = true
-			break
-		}
-	}
-	if !work {
+	if best == nil || !best.key.before(bar.evKey) {
 		return nil
 	}
-	logs := make([][]regionEvent, len(f.regions))
 	if err := par.MapErr(len(f.regions), func(ri int) error {
-		return f.advanceRegion(f.regions[ri], bar, &logs[ri])
+		return f.advanceRegion(f.regions[ri], bar.evKey)
 	}); err != nil {
 		return err
 	}
-	return f.mergeRegions(logs)
+	return f.mergeRegions()
 }
 
-// advanceRegion drains one region's heap up to the barrier. Steps and
-// departures touch only the region's own devices, sessions and loaders;
-// every effect visible outside the region is logged instead of applied.
-func (f *Fleet) advanceRegion(rg *region, bar barrier, log *[]regionEvent) error {
+// advanceRegion serves one region's session events that sort before the
+// barrier through serveLocal, logging each for the merge. Steps and
+// departures touch only the region's own devices, sessions and loaders.
+func (f *Fleet) advanceRegion(rg *region, bar evKey) error {
+	rg.log = rg.log[:0]
 	for {
 		as := rg.heap.peek()
-		if as == nil || !bar.admits(as) {
+		if as == nil || !as.key.before(bar) {
 			return nil
 		}
-		at, kind := as.eventKey()
-		ev := regionEvent{at: at, kind: kind, dev: as.dev.Name, seq: as.seq, as: as}
-		if as.finished {
-			ev.sr = f.departLocal(as)
-		} else {
-			if as.sr != nil {
-				ev.spanLo = as.sr.PendLen()
-			}
-			if err := as.sess.Step(); err != nil {
-				return err
-			}
-			if as.sr != nil {
-				ev.spanHi = as.sr.PendLen()
-			}
-			as.refresh()
-			rg.heap.fix(as)
-			if f.auto != nil {
-				tms := as.sess.Result().Timings
-				tm := tms[len(tms)-1]
-				ev.sample = latSample{dev: as.dev.Name, done: tm.Done, lat: tm.LatencySec()}
-				ev.hasSample = true
-			}
-			if f.journalDue(as) {
-				ev.snap = as.sess.Snapshot()
-				// Snapshot invalidates the cached event view, same as
-				// writeJournal on the sequential path.
-				as.refresh()
-				rg.heap.fix(as)
-			}
+		rg.log = append(rg.log, sessEvent{})
+		if err := f.serveLocal(as, &rg.log[len(rg.log)-1]); err != nil {
+			return err
 		}
-		*log = append(*log, ev)
 	}
 }
 
-// mergeRegions interleaves the per-region logs by global event key (each
-// log is already sorted — heap pop order) and applies the cross-region
-// mutations in that order: the autoscaler's rolling sample window, journal
-// writes (stamping the global journalSeq, so the encoded bytes are
-// bit-identical to the sequential run), and the global half of each
-// departure.
-func (f *Fleet) mergeRegions(logs [][]regionEvent) error {
-	idx := make([]int, len(logs))
+// mergeRegions interleaves the per-region logs by global event order (each
+// log is already sorted — heap pop order) and commits every event in that
+// order, exactly as the sequential loop would have. The logs are cleared
+// afterwards so they do not keep departed streams' results alive.
+func (f *Fleet) mergeRegions() error {
+	for _, rg := range f.regions {
+		rg.merged = 0
+	}
 	for {
-		best := -1
-		for ri := range logs {
-			if idx[ri] >= len(logs[ri]) {
+		var best *region
+		var head *sessEvent
+		for _, rg := range f.regions {
+			if rg.merged == len(rg.log) {
 				continue
 			}
-			if best < 0 || regionEventBefore(&logs[ri][idx[ri]], &logs[best][idx[best]]) {
-				best = ri
+			if ev := &rg.log[rg.merged]; head == nil || eventBefore(ev.evKey, ev.as, head.evKey, head.as) {
+				best, head = rg, ev
 			}
 		}
-		if best < 0 {
-			// Every logged span range is collected; clear the buffers so the
-			// next interval's ranges start at zero (idempotent per session).
-			if f.rec != nil {
-				for ri := range logs {
-					for i := range logs[ri] {
-						if sr := logs[ri][i].as.sr; sr != nil {
-							sr.ResetPend()
-						}
-					}
-				}
+		if head == nil {
+			for _, rg := range f.regions {
+				clear(rg.log)
 			}
 			return nil
 		}
-		ev := &logs[best][idx[best]]
-		idx[best]++
+		best.merged++
 		f.events++
-		if ev.kind == evDeparture {
-			f.departGlobal(ev.as, ev.sr)
-			continue
-		}
-		if ev.hasSample {
-			f.auto.samples = append(f.auto.samples, ev.sample)
-		}
-		if ev.snap != nil {
-			if err := f.commitJournal(ev.as, ev.snap); err != nil {
-				return err
-			}
-		}
-		// Collect the step's exact span range last, mirroring the sequential
-		// path's step → sample → journal → flush order.
-		if f.rec != nil && ev.as.sr != nil && ev.spanHi > ev.spanLo {
-			f.rec.CollectRange(ev.as.sr, ev.spanLo, ev.spanHi)
+		if err := f.commit(head); err != nil {
+			return err
 		}
 	}
 }

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,8 +14,8 @@ import (
 
 // selectorGrid runs one (workload, faults, config) scenario single-region
 // and sharded at two region counts, with the audit armed — every selection
-// re-derives the cached session views and checks the heap's pick against
-// the full rescan — and asserts all three runs are bit-identical, event
+// checks the heap's pick, and its key, against a full rescan of the live
+// sessions — and asserts all three runs are bit-identical, event
 // counts and journal traffic included. This is the heap-vs-scan /
 // R=1-vs-R>1 equivalence test the heap refactor is pinned by, on scenarios
 // richer than the fuzz corpus explores per input: elastic scale-out/in,
@@ -28,7 +29,7 @@ func selectorGrid(t *testing.T, label string, reqs []StreamRequest, faults []Fau
 		if err != nil {
 			t.Fatal(err)
 		}
-		fl.auditCache = true
+		fl.audit = true
 		res, err := fl.RunWithFaults(reqs, faults)
 		if err != nil {
 			t.Fatal(err)
@@ -97,8 +98,7 @@ func TestFleetSelectorEquivalenceElastic(t *testing.T) {
 // TestFleetSelectorEquivalenceFaulty: brownout TimeScale churn, an outage
 // migration and a crash recovery from the durable journal replay identically
 // at every region count, with the heap agreeing with the rescan at every
-// selection — the fault paths all maintain the heap (and the cached event
-// views) correctly.
+// selection — the fault paths all maintain the heap correctly.
 func TestFleetSelectorEquivalenceFaulty(t *testing.T) {
 	cfg := WorkloadConfig{
 		Seed: 5, Streams: 6, RatePerSec: 1, PeriodSec: 0.1,
@@ -208,11 +208,11 @@ func TestFleetFailReleasesQueuedCheckpoints(t *testing.T) {
 	}
 }
 
-// TestFleetStaleCacheAuditTripsOnSkippedRefresh proves the audit hook has
-// teeth: serving one step through the session behind the cache's back must
-// panic the next selection, so any future transition that forgets its
-// refresh cannot pass the equivalence suite silently.
-func TestFleetStaleCacheAuditTripsOnSkippedRefresh(t *testing.T) {
+// TestFleetAuditTripsOnMissedFix proves the audit hook has teeth: stepping
+// the heap's pick without re-keying its entry must panic the next
+// selection, so a future transition that forgets its heap fix cannot pass
+// the equivalence suite silently.
+func TestFleetAuditTripsOnMissedFix(t *testing.T) {
 	fl, err := New(Config{
 		Seed:      3,
 		Devices:   []DeviceConfig{{Name: "edge-a"}},
@@ -221,28 +221,78 @@ func TestFleetStaleCacheAuditTripsOnSkippedRefresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl.auditCache = true
-	reqs := []StreamRequest{{
-		Name: "s", Scenario: "s2", Arrival: 0, Frames: testFrames(t)[:10],
-		PeriodSec: 0.05, Policy: fixedFactory(detmodel.YoloV7Tiny, "gpu"),
-	}}
-	// Admit manually through the loop's own helpers, then step the session
-	// directly — the one mutation path the fleet never uses without a
-	// refresh.
-	var queue []*pending
-	out, err := fl.arrive(&reqs[0], 0, &queue)
-	if err != nil {
-		t.Fatal(err)
+	fl.audit = true
+	var reqs []StreamRequest
+	for _, name := range []string{"s0", "s1"} {
+		reqs = append(reqs, StreamRequest{
+			Name: name, Scenario: "s2", Arrival: 0, Frames: testFrames(t)[:10],
+			PeriodSec: 0.05, Policy: fixedFactory(detmodel.YoloV7Tiny, "gpu"),
+		})
 	}
-	as := fl.devices[0].sessions[0]
+	// Admit through the loop's own helpers, then step the picked session
+	// directly — the one mutation the fleet never makes without a fix.
+	var queue []*pending
+	for i := range reqs {
+		if _, err := fl.arrive(&reqs[i], 0, &queue); err != nil {
+			t.Fatal(err)
+		}
+	}
+	as := fl.bestSession()
 	if err := as.sess.Step(); err != nil {
 		t.Fatal(err)
 	}
 	defer func() {
-		_ = as.sess.Close()
-		if recover() == nil {
-			t.Fatalf("stale cache not detected for %s", out.Name)
+		for _, s := range fl.devices[0].sessions {
+			_ = s.sess.Close()
+		}
+		if r := recover(); !strings.HasPrefix(fmt.Sprint(r), "fleet: heap ") {
+			t.Fatalf("missed heap fix on %s: recovered %v, want the audit's panic", as.out.Name, r)
 		}
 	}()
-	fl.nextEvent(reqs, []int{0}, 1, nil, 0, 0)
+	fl.nextEvent(reqs, []int{0, 1}, 2, nil, 0, 0)
+}
+
+// TestFleetDepartureBeforeStepTie: a departure and a step due at the same
+// instant resolve departure first. Two devices pinned to one seed serve
+// identical streams of 5 and 8 frames at period 0 in lockstep, so the short
+// stream departs exactly when the long stream's frame 5 is ready. The
+// departure hook, run sequentially (R = 0), must see the long stream with 5
+// frames served, not 6.
+func TestFleetDepartureBeforeStepTie(t *testing.T) {
+	frames := testFrames(t)
+	reqs := []StreamRequest{
+		{Name: "long", Scenario: "s2", Frames: frames[:8], Policy: fixedFactory(detmodel.YoloV7Tiny, "gpu")},
+		{Name: "short", Scenario: "s2", Frames: frames[:5], Policy: fixedFactory(detmodel.YoloV7Tiny, "gpu")},
+	}
+	var fl *Fleet
+	served := -1
+	fl, err := New(Config{
+		Seed:      4,
+		Devices:   []DeviceConfig{{Name: "edge-a", Seed: 77}, {Name: "edge-b", Seed: 77}},
+		Placement: NewRoundRobin(),
+		OnDepart: func(out *StreamOutcome) {
+			if out.Name != "short" {
+				return
+			}
+			for _, as := range fl.device("edge-a").sessions {
+				served = len(as.sess.Result().Result.Records)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl.audit = true
+	res, err := fl.RunWithFaults(reqs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	long, short := res.Outcomes[0].Stream.Timings, res.Outcomes[1].Stream.Timings
+	if res.Outcomes[0].Device != "edge-a" || long[4].Done != short[4].Done || long[5].Start != short[4].Done {
+		t.Fatalf("streams not in lockstep: long on %s, frame 4 done %v/%v, long frame 5 start %v",
+			res.Outcomes[0].Device, long[4].Done, short[4].Done, long[5].Start)
+	}
+	if served != 5 {
+		t.Fatalf("departure hook saw the long stream with %d frames served, want 5 (departure before step)", served)
+	}
 }

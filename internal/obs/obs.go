@@ -15,11 +15,10 @@
 //     are emitted into a per-stream pending buffer (StreamRec) while the
 //     step runs — each stream is owned by exactly one region, so buffering
 //     is race-free under region-sharded advances — and are collected into
-//     the global list at the same points the fleet applies other
-//     cross-region effects: after each step on the sequential path, and in
-//     exact global key order at the region merge barrier (the journal-encode
-//     discipline of internal/fleet/region.go). The collected span order is
-//     therefore bit-identical at every region count.
+//     the global list when the fleet commits the step, with its other
+//     global effects, in global event order: at once on the sequential
+//     path, at the merge after a region advance. The collected span order
+//     is therefore bit-identical at every region count.
 //
 // The package is a leaf: the runtime engine and the fleet loop both import
 // it, so it depends only on the standard library (internal/metrics sits
@@ -221,23 +220,17 @@ func (r *Recorder) OpenStream(stream, device string) *StreamRec {
 	return &StreamRec{stream: stream, device: device}
 }
 
-// Collect appends a stream's buffered spans to the global list in emission
-// order and resets the buffer — the sequential event loop calls it after
-// every step (and after a drain), keeping the global list in event order.
-func (r *Recorder) Collect(sr *StreamRec) {
-	for _, sp := range sr.pend {
-		r.add(sp)
-	}
-	sr.pend = sr.pend[:0]
-}
-
-// CollectRange appends pend[lo:hi) without resetting — the region merge
-// collects each logged step's exact span range in global key order and
-// resets the buffers only once the whole merge is applied (a session may
-// step several times within one parallel interval).
-func (r *Recorder) CollectRange(sr *StreamRec, lo, hi int) {
+// Collect appends the stream's buffered spans pend[lo:hi) to the global
+// list in emission order, and resets the buffer when hi is its end. The
+// fleet collects each step's range when it commits the step, in global
+// event order; a session that stepped several times within one region
+// interval has its ranges collected in step order, and the last one resets.
+func (r *Recorder) Collect(sr *StreamRec, lo, hi int) {
 	for _, sp := range sr.pend[lo:hi] {
 		r.add(sp)
+	}
+	if hi == len(sr.pend) {
+		sr.pend = sr.pend[:0]
 	}
 }
 
@@ -250,12 +243,9 @@ type StreamRec struct {
 	pend   []Span
 }
 
-// PendLen returns the pending span count — the region advance brackets each
-// step's emissions with it.
+// PendLen returns the pending span count — the fleet brackets each step's
+// emissions with it.
 func (sr *StreamRec) PendLen() int { return len(sr.pend) }
-
-// ResetPend clears the buffer after a region merge collected every range.
-func (sr *StreamRec) ResetPend() { sr.pend = sr.pend[:0] }
 
 // Exec buffers one execution charge on proc: queued behind earlier work for
 // wait, ran [start, end).

@@ -28,7 +28,7 @@ func record() *obs.Recorder {
 	sr.Exec("gpu", "yolo", 50*time.Millisecond, 65*time.Millisecond, 0, 1)
 	sr.Frame(1, 40*time.Millisecond, 50*time.Millisecond, 65*time.Millisecond,
 		0, 0, 10*time.Millisecond)
-	r.Collect(sr)
+	r.Collect(sr, 0, sr.PendLen())
 	r.Arrival("b", 20*time.Millisecond)
 	r.Reject()
 	r.Brownout("dev0", 60*time.Millisecond, 70*time.Millisecond)
@@ -136,7 +136,7 @@ func TestAttributionSharesAndP99(t *testing.T) {
 			ns := time.Duration(math.Abs(s) * float64(time.Second))
 			sr.Frame(i, 0, 0, ns, 0, 0, time.Hour)
 		}
-		rec.Collect(sr)
+		rec.Collect(sr, 0, sr.PendLen())
 		var lats []float64
 		for _, sp := range rec.Spans() {
 			lats = append(lats, sp.Dur().Seconds())
@@ -255,23 +255,23 @@ func TestTimeline(t *testing.T) {
 	}
 }
 
-// TestCollectRange pins the region-merge primitive: collecting an explicit
-// pend range copies exactly those spans without resetting the buffer, so a
-// later reset-free range pick up where the previous left off.
+// TestCollectRange pins the collection rule both fleet paths rely on: a
+// range short of the buffer's end copies exactly those spans and leaves the
+// buffer alone, so a region merge can collect one session's steps in turn;
+// the range that reaches the end resets it.
 func TestCollectRange(t *testing.T) {
 	r := obs.NewRecorder()
 	sr := r.OpenStream("s", "d")
 	sr.Exec("gpu", "m", 0, time.Millisecond, 0, 0)
 	sr.Exec("gpu", "m", time.Millisecond, 2*time.Millisecond, 0, 1)
 	sr.Exec("gpu", "m", 2*time.Millisecond, 3*time.Millisecond, 0, 2)
-	r.CollectRange(sr, 0, 1)
-	r.CollectRange(sr, 1, 3)
+	r.Collect(sr, 0, 1)
 	if sr.PendLen() != 3 {
-		t.Fatalf("CollectRange reset the pend buffer: len %d", sr.PendLen())
+		t.Fatalf("a range short of the end reset the pend buffer: len %d", sr.PendLen())
 	}
-	sr.ResetPend()
+	r.Collect(sr, 1, 3)
 	if sr.PendLen() != 0 {
-		t.Fatal("ResetPend left spans pending")
+		t.Fatalf("the range reaching the end left %d spans pending", sr.PendLen())
 	}
 	spans := r.Spans()
 	if len(spans) != 3 {
