@@ -2,12 +2,14 @@
 // evaluation: an Nvidia Xavier NX SoC (CPU + GPU + 2×DLA sharing one memory
 // pool) plus a Luxonis OAK-D camera accelerator with its own memory.
 //
-// The physical hardware is replaced by a virtual-time model: executing a
-// workload on a processor advances a simulated clock by a jittered latency
-// and integrates a jittered power draw into per-processor energy meters.
-// Latency and power anchors come from Tables I and IV of the paper, so
-// simulated seconds and Joules are directly comparable to the paper's
-// columns, while remaining deterministic and machine-independent.
+// The physical hardware is replaced by a virtual-time model. All work goes
+// through one charge path, called by ExecFrom for a processor and by
+// CopyFrom for the DMA channel: the work queues FIFO behind the lane's
+// earlier work, runs for a jittered latency, advances a simulated clock to
+// its completion and integrates a jittered power draw into per-lane energy
+// meters. Latency and power anchors come from Tables I and IV of the
+// paper, so simulated seconds and Joules are directly comparable to the
+// paper's columns, while remaining deterministic and machine-independent.
 package accel
 
 import (
@@ -126,23 +128,14 @@ func (p *MemPool) Keys() []string {
 	return keys
 }
 
-// Clock is the virtual time source. All latencies in the simulation advance
-// this clock; wall-clock time never enters any measurement.
+// Clock is the virtual time source. Every charge advances it to its own
+// completion; wall-clock time never enters any measurement.
 type Clock struct {
 	now time.Duration
 }
 
 // Now returns the current virtual time.
 func (c *Clock) Now() time.Duration { return c.now }
-
-// Advance moves virtual time forward; negative advances panic, since they
-// indicate a harness bug that would corrupt every downstream measurement.
-func (c *Clock) Advance(d time.Duration) {
-	if d < 0 {
-		panic("accel: negative clock advance")
-	}
-	c.now += d
-}
 
 // AdvanceTo moves the clock to t when t is later; earlier times are a no-op.
 // The multi-stream event loop completes work out of global order, so the
@@ -206,17 +199,11 @@ type SoC struct {
 	// without scaling.
 	TimeScale float64
 
-	r     *rng.Stream
-	dmaR  *rng.Stream
-	trace *Trace
-	// ctxStream/ctxModel are the attribution labels stamped into trace
-	// samples; the serving engine sets them before each charge when a trace
-	// is attached (SetExecLabel). Zero values mean unattributed, keeping
-	// direct Exec callers' traces unchanged.
-	ctxStream string
-	ctxModel  string
-	// busy tracks each processor's FIFO queue horizon for contention-aware
-	// execution (ExecFrom); the plain Exec path does not consult it.
+	// r draws the compute procs' jitter, dmaR the copy channel's.
+	r    *rng.Stream
+	dmaR *rng.Stream
+	// busy tracks each lane's FIFO queue horizon: one per processor, plus
+	// DMAProcID for the copy channel.
 	busy map[string]time.Duration
 	// parked marks a powered-down platform: every execution is refused until
 	// Unpark. The fleet's autoscaler parks a device after draining it, so a
@@ -261,7 +248,7 @@ func (s *SoC) SetTimeScale(scale float64) error {
 	return nil
 }
 
-// Park powers the platform down: every subsequent Exec/ExecFrom is refused
+// Park powers the platform down: every subsequent ExecFrom/CopyFrom is refused
 // until Unpark. Memory pools and meters are left intact — a parked device is
 // retired capacity, not a wiped one — so end-of-run accounting (busy time,
 // residency leak checks) still reads the device's final state.
@@ -295,37 +282,6 @@ func (s *SoC) PoolOf(id string) (*MemPool, error) {
 	return pool, nil
 }
 
-// Exec simulates running a workload with the given mean latency (seconds)
-// and mean power (Watts) on processor procID. The clock advances by the
-// jittered latency and the meter accumulates the jittered energy.
-func (s *SoC) Exec(procID string, latMean, powerMean float64) (Cost, error) {
-	if s.parked {
-		return Cost{}, fmt.Errorf("accel: platform is parked")
-	}
-	if _, err := s.Proc(procID); err != nil {
-		return Cost{}, err
-	}
-	if latMean < 0 || powerMean < 0 {
-		return Cost{}, fmt.Errorf("accel: negative workload parameters (%v s, %v W)", latMean, powerMean)
-	}
-	lat := s.r.Jitter(latMean*s.TimeScale, s.LatJitter)
-	pow := s.r.Jitter(powerMean, s.PowerJitter)
-	d := time.Duration(lat * float64(time.Second))
-	start := s.Clock.Now()
-	s.Clock.Advance(d)
-	energy := d.Seconds() * pow // use the rounded duration so Energy == Lat·Power exactly
-	s.Meter.BusyTime[procID] += d
-	s.Meter.Energy[procID] += energy
-	s.Meter.Execs[procID]++
-	if s.trace != nil {
-		s.trace.Samples = append(s.trace.Samples, TraceSample{
-			Proc: procID, Stream: s.ctxStream, Model: s.ctxModel,
-			Start: start, Dur: d, PowerW: pow,
-		})
-	}
-	return Cost{Lat: d, Energy: energy, PowerW: pow}, nil
-}
-
 // Span is one queued execution on a processor's FIFO timeline: when it
 // actually started and finished, how long it queued behind earlier work, and
 // the cost charged (latency = pure execution, excluding the queueing delay).
@@ -338,20 +294,50 @@ type Span struct {
 	Cost Cost
 }
 
-// ExecFrom simulates a workload submitted to processor procID at stream time
-// ready: the execution starts at the later of ready and the processor's
-// queue horizon (FIFO — earlier submissions finish first), runs for the
-// jittered latency, and pushes the horizon to its completion. Jitter draws,
-// meters and trace samples are identical to Exec; the global clock tracks
-// the latest completion instead of accumulating (AdvanceTo). This is the
+// ExecFrom simulates a workload with the given mean latency (seconds) and
+// mean power (Watts) submitted to processor procID at stream time ready: the
+// execution starts at the later of ready and the processor's queue horizon
+// (FIFO — earlier submissions finish first), runs for the jittered latency,
+// and pushes the horizon and the clock to its completion. This is the
 // contention primitive of the multi-stream serving runtime: concurrent
-// streams on one accelerator pay each other's execution latency as Wait.
+// streams on one accelerator pay each other's execution latency as Wait. A
+// lone caller submits at Clock.Now(), where nothing is queued.
 func (s *SoC) ExecFrom(procID string, ready time.Duration, latMean, powerMean float64) (Span, error) {
-	if s.parked {
-		return Span{}, fmt.Errorf("accel: platform is parked")
-	}
 	if _, err := s.Proc(procID); err != nil {
 		return Span{}, err
+	}
+	return s.charge(s.r, procID, ready, latMean, powerMean)
+}
+
+// BusyUntil returns the lane's FIFO queue horizon: the completion time of
+// the last workload queued on a processor via ExecFrom, or on DMAProcID via
+// CopyFrom.
+func (s *SoC) BusyUntil(procID string) time.Duration { return s.busy[procID] }
+
+// DMAProcID is the pseudo-processor the copy channel meters under. It is not
+// a Proc: deviceStats-style reductions that iterate Procs never see it, and
+// ExecFrom refuses it, so compute charging cannot land on the copy channel
+// by mistake.
+const DMAProcID = "dma"
+
+// CopyFrom simulates an engine-image copy submitted to the SoC's single DMA
+// channel at stream time ready: copies serialize FIFO against each other,
+// exactly like ExecFrom on a processor, but never occupy compute — this is
+// the overlap primitive speculative prefetch rides (a load transfers over
+// DMA while the serving processor keeps executing). The channel draws its
+// jitter from its own forked stream, so copies never touch the compute
+// procs' draws: a run with prefetch enabled consumes exactly the demand-path
+// draws of a prefetch-free run (forks do not advance the parent).
+func (s *SoC) CopyFrom(ready time.Duration, latMean, powerMean float64) (Span, error) {
+	return s.charge(s.dmaR, DMAProcID, ready, latMean, powerMean)
+}
+
+// charge is the one charge path behind ExecFrom and CopyFrom: validate, draw
+// latency then power from r, start at the later of ready and the lane's FIFO
+// horizon, advance the clock to the end, and meter under lane.
+func (s *SoC) charge(r *rng.Stream, lane string, ready time.Duration, latMean, powerMean float64) (Span, error) {
+	if s.parked {
+		return Span{}, fmt.Errorf("accel: platform is parked")
 	}
 	if latMean < 0 || powerMean < 0 {
 		return Span{}, fmt.Errorf("accel: negative workload parameters (%v s, %v W)", latMean, powerMean)
@@ -359,91 +345,18 @@ func (s *SoC) ExecFrom(procID string, ready time.Duration, latMean, powerMean fl
 	if ready < 0 {
 		return Span{}, fmt.Errorf("accel: negative ready time %v", ready)
 	}
-	lat := s.r.Jitter(latMean*s.TimeScale, s.LatJitter)
-	pow := s.r.Jitter(powerMean, s.PowerJitter)
+	lat := r.Jitter(latMean*s.TimeScale, s.LatJitter)
+	pow := r.Jitter(powerMean, s.PowerJitter)
 	d := time.Duration(lat * float64(time.Second))
-	start := ready
-	if bu := s.busy[procID]; bu > start {
-		start = bu
-	}
+	start := max(ready, s.busy[lane])
 	end := start + d
-	s.busy[procID] = end
+	s.busy[lane] = end
 	s.Clock.AdvanceTo(end)
 	energy := d.Seconds() * pow // rounded duration, so Energy == Lat·Power exactly
-	s.Meter.BusyTime[procID] += d
-	s.Meter.Energy[procID] += energy
-	s.Meter.Execs[procID]++
-	if s.trace != nil {
-		s.trace.Samples = append(s.trace.Samples, TraceSample{
-			Proc: procID, Stream: s.ctxStream, Model: s.ctxModel,
-			Start: start, Dur: d, PowerW: pow,
-		})
-	}
+	s.Meter.BusyTime[lane] += d
+	s.Meter.Energy[lane] += energy
+	s.Meter.Execs[lane]++
 	return Span{Start: start, End: end, Wait: start - ready, Cost: Cost{Lat: d, Energy: energy, PowerW: pow}}, nil
-}
-
-// BusyUntil returns the processor's FIFO queue horizon: the completion time
-// of the last workload queued on it via ExecFrom.
-func (s *SoC) BusyUntil(procID string) time.Duration { return s.busy[procID] }
-
-// DMAProcID is the pseudo-processor the copy channel meters and traces
-// under. It is not a Proc: deviceStats-style reductions that iterate Procs
-// never see it, and ExecFrom refuses it, so compute charging cannot land on
-// the copy channel by mistake.
-const DMAProcID = "dma"
-
-// CopyFrom simulates an engine-image copy submitted to the SoC's single DMA
-// channel at stream time ready: copies serialize FIFO against each other,
-// exactly like ExecFrom on a processor, but never occupy compute — this is
-// the overlap primitive speculative prefetch rides (a load transfers over
-// DMA while the serving processor keeps executing). Jitter draws, metering
-// and trace samples mirror ExecFrom under DMAProcID; the demand-load path
-// never calls it, so a prefetch-free run's draws are untouched.
-func (s *SoC) CopyFrom(ready time.Duration, latMean, powerMean float64) (Span, error) {
-	if s.parked {
-		return Span{}, fmt.Errorf("accel: platform is parked")
-	}
-	if latMean < 0 || powerMean < 0 {
-		return Span{}, fmt.Errorf("accel: negative copy parameters (%v s, %v W)", latMean, powerMean)
-	}
-	if ready < 0 {
-		return Span{}, fmt.Errorf("accel: negative ready time %v", ready)
-	}
-	// The DMA channel draws from its own forked stream: copies never touch
-	// the compute procs' jitter sequence, so a run with prefetch enabled
-	// consumes exactly the demand-path draws of a prefetch-free run (forks
-	// do not advance the parent).
-	lat := s.dmaR.Jitter(latMean*s.TimeScale, s.LatJitter)
-	pow := s.dmaR.Jitter(powerMean, s.PowerJitter)
-	d := time.Duration(lat * float64(time.Second))
-	start := ready
-	if bu := s.busy[DMAProcID]; bu > start {
-		start = bu
-	}
-	end := start + d
-	s.busy[DMAProcID] = end
-	s.Clock.AdvanceTo(end)
-	energy := d.Seconds() * pow // rounded duration, so Energy == Lat·Power exactly
-	s.Meter.BusyTime[DMAProcID] += d
-	s.Meter.Energy[DMAProcID] += energy
-	s.Meter.Execs[DMAProcID]++
-	if s.trace != nil {
-		s.trace.Samples = append(s.trace.Samples, TraceSample{
-			Proc: DMAProcID, Stream: s.ctxStream, Model: s.ctxModel,
-			Start: start, Dur: d, PowerW: pow,
-		})
-	}
-	return Span{Start: start, End: end, Wait: start - ready, Cost: Cost{Lat: d, Energy: energy, PowerW: pow}}, nil
-}
-
-// TraceAttached reports whether a power trace is recording — callers gate
-// SetExecLabel on it so the detached path skips the label writes.
-func (s *SoC) TraceAttached() bool { return s.trace != nil }
-
-// SetExecLabel sets the stream/model attribution stamped into subsequent
-// trace samples; labels persist until the next call (empty strings clear).
-func (s *SoC) SetExecLabel(stream, model string) {
-	s.ctxStream, s.ctxModel = stream, model
 }
 
 // ProcIDsByKind returns processor IDs of the given kind in sorted order.

@@ -3,8 +3,6 @@ package accel
 import (
 	"testing"
 	"time"
-
-	"repro/internal/rng"
 )
 
 func TestExecFromQueuesFIFO(t *testing.T) {
@@ -69,29 +67,39 @@ func TestExecFromValidation(t *testing.T) {
 	}
 }
 
-// TestExecFromDrawsMatchExec pins that ExecFrom consumes jitter exactly like
-// Exec: the same stream position yields the same cost, so a single-stream
-// serve replays a solo run bit for bit.
-func TestExecFromDrawsMatchExec(t *testing.T) {
-	a := DefaultPlatform(rng.New(7))
-	b := DefaultPlatform(rng.New(7))
-	for i := 0; i < 20; i++ {
-		ca, err := a.Exec("gpu", 0.05, 12)
+// TestClockNeverBehindAnyLane pins what lets a lone caller submit at
+// Clock.Now(): every charge, on any processor or the copy channel, advances
+// the clock to its own end, so the clock is never behind any lane's FIFO
+// horizon and work submitted at Clock.Now() never queues.
+func TestClockNeverBehindAnyLane(t *testing.T) {
+	s := testSoC()
+	procs := []string{"cpu", "gpu", "dla0", "dla1", "oakd"}
+	lanes := append(procs, DMAProcID)
+	for i := 0; i < 40; i++ {
+		ready := time.Duration(i%7) * 10 * time.Millisecond
+		var err error
+		if lane := lanes[i%len(lanes)]; lane == DMAProcID {
+			_, err = s.CopyFrom(ready, 0.05, 8)
+		} else {
+			_, err = s.ExecFrom(lane, ready, 0.05, 8)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		sb, err := b.ExecFrom("gpu", sbReady(b), 0.05, 12)
+		for _, lane := range lanes {
+			if s.BusyUntil(lane) > s.Clock.Now() {
+				t.Fatalf("charge %d: clock %v behind %s's horizon %v", i, s.Clock.Now(), lane, s.BusyUntil(lane))
+			}
+		}
+		sp, err := s.ExecFrom(procs[i%len(procs)], s.Clock.Now(), 0.01, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ca != sb.Cost {
-			t.Fatalf("draw %d: Exec cost %+v != ExecFrom cost %+v", i, ca, sb.Cost)
+		if sp.Wait != 0 || s.Clock.Now() != sp.End {
+			t.Fatalf("charge %d: submission at Clock.Now() queued or left the clock behind: %+v, clock %v", i, sp, s.Clock.Now())
 		}
 	}
 }
-
-// sbReady submits at the queue horizon, mimicking a lone sequential stream.
-func sbReady(s *SoC) time.Duration { return s.BusyUntil("gpu") }
 
 func TestClockAdvanceTo(t *testing.T) {
 	c := &Clock{}
@@ -106,9 +114,11 @@ func TestClockAdvanceTo(t *testing.T) {
 	}
 }
 
+// TestExecFromMetersAndTrace checks that a charge is metered and that the
+// span it returns (what the flight recorder records as an exec span) sits
+// where the work ran: at its ready time on an idle processor, one latency long.
 func TestExecFromMetersAndTrace(t *testing.T) {
 	s := testSoC()
-	trace := s.AttachTrace()
 	sp, err := s.ExecFrom("gpu", time.Second, 0.2, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +126,10 @@ func TestExecFromMetersAndTrace(t *testing.T) {
 	if s.Meter.Execs["gpu"] != 1 || s.Meter.BusyTime["gpu"] != sp.Cost.Lat {
 		t.Fatal("meter not charged")
 	}
-	if len(trace.Samples) != 1 || trace.Samples[0].Start != sp.Start {
-		t.Fatalf("trace sample missing or misplaced: %+v", trace.Samples)
+	if sp.Start != time.Second || sp.Wait != 0 || sp.End != sp.Start+sp.Cost.Lat {
+		t.Fatalf("span misplaced: %+v", sp)
+	}
+	if s.Clock.Now() != sp.End {
+		t.Fatalf("clock %v, want span end %v", s.Clock.Now(), sp.End)
 	}
 }

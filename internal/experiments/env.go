@@ -64,15 +64,6 @@ func (e *Env) Frames(s *scene.Scenario) []scene.Frame {
 	return f
 }
 
-// Suite returns the rendered six-scenario evaluation suite.
-func (e *Env) Suite() map[string][]scene.Frame {
-	out := make(map[string][]scene.Frame, 6)
-	for _, s := range scene.EvaluationSuite() {
-		out[s.Name] = e.Frames(s)
-	}
-	return out
-}
-
 // sharedEnv supports tests and benchmarks that want to amortize env
 // construction across cases.
 var (

@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"testing"
 
 	"repro/internal/metrics"
@@ -32,6 +34,52 @@ const (
 	goldenFigure3Swaps = 29
 	goldenFigure3Hash  = uint64(0x4c6882937b406381)
 )
+
+// goldenTablesIAndIVHash pins Tables I and IV bit for bit: an FNV-1a hash
+// over every float's bits, rows in table order and cells in column order,
+// at seed 1 and the sizes TestTableIShape and TestTableIVShape use.
+const goldenTablesIAndIVHash = uint64(0x874e33449405ee90)
+
+// TestGoldenTablesIAndIV pins every Table I and Table IV number bit for bit.
+func TestGoldenTablesIAndIV(t *testing.T) {
+	env, err := Shared()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t1, err := TableI(env, 200, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t4, err := TableIV(env, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf []byte
+	put := func(vs ...float64) {
+		for _, v := range vs {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+		}
+	}
+	for _, row := range t1.Rows {
+		put(row.AvgIoU)
+		for _, k := range tableIKinds {
+			c := row.Cells[k]
+			put(c.TimeSec, c.PowerW, c.EnergyJ)
+		}
+	}
+	for _, row := range t4.Rows {
+		put(row.AvgIoU, row.SuccessRate)
+		for _, k := range tableIVKinds {
+			c := row.Cells[k]
+			put(c.TimeSec, c.EnergyJ, c.PowerW)
+		}
+	}
+	h := fnv.New64a()
+	h.Write(buf)
+	if got := h.Sum64(); got != goldenTablesIAndIVHash {
+		t.Errorf("Tables I/IV hash = %#x, golden %#x", got, goldenTablesIAndIVHash)
+	}
+}
 
 // TestGoldenTableIII pins every Table III cell bit-for-bit.
 func TestGoldenTableIII(t *testing.T) {

@@ -67,10 +67,11 @@ func TableI(env *Env, nFrames, nExec int) (*TableIResult, error) {
 			procID := sys.SoC.ProcIDsByKind(kind)[0]
 			cell := TableICell{Supported: true, Executions: nExec}
 			for i := 0; i < nExec; i++ {
-				cost, err := sys.SoC.Exec(procID, perf.LatencySec, perf.PowerW)
+				sp, err := sys.SoC.ExecFrom(procID, sys.SoC.Clock.Now(), perf.LatencySec, perf.PowerW)
 				if err != nil {
 					return nil, err
 				}
+				cost := sp.Cost
 				cell.TimeSec += cost.Lat.Seconds()
 				cell.PowerW += cost.PowerW
 				cell.EnergyJ += cost.Energy

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/accel"
 	"repro/internal/metrics"
+	"repro/internal/scene"
 	"repro/internal/textplot"
 )
 
@@ -36,16 +37,17 @@ var tableIVKinds = []accel.Kind{accel.KindGPU, accel.KindDLA, accel.KindOAKD}
 // TableIV reproduces the full characterization table: every zoo model's
 // average IoU and success rate measured over the six evaluation scenarios,
 // with per-accelerator time/energy/power measured on the virtual platform.
+// The IoU mean folds the scenarios in suite order, so it is bit-stable.
 func TableIV(env *Env, nExec int) (*TableIVResult, error) {
 	res := &TableIVResult{}
-	suite := env.Suite()
+	suite := scene.EvaluationSuite()
 	sys := env.System()
 	for _, entry := range sys.Entries {
 		row := TableIVRow{Model: entry.Name(), Cells: map[accel.Kind]TableIVCell{}}
 		var iou metrics.Welford
 		success, total := 0, 0
-		for _, frames := range suite {
-			for _, f := range frames {
+		for _, sc := range suite {
+			for _, f := range env.Frames(sc) {
 				det := entry.Model.Detect(f, sys.Seed)
 				iou.Add(det.IoU)
 				if det.IoU >= metrics.SuccessIoU {
@@ -67,10 +69,11 @@ func TableIV(env *Env, nExec int) (*TableIVResult, error) {
 			procID := sys.SoC.ProcIDsByKind(kind)[0]
 			cell := TableIVCell{Supported: true}
 			for i := 0; i < nExec; i++ {
-				cost, err := sys.SoC.Exec(procID, perf.LatencySec, perf.PowerW)
+				sp, err := sys.SoC.ExecFrom(procID, sys.SoC.Clock.Now(), perf.LatencySec, perf.PowerW)
 				if err != nil {
 					return nil, err
 				}
+				cost := sp.Cost
 				cell.TimeSec += cost.Lat.Seconds()
 				cell.EnergyJ += cost.Energy
 				cell.PowerW += cost.PowerW

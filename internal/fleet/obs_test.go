@@ -3,8 +3,10 @@ package fleet
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 	"time"
 
@@ -61,6 +63,70 @@ func TestRecorderDetachedBitIdentical(t *testing.T) {
 	}
 }
 
+// TestRecorderSpansFIFOPerProc checks the serving-level FIFO contract on the
+// flight recorder: two streams per device share one GPU, so they queue
+// behind each other (some span has Wait > 0), yet the exec and demand-load
+// spans on each (device, processor) never overlap.
+func TestRecorderSpansFIFOPerProc(t *testing.T) {
+	rec := obs.NewRecorder()
+	f, err := New(Config{
+		Seed:      7,
+		Devices:   []DeviceConfig{{Name: "edge-a", Scale: 1}, {Name: "edge-b", Scale: 1}},
+		Placement: NewResidencyAffinity(),
+		Admission: Admission{PerDeviceStreams: 2, QueueLimit: -1},
+		Recorder:  rec,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := testFrames(t)[:40]
+	var reqs []StreamRequest
+	for i, model := range []string{detmodel.YoloV7, detmodel.YoloV7Tiny, detmodel.YoloV7, detmodel.YoloV7Tiny} {
+		reqs = append(reqs, StreamRequest{
+			Name: fmt.Sprintf("s%d", i), Scenario: "scenario2", Arrival: time.Duration(i) * 10 * time.Millisecond,
+			Frames: frames, PeriodSec: 0.1, Policy: fixedFactory(model, "gpu"),
+		})
+	}
+	res, err := f.RunWithFaults(reqs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Served != len(reqs) {
+		t.Fatalf("served %d of %d streams", res.Served, len(reqs))
+	}
+	var spans []obs.Span
+	waited := false
+	for _, sp := range rec.Spans() {
+		if sp.Kind == obs.SpanExec || sp.Kind == obs.SpanLoad {
+			spans = append(spans, sp)
+			waited = waited || sp.Wait > 0
+		}
+	}
+	if !waited {
+		t.Fatal("no span queued: streams sharing a GPU never contended")
+	}
+	sort.Slice(spans, func(i, j int) bool {
+		a, b := spans[i], spans[j]
+		if a.Device != b.Device {
+			return a.Device < b.Device
+		}
+		if a.Proc != b.Proc {
+			return a.Proc < b.Proc
+		}
+		if a.Start != b.Start {
+			return a.Start < b.Start
+		}
+		return a.End < b.End
+	})
+	for i := 1; i < len(spans); i++ {
+		a, b := spans[i-1], spans[i]
+		if a.Device == b.Device && a.Proc == b.Proc && b.Start < a.End {
+			t.Fatalf("overlapping work on %s/%s: %s %v-%v and %s %v-%v",
+				b.Device, b.Proc, a.Stream, a.Start, a.End, b.Stream, b.Start, b.End)
+		}
+	}
+}
+
 // TestRecorderSpansIdenticalAcrossRegions pins the barrier-merge span path:
 // the recorded span stream — order included — is identical whether the event
 // loop runs sequentially or sharded across any region count, because region
@@ -86,9 +152,8 @@ func TestRecorderSpansIdenticalAcrossRegions(t *testing.T) {
 
 // TestRecorderRederivesSummary pins the registry against fleet.Summarize on a
 // fault-free run: every counter the span fold derives must agree with the
-// summary's independent bookkeeping, and the attribution's locally-restated
-// p99 must equal metrics.Latencies' p99 bit-for-bit (internal/obs cannot
-// import internal/metrics, so the restatement is pinned here instead).
+// summary's independent bookkeeping, and the attribution's p99 must equal
+// the summary's metrics.Latencies p99 bit-for-bit.
 func TestRecorderRederivesSummary(t *testing.T) {
 	rec := obs.NewRecorder()
 	res := runRecordedWorkload(t, 0, rec)

@@ -210,24 +210,21 @@ func (l *Loader) loadCost(model, poolName string) (zoo.LoadCost, error) {
 	return lc, nil
 }
 
-// ExecFn charges a load workload to the platform. The serving runtime
-// substitutes a contention-aware (queueing) execution; nil means the
-// classic clock-advancing accel.SoC.Exec.
+// ExecFn charges a load workload to the platform and returns its cost. The
+// serving runtime passes a queueing execution on the requesting processor
+// (accel.SoC.ExecFrom from the stream's time) for demand loads, and a DMA
+// copy (accel.SoC.CopyFrom) for speculative ones. It is required: the loader
+// has no default charge.
 type ExecFn func(procID string, latSec, powerW float64) (accel.Cost, error)
 
-// Ensure makes the engine for pair resident, evicting if necessary, and
-// returns the cost charged (zero if already resident — only the request
-// recency is refreshed). The engine being requested is pinned for the
-// duration of the call so it can never evict itself.
-func (l *Loader) Ensure(pair zoo.Pair) (accel.Cost, error) {
-	return l.EnsureWith(pair, nil)
-}
-
-// EnsureWith is Ensure with the load charged through exec (nil = the
-// platform's clock-advancing Exec). Before evicting anything it verifies
-// that enough unheld bytes exist to fit the engine; if not it fails with
-// ErrNoMemory, leaving residency untouched.
-func (l *Loader) EnsureWith(pair zoo.Pair, exec ExecFn) (accel.Cost, error) {
+// Ensure makes the engine for pair resident, evicting if necessary, charges
+// the load through exec, and returns the cost charged (zero if already
+// resident — only the request recency is refreshed). The engine being
+// requested is pinned for the duration of the call so it can never evict
+// itself. Before evicting anything it verifies that enough unheld bytes
+// exist to fit the engine; if not it fails with ErrNoMemory, leaving
+// residency untouched.
+func (l *Loader) Ensure(pair zoo.Pair, exec ExecFn) (accel.Cost, error) {
 	return l.ensureWith(pair, exec, false)
 }
 
@@ -326,9 +323,6 @@ func (l *Loader) ensureWith(pair zoo.Pair, exec ExecFn, speculative bool) (accel
 	}
 
 	// Charge the load to the requesting processor on the virtual platform.
-	if exec == nil {
-		exec = l.sys.SoC.Exec
-	}
 	cost, err := exec(pair.ProcID, lc.TimeSec, lc.PowerW)
 	if err != nil {
 		return accel.Cost{}, err
@@ -619,19 +613,13 @@ func (l *Loader) evictSpecOne(pool *accel.MemPool) error {
 
 // Prefetch greedily loads the given pairs (in priority order) into whatever
 // memory remains, never evicting — the paper's "occupy the entire memory
-// with ODMs, if it is able to". Prefetch loads are charged like demand
-// loads; callers decide when idle time makes that acceptable. It returns
-// the number of engines actually loaded.
-func (l *Loader) Prefetch(pairs []zoo.Pair) (int, error) {
-	return l.PrefetchWith(pairs, nil)
-}
-
-// PrefetchWith is Prefetch with loads charged through exec (nil = the
-// platform's clock-advancing Exec), for the serving runtime's queueing
-// path. Prefetch is best-effort: a pair that cannot fit (ErrNoMemory
-// mid-list — capacity-exceeding engines included) is skipped and the
-// remaining pairs still load; held engines are never evicted.
-func (l *Loader) PrefetchWith(pairs []zoo.Pair, exec ExecFn) (int, error) {
+// with ODMs, if it is able to". Prefetch loads are charged through exec like
+// demand loads; callers decide when idle time makes that acceptable. It is
+// best-effort: a pair that cannot fit (ErrNoMemory mid-list —
+// capacity-exceeding engines included) is skipped and the remaining pairs
+// still load; held engines are never evicted. It returns the number of
+// engines actually loaded.
+func (l *Loader) Prefetch(pairs []zoo.Pair, exec ExecFn) (int, error) {
 	return l.prefetchWith(pairs, exec, false)
 }
 

@@ -57,12 +57,12 @@ func TestLoaderInvariantsUnderRandomOps(t *testing.T) {
 					for _, idx := range r.Perm(len(pairs))[:n] {
 						subset = append(subset, pairs[idx])
 					}
-					if _, err := l.Prefetch(subset); err != nil {
+					if _, err := l.Prefetch(subset, execNow(sys.SoC)); err != nil {
 						t.Fatalf("step %d: prefetch: %v", step, err)
 					}
 				default:
 					p := pairs[r.Intn(len(pairs))]
-					if _, err := l.Ensure(p); err != nil {
+					if _, err := l.Ensure(p, execNow(sys.SoC)); err != nil {
 						t.Fatalf("step %d: ensure %v: %v", step, p, err)
 					}
 					if !l.IsResident(p) {
@@ -99,7 +99,7 @@ func TestLoaderEvictionChoosesConsistently(t *testing.T) {
 		model := large[r.Intn(len(large))]
 		for _, p := range sys.RuntimePairs() {
 			if p.Model == model && p.ProcID == "gpu" {
-				if _, err := l.Ensure(p); err != nil {
+				if _, err := l.Ensure(p, execNow(sys.SoC)); err != nil {
 					t.Fatalf("ensure %v: %v", p, err)
 				}
 				requests++

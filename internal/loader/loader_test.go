@@ -8,6 +8,15 @@ import (
 	"repro/internal/zoo"
 )
 
+// execNow charges a load as a lone caller does: on the requesting processor,
+// submitted at the platform clock's current time.
+func execNow(soc *accel.SoC) ExecFn {
+	return func(procID string, latSec, powerW float64) (accel.Cost, error) {
+		sp, err := soc.ExecFrom(procID, soc.Clock.Now(), latSec, powerW)
+		return sp.Cost, err
+	}
+}
+
 func pairOf(t *testing.T, sys *zoo.System, model, procID string) zoo.Pair {
 	t.Helper()
 	for _, p := range sys.RuntimePairs() {
@@ -23,7 +32,7 @@ func TestEnsureLoadsAndCharges(t *testing.T) {
 	sys := zoo.Default(1)
 	l := New(sys, EvictLRR)
 	p := pairOf(t, sys, detmodel.YoloV7, "gpu")
-	cost, err := l.Ensure(p)
+	cost, err := l.Ensure(p, execNow(sys.SoC))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,10 +55,10 @@ func TestEnsureIdempotent(t *testing.T) {
 	sys := zoo.Default(1)
 	l := New(sys, EvictLRR)
 	p := pairOf(t, sys, detmodel.YoloV7Tiny, "dla0")
-	if _, err := l.Ensure(p); err != nil {
+	if _, err := l.Ensure(p, execNow(sys.SoC)); err != nil {
 		t.Fatal(err)
 	}
-	cost, err := l.Ensure(p)
+	cost, err := l.Ensure(p, execNow(sys.SoC))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,13 +77,13 @@ func TestGPUAndDLAEnginesAreSeparate(t *testing.T) {
 	l := New(sys, EvictLRR)
 	gpu := pairOf(t, sys, detmodel.YoloV7Tiny, "gpu")
 	dla := pairOf(t, sys, detmodel.YoloV7Tiny, "dla0")
-	if _, err := l.Ensure(gpu); err != nil {
+	if _, err := l.Ensure(gpu, execNow(sys.SoC)); err != nil {
 		t.Fatal(err)
 	}
 	if l.IsResident(dla) {
 		t.Fatal("DLA engine resident after loading only the GPU engine")
 	}
-	if _, err := l.Ensure(dla); err != nil {
+	if _, err := l.Ensure(dla, execNow(sys.SoC)); err != nil {
 		t.Fatal(err)
 	}
 	if l.ResidentCount() != 2 {
@@ -86,10 +95,10 @@ func TestDLAInstancesShareEngine(t *testing.T) {
 	// dla0 and dla1 are the same Kind, so one engine serves both.
 	sys := zoo.Default(1)
 	l := New(sys, EvictLRR)
-	if _, err := l.Ensure(pairOf(t, sys, detmodel.YoloV7, "dla0")); err != nil {
+	if _, err := l.Ensure(pairOf(t, sys, detmodel.YoloV7, "dla0"), execNow(sys.SoC)); err != nil {
 		t.Fatal(err)
 	}
-	cost, err := l.Ensure(pairOf(t, sys, detmodel.YoloV7, "dla1"))
+	cost, err := l.Ensure(pairOf(t, sys, detmodel.YoloV7, "dla1"), execNow(sys.SoC))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +112,7 @@ func TestIncompatiblePairRejected(t *testing.T) {
 	l := New(sys, EvictLRR)
 	// SSD-Resnet50 has no OAK-D support.
 	bad := zoo.Pair{Model: detmodel.SSDResnet50, ProcID: "oakd", Kind: accel.KindOAKD}
-	if _, err := l.Ensure(bad); err == nil {
+	if _, err := l.Ensure(bad, execNow(sys.SoC)); err == nil {
 		t.Fatal("incompatible pair should be rejected")
 	}
 }
@@ -111,10 +120,10 @@ func TestIncompatiblePairRejected(t *testing.T) {
 func TestUnknownModelAndProc(t *testing.T) {
 	sys := zoo.Default(1)
 	l := New(sys, EvictLRR)
-	if _, err := l.Ensure(zoo.Pair{Model: "ghost", ProcID: "gpu"}); err == nil {
+	if _, err := l.Ensure(zoo.Pair{Model: "ghost", ProcID: "gpu"}, execNow(sys.SoC)); err == nil {
 		t.Fatal("unknown model should error")
 	}
-	if _, err := l.Ensure(zoo.Pair{Model: detmodel.YoloV7, ProcID: "npu"}); err == nil {
+	if _, err := l.Ensure(zoo.Pair{Model: detmodel.YoloV7, ProcID: "npu"}, execNow(sys.SoC)); err == nil {
 		t.Fatal("unknown processor should error")
 	}
 }
@@ -128,7 +137,7 @@ func fillSoCPool(t *testing.T, sys *zoo.System, l *Loader) []zoo.Pair {
 		pairOf(t, sys, detmodel.YoloV7X, "gpu"),   // 800 MB -> 1900/2048
 	}
 	for _, p := range loadOrder {
-		if _, err := l.Ensure(p); err != nil {
+		if _, err := l.Ensure(p, execNow(sys.SoC)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -140,12 +149,12 @@ func TestEvictionLRR(t *testing.T) {
 	l := New(sys, EvictLRR)
 	order := fillSoCPool(t, sys, l) // E6E then X resident; 148 MB free
 	// Touch E6E so X becomes the least recently requested.
-	if _, err := l.Ensure(order[0]); err != nil {
+	if _, err := l.Ensure(order[0], execNow(sys.SoC)); err != nil {
 		t.Fatal(err)
 	}
 	// Loading YoloV7 (600 MB) must evict X (LRR), keeping E6E.
 	v7 := pairOf(t, sys, detmodel.YoloV7, "gpu")
-	if _, err := l.Ensure(v7); err != nil {
+	if _, err := l.Ensure(v7, execNow(sys.SoC)); err != nil {
 		t.Fatal(err)
 	}
 	if !l.IsResident(order[0]) {
@@ -164,11 +173,11 @@ func TestEvictionFIFO(t *testing.T) {
 	l := New(sys, EvictFIFO)
 	order := fillSoCPool(t, sys, l)
 	// Touch E6E; FIFO ignores recency and still evicts E6E (oldest load).
-	if _, err := l.Ensure(order[0]); err != nil {
+	if _, err := l.Ensure(order[0], execNow(sys.SoC)); err != nil {
 		t.Fatal(err)
 	}
 	v7 := pairOf(t, sys, detmodel.YoloV7, "gpu")
-	if _, err := l.Ensure(v7); err != nil {
+	if _, err := l.Ensure(v7, execNow(sys.SoC)); err != nil {
 		t.Fatal(err)
 	}
 	if l.IsResident(order[0]) {
@@ -181,7 +190,7 @@ func TestEvictionLargest(t *testing.T) {
 	l := New(sys, EvictLargest)
 	fillSoCPool(t, sys, l) // E6E (1100) + X (800)
 	v7 := pairOf(t, sys, detmodel.YoloV7, "gpu")
-	if _, err := l.Ensure(v7); err != nil {
+	if _, err := l.Ensure(v7, execNow(sys.SoC)); err != nil {
 		t.Fatal(err)
 	}
 	// Largest-first must have evicted E6E.
@@ -201,7 +210,7 @@ func TestActiveModelNeverEvictsItself(t *testing.T) {
 	fillSoCPool(t, sys, l)
 	e6e := pairOf(t, sys, detmodel.YoloV7E6E, "gpu")
 	// Re-request E6E after filling: already resident, stays.
-	if _, err := l.Ensure(e6e); err != nil {
+	if _, err := l.Ensure(e6e, execNow(sys.SoC)); err != nil {
 		t.Fatal(err)
 	}
 	if !l.IsResident(e6e) {
@@ -215,7 +224,7 @@ func TestOversizedModelRejected(t *testing.T) {
 	// capacity guard.
 	sys.SoC.Pools[accel.SoCPoolName] = accel.NewMemPool(accel.SoCPoolName, 10*accel.MB)
 	l := New(sys, EvictLRR)
-	if _, err := l.Ensure(pairOf(t, sys, detmodel.YoloV7, "gpu")); err == nil {
+	if _, err := l.Ensure(pairOf(t, sys, detmodel.YoloV7, "gpu"), execNow(sys.SoC)); err == nil {
 		t.Fatal("model larger than the pool should be rejected")
 	}
 }
@@ -226,7 +235,7 @@ func TestOAKDPoolIndependence(t *testing.T) {
 	fillSoCPool(t, sys, l)
 	// Loading onto the OAK-D must not disturb SoC residents.
 	oak := pairOf(t, sys, detmodel.YoloV7, "oakd")
-	if _, err := l.Ensure(oak); err != nil {
+	if _, err := l.Ensure(oak, execNow(sys.SoC)); err != nil {
 		t.Fatal(err)
 	}
 	if l.Stats().Evictions != 0 {
@@ -248,7 +257,7 @@ func TestPrefetchFillsWithoutEvicting(t *testing.T) {
 		pairOf(t, sys, detmodel.SSDMobilenet320, "gpu"),
 		pairOf(t, sys, detmodel.SSDMobilenetV1, "gpu"),
 	}
-	n, err := l.Prefetch(pairs)
+	n, err := l.Prefetch(pairs, execNow(sys.SoC))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +268,7 @@ func TestPrefetchFillsWithoutEvicting(t *testing.T) {
 		t.Fatal("prefetch evicted")
 	}
 	// A second prefetch of the same set is a no-op.
-	n, err = l.Prefetch(pairs)
+	n, err = l.Prefetch(pairs, execNow(sys.SoC))
 	if err != nil || n != 0 {
 		t.Fatalf("repeat prefetch loaded %d (err %v)", n, err)
 	}
@@ -273,7 +282,7 @@ func TestPrefetchSkipsWhatDoesNotFit(t *testing.T) {
 		pairOf(t, sys, detmodel.YoloV7, "gpu"),          // 600 MB: skipped
 		pairOf(t, sys, detmodel.SSDMobilenet320, "gpu"), // 60 MB: fits
 	}
-	n, err := l.Prefetch(pairs)
+	n, err := l.Prefetch(pairs, execNow(sys.SoC))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +306,7 @@ func TestLoadDeterminism(t *testing.T) {
 		sys := zoo.Default(5)
 		l := New(sys, EvictLRR)
 		for _, m := range []string{detmodel.YoloV7, detmodel.YoloV7Tiny, detmodel.SSDMobilenetV1} {
-			if _, err := l.Ensure(pairOf(t, sys, m, "gpu")); err != nil {
+			if _, err := l.Ensure(pairOf(t, sys, m, "gpu"), execNow(sys.SoC)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -317,12 +326,13 @@ func BenchmarkEnsureResident(b *testing.B) {
 			p = q
 		}
 	}
-	if _, err := l.Ensure(p); err != nil {
+	exec := execNow(sys.SoC)
+	if _, err := l.Ensure(p, exec); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_, _ = l.Ensure(p)
+		_, _ = l.Ensure(p, exec)
 	}
 }

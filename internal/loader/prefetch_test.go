@@ -14,7 +14,7 @@ func TestPrefetchWithMidListNoMemorySkips(t *testing.T) {
 	sys := zoo.Default(1)
 	l := New(sys, EvictLRR)
 	// 1100/2048 used: 948 MB free.
-	if _, err := l.Ensure(pairOf(t, sys, detmodel.YoloV7E6E, "gpu")); err != nil {
+	if _, err := l.Ensure(pairOf(t, sys, detmodel.YoloV7E6E, "gpu"), execNow(sys.SoC)); err != nil {
 		t.Fatal(err)
 	}
 	pairs := []zoo.Pair{
@@ -24,7 +24,7 @@ func TestPrefetchWithMidListNoMemorySkips(t *testing.T) {
 		pairOf(t, sys, detmodel.SSDResnet50, "gpu"),     // 400 MB: skipped
 		pairOf(t, sys, detmodel.SSDMobilenet320, "gpu"), // 60 MB: skipped (48 free)
 	}
-	n, err := l.PrefetchWith(pairs, nil)
+	n, err := l.Prefetch(pairs, execNow(sys.SoC))
 	if err != nil {
 		t.Fatalf("mid-list no-memory must not abort the prefetch: %v", err)
 	}
@@ -52,14 +52,14 @@ func TestSpeculativeSkipsWhenPoolIsHeld(t *testing.T) {
 		pairOf(t, sys, detmodel.YoloV7X, "gpu"),   // 800 MB -> 148 free
 	}
 	for _, p := range held {
-		if _, err := l.Ensure(p); err != nil {
+		if _, err := l.Ensure(p, execNow(sys.SoC)); err != nil {
 			t.Fatal(err)
 		}
 		if err := l.Acquire(p); err != nil {
 			t.Fatal(err)
 		}
 	}
-	n, err := l.PrefetchSpeculative([]zoo.Pair{pairOf(t, sys, detmodel.YoloV7, "gpu")}, nil)
+	n, err := l.PrefetchSpeculative([]zoo.Pair{pairOf(t, sys, detmodel.YoloV7, "gpu")}, execNow(sys.SoC))
 	if err != nil {
 		t.Fatalf("unloadable speculative prefetch must be silent: %v", err)
 	}
@@ -87,7 +87,7 @@ func TestSpeculativeSkipAndContinue(t *testing.T) {
 		pairOf(t, sys, detmodel.YoloV7E6E, "gpu"),
 		pairOf(t, sys, detmodel.YoloV7X, "gpu"),
 	} {
-		if _, err := l.Ensure(p); err != nil {
+		if _, err := l.Ensure(p, execNow(sys.SoC)); err != nil {
 			t.Fatal(err)
 		}
 		if err := l.Acquire(p); err != nil {
@@ -99,7 +99,7 @@ func TestSpeculativeSkipAndContinue(t *testing.T) {
 		pairOf(t, sys, detmodel.YoloV7Tiny, "gpu"),  // 100 MB: fits free bytes
 		pairOf(t, sys, detmodel.SSDResnet50, "gpu"), // 400 MB: skipped (48 free + 100 reclaimable spec)
 	}
-	n, err := l.PrefetchSpeculative(pairs, nil)
+	n, err := l.PrefetchSpeculative(pairs, execNow(sys.SoC))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,12 +120,12 @@ func TestSpeculativeDisplacesColdDemand(t *testing.T) {
 	cold := pairOf(t, sys, detmodel.YoloV7E6E, "gpu") // 1100 MB, least recently requested
 	warm := pairOf(t, sys, detmodel.YoloV7X, "gpu")   // 800 MB
 	for _, p := range []zoo.Pair{cold, warm} {
-		if _, err := l.Ensure(p); err != nil {
+		if _, err := l.Ensure(p, execNow(sys.SoC)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	pred := pairOf(t, sys, detmodel.YoloV7, "gpu") // 600 MB needs displacement
-	n, err := l.PrefetchSpeculative([]zoo.Pair{pred}, nil)
+	n, err := l.PrefetchSpeculative([]zoo.Pair{pred}, execNow(sys.SoC))
 	if err != nil || n != 1 {
 		t.Fatalf("speculative displacement load: n=%d err=%v", n, err)
 	}
@@ -147,15 +147,15 @@ func TestSpeculativeReclaimsSpecFirst(t *testing.T) {
 	sys := zoo.Default(1)
 	l := New(sys, EvictLRR)
 	demand := pairOf(t, sys, detmodel.YoloV7X, "gpu") // 800 MB demand
-	if _, err := l.Ensure(demand); err != nil {
+	if _, err := l.Ensure(demand, execNow(sys.SoC)); err != nil {
 		t.Fatal(err)
 	}
 	spec1 := pairOf(t, sys, detmodel.YoloV7, "gpu") // 600 MB spec -> 648 free
-	if n, err := l.PrefetchSpeculative([]zoo.Pair{spec1}, nil); err != nil || n != 1 {
+	if n, err := l.PrefetchSpeculative([]zoo.Pair{spec1}, execNow(sys.SoC)); err != nil || n != 1 {
 		t.Fatalf("first speculative load: n=%d err=%v", n, err)
 	}
 	spec2 := pairOf(t, sys, detmodel.YoloV7E6E, "gpu") // 1100 MB: must reclaim spec1
-	if n, err := l.PrefetchSpeculative([]zoo.Pair{spec2}, nil); err != nil || n != 1 {
+	if n, err := l.PrefetchSpeculative([]zoo.Pair{spec2}, execNow(sys.SoC)); err != nil || n != 1 {
 		t.Fatalf("second speculative load: n=%d err=%v", n, err)
 	}
 	if l.IsResident(spec1) {
@@ -176,11 +176,11 @@ func TestDemandPromotesSpeculative(t *testing.T) {
 	sys := zoo.Default(1)
 	l := New(sys, EvictLRR)
 	p := pairOf(t, sys, detmodel.YoloV7Tiny, "gpu")
-	if n, err := l.PrefetchSpeculative([]zoo.Pair{p}, nil); err != nil || n != 1 {
+	if n, err := l.PrefetchSpeculative([]zoo.Pair{p}, execNow(sys.SoC)); err != nil || n != 1 {
 		t.Fatalf("speculative load: n=%d err=%v", n, err)
 	}
 	loads := l.Stats().Loads
-	cost, err := l.Ensure(p)
+	cost, err := l.Ensure(p, execNow(sys.SoC))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,14 +202,14 @@ func TestFallbackIgnoresSpeculative(t *testing.T) {
 	sys := zoo.Default(1)
 	l := New(sys, EvictLRR)
 	spec := pairOf(t, sys, detmodel.YoloV7Tiny, "gpu")
-	if n, err := l.PrefetchSpeculative([]zoo.Pair{spec}, nil); err != nil || n != 1 {
+	if n, err := l.PrefetchSpeculative([]zoo.Pair{spec}, execNow(sys.SoC)); err != nil || n != 1 {
 		t.Fatalf("speculative load: n=%d err=%v", n, err)
 	}
 	if _, ok := l.ResidentFallback(pairOf(t, sys, detmodel.YoloV7, "gpu")); ok {
 		t.Fatal("fallback adopted a speculative resident")
 	}
 	demand := pairOf(t, sys, detmodel.SSDMobilenet320, "gpu")
-	if _, err := l.Ensure(demand); err != nil {
+	if _, err := l.Ensure(demand, execNow(sys.SoC)); err != nil {
 		t.Fatal(err)
 	}
 	got, ok := l.ResidentFallback(pairOf(t, sys, detmodel.YoloV7, "gpu"))

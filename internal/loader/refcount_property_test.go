@@ -82,7 +82,7 @@ func TestLoaderRefcountInvariantsUnderChurn(t *testing.T) {
 				t.Helper()
 				old, held := model.holds[id]
 				if held && old == target {
-					if _, err := l.Ensure(target); err != nil {
+					if _, err := l.Ensure(target, execNow(sys.SoC)); err != nil {
 						t.Fatalf("step %d: refresh %v: %v", step, target, err)
 					}
 					return
@@ -93,7 +93,7 @@ func TestLoaderRefcountInvariantsUnderChurn(t *testing.T) {
 					}
 					delete(model.holds, id)
 				}
-				_, err := l.Ensure(target)
+				_, err := l.Ensure(target, execNow(sys.SoC))
 				if errors.Is(err, ErrNoMemory) {
 					if held && l.IsResident(old) {
 						if err := l.Acquire(old); err != nil {
@@ -117,7 +117,7 @@ func TestLoaderRefcountInvariantsUnderChurn(t *testing.T) {
 				target := pairs[r.Intn(len(pairs))]
 				switch r.Intn(12) {
 				case 0, 1: // plain unheld traffic; ErrNoMemory is legal here
-					if _, err := l.Ensure(target); err != nil && !errors.Is(err, ErrNoMemory) {
+					if _, err := l.Ensure(target, execNow(sys.SoC)); err != nil && !errors.Is(err, ErrNoMemory) {
 						t.Fatalf("step %d: ensure %v: %v", step, target, err)
 					}
 				case 2: // stream departs

@@ -18,7 +18,7 @@ func TestAcquireRequiresResidency(t *testing.T) {
 	if err := l.Acquire(p); err == nil {
 		t.Fatal("acquire of a non-resident engine should fail")
 	}
-	if _, err := l.Ensure(p); err != nil {
+	if _, err := l.Ensure(p, execNow(sys.SoC)); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Acquire(p); err != nil {
@@ -34,7 +34,7 @@ func TestAcquireRequiresResidency(t *testing.T) {
 	// of the same kind.
 	dla0 := pairOf(t, sys, detmodel.YoloV7, "dla0")
 	dla1 := pairOf(t, sys, detmodel.YoloV7, "dla1")
-	if _, err := l.Ensure(dla0); err != nil {
+	if _, err := l.Ensure(dla0, execNow(sys.SoC)); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Acquire(dla0); err != nil {
@@ -63,7 +63,7 @@ func TestEvictionRefusedWhileHeld(t *testing.T) {
 	e6e := pairOf(t, sys, detmodel.YoloV7E6E, "gpu") // 1100 MB
 	x := pairOf(t, sys, detmodel.YoloV7X, "gpu")     // 800 MB -> 1900/2048
 	for _, p := range []zoo.Pair{e6e, x} {
-		if _, err := l.Ensure(p); err != nil {
+		if _, err := l.Ensure(p, execNow(sys.SoC)); err != nil {
 			t.Fatal(err)
 		}
 		if err := l.Acquire(p); err != nil {
@@ -72,7 +72,7 @@ func TestEvictionRefusedWhileHeld(t *testing.T) {
 	}
 	// YoloV7 (600 MB) needs an eviction, but both residents are held.
 	v7 := pairOf(t, sys, detmodel.YoloV7, "gpu")
-	_, err := l.Ensure(v7)
+	_, err := l.Ensure(v7, execNow(sys.SoC))
 	if !errors.Is(err, ErrNoMemory) {
 		t.Fatalf("Ensure under full refs = %v, want ErrNoMemory", err)
 	}
@@ -86,7 +86,7 @@ func TestEvictionRefusedWhileHeld(t *testing.T) {
 	if err := l.Release(x); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Ensure(v7); err != nil {
+	if _, err := l.Ensure(v7, execNow(sys.SoC)); err != nil {
 		t.Fatal(err)
 	}
 	if !l.IsResident(e6e) {
@@ -118,7 +118,7 @@ func TestEvictionOrderingWithZeroRefs(t *testing.T) {
 		// Load, hold and fully release both engines, then touch E6E so LRR
 		// ranks X as least recently requested.
 		for _, p := range []zoo.Pair{e6e, x} {
-			if _, err := l.Ensure(p); err != nil {
+			if _, err := l.Ensure(p, execNow(sys.SoC)); err != nil {
 				t.Fatal(err)
 			}
 			if err := l.Acquire(p); err != nil {
@@ -128,10 +128,10 @@ func TestEvictionOrderingWithZeroRefs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, err := l.Ensure(e6e); err != nil {
+		if _, err := l.Ensure(e6e, execNow(sys.SoC)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := l.Ensure(pairOf(t, sys, detmodel.YoloV7, "gpu")); err != nil {
+		if _, err := l.Ensure(pairOf(t, sys, detmodel.YoloV7, "gpu"), execNow(sys.SoC)); err != nil {
 			t.Fatalf("%v: %v", c.policy, err)
 		}
 		var evicted string
@@ -154,19 +154,19 @@ func TestNoMemoryWithoutRefsStillErrNoMemory(t *testing.T) {
 	sys.SoC.Pools[accel.SoCPoolName] = accel.NewMemPool(accel.SoCPoolName, 1200*accel.MB)
 	l := New(sys, EvictLRR)
 	e6e := pairOf(t, sys, detmodel.YoloV7E6E, "gpu")
-	if _, err := l.Ensure(e6e); err != nil {
+	if _, err := l.Ensure(e6e, execNow(sys.SoC)); err != nil {
 		t.Fatal(err)
 	}
 	// 1100 resident + 800 requested > 1200: must evict E6E, which is legal —
 	// succeeds. Then re-requesting E6E (1100) against X (800) held is not.
 	x := pairOf(t, sys, detmodel.YoloV7X, "gpu")
-	if _, err := l.Ensure(x); err != nil {
+	if _, err := l.Ensure(x, execNow(sys.SoC)); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Acquire(x); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Ensure(e6e); !errors.Is(err, ErrNoMemory) {
+	if _, err := l.Ensure(e6e, execNow(sys.SoC)); !errors.Is(err, ErrNoMemory) {
 		t.Fatalf("err = %v, want ErrNoMemory", err)
 	}
 	if !l.IsResident(x) {

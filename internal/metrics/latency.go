@@ -1,6 +1,10 @@
 package metrics
 
-import "sort"
+import (
+	"sort"
+
+	"repro/internal/obs"
+)
 
 // LatencyProfile summarizes a per-frame latency series: the tail statistics
 // the multi-stream serving experiments report alongside the averages.
@@ -27,41 +31,9 @@ func Latencies(samples []float64) LatencyProfile {
 	}
 	return LatencyProfile{
 		Mean: sum / float64(len(sorted)),
-		P50:  percentileSorted(sorted, 0.50),
-		P95:  percentileSorted(sorted, 0.95),
-		P99:  percentileSorted(sorted, 0.99),
+		P50:  obs.PercentileSorted(sorted, 0.50),
+		P95:  obs.PercentileSorted(sorted, 0.95),
+		P99:  obs.PercentileSorted(sorted, 0.99),
 		Max:  sorted[len(sorted)-1],
 	}
-}
-
-// Percentile returns the q-quantile (0 ≤ q ≤ 1) of samples by the
-// nearest-rank method, without mutating the input. Out-of-range q clamps;
-// an empty series yields 0.
-func Percentile(samples []float64, q float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	sorted := make([]float64, len(samples))
-	copy(sorted, samples)
-	sort.Float64s(sorted)
-	return percentileSorted(sorted, q)
-}
-
-// percentileSorted is the nearest-rank quantile over an ascending series:
-// the smallest sample with at least q of the mass at or below it.
-func percentileSorted(sorted []float64, q float64) float64 {
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	rank := int(q * float64(len(sorted)))
-	if float64(rank) < q*float64(len(sorted)) {
-		rank++
-	}
-	if rank < 1 {
-		rank = 1
-	}
-	return sorted[rank-1]
 }

@@ -2,28 +2,6 @@ package metrics
 
 import "testing"
 
-func TestPercentileNearestRank(t *testing.T) {
-	samples := []float64{5, 1, 4, 2, 3} // unsorted on purpose
-	cases := []struct {
-		q    float64
-		want float64
-	}{
-		{0, 1}, {0.2, 1}, {0.21, 2}, {0.5, 3}, {0.8, 4}, {0.81, 5}, {0.99, 5}, {1, 5},
-	}
-	for _, c := range cases {
-		if got := Percentile(samples, c.q); got != c.want {
-			t.Errorf("Percentile(q=%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
-	// Input must not be mutated.
-	if samples[0] != 5 || samples[4] != 3 {
-		t.Fatal("Percentile mutated its input")
-	}
-	if got := Percentile(nil, 0.5); got != 0 {
-		t.Errorf("empty Percentile = %v, want 0", got)
-	}
-}
-
 func TestLatenciesProfile(t *testing.T) {
 	p := Latencies([]float64{0.1, 0.2, 0.3, 0.4})
 	if p.Mean != 0.25 {

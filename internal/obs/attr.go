@@ -65,7 +65,8 @@ func (r *Recorder) Attribution() Attribution {
 		a.ExecShare = float64(exec) / float64(total)
 		a.InterferenceShare = float64(wait) / float64(total)
 	}
-	a.P99Sec = p99(lats)
+	sort.Float64s(lats)
+	a.P99Sec = PercentileSorted(lats, 0.99)
 	// The tail set: frames whose latency is at or above the nearest-rank
 	// p99 sample. Seconds() of a Duration is exact enough here — the
 	// threshold is itself one of the samples, so >= matches it exactly.
@@ -90,18 +91,21 @@ func (r *Recorder) Attribution() Attribution {
 	return a
 }
 
-// p99 is the nearest-rank p99 — the same reduction internal/metrics uses,
-// restated here because obs sits below metrics in the import graph (the
-// runtime engine links against obs). Values must agree bit-for-bit with
-// metrics.Latencies(samples).P99, which the fleet tests assert.
-func p99(samples []float64) float64 {
-	if len(samples) == 0 {
+// PercentileSorted returns the q-quantile (0 ≤ q ≤ 1) of an ascending
+// series by the nearest-rank method: the smallest sample with at least q of
+// the mass at or below it. Out-of-range q clamps; an empty series yields 0.
+// It is the repo's one percentile reduction: the attribution's p99 and
+// metrics.Latencies both call it.
+func PercentileSorted(sorted []float64, q float64) float64 {
+	if len(sorted) == 0 {
 		return 0
 	}
-	sorted := make([]float64, len(samples))
-	copy(sorted, samples)
-	sort.Float64s(sorted)
-	const q = 0.99
+	if q <= 0 {
+		return sorted[0]
+	}
+	if q >= 1 {
+		return sorted[len(sorted)-1]
+	}
 	rank := int(q * float64(len(sorted)))
 	if float64(rank) < q*float64(len(sorted)) {
 		rank++

@@ -21,9 +21,9 @@
 //     is therefore bit-identical at every region count.
 //
 // The package is a leaf: the runtime engine and the fleet loop both import
-// it, so it depends only on the standard library (internal/metrics sits
-// above it in the import graph — the attribution restates the nearest-rank
-// p99 reduction and the fleet tests pin the two equal).
+// it, so it depends only on the standard library. Being the leaf, it also
+// holds the repo's one nearest-rank percentile (PercentileSorted), which
+// internal/metrics calls.
 package obs
 
 import (

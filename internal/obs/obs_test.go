@@ -106,9 +106,9 @@ func TestFrameSpanDecomposition(t *testing.T) {
 }
 
 // TestAttributionSharesAndP99 checks the reduction over the scenario and the
-// cross-package p99 contract: obs restates metrics' nearest-rank percentile
-// locally (an import would cycle), and the two must agree bit-for-bit on
-// every sample set, degenerate ones included.
+// cross-package p99 contract: the attribution's p99 equals metrics.Latencies'
+// p99 over the same frame spans on every sample set, degenerate ones
+// included.
 func TestAttributionSharesAndP99(t *testing.T) {
 	a := record().Attribution()
 	if a.Frames != 2 {
@@ -129,7 +129,6 @@ func TestAttributionSharesAndP99(t *testing.T) {
 		for i := range samples {
 			samples[i] = math.Sin(float64(i*n+1)) * 10
 		}
-		want := metrics.Latencies(samples).P99
 		rec := obs.NewRecorder()
 		sr := rec.OpenStream("s", "d")
 		for i, s := range samples {
@@ -144,7 +143,26 @@ func TestAttributionSharesAndP99(t *testing.T) {
 		if got := rec.Attribution().P99Sec; got != metrics.Latencies(lats).P99 {
 			t.Fatalf("n=%d: obs p99 %v != metrics p99 over same spans %v", n, got, metrics.Latencies(lats).P99)
 		}
-		_ = want
+	}
+}
+
+// TestPercentileNearestRank pins the nearest-rank reduction: the smallest
+// sample with at least q of the mass at or below it, clamped outside [0, 1].
+func TestPercentileNearestRank(t *testing.T) {
+	sorted := []float64{1, 2, 3, 4, 5}
+	cases := []struct {
+		q    float64
+		want float64
+	}{
+		{-1, 1}, {0, 1}, {0.2, 1}, {0.21, 2}, {0.5, 3}, {0.8, 4}, {0.81, 5}, {0.99, 5}, {1, 5}, {2, 5},
+	}
+	for _, c := range cases {
+		if got := obs.PercentileSorted(sorted, c.q); got != c.want {
+			t.Errorf("PercentileSorted(q=%v) = %v, want %v", c.q, got, c.want)
+		}
+	}
+	if got := obs.PercentileSorted(nil, 0.5); got != 0 {
+		t.Errorf("empty PercentileSorted = %v, want 0", got)
 	}
 }
 

@@ -152,13 +152,12 @@ type Engine struct {
 	// any frame); loading marks charges issued through the loader, so exec
 	// distinguishes demand-load spans from execution spans; loadDur
 	// accumulates the current frame's demand-load latency — the swap-stall
-	// component of its attribution. stream and execModel label charges for
-	// both the recorder and the accel power trace.
+	// component of its attribution. execModel labels charges for the
+	// recorder.
 	obs       *obs.StreamRec
 	frameIdx  int
 	loading   bool
 	loadDur   time.Duration
-	stream    string
 	execModel string
 
 	// Predictive prefetch (both nil when disabled — the predictor-off
@@ -233,17 +232,11 @@ func (e *Engine) perf(pair zoo.Pair) (zoo.Perf, error) {
 	return p, nil
 }
 
-// exec charges one workload, queued FIFO on the processor from the stream's
-// current time. A lone stream never queues, so its charges match the
-// clock-advancing SoC.Exec's exactly.
+// exec charges one workload through accel.SoC.ExecFrom, queued FIFO on the
+// processor from the stream's current time, and records it as an exec or
+// demand-load span. A lone stream never queues behind anyone.
 func (e *Engine) exec(procID string, latSec, powerW float64) (accel.Cost, error) {
-	soc := e.sys.SoC
-	if soc.TraceAttached() {
-		// Stamp the power trace's attribution labels only when a trace is
-		// recording — the label write is off the detached hot path.
-		soc.SetExecLabel(e.stream, e.execModel)
-	}
-	span, err := soc.ExecFrom(procID, e.at, latSec, powerW)
+	span, err := e.sys.SoC.ExecFrom(procID, e.at, latSec, powerW)
 	if err != nil {
 		return accel.Cost{}, err
 	}
@@ -269,7 +262,7 @@ func (e *Engine) exec(procID string, latSec, powerW float64) (accel.Cost, error)
 // interval that hasn't elapsed yet.
 func (e *Engine) ensureLoad(pair zoo.Pair) (accel.Cost, error) {
 	e.loading, e.execModel = true, pair.Model
-	cost, err := e.dml.EnsureWith(pair, e.exec)
+	cost, err := e.dml.Ensure(pair, e.exec)
 	e.loading, e.execModel = false, ""
 	if err != nil {
 		return cost, err
@@ -334,11 +327,7 @@ func (e *Engine) settlePrefetch(pair zoo.Pair, fl prefFlight) accel.Cost {
 // FIFO on the one channel.
 func (e *Engine) overlapExec(pair zoo.Pair) loader.ExecFn {
 	return func(procID string, latSec, powerW float64) (accel.Cost, error) {
-		soc := e.sys.SoC
-		if soc.TraceAttached() {
-			soc.SetExecLabel(e.stream, pair.Model)
-		}
-		span, err := soc.CopyFrom(e.at, latSec, powerW)
+		span, err := e.sys.SoC.CopyFrom(e.at, latSec, powerW)
 		if err != nil {
 			return accel.Cost{}, err
 		}
@@ -395,7 +384,7 @@ func (e *Engine) Prefetch(pairs []zoo.Pair) (int, error) {
 	// Prefetch loads are batched below the engine's per-pair visibility, so
 	// their spans carry the loading flag but no model label.
 	e.loading = true
-	n, err := e.dml.PrefetchWith(pairs, e.exec)
+	n, err := e.dml.Prefetch(pairs, e.exec)
 	e.loading = false
 	return n, err
 }

@@ -64,11 +64,11 @@ func TestServeSingleStreamMatchesRun(t *testing.T) {
 }
 
 // TestServeContention: two streams on one GPU must pay each other's
-// execution latency as queueing delay, visible in waits and in non-
-// overlapping FIFO spans on the processor trace.
+// execution latency as queueing delay, visible in their waits. That the
+// queued spans never overlap on a processor is checked on the flight
+// recorder (internal/fleet's TestRecorderSpansFIFOPerProc).
 func TestServeContention(t *testing.T) {
 	sys := zoo.Default(1)
-	trace := sys.SoC.AttachTrace()
 	dml := loader.New(sys, loader.EvictLRR)
 	specs := make([]StreamSpec, 2)
 	for i := range specs {
@@ -95,15 +95,6 @@ func TestServeContention(t *testing.T) {
 				t.Fatalf("%s frame %d completed before its predecessor", sr.Name, i)
 			}
 		}
-	}
-	// FIFO per processor: spans on the same proc never overlap.
-	lastEnd := map[string]time.Duration{}
-	for _, s := range trace.Samples {
-		if s.Start < lastEnd[s.Proc] {
-			t.Fatalf("overlapping executions on %s: start %v before previous end %v",
-				s.Proc, s.Start, lastEnd[s.Proc])
-		}
-		lastEnd[s.Proc] = s.Start + s.Dur
 	}
 	// Both streams run the same (model, kind): one shared engine, one load.
 	if loads := dml.Stats().Loads; loads != 1 {

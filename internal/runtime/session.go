@@ -65,7 +65,6 @@ func (e *Engine) session(spec StreamSpec, name string, at time.Duration) (*Sessi
 		return nil, fmt.Errorf("runtime: stream %q opens at negative time %v", name, at)
 	}
 	e.at = at
-	e.stream = name
 	if spec.Prefetch != nil {
 		e.pred = predict.New(*spec.Prefetch)
 		e.prefReady = map[string]prefFlight{}
