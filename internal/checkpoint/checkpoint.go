@@ -28,13 +28,21 @@
 // snapshot is restored, and the restore path releases them on failure.
 //
 // Encoding is deterministic: the same checkpoint always serializes to the
-// same bytes (counters are sorted), so journal digests are stable.
+// same bytes (counters are sorted), so journal digests are stable. The
+// committed FuzzDecode seeds are the encoder's own output and pin them.
+//
+// A Journal encodes successive checkpoints of one stream. It keeps the
+// records and timings sections' bytes, so a write encodes only the frames
+// served since the previous one, into a buffer it reuses. Encode is a
+// Journal's first call: one body holds the layout, and both produce the
+// same bytes.
 package checkpoint
 
 import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sort"
 
 	"repro/internal/pipeline"
@@ -126,7 +134,47 @@ func EncodeSnapshot(snap *runtime.SessionSnapshot, scenario string, renderSeed u
 
 // Encode serializes a checkpoint. It fails on state the format cannot carry
 // (an unrecognized portable-policy type) rather than dropping it silently.
+// It is a Journal's first call, so the bytes are the caller's own.
 func Encode(c *Checkpoint) ([]byte, error) {
+	var j Journal
+	return j.Encode(c)
+}
+
+// Journal encodes successive checkpoints of one stream. It keeps the records
+// and timings sections' encoded bytes between calls, so a call encodes only
+// the records and timings served since the previous one; the other sections
+// are small and are encoded every time. The document is written into a
+// buffer the Journal reuses. The bytes are those Encode produces for the
+// same checkpoint, because Encode is a Journal's first call and both run the
+// same section code.
+//
+// A zero Journal is ready to use. It is not safe for concurrent use.
+type Journal struct {
+	// recs and tims hold the records and timings payloads, less their count
+	// prefix, for the first n entries of the slices whose first elements
+	// are rec0 and tim0.
+	recs, tims writer
+	n          int
+	rec0       *runtime.FrameRecord
+	tim0       *runtime.FrameTiming
+	// meta is scratch for the stream, policy, residency and counters
+	// payloads, written back to back; names is scratch for sorting counters.
+	meta  writer
+	names []string
+	out   []byte
+}
+
+// Encode serializes c, as the package-level Encode does. The returned bytes
+// live in the Journal's buffer: they stay valid until the next call, which
+// overwrites them. A failed call leaves them intact.
+//
+// The cached records and timings are reused when c's slices extend the ones
+// the previous call saw: the same first element, and no fewer entries. That
+// holds between snapshots of one session, whose results are append-only
+// (runtime.Session.Snapshot shares them). Any other slice, such as a
+// restored session's or a decoded checkpoint's, is encoded from its start.
+// Records and timings already passed in must not change.
+func (j *Journal) Encode(c *Checkpoint) ([]byte, error) {
 	if c.Session == nil {
 		return nil, fmt.Errorf("checkpoint: encode with no session data")
 	}
@@ -136,11 +184,83 @@ func Encode(c *Checkpoint) ([]byte, error) {
 			d.Name, len(d.Records), len(d.Timings))
 	}
 
-	var out writer
-	out.bytes([]byte(magic))
-	out.u32(version)
+	// The small sections go to scratch first. A policy state the format
+	// cannot carry fails here, before the document buffer, which still
+	// holds the previous call's bytes, is touched.
+	m := &j.meta
+	m.buf = m.buf[:0]
+	encodeStream(m, c)
+	streamEnd := len(m.buf)
+	if err := encodePolicy(m, d.PolicyState); err != nil {
+		return nil, err
+	}
+	policyEnd := len(m.buf)
+	m.bool(d.HaveHeld)
+	m.pair(d.Held)
+	heldEnd := len(m.buf)
+	j.encodeCounters(c.Counters)
 
-	var p writer
+	growing := j.extend(d.Records, d.Timings, d.FrameCount)
+
+	// Header, six section frames, two count prefixes and the payloads.
+	size := len(magic) + 4 + 6*12 + 2*8 + len(m.buf) + len(j.recs.buf) + len(j.tims.buf)
+	if growing {
+		// Room for the rest of the stream's frames at the bytes per frame
+		// so far, so the buffer is allocated about once per stream.
+		size += (d.FrameCount - j.n) * (len(j.recs.buf) + len(j.tims.buf)) / j.n
+	}
+	w := writer{buf: reserve(j.out[:0], size)}
+	w.bytes([]byte(magic))
+	w.u32(version)
+	w.section(secStream, m.buf[:streamEnd])
+	s := w.open(secRecords)
+	w.i64(int64(j.n))
+	w.bytes(j.recs.buf)
+	w.seal(s)
+	s = w.open(secTimings)
+	w.i64(int64(j.n))
+	w.bytes(j.tims.buf)
+	w.seal(s)
+	w.section(secPolicy, m.buf[streamEnd:policyEnd])
+	w.section(secResidency, m.buf[policyEnd:heldEnd])
+	w.section(secCounters, m.buf[heldEnd:])
+	j.out = w.buf
+	return w.buf, nil
+}
+
+// extend brings the cached records and timings up to recs and tims, which
+// have equal lengths, and reports whether it added to entries an earlier
+// call cached: the mark of a live stream. It starts over unless they extend
+// what is cached. A live stream's caches are sized for all frameCount
+// frames at the bytes per frame so far, so they too are allocated about
+// once. (A decoded checkpoint's slices have no room to grow in place, so
+// its frame count, which the input sets, never sizes anything here.)
+func (j *Journal) extend(recs []runtime.FrameRecord, tims []runtime.FrameTiming, frameCount int) bool {
+	if len(recs) == 0 || len(recs) < j.n || &recs[0] != j.rec0 || &tims[0] != j.tim0 {
+		j.recs.buf, j.tims.buf, j.n = j.recs.buf[:0], j.tims.buf[:0], 0
+		j.rec0, j.tim0 = nil, nil
+		if len(recs) > 0 {
+			j.rec0, j.tim0 = &recs[0], &tims[0]
+		}
+	}
+	growing := j.n > 0 && len(recs) > j.n
+	if growing {
+		j.recs.buf = reserve(j.recs.buf, frameCount*len(j.recs.buf)/j.n)
+		j.tims.buf = reserve(j.tims.buf, frameCount*len(j.tims.buf)/j.n)
+	}
+	for i := j.n; i < len(recs); i++ {
+		encodeRecord(&j.recs, &recs[i])
+		encodeTiming(&j.tims, &tims[i])
+	}
+	j.n = len(recs)
+	return growing
+}
+
+// reserve returns b with capacity for at least c bytes.
+func reserve(b []byte, c int) []byte { return slices.Grow(b, max(0, c-len(b))) }
+
+func encodeStream(p *writer, c *Checkpoint) {
+	d := c.Session
 	p.str(d.Name)
 	p.str(d.PolicyName)
 	p.f64(d.PeriodSec)
@@ -152,61 +272,49 @@ func Encode(c *Checkpoint) ([]byte, error) {
 	p.pair(d.Prev)
 	p.str(c.Scenario)
 	p.u64(c.RenderSeed)
-	out.section(secStream, p.take())
+}
 
-	p.i64(int64(len(d.Records)))
-	for _, r := range d.Records {
-		p.i64(int64(r.Index))
-		p.pair(r.Pair)
-		p.bool(r.Found)
-		p.f64(r.Conf)
-		p.f64(r.IoU)
-		p.f64(r.Box.X)
-		p.f64(r.Box.Y)
-		p.f64(r.Box.W)
-		p.f64(r.Box.H)
-		p.f64(r.LatSec)
-		p.f64(r.EnergyJ)
-		p.bool(r.Swapped)
-		p.bool(r.LoadedModel)
-		p.bool(r.Rescheduled)
-		p.f64(r.Similarity)
-		p.f64(r.Gate)
+func encodeRecord(p *writer, r *runtime.FrameRecord) {
+	p.i64(int64(r.Index))
+	p.pair(r.Pair)
+	p.bool(r.Found)
+	p.f64(r.Conf)
+	p.f64(r.IoU)
+	p.f64(r.Box.X)
+	p.f64(r.Box.Y)
+	p.f64(r.Box.W)
+	p.f64(r.Box.H)
+	p.f64(r.LatSec)
+	p.f64(r.EnergyJ)
+	p.bool(r.Swapped)
+	p.bool(r.LoadedModel)
+	p.bool(r.Rescheduled)
+	p.f64(r.Similarity)
+	p.f64(r.Gate)
+}
+
+func encodeTiming(p *writer, t *runtime.FrameTiming) {
+	p.i64(int64(t.Arrival))
+	p.i64(int64(t.Start))
+	p.i64(int64(t.Done))
+	p.i64(int64(t.Wait))
+	p.i64(int64(t.Deadline))
+}
+
+// encodeCounters appends the counters payload to the meta scratch, sorted
+// by name so the bytes do not depend on map order.
+func (j *Journal) encodeCounters(counters map[string]uint64) {
+	j.names = j.names[:0]
+	for name := range counters {
+		j.names = append(j.names, name)
 	}
-	out.section(secRecords, p.take())
-
-	p.i64(int64(len(d.Timings)))
-	for _, t := range d.Timings {
-		p.i64(int64(t.Arrival))
-		p.i64(int64(t.Start))
-		p.i64(int64(t.Done))
-		p.i64(int64(t.Wait))
-		p.i64(int64(t.Deadline))
-	}
-	out.section(secTimings, p.take())
-
-	if err := encodePolicy(&p, d.PolicyState); err != nil {
-		return nil, err
-	}
-	out.section(secPolicy, p.take())
-
-	p.bool(d.HaveHeld)
-	p.pair(d.Held)
-	out.section(secResidency, p.take())
-
-	names := make([]string, 0, len(c.Counters))
-	for name := range c.Counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	p.i64(int64(len(names)))
-	for _, name := range names {
+	sort.Strings(j.names)
+	p := &j.meta
+	p.i64(int64(len(j.names)))
+	for _, name := range j.names {
 		p.str(name)
-		p.u64(c.Counters[name])
+		p.u64(counters[name])
 	}
-	out.section(secCounters, p.take())
-
-	return out.take(), nil
 }
 
 // Decode parses a serialized checkpoint. The input is untrusted: every read

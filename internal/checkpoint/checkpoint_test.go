@@ -231,7 +231,8 @@ func TestDecodeTypedErrors(t *testing.T) {
 
 // TestEncodeRejectsForeignPolicyState pins the encode-time failure: a policy
 // state the format does not know must fail at checkpoint time, not at a
-// failed restore after a crash.
+// failed restore after a crash. A Journal's failed call must also leave the
+// bytes of its previous call intact, since a journal entry still holds them.
 func TestEncodeRejectsForeignPolicyState(t *testing.T) {
 	b, frames := encodeAt(t, 3)
 	c, err := checkpoint.Decode(b)
@@ -243,8 +244,106 @@ func TestEncodeRejectsForeignPolicyState(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = snap
+	var j checkpoint.Journal
+	prev, err := j.Encode(c)
+	if err != nil {
+		t.Fatal(err)
+	}
 	c.Session.PolicyState = struct{ X int }{1}
 	if _, err := checkpoint.Encode(c); err == nil {
 		t.Fatal("encoding an unknown policy state type must fail")
+	}
+	if _, err := j.Encode(c); err == nil {
+		t.Fatal("a Journal encoding an unknown policy state type must fail")
+	}
+	if !bytes.Equal(prev, b) {
+		t.Fatal("a failed Journal call overwrote its previous bytes")
+	}
+}
+
+// TestJournalMatchesEncode pins the incremental encoder to the one-shot one.
+// It steps the 120-frame wire fixture and, after every frame, encodes the
+// session's snapshot through one reused Journal and through a fresh Encode;
+// the bytes must be equal. It rewinds twice the way a crash does: the
+// session dies without a drain, the entry written at an earlier frame is
+// decoded and restored on a fresh device, and the stream steps on through
+// the same Journal. After the first rewind the Journal writes at once, with
+// fewer records than it holds. After the second it first writes past its
+// pre-crash count, so records it holds from the lost timeline would show.
+func TestJournalMatchesEncode(t *testing.T) {
+	env, frames := fixture(t)
+	sess, _ := shiftSession(t, env, frames)
+	var j checkpoint.Journal
+	entries := map[int][]byte{} // one-shot bytes by served count, latest timeline
+	seq := uint64(0)
+	write := func() {
+		t.Helper()
+		seq++
+		snap := sess.Snapshot()
+		c := &checkpoint.Checkpoint{
+			Session:    snap.Data(),
+			Scenario:   "scenario2",
+			RenderSeed: env.Seed,
+			Counters:   map[string]uint64{"journal_seq": seq, "served": uint64(snap.Served())},
+		}
+		got, err := j.Encode(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := checkpoint.Encode(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("write %d (%d served): journal bytes differ from a one-shot encode (%d vs %d bytes)",
+				seq, snap.Served(), len(got), len(want))
+		}
+		entries[snap.Served()] = want
+	}
+	step := func(to int, writeFrom int) {
+		t.Helper()
+		for served := len(sess.Result().Result.Records); served < to; served++ {
+			if err := sess.Step(); err != nil {
+				t.Fatal(err)
+			}
+			if served+1 >= writeFrom {
+				write()
+			}
+		}
+	}
+	crash := func(rewindTo int) {
+		t.Helper()
+		at := sess.Horizon()
+		if err := sess.Close(); err != nil {
+			t.Fatal(err)
+		}
+		c, err := checkpoint.Decode(entries[rewindTo])
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := c.Snapshot(frames)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys := zoo.Default(2)
+		dml := loader.New(sys, loader.EvictLRR)
+		pol, err := pipeline.NewPolicy(sys, env.Ch, env.Graph, pipeline.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sess, err = runtime.RestoreSession(sys, dml, snap, pol, at); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	write()
+	step(60, 0)
+	crash(30)
+	write()
+	step(90, 0)
+	crash(75)
+	step(len(frames), 91)
+	if err := sess.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -73,22 +73,30 @@ func FuzzDecode(f *testing.F) {
 }
 
 // TestWriteFuzzCorpus regenerates the committed corpus under
-// testdata/fuzz/FuzzDecode when CHECKPOINT_WRITE_CORPUS=1; otherwise it
-// verifies every committed entry still decodes-or-fails cleanly (the CI race
-// job replays the corpus through this path plus the fuzz target itself).
+// testdata/fuzz/FuzzDecode when CHECKPOINT_WRITE_CORPUS=1. Otherwise it pins
+// the v1 bytes: every committed seed-NN file must hold seedInputs' entry NN
+// byte for byte, so an encoder change that moves one byte of a checkpoint
+// fails here, not only one whose output stops decoding. Every committed
+// entry must also decode-or-fail cleanly (the CI race job replays the
+// corpus through this path plus the fuzz target itself).
 func TestWriteFuzzCorpus(t *testing.T) {
 	dir := filepath.Join("testdata", "fuzz", "FuzzDecode")
+	seeds := seedInputs(t)
 	if os.Getenv("CHECKPOINT_WRITE_CORPUS") == "1" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
 		}
-		for i, seed := range seedInputs(t) {
+		for i, seed := range seeds {
 			body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seed)
 			name := filepath.Join(dir, fmt.Sprintf("seed-%02d", i))
 			if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
+	}
+	want := map[string][]byte{}
+	for i, seed := range seeds {
+		want[fmt.Sprintf("seed-%02d", i)] = seed
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -114,10 +122,23 @@ func TestWriteFuzzCorpus(t *testing.T) {
 			t.Fatalf("%s: %v", e.Name(), err)
 		}
 		data := []byte(quoted)
+		if seed, ok := want[e.Name()]; ok {
+			if !bytes.Equal(data, seed) {
+				t.Errorf("%s: committed bytes differ from the encoder's (%d vs %d bytes); "+
+					"the v1 encoding moved", e.Name(), len(data), len(seed))
+			}
+			delete(want, e.Name())
+		}
 		if c, err := checkpoint.Decode(data); err == nil {
 			if _, err := checkpoint.Encode(c); err != nil {
 				t.Fatalf("%s: decoded but failed re-encode: %v", e.Name(), err)
 			}
+		}
+	}
+	for i := range seeds {
+		name := fmt.Sprintf("seed-%02d", i)
+		if _, missing := want[name]; missing {
+			t.Errorf("%s: seed missing from the committed corpus", name)
 		}
 	}
 }

@@ -14,16 +14,9 @@ import (
 
 func crcIEEE(b []byte) uint32 { return crc32.ChecksumIEEE(b) }
 
-// writer accumulates little-endian primitives. take returns the bytes built
-// so far and resets the writer, so one writer serves every section payload.
+// writer accumulates little-endian primitives.
 type writer struct {
 	buf []byte
-}
-
-func (w *writer) take() []byte {
-	b := w.buf
-	w.buf = nil
-	return b
 }
 
 func (w *writer) bytes(b []byte) { w.buf = append(w.buf, b...) }
@@ -67,9 +60,24 @@ func (w *writer) image(im *img.Image) {
 
 // section frames a payload: id, length, payload, CRC.
 func (w *writer) section(id uint32, payload []byte) {
-	w.u32(id)
-	w.u32(uint32(len(payload)))
+	s := w.open(id)
 	w.bytes(payload)
+	w.seal(s)
+}
+
+// open starts a section whose payload is written next: it writes the id and
+// a length placeholder and returns where the payload starts.
+func (w *writer) open(id uint32) int {
+	w.u32(id)
+	w.u32(0)
+	return len(w.buf)
+}
+
+// seal ends the section whose payload started at start: it fills in the
+// length and appends the payload's CRC.
+func (w *writer) seal(start int) {
+	payload := w.buf[start:]
+	binary.LittleEndian.PutUint32(w.buf[start-4:], uint32(len(payload)))
 	w.u32(crcIEEE(payload))
 }
 

@@ -1,19 +1,26 @@
 package fleet
 
 import (
+	"fmt"
+	"hash/fnv"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
 	"repro/internal/detmodel"
+	"repro/internal/scene"
 )
 
-// durableFleet builds a fleet with the checkpoint journal enabled.
+// durableFleet builds a fleet with the checkpoint journal enabled and the
+// audit armed, so every journal write is checked against a one-shot encode.
 func durableFleet(t *testing.T, adm Admission, dur *DurabilityConfig, devs ...DeviceConfig) *Fleet {
 	t.Helper()
 	f, err := New(Config{Seed: 1, Devices: devs, Admission: adm, Durability: dur})
 	if err != nil {
 		t.Fatal(err)
 	}
+	f.audit = true
 	return f
 }
 
@@ -241,6 +248,7 @@ func TestDurabilityDisabledBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	f.audit = true
 	res, err := f.RunWithFaults(seededRequests(t), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -253,6 +261,96 @@ func TestDurabilityDisabledBitIdentical(t *testing.T) {
 		t.Fatalf("plain run has durability counters: %d writes %d crashes",
 			base.JournalWrites, base.Crashes)
 	}
+}
+
+// TestJournalAuditAcrossRegions runs a generated crash mix with the journal
+// on and the audit armed, so every journal write is checked against a
+// one-shot checkpoint.Encode, at R = 0, 2 and 4. With regions, the step
+// snapshots that share each session's records are taken inside region
+// goroutines and encoded at the merge. Outcomes, journal writes and bytes,
+// and at every departure the bytes of each in-flight stream's latest entry,
+// must equal R = 0's; and no entry may outlive the run.
+func TestJournalAuditAcrossRegions(t *testing.T) {
+	reqs, err := GenerateWorkload(WorkloadConfig{
+		Seed: 11, Streams: 8, RatePerSec: 1, PeriodSec: 0.1,
+		MinFrames: 30, MaxFrames: 80,
+		Scenarios: []*scene.Scenario{scene.Scenario2()},
+	}, func(*scene.Scenario) []scene.Frame { return testFrames(t) },
+		fixedFactory(detmodel.YoloV7Tiny, "gpu"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	devices := []DeviceConfig{{Name: "edge-a"}, {Name: "edge-b", Scale: 1.25}, {Name: "edge-c", Scale: 0.8}}
+	fcfg := DefaultFaultConfig()
+	fcfg.Seed = 3
+	fcfg.RatePerSec = 1
+	fcfg.Horizon = 15 * time.Second
+	fcfg.POutage, fcfg.PDeath, fcfg.PBrownout, fcfg.PCrash = 0.2, 0, 0.2, 0.6
+	fcfg.MeanOutageSec = 2
+	fcfg.MeanCrashRestartSec = 1
+	faults, err := GenerateFaults(fcfg, names(devices))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(regions int) (*Result, []uint64) {
+		var fl *Fleet
+		var digests []uint64
+		fl, err := New(Config{
+			Seed:       11,
+			Devices:    devices,
+			Placement:  NewResidencyAffinity(),
+			Admission:  Admission{PerDeviceStreams: 2, QueueLimit: -1},
+			Durability: &DurabilityConfig{EveryFrames: 3},
+			Regions:    regions,
+			OnDepart:   func(*StreamOutcome) { digests = append(digests, journalDigest(fl)) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fl.audit = true
+		res, err := fl.RunWithFaults(reqs, faults)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkNoLeaks(t, fl)
+		if n := len(fl.journalStore); n != 0 {
+			t.Fatalf("R=%d: %d journal entries outlive the run", regions, n)
+		}
+		return res, digests
+	}
+	ref, refDigests := run(0)
+	if ref.Crashes == 0 || ref.ReplayedFrames == 0 || ref.JournalWrites == 0 {
+		t.Fatalf("crash mix not exercising recovery: %d crashes, %d replayed frames, %d journal writes",
+			ref.Crashes, ref.ReplayedFrames, ref.JournalWrites)
+	}
+	for _, regions := range []int{2, 4} {
+		got, digests := run(regions)
+		label := fmt.Sprintf("regions-%d", regions)
+		compareRuns(t, ref, got, label)
+		if ref.JournalWrites != got.JournalWrites || ref.JournalBytes != got.JournalBytes {
+			t.Fatalf("%s: journal traffic %d writes / %d bytes, R=0 %d / %d", label,
+				got.JournalWrites, got.JournalBytes, ref.JournalWrites, ref.JournalBytes)
+		}
+		if !slices.Equal(refDigests, digests) {
+			t.Fatalf("%s: journal entries at departures differ from R=0's", label)
+		}
+	}
+}
+
+// journalDigest hashes every in-flight stream's latest journal entry, in
+// stream-name order.
+func journalDigest(f *Fleet) uint64 {
+	outs := make([]*StreamOutcome, 0, len(f.journalStore))
+	for out := range f.journalStore {
+		outs = append(outs, out)
+	}
+	sort.Slice(outs, func(i, j int) bool { return outs[i].Name < outs[j].Name })
+	h := fnv.New64a()
+	for _, out := range outs {
+		h.Write([]byte(out.Name))
+		h.Write(f.journalStore[out].data)
+	}
+	return h.Sum64()
 }
 
 // TestGenerateFaultsCrashMix: with PCrash > 0 the generator emits crash

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"time"
@@ -42,12 +43,15 @@ func (dc *DurabilityConfig) every() int {
 	return dc.EveryFrames
 }
 
-// journalEntry is one stream's latest durable checkpoint: the encoded wire
-// bytes (exactly what a coordinator would have on disk) and the served count
-// they pin.
+// journalEntry is one stream's journal: its latest durable checkpoint, as
+// the encoded wire bytes (exactly what a coordinator would have on disk), and
+// the encoder that wrote them. The encoder keeps the stream's encoded
+// records and timings, so a write encodes only the frames served since the
+// last one, and it reuses one buffer for the bytes, which each write
+// overwrites.
 type journalEntry struct {
-	data   []byte
-	served int
+	enc  checkpoint.Journal
+	data []byte
 }
 
 // commitJournal stamps the next global journal sequence number, serializes
@@ -55,17 +59,36 @@ type journalEntry struct {
 // entry. Encoding exercises the same bytes a real coordinator would
 // persist, so journal size metrics are honest. It runs in global event
 // order (commit, admission), so the embedded sequence numbers — and so the
-// exact journal bytes — are the same at every region count.
+// exact journal bytes — are the same at every region count. With the audit
+// armed (tests only), every write is checked against a one-shot
+// checkpoint.Encode of the same checkpoint.
 func (f *Fleet) commitJournal(as *activeSession, snap *runtime.SessionSnapshot) error {
 	f.journalSeq++
-	data, err := checkpoint.EncodeSnapshot(snap, as.req.Scenario, f.durable.RenderSeed, map[string]uint64{
-		"journal_seq": f.journalSeq,
-		"served":      uint64(snap.Served()),
-	})
+	c := &checkpoint.Checkpoint{
+		Session:    snap.Data(),
+		Scenario:   as.req.Scenario,
+		RenderSeed: f.durable.RenderSeed,
+		Counters: map[string]uint64{
+			"journal_seq": f.journalSeq,
+			"served":      uint64(snap.Served()),
+		},
+	}
+	e := f.journalStore[as.out]
+	if e == nil {
+		e = &journalEntry{}
+	}
+	data, err := e.enc.Encode(c)
 	if err != nil {
 		return fmt.Errorf("fleet: journal %s: %w", as.out.Name, err)
 	}
-	f.journalStore[as.out] = &journalEntry{data: data, served: snap.Served()}
+	if f.audit {
+		if want, err := checkpoint.Encode(c); err != nil || !bytes.Equal(data, want) {
+			panic(fmt.Sprintf("fleet: journal write %d for %s differs from a one-shot encode (%d vs %d bytes, err %v)",
+				f.journalSeq, as.out.Name, len(data), len(want), err))
+		}
+	}
+	e.data = data
+	f.journalStore[as.out] = e
 	f.journalWrites++
 	f.journalBytes += int64(len(data))
 	return nil

@@ -322,9 +322,10 @@ type Fleet struct {
 	peakLive int
 
 	// Durability state (inert when durable == nil): journalStore maps each
-	// in-flight stream to its latest wire-encoded checkpoint, journalSeq
-	// stamps entries in write order, and the remaining fields meter journal
-	// traffic and crash recovery for the run result.
+	// in-flight stream to its journal (latest wire-encoded checkpoint and
+	// the encoder that wrote it), journalSeq stamps entries in write order,
+	// and the remaining fields meter journal traffic and crash recovery for
+	// the run result.
 	durable        *DurabilityConfig
 	journalStore   map[*StreamOutcome]*journalEntry
 	journalSeq     uint64
@@ -336,7 +337,8 @@ type Fleet struct {
 	// Event-loop state: nregions/regions hold the sharded session-event
 	// heaps (one region when sharding is off); audit (tests only) checks the
 	// heap's pick, and its key, against a full rescan of the live sessions
-	// before each selection; events counts processed loop events;
+	// before each selection, and each journal write against a one-shot
+	// encode (commitJournal); events counts processed loop events;
 	// resHorizon accumulates departure completion times so Result.Horizon
 	// survives outcomes whose records an OnDepart hook released.
 	nregions   int

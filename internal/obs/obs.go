@@ -164,8 +164,16 @@ func (r *Recorder) Spans() []Span { return r.spans }
 // span stream.
 func (r *Recorder) Registry() *Registry { return &r.reg }
 
-// add appends one span in global order and folds it into the registry.
+// add appends one span in global order and folds it into the registry. The
+// list grows by doubling, which allocates less than four times the final
+// list in all; append grows a long slice by about 1.25× a step, which for
+// spans added one at a time allocates five to six times.
 func (r *Recorder) add(sp Span) {
+	if len(r.spans) == cap(r.spans) {
+		grown := make([]Span, len(r.spans), max(2*len(r.spans), 256))
+		copy(grown, r.spans)
+		r.spans = grown
+	}
 	r.spans = append(r.spans, sp)
 	r.reg.fold(sp)
 }

@@ -323,3 +323,26 @@ func TestSpanKindStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestSpanListGrowsByDoubling pins the span list's growth: it starts at 256
+// spans and doubles each time it fills, so adding spans one at a time
+// allocates less than four times the final list in all, not the five to six
+// times that append's growth of a long slice costs.
+func TestSpanListGrowsByDoubling(t *testing.T) {
+	r := obs.NewRecorder()
+	prev := 0
+	for i := 0; i < 5000; i++ {
+		r.Arrival("s", time.Duration(i))
+		c := cap(r.Spans())
+		if c == prev {
+			continue
+		}
+		if want := max(2*prev, 256); c != want {
+			t.Fatalf("span %d: capacity grew %d → %d, want %d", i, prev, c, want)
+		}
+		prev = c
+	}
+	if prev != 8192 {
+		t.Fatalf("5000 spans: capacity %d, want 8192", prev)
+	}
+}

@@ -3,6 +3,7 @@ package runtime
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/loader"
@@ -240,6 +241,8 @@ type SessionSnapshot struct {
 	deadline   time.Duration
 	prev       zoo.Pair
 
+	// records and timings share the session's served prefix (see
+	// Session.Snapshot).
 	records []FrameRecord
 	timings []FrameTiming
 
@@ -286,10 +289,20 @@ func (sn *SessionSnapshot) Partial() *StreamResult {
 	}
 }
 
-// Snapshot checkpoints the session between steps. The records and timings are
-// copied, and the policy's state is captured when it is a PortablePolicy
-// (otherwise a restored session re-learns from a policy Reset). The session
-// remains usable; a checkpoint is a fork point, not a close.
+// Snapshot checkpoints the session between steps. The policy's state is
+// captured when it is a PortablePolicy (otherwise a restored session
+// re-learns from a policy Reset). The session remains usable; a checkpoint
+// is a fork point, not a close.
+//
+// The records and timings are shared with the session, not copied: the
+// snapshot holds the served prefix, capped at its length. That is safe
+// because the session only appends. It never rewrites a served entry; its
+// later appends land past the snapshot's length, which the snapshot never
+// reads; and an append to the capped snapshot slice copies rather than write
+// into the session's array. So a snapshot taken inside a region goroutine
+// and encoded later, at the fleet's commit, reads entries the stepping
+// session no longer writes, and a journal write copies none of the stream's
+// history.
 func (s *Session) Snapshot() *SessionSnapshot {
 	sn := &SessionSnapshot{
 		spec:       s.spec,
@@ -300,8 +313,8 @@ func (s *Session) Snapshot() *SessionSnapshot {
 		done:       s.done,
 		deadline:   s.deadline,
 		prev:       s.prev,
-		records:    append([]FrameRecord(nil), s.res.Result.Records...),
-		timings:    append([]FrameTiming(nil), s.res.Timings...),
+		records:    slices.Clip(s.res.Result.Records),
+		timings:    slices.Clip(s.res.Timings),
 		held:       s.eng.held,
 		haveHeld:   s.eng.haveHeld,
 	}
