@@ -49,11 +49,24 @@ func newEngine(sys *zoo.System, pol runtime.Policy) *runtime.Engine {
 // NewSingleModel builds the conventional single-model runner: one fixed pair
 // on every frame.
 func NewSingleModel(sys *zoo.System, model, procID string) (*runtime.Engine, error) {
+	pol, err := NewSingleModelPolicy(sys, model, procID)
+	if err != nil {
+		return nil, err
+	}
+	return newEngine(sys, pol), nil
+}
+
+// NewSingleModelPolicy returns the single-model policy over sys's (model,
+// procID) runtime pair: every frame acquires, executes and detects on that
+// pair. It holds no per-stream state, so a migrated stream resumes by Reset.
+// The experiments' Monitor cells and distrib's "fixed:<model>/<proc>"
+// policies serve through it too.
+func NewSingleModelPolicy(sys *zoo.System, model, procID string) (runtime.Policy, error) {
 	pair, err := findPair(sys, model, procID)
 	if err != nil {
 		return nil, err
 	}
-	return newEngine(sys, &singleModelPolicy{pair: pair}), nil
+	return &singleModelPolicy{pair: pair}, nil
 }
 
 // singleModelPolicy serves every frame from one fixed pair.

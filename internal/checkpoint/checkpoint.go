@@ -21,6 +21,12 @@
 // ids are skipped so minor additive fields do not bump the version; layout
 // changes do.
 //
+// The format reads and writes the serving layers' own checkpoint types, one
+// per layer: every exported field of runtime.SessionSnapshot, and for a SHIFT
+// policy the pipeline.State with every field of its sched.State. Their
+// validity checks live with them: Encode and Decode run
+// runtime.SessionSnapshot.Check, and the encoder runs sched.State.Check.
+//
 // Decode is total: any corrupt, truncated or future-version input returns a
 // typed error (ErrBadMagic, ErrVersion, ErrTruncated, ErrCorrupt) and never
 // panics. Decoding allocates nothing the input's own length does not justify
@@ -47,7 +53,6 @@ import (
 
 	"repro/internal/pipeline"
 	"repro/internal/runtime"
-	"repro/internal/scene"
 	"repro/internal/sched"
 )
 
@@ -81,12 +86,13 @@ var (
 	ErrCorrupt   = errors.New("checkpoint: corrupt input")
 )
 
-// Checkpoint is the decoded form: the session's serialized view plus the
-// frame source by reference and the journal's metrics counters.
+// Checkpoint is the decoded form: the session checkpoint plus the frame
+// source by reference and the journal's metrics counters.
 type Checkpoint struct {
-	// Session is everything runtime.SnapshotFromData needs except the
-	// frames themselves.
-	Session *runtime.SnapshotData
+	// Session is the checkpoint the wire carries. Decode leaves its frames
+	// unset; the caller re-supplies them (runtime.SessionSnapshot.SetFrames)
+	// before restoring it.
+	Session *runtime.SessionSnapshot
 	// Scenario and RenderSeed name the frame source: the stream's frames
 	// are the first Session.FrameCount frames of Scenario rendered with
 	// RenderSeed.
@@ -97,43 +103,21 @@ type Checkpoint struct {
 	Counters map[string]uint64
 }
 
-// Frames re-renders the checkpoint's frame source. Workers use it when the
-// coordinator hands them a checkpoint and nothing else; in-process callers
-// that already hold the rendered scenario can skip it and pass their slice
-// to Snapshot directly.
-func (c *Checkpoint) Frames() ([]scene.Frame, error) {
-	s, err := scene.ByName(c.Scenario)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: stream %q: %w", c.Session.Name, err)
-	}
-	frames := s.Render(c.RenderSeed)
-	if len(frames) < c.Session.FrameCount {
-		return nil, fmt.Errorf("checkpoint: stream %q needs %d frames, scenario %q renders %d",
-			c.Session.Name, c.Session.FrameCount, c.Scenario, len(frames))
-	}
-	return frames[:c.Session.FrameCount], nil
-}
-
-// Snapshot rebuilds the runtime checkpoint from the decoded form plus the
-// re-supplied frames.
-func (c *Checkpoint) Snapshot(frames []scene.Frame) (*runtime.SessionSnapshot, error) {
-	return runtime.SnapshotFromData(c.Session, frames)
-}
-
 // EncodeSnapshot serializes a live session checkpoint: the common case where
 // the caller holds a *runtime.SessionSnapshot and the stream's frame-source
 // reference.
 func EncodeSnapshot(snap *runtime.SessionSnapshot, scenario string, renderSeed uint64, counters map[string]uint64) ([]byte, error) {
 	return Encode(&Checkpoint{
-		Session:    snap.Data(),
+		Session:    snap,
 		Scenario:   scenario,
 		RenderSeed: renderSeed,
 		Counters:   counters,
 	})
 }
 
-// Encode serializes a checkpoint. It fails on state the format cannot carry
-// (an unrecognized portable-policy type) rather than dropping it silently.
+// Encode serializes a checkpoint. It fails on a session that fails its Check
+// and on state the format cannot carry (an unrecognized portable-policy type,
+// an inconsistent scheduler state) rather than dropping it silently.
 // It is a Journal's first call, so the bytes are the caller's own.
 func Encode(c *Checkpoint) ([]byte, error) {
 	var j Journal
@@ -176,12 +160,11 @@ type Journal struct {
 // Records and timings already passed in must not change.
 func (j *Journal) Encode(c *Checkpoint) ([]byte, error) {
 	if c.Session == nil {
-		return nil, fmt.Errorf("checkpoint: encode with no session data")
+		return nil, fmt.Errorf("checkpoint: encode with no session")
 	}
 	d := c.Session
-	if len(d.Records) != len(d.Timings) {
-		return nil, fmt.Errorf("checkpoint: stream %q has %d records but %d timings",
-			d.Name, len(d.Records), len(d.Timings))
+	if err := d.Check(); err != nil {
+		return nil, fmt.Errorf("checkpoint: encode: %w", err)
 	}
 
 	// The small sections go to scratch first. A policy state the format
@@ -332,7 +315,7 @@ func Decode(b []byte) (*Checkpoint, error) {
 		return nil, fmt.Errorf("%w: version %d, this build reads %d", ErrVersion, v, version)
 	}
 
-	c := &Checkpoint{Session: &runtime.SnapshotData{}, Counters: map[string]uint64{}}
+	c := &Checkpoint{Session: &runtime.SessionSnapshot{}, Counters: map[string]uint64{}}
 	seen := map[uint32]bool{}
 	var haveStream bool
 	for r.remaining() > 0 && r.err == nil {
@@ -390,30 +373,12 @@ func Decode(b []byte) (*Checkpoint, error) {
 			return nil, fmt.Errorf("%w: missing section %d", ErrTruncated, id)
 		}
 	}
-	if err := validate(c); err != nil {
-		return nil, err
+	// Cross-section invariants: a violation means crafted or corrupted
+	// input that slipped past the per-section CRCs.
+	if err := c.Session.Check(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return c, nil
-}
-
-// validate applies the cross-section invariants a well-formed checkpoint
-// satisfies; violations mean crafted or corrupted input that slipped past
-// the per-section CRCs.
-func validate(c *Checkpoint) error {
-	d := c.Session
-	if d.FrameCount < 0 || d.Next < 0 || d.Next > d.FrameCount {
-		return fmt.Errorf("%w: cursor %d over %d frames", ErrCorrupt, d.Next, d.FrameCount)
-	}
-	if len(d.Records) != len(d.Timings) {
-		return fmt.Errorf("%w: %d records, %d timings", ErrCorrupt, len(d.Records), len(d.Timings))
-	}
-	if len(d.Records) > d.Next {
-		return fmt.Errorf("%w: %d records past cursor %d", ErrCorrupt, len(d.Records), d.Next)
-	}
-	if !(d.PeriodSec >= 0) || d.Base < 0 || d.Done < 0 || d.Deadline < 0 {
-		return fmt.Errorf("%w: negative schedule", ErrCorrupt)
-	}
-	return nil
 }
 
 func decodeStream(p *reader, c *Checkpoint) error {
@@ -432,7 +397,7 @@ func decodeStream(p *reader, c *Checkpoint) error {
 	return p.close(secStream)
 }
 
-func decodeRecords(p *reader, d *runtime.SnapshotData) error {
+func decodeRecords(p *reader, d *runtime.SessionSnapshot) error {
 	// A record serializes to ≥ 62 bytes; the count can never exceed what
 	// the payload could hold, so a crafted count cannot force a huge
 	// allocation.
@@ -462,7 +427,7 @@ func decodeRecords(p *reader, d *runtime.SnapshotData) error {
 	return p.close(secRecords)
 }
 
-func decodeTimings(p *reader, d *runtime.SnapshotData) error {
+func decodeTimings(p *reader, d *runtime.SessionSnapshot) error {
 	n := p.count(40)
 	ts := make([]runtime.FrameTiming, 0, n)
 	for i := 0; i < n; i++ {
@@ -505,18 +470,17 @@ func encodePolicy(p *writer, state any) error {
 	case *pipeline.State:
 		p.u8(policyShift)
 		p.pair(st.Cur)
-		return encodeSchedState(p, st.Sched.Data())
+		return encodeSchedState(p, st.Sched)
 	default:
 		return fmt.Errorf("checkpoint: unencodable policy state %T", state)
 	}
 }
 
-func encodeSchedState(p *writer, d *sched.StateData) error {
-	n := len(d.Models)
-	if len(d.Bufs) != n || len(d.RVals) != n || len(d.RSet) != n || len(d.Valid) != n {
-		return fmt.Errorf("checkpoint: inconsistent scheduler state: %d models, %d/%d/%d/%d entries",
-			n, len(d.Bufs), len(d.RVals), len(d.RSet), len(d.Valid))
+func encodeSchedState(p *writer, d *sched.State) error {
+	if err := d.Check(); err != nil {
+		return fmt.Errorf("checkpoint: %w", err)
 	}
+	n := len(d.Models)
 	p.i64(int64(n))
 	for i := 0; i < n; i++ {
 		p.str(d.Models[i])
@@ -538,7 +502,7 @@ func encodeSchedState(p *writer, d *sched.StateData) error {
 	return nil
 }
 
-func decodePolicy(p *reader, d *runtime.SnapshotData) error {
+func decodePolicy(p *reader, d *runtime.SessionSnapshot) error {
 	switch kind := p.u8(); {
 	case p.err != nil:
 		return p.err
@@ -546,16 +510,9 @@ func decodePolicy(p *reader, d *runtime.SnapshotData) error {
 		return p.close(secPolicy)
 	case kind == policyShift:
 		cur := p.pair()
-		sd, err := decodeSchedState(p)
-		if err != nil {
-			return err
-		}
+		st := decodeSchedState(p)
 		if err := p.close(secPolicy); err != nil {
 			return err
-		}
-		st, err := sched.StateFromData(sd)
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
 		d.PolicyState = &pipeline.State{Sched: st, Cur: cur}
 		return nil
@@ -564,9 +521,11 @@ func decodePolicy(p *reader, d *runtime.SnapshotData) error {
 	}
 }
 
-func decodeSchedState(p *reader) (*sched.StateData, error) {
+// decodeSchedState reads a scheduler state; its per-model slices agree by
+// construction. Read failures stick in p.
+func decodeSchedState(p *reader) *sched.State {
 	n := p.count(16)
-	d := &sched.StateData{
+	d := &sched.State{
 		Models: make([]string, 0, n),
 		Bufs:   make([][]float64, 0, n),
 		RVals:  make([]float64, 0, n),
@@ -592,5 +551,5 @@ func decodeSchedState(p *reader) (*sched.StateData, error) {
 	d.BoxSum = p.u64()
 	d.BoxSumSq = p.u64()
 	d.BoxFlip = p.int()
-	return d, p.err
+	return d
 }

@@ -53,9 +53,8 @@ func shiftSession(t testing.TB, env *experiments.Env, frames []scene.Frame) (*ru
 	return sess, dml
 }
 
-// encodeAt opens a SHIFT session, steps it k frames, drains it, and encodes
-// the checkpoint.
-func encodeAt(t testing.TB, k int) ([]byte, []scene.Frame) {
+// drainedAt opens a SHIFT session, steps it k frames and drains it.
+func drainedAt(t testing.TB, k int) *runtime.SessionSnapshot {
 	t.Helper()
 	env, frames := fixture(t)
 	sess, dml := shiftSession(t, env, frames)
@@ -71,6 +70,14 @@ func encodeAt(t testing.TB, k int) ([]byte, []scene.Frame) {
 	if n := dml.TotalRefs(); n != 0 {
 		t.Fatalf("drained source holds %d refs", n)
 	}
+	return snap
+}
+
+// encodeAt drains a SHIFT session after k frames and encodes the checkpoint.
+func encodeAt(t testing.TB, k int) ([]byte, []scene.Frame) {
+	t.Helper()
+	env, frames := fixture(t)
+	snap := drainedAt(t, k)
 	b, err := checkpoint.EncodeSnapshot(snap, "scenario2", env.Seed, map[string]uint64{
 		"journal_seq": uint64(k),
 		"served":      uint64(snap.Served()),
@@ -99,8 +106,8 @@ func TestWireRoundTripResume(t *testing.T) {
 		if c.Counters["journal_seq"] != uint64(k) {
 			t.Fatalf("k=%d: counters lost: %v", k, c.Counters)
 		}
-		snap, err := c.Snapshot(frames)
-		if err != nil {
+		snap := c.Session
+		if err := snap.SetFrames(frames); err != nil {
 			t.Fatal(err)
 		}
 
@@ -154,19 +161,24 @@ func TestEncodeDeterministic(t *testing.T) {
 
 // TestFramesByReference pins the frame-source reference: a worker holding
 // only the checkpoint bytes re-renders the exact frames the stream was
-// opened with.
+// opened with, as the first FrameCount frames of Scenario at RenderSeed, and
+// the decoded snapshot takes them back.
 func TestFramesByReference(t *testing.T) {
 	b, frames := encodeAt(t, 9)
 	c, err := checkpoint.Decode(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Frames()
+	sc, err := scene.ByName(c.Scenario)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := sc.Render(c.RenderSeed)[:c.Session.FrameCount]
 	if len(got) != len(frames) {
 		t.Fatalf("re-rendered %d frames, want %d", len(got), len(frames))
+	}
+	if err := c.Session.SetFrames(got); err != nil {
+		t.Fatal(err)
 	}
 	for i := range got {
 		if got[i].Index != frames[i].Index || !bytes.Equal(got[i].Image.Pix, frames[i].Image.Pix) {
@@ -234,16 +246,11 @@ func TestDecodeTypedErrors(t *testing.T) {
 // failed restore after a crash. A Journal's failed call must also leave the
 // bytes of its previous call intact, since a journal entry still holds them.
 func TestEncodeRejectsForeignPolicyState(t *testing.T) {
-	b, frames := encodeAt(t, 3)
+	b, _ := encodeAt(t, 3)
 	c, err := checkpoint.Decode(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := c.Snapshot(frames)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = snap
 	var j checkpoint.Journal
 	prev, err := j.Encode(c)
 	if err != nil {
@@ -281,7 +288,7 @@ func TestJournalMatchesEncode(t *testing.T) {
 		seq++
 		snap := sess.Snapshot()
 		c := &checkpoint.Checkpoint{
-			Session:    snap.Data(),
+			Session:    snap,
 			Scenario:   "scenario2",
 			RenderSeed: env.Seed,
 			Counters:   map[string]uint64{"journal_seq": seq, "served": uint64(snap.Served())},
@@ -321,8 +328,8 @@ func TestJournalMatchesEncode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap, err := c.Snapshot(frames)
-		if err != nil {
+		snap := c.Session
+		if err := snap.SetFrames(frames); err != nil {
 			t.Fatal(err)
 		}
 		sys := zoo.Default(2)
@@ -345,5 +352,80 @@ func TestJournalMatchesEncode(t *testing.T) {
 	step(len(frames), 91)
 	if err := sess.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPlantedViolationsRefused plants one violation of each consolidated
+// check in a drained SHIFT checkpoint — more records than timings, a cursor
+// past the frame count, a frame count that disagrees with the frames, and a
+// scheduler state with one short per-model slice — and requires both the
+// encoder and RestoreSession to refuse it with an error, not a panic, with
+// no residency reference left behind. A re-supply of the wrong number of
+// frames is refused too, and leaves the snapshot unrestorable.
+func TestPlantedViolationsRefused(t *testing.T) {
+	env, frames := fixture(t)
+	const k = 12
+	cases := []struct {
+		name  string
+		plant func(*runtime.SessionSnapshot)
+	}{
+		{"records past timings", func(sn *runtime.SessionSnapshot) {
+			sn.Records = append(sn.Records, sn.Records[0])
+		}},
+		{"cursor past frame count", func(sn *runtime.SessionSnapshot) { sn.Next = sn.FrameCount + 1 }},
+		{"frame count off the frames", func(sn *runtime.SessionSnapshot) { sn.FrameCount-- }},
+		{"short per-model slice", func(sn *runtime.SessionSnapshot) {
+			st := sn.PolicyState.(*pipeline.State).Sched
+			st.RVals = st.RVals[:len(st.RVals)-1]
+		}},
+	}
+	restore := func(snap *runtime.SessionSnapshot) error {
+		t.Helper()
+		sys := zoo.Default(1)
+		dml := loader.New(sys, loader.EvictLRR)
+		pol, err := pipeline.NewPolicy(sys, env.Ch, env.Graph, pipeline.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := runtime.RestoreSession(sys, dml, snap, pol, 0)
+		if err == nil {
+			_ = sess.Close()
+		}
+		if n := dml.TotalRefs(); n != 0 {
+			t.Fatalf("refused restore left %d refs", n)
+		}
+		return err
+	}
+	for _, tc := range cases {
+		snap := drainedAt(t, k)
+		tc.plant(snap)
+		if _, err := checkpoint.EncodeSnapshot(snap, "scenario2", env.Seed, nil); err == nil {
+			t.Errorf("%s: encoded", tc.name)
+		}
+		var j checkpoint.Journal
+		if _, err := j.Encode(&checkpoint.Checkpoint{Session: snap}); err == nil {
+			t.Errorf("%s: a Journal encoded it", tc.name)
+		}
+		if err := restore(snap); err == nil {
+			t.Errorf("%s: restored", tc.name)
+		}
+	}
+
+	b, _ := encodeAt(t, k)
+	c, err := checkpoint.Decode(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Session.SetFrames(frames[:len(frames)-1]); err == nil {
+		t.Error("re-supplying one frame too few succeeded")
+	}
+	if err := restore(c.Session); err == nil {
+		t.Error("restored a decoded snapshot whose frames were never re-supplied")
+	}
+	if err := c.Session.SetFrames(frames); err != nil {
+		t.Fatal(err)
+	}
+	if err := restore(c.Session); err != nil {
+		t.Fatal("the same snapshot with its frames re-supplied:", err)
 	}
 }

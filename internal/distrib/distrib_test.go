@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strconv"
 	"testing"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/detmodel"
 	"repro/internal/distrib"
 )
@@ -89,11 +91,13 @@ func checkReport(t *testing.T, rep *distrib.RunReport, jobs []distrib.Job, want 
 
 // TestPipeWorkersServeJobs: two in-process workers serve three chunked
 // streams; every decision digest matches the uninterrupted solo reference,
-// and shutdown confirms zero leaked residency refs.
+// each stream's on-disk journal holds its final checkpoint, and shutdown
+// confirms zero leaked residency refs.
 func TestPipeWorkersServeJobs(t *testing.T) {
 	jobs := testJobs(40, 56, 24)
 	want := soloDigests(t, jobs)
-	c := distrib.NewCoordinator(distrib.CoordConfig{ChunkFrames: 8, Backoff: time.Millisecond})
+	dir := t.TempDir()
+	c := distrib.NewCoordinator(distrib.CoordConfig{ChunkFrames: 8, Backoff: time.Millisecond, JournalDir: dir})
 	for _, name := range []string{"w0", "w1"} {
 		if err := c.AddWorker(name, distrib.PipeWorker(distrib.WorkerConfig{Name: name, Seed: 1})); err != nil {
 			t.Fatal(err)
@@ -109,6 +113,24 @@ func TestPipeWorkersServeJobs(t *testing.T) {
 	}
 	if wantWrites := 5 + 7 + 3; rep.JournalWrites != wantWrites {
 		t.Fatalf("journal writes %d, want %d (one per chunk)", rep.JournalWrites, wantWrites)
+	}
+	for i, jr := range rep.Jobs {
+		b, err := os.ReadFile(filepath.Join(dir, jr.Stream+".ckpt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ck, err := checkpoint.Decode(b)
+		if err != nil {
+			t.Fatalf("%s: journal file: %v", jr.Stream, err)
+		}
+		n := jobs[i].Frames
+		if ck.Session.Next != n || len(ck.Session.Records) != n {
+			t.Fatalf("%s: journal cursor %d with %d records, want the final checkpoint at %d",
+				jr.Stream, ck.Session.Next, len(ck.Session.Records), n)
+		}
+		if d := distrib.DecisionDigest(ck.Session.Records); d != jr.Digest {
+			t.Fatalf("%s: journal digest %#x, report %#x", jr.Stream, d, jr.Digest)
+		}
 	}
 	if err := c.Shutdown(); err != nil {
 		t.Fatal(err)

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/baseline"
 	"repro/internal/checkpoint"
 	"repro/internal/loader"
 	"repro/internal/runtime"
@@ -217,8 +218,8 @@ func (wk *worker) open(req *Request) (*runtime.Session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("journal for %s: %w", req.Stream, err)
 	}
-	snap, err := c.Snapshot(frames)
-	if err != nil {
+	snap := c.Session
+	if err := snap.SetFrames(frames); err != nil {
 		return nil, fmt.Errorf("rebuild %s: %w", req.Stream, err)
 	}
 	var at time.Duration
@@ -239,50 +240,9 @@ func (wk *worker) policy(name string) (runtime.Policy, error) {
 		if !ok || model == "" || proc == "" {
 			return nil, fmt.Errorf("bad fixed policy %q, want fixed:<model>/<proc>", name)
 		}
-		return &fixedPolicy{model: model, proc: proc}, nil
+		return baseline.NewSingleModelPolicy(wk.sys, model, proc)
 	}
 	return nil, fmt.Errorf("unknown policy %q", name)
-}
-
-// fixedPolicy serves every frame from one (model, proc) pair — the builtin
-// zero-state policy (migrates by Reset, decisions identical on any worker
-// with the shared seed).
-type fixedPolicy struct {
-	model, proc string
-	pair        zoo.Pair
-	found       bool
-}
-
-func (p *fixedPolicy) Name() string { return "fixed " + p.model + "@" + p.proc }
-
-func (p *fixedPolicy) Reset(e *runtime.Engine) error {
-	for _, rp := range e.System().RuntimePairs() {
-		if rp.Model == p.model && rp.ProcID == p.proc {
-			p.pair, p.found = rp, true
-			return nil
-		}
-	}
-	return fmt.Errorf("distrib: no runtime pair %s@%s", p.model, p.proc)
-}
-
-func (p *fixedPolicy) Step(st *runtime.Step) error {
-	if !p.found {
-		return fmt.Errorf("distrib: fixed policy not bound to a pair")
-	}
-	pair, err := st.Acquire(p.pair)
-	if err != nil {
-		return err
-	}
-	st.Rec().Pair = pair
-	if err := st.Exec(pair); err != nil {
-		return err
-	}
-	det, err := st.Detect(pair.Model)
-	if err != nil {
-		return err
-	}
-	st.RecordDetection(det)
-	return nil
 }
 
 // DecisionDigest is the FNV-1a digest over the content- and decision-derived

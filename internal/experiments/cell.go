@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/accel"
+	"repro/internal/baseline"
 	"repro/internal/detmodel"
 	"repro/internal/fleet"
 	"repro/internal/obs"
@@ -38,9 +39,8 @@ type Cell struct {
 	// arrival rate around Workload.RatePerSec (non-homogeneous Poisson).
 	Workload fleet.WorkloadConfig
 	Shape    *Shape
-	// Monitor serves every stream with the fixed YoloV7-Tiny@GPU monitor
-	// policy instead of SHIFT, so the event loop rather than per-frame
-	// decisions dominates the run.
+	// Monitor serves every stream with baseline's single-model policy on
+	// YoloV7-Tiny@GPU, so the event loop, not per-frame decisions, dominates.
 	Monitor bool
 	// PremiumFraction is the seeded fraction of streams on the premium tier:
 	// accuracy-weighted scheduler knobs, a 4 fps camera (the large engines
@@ -254,7 +254,9 @@ func cellWorkload(env *Env, c Cell) ([]fleet.StreamRequest, error) {
 		return pipeline.NewPolicy(sys, env.Ch, env.Graph, pipeline.DefaultOptions())
 	}
 	if c.Monitor {
-		policy = func(*zoo.System) (runtime.Policy, error) { return &monitorPolicy{}, nil }
+		policy = func(sys *zoo.System) (runtime.Policy, error) {
+			return baseline.NewSingleModelPolicy(sys, detmodel.YoloV7Tiny, "gpu")
+		}
 	}
 	var reqs []fleet.StreamRequest
 	var err error
@@ -294,43 +296,6 @@ func cellWorkload(env *Env, c Cell) ([]fleet.StreamRequest, error) {
 		}
 	}
 	return reqs, nil
-}
-
-// monitorPolicy is the deliberately lightweight per-frame policy of Monitor
-// cells: one fixed (model, processor) engine pair, execute, detect. Scale
-// cells measure the simulator's event loop — selection, heap and region
-// bookkeeping, placement, admission — so per-frame decision cost must stay
-// negligible next to it; the SHIFT pipeline policy would dominate the
-// profile and mask the loop.
-type monitorPolicy struct{ pair zoo.Pair }
-
-func (p *monitorPolicy) Name() string { return "fixed-monitor" }
-
-func (p *monitorPolicy) Reset(e *runtime.Engine) error {
-	for _, rp := range e.System().RuntimePairs() {
-		if rp.Model == detmodel.YoloV7Tiny && rp.ProcID == "gpu" {
-			p.pair = rp
-			return nil
-		}
-	}
-	return fmt.Errorf("experiments: no %s@gpu runtime pair", detmodel.YoloV7Tiny)
-}
-
-func (p *monitorPolicy) Step(st *runtime.Step) error {
-	pair, err := st.Acquire(p.pair)
-	if err != nil {
-		return err
-	}
-	st.Rec().Pair = pair
-	if err := st.Exec(pair); err != nil {
-		return err
-	}
-	det, err := st.Detect(pair.Model)
-	if err != nil {
-		return err
-	}
-	st.RecordDetection(det)
-	return nil
 }
 
 // departAgg reduces stream outcomes incrementally through the fleet's

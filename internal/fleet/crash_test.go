@@ -24,6 +24,36 @@ func durableFleet(t *testing.T, adm Admission, dur *DurabilityConfig, devs ...De
 	return f
 }
 
+// TestAbortReleasesJournalEntries: streams displaced when every device is
+// dead abort at the loop's exit, and their journal entries go with them, as
+// at departure, shedding and the fail path. With durability on, two streams
+// on two devices both killed at 2 s must leave the journal empty.
+func TestAbortReleasesJournalEntries(t *testing.T) {
+	f := durableFleet(t, Admission{}, &DurabilityConfig{},
+		DeviceConfig{Name: "d0"}, DeviceConfig{Name: "d1"})
+	frames := testFrames(t)[:60]
+	var reqs []StreamRequest
+	for _, name := range []string{"a", "b"} {
+		reqs = append(reqs, StreamRequest{Name: name, Scenario: "scenario2", Frames: frames, PeriodSec: 0.1,
+			Policy: fixedFactory(detmodel.YoloV7, "gpu")})
+	}
+	res, err := f.RunWithFaults(reqs, []Fault{
+		{Device: "d0", Kind: FaultDeath, At: 2 * time.Second},
+		{Device: "d1", Kind: FaultDeath, At: 2 * time.Second},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Aborted != 2 || !res.Outcomes[0].Aborted || !res.Outcomes[1].Aborted {
+		t.Fatalf("aborted %d, outcomes %+v / %+v, want both streams aborted",
+			res.Aborted, res.Outcomes[0], res.Outcomes[1])
+	}
+	if n := len(f.journalStore); n != 0 {
+		t.Fatalf("%d journal entries left after the aborted streams", n)
+	}
+	checkNoLeaks(t, f)
+}
+
 // TestCrashRecoversFromJournal: a worker crash destroys live session state,
 // and the stream resumes from its last journaled checkpoint on the surviving
 // device — every frame served (the lost tail replayed), no refs leaked.

@@ -65,7 +65,7 @@ type journalEntry struct {
 func (f *Fleet) commitJournal(as *activeSession, snap *runtime.SessionSnapshot) error {
 	f.journalSeq++
 	c := &checkpoint.Checkpoint{
-		Session:    snap.Data(),
+		Session:    snap,
 		Scenario:   as.req.Scenario,
 		RenderSeed: f.durable.RenderSeed,
 		Counters: map[string]uint64{
@@ -133,8 +133,8 @@ func (f *Fleet) recoverJournal(as *activeSession) (*runtime.SessionSnapshot, err
 	if err != nil {
 		return nil, fmt.Errorf("decode journal: %w", err)
 	}
-	snap, err := c.Snapshot(as.req.Frames)
-	if err != nil {
+	snap := c.Session
+	if err := snap.SetFrames(as.req.Frames); err != nil {
 		return nil, fmt.Errorf("rebuild checkpoint: %w", err)
 	}
 	lost := len(as.sess.Result().Result.Records) - snap.Served()

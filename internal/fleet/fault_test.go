@@ -544,11 +544,11 @@ func TestSnapshotAccessors(t *testing.T) {
 		}
 	}
 	snap := sess.Snapshot()
-	if snap.Name() != "s" || snap.Remaining() != 6 {
-		t.Fatalf("snapshot name %q remaining %d", snap.Name(), snap.Remaining())
+	if snap.Name != "s" || snap.Remaining() != 6 {
+		t.Fatalf("snapshot name %q remaining %d", snap.Name, snap.Remaining())
 	}
-	if held, ok := snap.Held(); !ok || held.Model != detmodel.YoloV7 {
-		t.Fatalf("held manifest %v/%v", held, ok)
+	if !snap.HaveHeld || snap.Held.Model != detmodel.YoloV7 {
+		t.Fatalf("held manifest %v/%v", snap.Held, snap.HaveHeld)
 	}
 	if got := len(snap.Partial().Result.Records); got != 4 {
 		t.Fatalf("partial records %d, want 4", got)

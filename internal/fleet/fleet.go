@@ -681,11 +681,12 @@ func (f *Fleet) RunWithFaults(reqs []StreamRequest, faults []Fault) (*Result, er
 			// No departures, fault edges, arrivals or steppable sessions
 			// left; anything still queued can never be admitted — reject new
 			// arrivals, abort displaced streams (keeping their partial
-			// results).
+			// results and releasing their journal entries).
 			for _, p := range queue {
 				if p.snap != nil {
 					p.out.Aborted = true
 					p.out.Stream = p.snap.Partial()
+					delete(f.journalStore, p.out)
 					if f.rec != nil {
 						f.rec.Abort()
 					}

@@ -144,6 +144,10 @@ type State struct {
 // interns unknown names on restore, exactly as Decide does.
 func (st *State) Models() []string { return []string{st.Cur.Model} }
 
+// Check implements the optional state check runtime.RestoreSession runs
+// before any restore: the scheduler state must pass sched.State.Check.
+func (st *State) Check() error { return st.Sched.Check() }
+
 // SnapshotState implements runtime.PortablePolicy: SHIFT's per-stream state is
 // the scheduler's momentum/NCC state and the pair serving the next frame.
 func (p *shiftPolicy) SnapshotState() any {

@@ -195,8 +195,8 @@ func TestSessionChurnWireConformance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		decoded, err := c.Snapshot(frames)
-		if err != nil {
+		decoded := c.Session
+		if err := decoded.SetFrames(frames); err != nil {
 			t.Fatal(err)
 		}
 

@@ -13,7 +13,7 @@ import (
 // autoscaler paths share: Drain checkpoints the session, releases its
 // residency holds (the loader ends refs-clean), closes it, and the returned
 // snapshot restores into a session that serves the remaining frames — while
-// a second Drain idempotently returns the same fork point.
+// a second Drain refuses, so the stream never gets a second fork point.
 func TestSessionDrain(t *testing.T) {
 	sys := zoo.Default(1)
 	dml := loader.New(sys, loader.EvictLRR)
@@ -40,12 +40,8 @@ func TestSessionDrain(t *testing.T) {
 	if n := dml.TotalRefs(); n != 0 {
 		t.Fatalf("drained session left %d residency refs", n)
 	}
-	again, err := sess.Drain()
-	if err != nil {
-		t.Fatal("double-Drain must return cleanly:", err)
-	}
-	if again != snap {
-		t.Fatal("double-Drain must return the cached first checkpoint, not a fresh fork point")
+	if again, err := sess.Drain(); err == nil || again != nil {
+		t.Fatalf("second Drain: snap %p err %v, want no snapshot and the closed-stream error", again, err)
 	}
 	if err := sess.Close(); err != nil {
 		t.Fatal("Close stays idempotent after Drain:", err)
@@ -107,8 +103,8 @@ func TestSessionDrainJustOpened(t *testing.T) {
 	if n := dml.TotalRefs(); n != 0 {
 		t.Fatalf("just-opened drain left %d residency refs", n)
 	}
-	if again, err := sess.Drain(); err != nil || again != snap {
-		t.Fatalf("double-Drain on just-opened session: snap %p/%p err %v", again, snap, err)
+	if again, err := sess.Drain(); err == nil || again != nil {
+		t.Fatalf("second Drain on just-opened session: snap %p err %v, want no snapshot and the closed-stream error", again, err)
 	}
 
 	restored, err := RestoreSession(sys, dml, snap,
@@ -157,19 +153,13 @@ func TestRestoreUnknownModel(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Rebuild the checkpoint through its serialized view with the held engine
-	// renamed to a model no zoo carries — what a checkpoint from a foreign or
-	// newer fleet would look like.
-	data := snap.Data()
-	if !data.HaveHeld {
+	// Rename the held engine to a model no zoo carries — what a checkpoint
+	// from a foreign or newer fleet would look like.
+	if !snap.HaveHeld {
 		t.Fatal("drained session should hold its serving engine")
 	}
-	data.Held.Model = "yolo-v99-renamed"
-	bad, err := SnapshotFromData(data, frames)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = RestoreSession(sys, dml, bad,
+	snap.Held.Model = "yolo-v99-renamed"
+	_, err = RestoreSession(sys, dml, snap,
 		&fixedPolicy{pair: testPair(t, sys, detmodel.YoloV7, "gpu")}, 0)
 	if !errors.Is(err, ErrUnknownModel) {
 		t.Fatalf("restore with renamed model: got %v, want ErrUnknownModel", err)

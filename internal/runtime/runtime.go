@@ -131,10 +131,9 @@ type Engine struct {
 	dml    *loader.Loader
 	policy Policy
 
-	// entries and perfs cache the per-model and per-pair lookups the
-	// historical loops re-resolved only on swaps.
-	entries map[string]*zoo.Entry
-	perfs   map[zoo.Pair]zoo.Perf
+	// perfs caches the per-pair execution profiles the historical loops
+	// re-resolved only on swaps.
+	perfs map[zoo.Pair]zoo.Perf
 
 	// at is the stream-local virtual time: the point up to which this
 	// stream's work has completed.
@@ -191,7 +190,6 @@ func NewEngine(sys *zoo.System, dml *loader.Loader, policy Policy) *Engine {
 		sys:      sys,
 		dml:      dml,
 		policy:   policy,
-		entries:  map[string]*zoo.Entry{},
 		perfs:    map[zoo.Pair]zoo.Perf{},
 		frameIdx: -1,
 	}
@@ -205,19 +203,6 @@ func (e *Engine) Loader() *loader.Loader { return e.dml }
 
 // Name returns the policy's method name.
 func (e *Engine) Name() string { return e.policy.Name() }
-
-// entry resolves and caches a model's zoo entry.
-func (e *Engine) entry(model string) (*zoo.Entry, error) {
-	if en, ok := e.entries[model]; ok {
-		return en, nil
-	}
-	en, err := e.sys.Entry(model)
-	if err != nil {
-		return nil, err
-	}
-	e.entries[model] = en
-	return en, nil
-}
 
 // perf resolves and caches a pair's execution profile.
 func (e *Engine) perf(pair zoo.Pair) (zoo.Perf, error) {
@@ -628,7 +613,7 @@ func (st *Step) ExecPerf(procID string, latSec, powerW float64) error {
 // without touching the record — oracles evaluate many candidates per frame.
 // Use RecordDetection to commit an outcome.
 func (st *Step) Detect(model string) (detmodel.Detection, error) {
-	e, err := st.eng.entry(model)
+	e, err := st.eng.sys.Entry(model)
 	if err != nil {
 		return detmodel.Detection{}, err
 	}

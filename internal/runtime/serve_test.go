@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"math"
 	gort "runtime"
 	"testing"
 	"time"
@@ -384,5 +385,10 @@ func TestServeValidation(t *testing.T) {
 		{Frames: testFrames(t)[:2], PeriodSec: -1, Policy: pol},
 	}); err == nil {
 		t.Fatal("negative period should fail")
+	}
+	if _, err := Serve(sys, dml, []StreamSpec{
+		{Frames: testFrames(t)[:2], PeriodSec: math.NaN(), Policy: pol},
+	}); err == nil {
+		t.Fatal("NaN period should fail")
 	}
 }

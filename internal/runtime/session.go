@@ -39,10 +39,6 @@ type Session struct {
 	// prev tracks the previous frame's pair for swap flagging.
 	prev   zoo.Pair
 	closed bool
-	// drained caches the checkpoint Drain took, making Drain idempotent: the
-	// fault and scale-in paths may race a departure and drain twice, and both
-	// callers must get the same fork point, never a double-serving one.
-	drained *SessionSnapshot
 }
 
 // newSession validates a spec and builds its unstarted session over a fresh
@@ -59,8 +55,10 @@ func newSession(sys *zoo.System, dml *loader.Loader, spec StreamSpec, name strin
 // session builds an unstarted session for spec over e, whose policy must be
 // spec.Policy.
 func (e *Engine) session(spec StreamSpec, name string, at time.Duration) (*Session, error) {
-	if spec.PeriodSec < 0 {
-		return nil, fmt.Errorf("runtime: stream %q has negative period %v", name, spec.PeriodSec)
+	// !(>= 0) also refuses NaN, which SessionSnapshot.Check would refuse at
+	// the stream's first checkpoint.
+	if !(spec.PeriodSec >= 0) {
+		return nil, fmt.Errorf("runtime: stream %q has period %v, want >= 0", name, spec.PeriodSec)
 	}
 	if at < 0 {
 		return nil, fmt.Errorf("runtime: stream %q opens at negative time %v", name, at)
@@ -223,70 +221,113 @@ func (s *Session) Step() error {
 }
 
 // SessionSnapshot is a device-independent checkpoint of a serving session:
-// the stream spec and frame cursor, the camera schedule (so deadline
+// the stream identity and frame cursor, the camera schedule (so deadline
 // accounting survives a move), the records and timings accumulated so far, the
 // policy's portable decision state, and the residency manifest — which engine
 // the stream was holding when the checkpoint was taken. RestoreSession resumes
-// it on any device of an equivalent zoo.
+// it on any device of an equivalent zoo. It is also the one type the durable
+// wire format (internal/checkpoint) reads and writes: every exported field
+// travels, the unexported ones never do.
 type SessionSnapshot struct {
-	spec StreamSpec
-	name string
-	// policyName is recorded at snapshot time so Partial and serialization
-	// work on snapshots whose spec carries no live policy instance (e.g. one
-	// decoded from the durable wire format before restore).
-	policyName string
+	Name string
+	// PolicyName is the policy's method name at checkpoint time, so Partial
+	// and the wire format work on a snapshot no live policy is attached to
+	// (one decoded from the wire before restore).
+	PolicyName string
+	PeriodSec  float64
+	// FrameCount is the stream's total frame count. Frames travel by
+	// reference, because inlining pixels would dwarf the checkpoint: a
+	// decoded snapshot has none until SetFrames re-supplies them (scenarios
+	// re-render deterministically per seed).
+	FrameCount int
 
-	next       int
-	base, done time.Duration
-	deadline   time.Duration
-	prev       zoo.Pair
+	// Next is the index of the next frame to serve. Base is the stream's
+	// open time, Done the completion of its latest work, Deadline the
+	// per-frame relative deadline and Prev the previous frame's pair.
+	Next                 int
+	Base, Done, Deadline time.Duration
+	Prev                 zoo.Pair
 
-	// records and timings share the session's served prefix (see
-	// Session.Snapshot).
-	records []FrameRecord
-	timings []FrameTiming
+	// Records and Timings share the session's served prefix (see
+	// Session.Snapshot); callers do not mutate them.
+	Records []FrameRecord
+	Timings []FrameTiming
 
-	policyState any
-	held        zoo.Pair
-	haveHeld    bool
+	// PolicyState is the portable policy state exactly as SnapshotState
+	// returned it (nil for a policy that migrates by Reset); the checkpoint
+	// layer knows the concrete types it encodes.
+	PolicyState any
+	// Held is the engine the stream held at checkpoint time, if HaveHeld.
+	Held     zoo.Pair
+	HaveHeld bool
 
+	// frames are the stream's frames, nil until re-supplied on a decoded
+	// snapshot; prefetch is the swap-predictor config the restored session
+	// runs with (SetPrefetch).
+	frames   []scene.Frame
+	prefetch *predict.Config
 	// predState carries the swap predictor's learned history so a migrated
 	// stream keeps predicting from frame one on its new device. It rides
-	// only the in-memory snapshot, never the durable wire format
-	// (SnapshotData): crash-recovered streams re-learn, and the journal
-	// byte stream stays bit-identical with the predictor on or off.
+	// only the in-memory snapshot, never the durable wire format:
+	// crash-recovered streams re-learn, and the journal byte stream stays
+	// bit-identical with the predictor on or off.
 	predState *predict.State
 }
 
-// Name returns the checkpointed stream's label.
-func (sn *SessionSnapshot) Name() string { return sn.name }
-
 // Remaining returns the number of frames the checkpointed stream has left.
-func (sn *SessionSnapshot) Remaining() int { return len(sn.spec.Frames) - sn.next }
+func (sn *SessionSnapshot) Remaining() int { return sn.FrameCount - sn.Next }
 
 // Served returns the number of frames recorded up to the checkpoint.
-func (sn *SessionSnapshot) Served() int { return len(sn.records) }
-
-// Held returns the residency manifest: the engine the stream held at
-// checkpoint time, and whether it held one at all.
-func (sn *SessionSnapshot) Held() (zoo.Pair, bool) { return sn.held, sn.haveHeld }
+func (sn *SessionSnapshot) Served() int { return len(sn.Records) }
 
 // Partial returns the records and timings served up to the checkpoint — the
 // stream's results when it can never be resumed (every device dead).
 func (sn *SessionSnapshot) Partial() *StreamResult {
-	method := sn.policyName
-	if method == "" && sn.spec.Policy != nil {
-		method = sn.spec.Policy.Name()
-	}
 	return &StreamResult{
-		Name: sn.name,
+		Name: sn.Name,
 		Result: &Result{
-			Method:   method,
-			Scenario: sn.name,
-			Records:  sn.records,
+			Method:   sn.PolicyName,
+			Scenario: sn.Name,
+			Records:  sn.Records,
 		},
-		Timings: sn.timings,
+		Timings: sn.Timings,
 	}
+}
+
+// Check reports whether the snapshot is one a session could have taken: the
+// cursor within the frame count, one timing per record and no more records
+// than frames the cursor has passed, a non-negative schedule, and, once
+// frames are supplied, exactly FrameCount of them. checkpoint.Decode and Encode,
+// SetFrames and RestoreSession all run it, so a hand-built or corrupt
+// snapshot is refused with an error before any of them reads it.
+func (sn *SessionSnapshot) Check() error {
+	switch {
+	case sn.FrameCount < 0 || sn.Next < 0 || sn.Next > sn.FrameCount:
+		return fmt.Errorf("runtime: snapshot %q cursor %d outside 0..%d", sn.Name, sn.Next, sn.FrameCount)
+	case len(sn.Records) != len(sn.Timings):
+		return fmt.Errorf("runtime: snapshot %q has %d records but %d timings",
+			sn.Name, len(sn.Records), len(sn.Timings))
+	case len(sn.Records) > sn.Next:
+		return fmt.Errorf("runtime: snapshot %q has %d records past cursor %d", sn.Name, len(sn.Records), sn.Next)
+	case !(sn.PeriodSec >= 0) || sn.Base < 0 || sn.Done < 0 || sn.Deadline < 0:
+		return fmt.Errorf("runtime: snapshot %q has a negative schedule", sn.Name)
+	case sn.frames != nil && len(sn.frames) != sn.FrameCount:
+		return fmt.Errorf("runtime: snapshot %q expects %d frames, has %d", sn.Name, sn.FrameCount, len(sn.frames))
+	}
+	return nil
+}
+
+// SetFrames re-supplies the stream's frames to a snapshot decoded from the
+// durable wire format, which carries them by reference. It refuses a slice
+// that is not FrameCount frames long and leaves the snapshot unchanged.
+func (sn *SessionSnapshot) SetFrames(frames []scene.Frame) error {
+	old := sn.frames
+	sn.frames = frames
+	if err := sn.Check(); err != nil {
+		sn.frames = old
+		return err
+	}
+	return nil
 }
 
 // Snapshot checkpoints the session between steps. The policy's state is
@@ -305,21 +346,24 @@ func (sn *SessionSnapshot) Partial() *StreamResult {
 // history.
 func (s *Session) Snapshot() *SessionSnapshot {
 	sn := &SessionSnapshot{
-		spec:       s.spec,
-		name:       s.res.Name,
-		policyName: s.spec.Policy.Name(),
-		next:       s.next,
-		base:       s.base,
-		done:       s.done,
-		deadline:   s.deadline,
-		prev:       s.prev,
-		records:    slices.Clip(s.res.Result.Records),
-		timings:    slices.Clip(s.res.Timings),
-		held:       s.eng.held,
-		haveHeld:   s.eng.haveHeld,
+		Name:       s.res.Name,
+		PolicyName: s.spec.Policy.Name(),
+		PeriodSec:  s.spec.PeriodSec,
+		FrameCount: len(s.spec.Frames),
+		Next:       s.next,
+		Base:       s.base,
+		Done:       s.done,
+		Deadline:   s.deadline,
+		Prev:       s.prev,
+		Records:    slices.Clip(s.res.Result.Records),
+		Timings:    slices.Clip(s.res.Timings),
+		Held:       s.eng.held,
+		HaveHeld:   s.eng.haveHeld,
+		frames:     s.spec.Frames,
+		prefetch:   s.spec.Prefetch,
 	}
 	if pp, ok := s.spec.Policy.(PortablePolicy); ok {
-		sn.policyState = pp.SnapshotState()
+		sn.PolicyState = pp.SnapshotState()
 	}
 	if s.eng.pred != nil {
 		sn.predState = s.eng.pred.Snapshot()
@@ -327,11 +371,11 @@ func (s *Session) Snapshot() *SessionSnapshot {
 	return sn
 }
 
-// SetPrefetch installs (or clears) a swap-predictor config on the
-// checkpointed spec, so a snapshot decoded from the durable wire format —
+// SetPrefetch installs (or clears) the swap-predictor config the restored
+// session runs with, so a snapshot decoded from the durable wire format —
 // which intentionally carries no prefetch state — resumes with prediction
 // enabled when the fleet is configured for it.
-func (sn *SessionSnapshot) SetPrefetch(cfg *predict.Config) { sn.spec.Prefetch = cfg }
+func (sn *SessionSnapshot) SetPrefetch(cfg *predict.Config) { sn.prefetch = cfg }
 
 // RestoreSession resumes a checkpointed stream on sys/dml at virtual time at
 // (no earlier than the checkpoint's horizon): the frame cursor, camera
@@ -339,7 +383,9 @@ func (sn *SessionSnapshot) SetPrefetch(cfg *predict.Config) { sn.spec.Prefetch =
 // the move as backlog, not as a fresh stream. pol must be a fresh policy
 // instance built against sys; when both it and the checkpointed policy are
 // portable the decision state is restored, otherwise pol.Reset runs and the
-// stream re-learns.
+// stream re-learns. A snapshot that fails Check, lacks its frames, names a
+// model unknown to sys or carries a policy state that fails its own Check is
+// refused before any platform charge.
 //
 // The residency manifest is re-acquired through the refcounted loader: the
 // held engine is loaded (charged to the stream, queueing-aware) and
@@ -350,29 +396,31 @@ func (sn *SessionSnapshot) SetPrefetch(cfg *predict.Config) { sn.spec.Prefetch =
 // on every path.
 func RestoreSession(sys *zoo.System, dml *loader.Loader, snap *SessionSnapshot, pol Policy, at time.Duration) (*Session, error) {
 	if pol == nil {
-		return nil, fmt.Errorf("runtime: restore stream %q with no policy", snap.name)
+		return nil, fmt.Errorf("runtime: restore stream %q with no policy", snap.Name)
 	}
-	if err := snap.validateModels(sys); err != nil {
+	if err := snap.validate(sys); err != nil {
 		return nil, err
 	}
-	if at < snap.done {
-		at = snap.done
+	if at < snap.Done {
+		at = snap.Done
 	}
-	spec := snap.spec
-	spec.Policy = pol
-	s, err := newSession(sys, dml, spec, snap.name, at)
+	spec := StreamSpec{
+		Name: snap.Name, Frames: snap.frames, PeriodSec: snap.PeriodSec,
+		Policy: pol, Prefetch: snap.prefetch,
+	}
+	s, err := newSession(sys, dml, spec, snap.Name, at)
 	if err != nil {
 		return nil, err
 	}
-	s.base = snap.base
-	s.deadline = snap.deadline
-	s.next = snap.next
-	s.prev = snap.prev
-	s.res.Result.Records = append(s.res.Result.Records, snap.records...)
-	s.res.Timings = append(s.res.Timings, snap.timings...)
-	if pp, ok := pol.(PortablePolicy); ok && snap.policyState != nil {
-		if err := pp.RestoreState(snap.policyState); err != nil {
-			return nil, errors.Join(fmt.Errorf("runtime: restore stream %s: %w", snap.name, err), s.Close())
+	s.base = snap.Base
+	s.deadline = snap.Deadline
+	s.next = snap.Next
+	s.prev = snap.Prev
+	s.res.Result.Records = append(s.res.Result.Records, snap.Records...)
+	s.res.Timings = append(s.res.Timings, snap.Timings...)
+	if pp, ok := pol.(PortablePolicy); ok && snap.PolicyState != nil {
+		if err := pp.RestoreState(snap.PolicyState); err != nil {
+			return nil, errors.Join(fmt.Errorf("runtime: restore stream %s: %w", snap.Name, err), s.Close())
 		}
 	} else {
 		if err := s.start(); err != nil {
@@ -381,24 +429,24 @@ func RestoreSession(sys *zoo.System, dml *loader.Loader, snap *SessionSnapshot, 
 	}
 	if s.eng.pred != nil && snap.predState != nil {
 		if err := s.eng.pred.Restore(snap.predState); err != nil {
-			return nil, errors.Join(fmt.Errorf("runtime: restore stream %s: %w", snap.name, err), s.Close())
+			return nil, errors.Join(fmt.Errorf("runtime: restore stream %s: %w", snap.Name, err), s.Close())
 		}
 	}
-	if snap.haveHeld {
+	if snap.HaveHeld {
 		// The load is charged through the engine's exec, so it queues on the
 		// new device and surfaces as pre-step backlog, like Reset's prefetch.
-		_, err := s.eng.ensureLoad(snap.held)
+		_, err := s.eng.ensureLoad(snap.Held)
 		switch {
 		case errors.Is(err, loader.ErrNoMemory):
 			// Every candidate victim is held by other streams; resume unheld
 			// and let the first step's Acquire arbitrate.
 		case err != nil:
-			return nil, errors.Join(fmt.Errorf("runtime: restore stream %s: reacquire %v: %w", snap.name, snap.held, err), s.Close())
+			return nil, errors.Join(fmt.Errorf("runtime: restore stream %s: reacquire %v: %w", snap.Name, snap.Held, err), s.Close())
 		default:
-			if err := dml.Acquire(snap.held); err != nil {
-				return nil, errors.Join(fmt.Errorf("runtime: restore stream %s: %w", snap.name, err), s.Close())
+			if err := dml.Acquire(snap.Held); err != nil {
+				return nil, errors.Join(fmt.Errorf("runtime: restore stream %s: %w", snap.Name, err), s.Close())
 			}
-			s.eng.held, s.eng.haveHeld = snap.held, true
+			s.eng.held, s.eng.haveHeld = snap.Held, true
 		}
 	}
 	s.done = s.eng.at
@@ -410,27 +458,19 @@ func RestoreSession(sys *zoo.System, dml *loader.Loader, snap *SessionSnapshot, 
 // autoscaler is decommissioning it. The returned snapshot carries everything
 // RestoreSession needs to resume the stream elsewhere, and the session's
 // residency holds are released, so the drained device's loader ends
-// refs-clean.
-//
-// Drain is idempotent: the fault and scale-in paths can race a departure and
-// drain the same session twice, and both callers must see the same fork
-// point — a second Drain returns the cached first checkpoint, never a fresh
-// one that could double-serve frames. Draining a just-opened session (zero
-// frames stepped) is equally fine: the snapshot simply carries no records.
-// Only a session closed without ever draining refuses, since its holds are
-// gone and no checkpoint was taken.
+// refs-clean. Draining a just-opened session (zero frames stepped) is fine:
+// the snapshot simply carries no records. A closed session refuses, whether
+// it was drained or closed without a drain: its holds are gone, and a second
+// fork point could serve the stream's frames twice.
 func (s *Session) Drain() (*SessionSnapshot, error) {
-	if s.drained != nil {
-		return s.drained, nil
-	}
 	if s.closed {
 		return nil, fmt.Errorf("runtime: drain closed stream %s", s.res.Name)
 	}
 	if o := s.eng.obs; o != nil {
 		o.Drain(s.done)
 	}
-	s.drained = s.Snapshot()
-	return s.drained, s.Close()
+	snap := s.Snapshot()
+	return snap, s.Close()
 }
 
 // ErrUnknownModel reports a checkpoint that names a model or engine absent
@@ -439,122 +479,47 @@ func (s *Session) Drain() (*SessionSnapshot, error) {
 // instead of dying deep inside the first Step.
 var ErrUnknownModel = errors.New("runtime: checkpoint names a model unknown to this zoo")
 
-// validateModels checks every model the checkpoint would touch on resume —
-// the held engine, the previous frame's pair, and whatever the portable
-// policy state reports — against the target zoo.
-func (sn *SessionSnapshot) validateModels(sys *zoo.System) error {
+// validate runs Check, requires the frames to be supplied, and checks every
+// model the checkpoint would touch on resume — the held engine, the previous
+// frame's pair, and whatever the portable policy state reports — against the
+// target zoo. A policy state with its own Check (pipeline.State) runs it.
+func (sn *SessionSnapshot) validate(sys *zoo.System) error {
+	if err := sn.Check(); err != nil {
+		return err
+	}
+	if sn.frames == nil && sn.FrameCount > 0 {
+		return fmt.Errorf("runtime: restore stream %q before its %d frames are supplied", sn.Name, sn.FrameCount)
+	}
 	check := func(model string) error {
 		if model == "" {
 			return nil
 		}
 		if _, err := sys.Entry(model); err != nil {
-			return fmt.Errorf("%w: stream %q needs %q", ErrUnknownModel, sn.name, model)
+			return fmt.Errorf("%w: stream %q needs %q", ErrUnknownModel, sn.Name, model)
 		}
 		return nil
 	}
-	if sn.haveHeld {
-		if err := check(sn.held.Model); err != nil {
+	if sn.HaveHeld {
+		if err := check(sn.Held.Model); err != nil {
 			return err
 		}
 	}
-	if err := check(sn.prev.Model); err != nil {
+	if err := check(sn.Prev.Model); err != nil {
 		return err
 	}
-	if lister, ok := sn.policyState.(interface{ Models() []string }); ok {
+	if lister, ok := sn.PolicyState.(interface{ Models() []string }); ok {
 		for _, m := range lister.Models() {
 			if err := check(m); err != nil {
 				return err
 			}
 		}
 	}
+	if c, ok := sn.PolicyState.(interface{ Check() error }); ok {
+		if err := c.Check(); err != nil {
+			return fmt.Errorf("runtime: restore stream %q: %w", sn.Name, err)
+		}
+	}
 	return nil
-}
-
-// SnapshotData is the exported, serialization-friendly view of a
-// SessionSnapshot: every field the durable wire format (internal/checkpoint)
-// must carry to resume the stream in another process. Frames travel by
-// reference — FrameCount pins how many the stream had, and the decoder
-// re-supplies the rendered frames (scenarios are deterministic per seed) —
-// because inlining pixel data would dwarf the checkpoint. Slices are shared
-// with the snapshot; callers serialize or copy, they do not mutate.
-type SnapshotData struct {
-	Name       string
-	PolicyName string
-	PeriodSec  float64
-	// FrameCount is the stream's total frame count; the frames themselves
-	// are re-supplied at decode time.
-	FrameCount int
-
-	Next                 int
-	Base, Done, Deadline time.Duration
-	Prev                 zoo.Pair
-
-	Records []FrameRecord
-	Timings []FrameTiming
-
-	// PolicyState is the portable policy state exactly as SnapshotState
-	// returned it; the checkpoint layer knows the concrete types it encodes.
-	PolicyState any
-	Held        zoo.Pair
-	HaveHeld    bool
-}
-
-// Data exposes the snapshot for serialization.
-func (sn *SessionSnapshot) Data() *SnapshotData {
-	return &SnapshotData{
-		Name:        sn.name,
-		PolicyName:  sn.policyName,
-		PeriodSec:   sn.spec.PeriodSec,
-		FrameCount:  len(sn.spec.Frames),
-		Next:        sn.next,
-		Base:        sn.base,
-		Done:        sn.done,
-		Deadline:    sn.deadline,
-		Prev:        sn.prev,
-		Records:     sn.records,
-		Timings:     sn.timings,
-		PolicyState: sn.policyState,
-		Held:        sn.held,
-		HaveHeld:    sn.haveHeld,
-	}
-}
-
-// SnapshotFromData rebuilds a SessionSnapshot from its serialized view plus
-// the externally re-supplied frames (checkpoints carry frames by reference).
-// The cursor must be consistent with the frame count; the caller picks the
-// policy when it restores, so the rebuilt spec carries none.
-func SnapshotFromData(d *SnapshotData, frames []scene.Frame) (*SessionSnapshot, error) {
-	if len(frames) != d.FrameCount {
-		return nil, fmt.Errorf("runtime: snapshot %q expects %d frames, resupplied %d",
-			d.Name, d.FrameCount, len(frames))
-	}
-	if d.Next < 0 || d.Next > d.FrameCount {
-		return nil, fmt.Errorf("runtime: snapshot %q cursor %d outside 0..%d",
-			d.Name, d.Next, d.FrameCount)
-	}
-	if len(d.Records) != len(d.Timings) {
-		return nil, fmt.Errorf("runtime: snapshot %q has %d records but %d timings",
-			d.Name, len(d.Records), len(d.Timings))
-	}
-	return &SessionSnapshot{
-		spec: StreamSpec{
-			Name:      d.Name,
-			Frames:    frames,
-			PeriodSec: d.PeriodSec,
-		},
-		name:        d.Name,
-		policyName:  d.PolicyName,
-		next:        d.Next,
-		base:        d.Base,
-		done:        d.Done,
-		deadline:    d.Deadline,
-		prev:        d.Prev,
-		records:     d.Records,
-		timings:     d.Timings,
-		policyState: d.PolicyState,
-		held:        d.Held,
-		haveHeld:    d.HaveHeld,
-	}, nil
 }
 
 // Prewarm speculatively loads the given pairs at admission time — the

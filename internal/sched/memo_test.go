@@ -23,12 +23,8 @@ func TestRenderMemoMatchesRecompute(t *testing.T) {
 		return s
 	}
 	wireCopy := func(s *Scheduler) *State {
-		d := s.Snapshot().Data()
-		d.LastImg = d.LastImg.Clone()
-		st, err := StateFromData(d)
-		if err != nil {
-			t.Fatal(err)
-		}
+		st := s.Snapshot()
+		st.LastImg = st.LastImg.Clone()
 		return st
 	}
 	for _, sc := range scene.EvaluationSuite() {
@@ -60,7 +56,7 @@ func TestRenderMemoMatchesRecompute(t *testing.T) {
 				math.Float64bits(a.Gate) != math.Float64bits(b.Gate) {
 				t.Fatalf("%s frame %d: memo decision %+v, recomputed %+v", sc.Name, i, a, b)
 			}
-			if !reflect.DeepEqual(memo.Snapshot().Data(), twin.Snapshot().Data()) {
+			if !reflect.DeepEqual(memo.Snapshot(), twin.Snapshot()) {
 				t.Fatalf("%s frame %d: scheduler state differs", sc.Name, i)
 			}
 			cur = a.Pair

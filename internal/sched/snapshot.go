@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/img"
@@ -11,22 +12,24 @@ import (
 // box crop and their cached pixel moments) and the crop double-buffer phase.
 // It is what session migration carries across devices — the decision state is
 // content-derived, never platform-derived, so a scheduler restored on another
-// device of the same zoo decides identically to the one it was taken from.
-//
-// Momentum entries are keyed by model name, not buffer index, so a snapshot
-// restores correctly into any scheduler built over the same zoo regardless of
-// interning order.
+// device of the same zoo decides identically to the one it was taken from —
+// and what the durable wire format (internal/checkpoint) reads and writes.
 type State struct {
-	models           []string
-	bufs             [][]float64
-	rVals            []float64
-	rSet             []bool
-	valid            []bool
-	lastImg          *img.Image
-	lastBox          *img.Image
-	imgSum, imgSumSq uint64
-	boxSum, boxSumSq uint64
-	boxFlip          int
+	// Models keys the momentum entries: Bufs[i], RVals[i], RSet[i] and
+	// Valid[i] belong to Models[i], so a state restores into any scheduler
+	// built over the same zoo regardless of interning order.
+	Models []string
+	Bufs   [][]float64
+	RVals  []float64
+	RSet   []bool
+	Valid  []bool
+	// LastImg and LastBox are the NCC history (previous frame and previous
+	// box crop) with their cached pixel moments; BoxFlip is the crop
+	// double-buffer phase.
+	LastImg, LastBox *img.Image
+	ImgSum, ImgSumSq uint64
+	BoxSum, BoxSumSq uint64
+	BoxFlip          int
 }
 
 // Snapshot captures the scheduler's per-stream decision state. The momentum
@@ -35,106 +38,60 @@ type State struct {
 // is shared, since rendered frames are immutable.
 func (s *Scheduler) Snapshot() *State {
 	st := &State{
-		models:   append([]string(nil), s.modelNames...),
-		bufs:     make([][]float64, len(s.bufs)),
-		rVals:    append([]float64(nil), s.rVals...),
-		rSet:     append([]bool(nil), s.rSet...),
-		valid:    append([]bool(nil), s.valid...),
-		lastImg:  s.lastImg,
-		imgSum:   s.lastImgSum,
-		imgSumSq: s.lastImgSumSq,
-		boxSum:   s.lastBoxSum,
-		boxSumSq: s.lastBoxSumSq,
-		boxFlip:  s.boxFlip,
+		Models:   append([]string(nil), s.modelNames...),
+		Bufs:     make([][]float64, len(s.bufs)),
+		RVals:    append([]float64(nil), s.rVals...),
+		RSet:     append([]bool(nil), s.rSet...),
+		Valid:    append([]bool(nil), s.valid...),
+		LastImg:  s.lastImg,
+		ImgSum:   s.lastImgSum,
+		ImgSumSq: s.lastImgSumSq,
+		BoxSum:   s.lastBoxSum,
+		BoxSumSq: s.lastBoxSumSq,
+		BoxFlip:  s.boxFlip,
 	}
 	for i, buf := range s.bufs {
-		st.bufs[i] = append([]float64(nil), buf...)
+		st.Bufs[i] = append([]float64(nil), buf...)
 	}
 	if s.lastBox != nil {
-		st.lastBox = s.lastBox.Clone()
+		st.LastBox = s.lastBox.Clone()
 	}
 	return st
 }
 
-// StateData is the exported, serialization-friendly view of a State: every
-// field a durable wire format must carry to rebuild the decision state on
-// another process. Slices and images are shared with the State it came from —
-// callers serialize or copy, they do not mutate.
-type StateData struct {
-	// Models keys the momentum entries: Bufs[i], RVals[i], RSet[i] and
-	// Valid[i] belong to Models[i], so interning order never matters.
-	Models []string
-	Bufs   [][]float64
-	RVals  []float64
-	RSet   []bool
-	Valid  []bool
-	// LastImg and LastBox are the NCC history (previous frame and previous
-	// box crop) with their cached pixel moments.
-	LastImg, LastBox *img.Image
-	ImgSum, ImgSumSq uint64
-	BoxSum, BoxSumSq uint64
-	BoxFlip          int
-}
-
-// Data exposes the snapshot for serialization.
-func (st *State) Data() *StateData {
-	return &StateData{
-		Models:   st.models,
-		Bufs:     st.bufs,
-		RVals:    st.rVals,
-		RSet:     st.rSet,
-		Valid:    st.valid,
-		LastImg:  st.lastImg,
-		LastBox:  st.lastBox,
-		ImgSum:   st.imgSum,
-		ImgSumSq: st.imgSumSq,
-		BoxSum:   st.boxSum,
-		BoxSumSq: st.boxSumSq,
-		BoxFlip:  st.boxFlip,
+// Check reports whether the state's per-model slices agree: one momentum
+// window, average and pair of flags per model. The checkpoint encoder runs
+// it, and runtime.RestoreSession runs it before any restore (through
+// pipeline.State), so a hand-built state with a short slice is refused with
+// an error instead of panicking inside Restore.
+func (st *State) Check() error {
+	if st == nil {
+		return errors.New("sched: no scheduler state")
 	}
-}
-
-// StateFromData rebuilds a State from its serialized view — the decode half
-// of the durable checkpoint format. The per-model slices must be mutually
-// consistent (one entry per model); Restore tolerates models unknown to the
-// target zoo by interning them, exactly as the live path does.
-func StateFromData(d *StateData) (*State, error) {
-	n := len(d.Models)
-	if len(d.Bufs) != n || len(d.RVals) != n || len(d.RSet) != n || len(d.Valid) != n {
-		return nil, fmt.Errorf("sched: inconsistent state data: %d models, %d/%d/%d/%d momentum entries",
-			n, len(d.Bufs), len(d.RVals), len(d.RSet), len(d.Valid))
+	n := len(st.Models)
+	if len(st.Bufs) != n || len(st.RVals) != n || len(st.RSet) != n || len(st.Valid) != n {
+		return fmt.Errorf("sched: inconsistent state: %d models, %d/%d/%d/%d momentum entries",
+			n, len(st.Bufs), len(st.RVals), len(st.RSet), len(st.Valid))
 	}
-	return &State{
-		models:   d.Models,
-		bufs:     d.Bufs,
-		rVals:    d.RVals,
-		rSet:     d.RSet,
-		valid:    d.Valid,
-		lastImg:  d.LastImg,
-		lastBox:  d.LastBox,
-		imgSum:   d.ImgSum,
-		imgSumSq: d.ImgSumSq,
-		boxSum:   d.BoxSum,
-		boxSumSq: d.BoxSumSq,
-		boxFlip:  d.BoxFlip,
-	}, nil
+	return nil
 }
 
 // Restore replaces the scheduler's per-stream decision state with a snapshot,
 // as Reset replaces it with the fresh-stream state: after Restore the
 // scheduler decides exactly as the snapshotted one would have (pinned by
 // TestSnapshotRestoreMatchesUninterrupted). Models unknown to this scheduler's
-// zoo are interned on the fly, mirroring Decide's own behavior.
+// zoo are interned on the fly, mirroring Decide's own behavior. st must pass
+// Check.
 func (s *Scheduler) Restore(st *State) {
 	s.Reset()
-	for i, name := range st.models {
+	for i, name := range st.Models {
 		idx := s.internModel(name)
-		s.bufs[idx] = append([]float64(nil), st.bufs[i]...)
-		s.rVals[idx] = st.rVals[i]
-		s.rSet[idx] = st.rSet[i]
-		s.valid[idx] = st.valid[i]
+		s.bufs[idx] = append([]float64(nil), st.Bufs[i]...)
+		s.rVals[idx] = st.RVals[i]
+		s.rSet[idx] = st.RSet[i]
+		s.valid[idx] = st.Valid[i]
 	}
-	s.lastImg, s.lastImgSum, s.lastImgSumSq = st.lastImg, st.imgSum, st.imgSumSq
-	s.lastBox, s.lastBoxSum, s.lastBoxSumSq = st.lastBox, st.boxSum, st.boxSumSq
-	s.boxFlip = st.boxFlip
+	s.lastImg, s.lastImgSum, s.lastImgSumSq = st.LastImg, st.ImgSum, st.ImgSumSq
+	s.lastBox, s.lastBoxSum, s.lastBoxSumSq = st.LastBox, st.BoxSum, st.BoxSumSq
+	s.boxFlip = st.BoxFlip
 }

@@ -82,7 +82,7 @@ func TestSnapshotIsolatedFromSource(t *testing.T) {
 	a := newSched(t, DefaultConfig())
 	decideSeq(t, a, frames[:2])
 	snap := a.Snapshot()
-	wantBox := snap.lastBox
+	wantBox := snap.LastBox
 	var wantPix []uint8
 	if wantBox != nil {
 		wantPix = append([]uint8(nil), wantBox.Pix...)
@@ -106,4 +106,32 @@ func TestSnapshotIsolatedFromSource(t *testing.T) {
 // decisionsEqual compares all decision fields and the momentum averages.
 func decisionsEqual(a, b outcome) bool {
 	return a.Decision == b.Decision && maps.Equal(a.predicted, b.predicted)
+}
+
+// TestStateCheck: a snapshot passes Check, while a nil state and a state
+// with any one per-model slice short are refused with an error.
+func TestStateCheck(t *testing.T) {
+	s := newSched(t, DefaultConfig())
+	decideSeq(t, s, []scene.Frame{hardFrame(0), hardFrame(1)})
+	if err := s.Snapshot().Check(); err != nil {
+		t.Fatal(err)
+	}
+	var none *State
+	if none.Check() == nil {
+		t.Fatal("a nil state passed Check")
+	}
+	shorten := map[string]func(*State){
+		"Models": func(st *State) { st.Models = st.Models[1:] },
+		"Bufs":   func(st *State) { st.Bufs = st.Bufs[1:] },
+		"RVals":  func(st *State) { st.RVals = st.RVals[1:] },
+		"RSet":   func(st *State) { st.RSet = st.RSet[1:] },
+		"Valid":  func(st *State) { st.Valid = st.Valid[1:] },
+	}
+	for name, short := range shorten {
+		st := s.Snapshot()
+		short(st)
+		if st.Check() == nil {
+			t.Errorf("a state with %s one short passed Check", name)
+		}
+	}
 }
