@@ -1,6 +1,6 @@
 // Command characterize runs SHIFT's offline stage: it profiles the model zoo
 // over a validation set (Table IV), builds the confidence graph, and can
-// dump the characterization as JSON for inspection or reuse.
+// dump the characterization as JSON for inspection.
 //
 // Usage:
 //

@@ -64,7 +64,7 @@ func (s Stats) String() string {
 // Validate checks the structural invariants a well-formed graph must hold:
 // edge symmetry, costs in [0, 1], node accuracy in [0, 1], and prediction
 // entries referencing existing models. Build always produces a valid graph;
-// Validate guards deserialized artifacts from tampered or corrupted files.
+// cmd/characterize checks the one it builds.
 func (g *Graph) Validate() error {
 	if g.buckets <= 0 {
 		return fmt.Errorf("confgraph: invalid bucket count %d", g.buckets)

@@ -1,7 +1,6 @@
 package confgraph
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -35,21 +34,6 @@ func TestValidateBuiltGraph(t *testing.T) {
 	_, g := buildTestGraph(t, 300, DefaultOptions())
 	if err := g.Validate(); err != nil {
 		t.Fatalf("built graph invalid: %v", err)
-	}
-}
-
-func TestValidateAfterRoundTrip(t *testing.T) {
-	_, g := buildTestGraph(t, 200, DefaultOptions())
-	data, err := json.Marshal(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Graph
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if err := back.Validate(); err != nil {
-		t.Fatalf("deserialized graph invalid: %v", err)
 	}
 }
 

@@ -7,9 +7,10 @@ import (
 	"repro/internal/detmodel"
 	"repro/internal/scene"
 	"repro/internal/textplot"
+	"repro/internal/zoo"
 )
 
-// TableICell is one (model, processor-kind) measurement of Table I.
+// TableICell is one (model, processor-kind) measurement of Table I or IV.
 type TableICell struct {
 	Supported  bool
 	TimeSec    float64
@@ -59,27 +60,9 @@ func TableI(env *Env, nFrames, nExec int) (*TableIResult, error) {
 			row.AvgIoU = iouSum / float64(nFrames)
 		}
 		for _, kind := range tableIKinds {
-			if !entry.Supports(kind) {
-				row.Cells[kind] = TableICell{}
-				continue
-			}
-			perf := entry.PerfByKind[kind]
-			procID := sys.SoC.ProcIDsByKind(kind)[0]
-			cell := TableICell{Supported: true, Executions: nExec}
-			for i := 0; i < nExec; i++ {
-				sp, err := sys.SoC.ExecFrom(procID, sys.SoC.Clock.Now(), perf.LatencySec, perf.PowerW)
-				if err != nil {
-					return nil, err
-				}
-				cost := sp.Cost
-				cell.TimeSec += cost.Lat.Seconds()
-				cell.PowerW += cost.PowerW
-				cell.EnergyJ += cost.Energy
-			}
-			if nExec > 0 {
-				cell.TimeSec /= float64(nExec)
-				cell.PowerW /= float64(nExec)
-				cell.EnergyJ /= float64(nExec)
+			cell, err := profileExec(sys, entry, kind, nExec)
+			if err != nil {
+				return nil, err
 			}
 			row.Cells[kind] = cell
 		}
@@ -88,18 +71,39 @@ func TableI(env *Env, nFrames, nExec int) (*TableIResult, error) {
 	return res, nil
 }
 
+// profileExec measures one (model, kind) cell of Tables I and IV: the mean
+// time, power and energy of nExec back-to-back runs on the kind's first
+// processor. An unsupported pair yields the zero cell.
+func profileExec(sys *zoo.System, entry *zoo.Entry, kind accel.Kind, nExec int) (TableICell, error) {
+	if !entry.Supports(kind) {
+		return TableICell{}, nil
+	}
+	perf := entry.PerfByKind[kind]
+	procID := sys.SoC.ProcIDsByKind(kind)[0]
+	cell := TableICell{Supported: true, Executions: nExec}
+	for i := 0; i < nExec; i++ {
+		sp, err := sys.SoC.ExecFrom(procID, sys.SoC.Clock.Now(), perf.LatencySec, perf.PowerW)
+		if err != nil {
+			return TableICell{}, err
+		}
+		cell.TimeSec += sp.Cost.Lat.Seconds()
+		cell.PowerW += sp.Cost.PowerW
+		cell.EnergyJ += sp.Cost.Energy
+	}
+	if nExec > 0 {
+		cell.TimeSec /= float64(nExec)
+		cell.PowerW /= float64(nExec)
+		cell.EnergyJ /= float64(nExec)
+	}
+	return cell, nil
+}
+
 // Report renders the result in the paper's Table I layout.
 func (r *TableIResult) Report() string {
 	rows := [][]string{{"Model", "IoU",
 		"t CPU(s)", "t GPU(s)", "t DLA(s)",
 		"P CPU(W)", "P GPU(W)", "P DLA(W)",
 		"E CPU(J)", "E GPU(J)", "E DLA(J)"}}
-	fmtCell := func(c TableICell, f func(TableICell) float64) string {
-		if !c.Supported {
-			return "-"
-		}
-		return fmt.Sprintf("%.3f", f(c))
-	}
 	for _, row := range r.Rows {
 		line := []string{row.Model, fmt.Sprintf("%.2f", row.AvgIoU)}
 		for _, get := range []func(TableICell) float64{
@@ -108,12 +112,21 @@ func (r *TableIResult) Report() string {
 			func(c TableICell) float64 { return c.EnergyJ },
 		} {
 			for _, kind := range tableIKinds {
-				line = append(line, fmtCell(row.Cells[kind], get))
+				line = append(line, cellText(row.Cells[kind], get))
 			}
 		}
 		rows = append(rows, line)
 	}
 	return textplot.Table("Table I: single-model statistics on CPU, GPU and GPU/DLA", rows)
+}
+
+// cellText formats one measurement of a Table I or IV cell, "-" when the
+// pair is unsupported.
+func cellText(c TableICell, get func(TableICell) float64) string {
+	if !c.Supported {
+		return "-"
+	}
+	return fmt.Sprintf("%.3f", get(c))
 }
 
 // Cell is a convenience accessor used by tests.

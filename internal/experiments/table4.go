@@ -9,21 +9,13 @@ import (
 	"repro/internal/textplot"
 )
 
-// TableIVCell is one (model, accelerator) execution profile of Table IV.
-type TableIVCell struct {
-	Supported bool
-	TimeSec   float64
-	EnergyJ   float64
-	PowerW    float64
-}
-
 // TableIVRow is one model row of Table IV: behavioural accuracy over the
 // whole evaluation suite plus execution profiles on GPU, GPU/DLA and OAK-D.
 type TableIVRow struct {
 	Model       string
 	AvgIoU      float64
 	SuccessRate float64
-	Cells       map[accel.Kind]TableIVCell
+	Cells       map[accel.Kind]TableICell
 }
 
 // TableIVResult holds the reproduced characterization table.
@@ -43,7 +35,7 @@ func TableIV(env *Env, nExec int) (*TableIVResult, error) {
 	suite := scene.EvaluationSuite()
 	sys := env.System()
 	for _, entry := range sys.Entries {
-		row := TableIVRow{Model: entry.Name(), Cells: map[accel.Kind]TableIVCell{}}
+		row := TableIVRow{Model: entry.Name(), Cells: map[accel.Kind]TableICell{}}
 		var iou metrics.Welford
 		success, total := 0, 0
 		for _, sc := range suite {
@@ -61,27 +53,9 @@ func TableIV(env *Env, nExec int) (*TableIVResult, error) {
 			row.SuccessRate = float64(success) / float64(total)
 		}
 		for _, kind := range tableIVKinds {
-			if !entry.Supports(kind) {
-				row.Cells[kind] = TableIVCell{}
-				continue
-			}
-			perf := entry.PerfByKind[kind]
-			procID := sys.SoC.ProcIDsByKind(kind)[0]
-			cell := TableIVCell{Supported: true}
-			for i := 0; i < nExec; i++ {
-				sp, err := sys.SoC.ExecFrom(procID, sys.SoC.Clock.Now(), perf.LatencySec, perf.PowerW)
-				if err != nil {
-					return nil, err
-				}
-				cost := sp.Cost
-				cell.TimeSec += cost.Lat.Seconds()
-				cell.EnergyJ += cost.Energy
-				cell.PowerW += cost.PowerW
-			}
-			if nExec > 0 {
-				cell.TimeSec /= float64(nExec)
-				cell.EnergyJ /= float64(nExec)
-				cell.PowerW /= float64(nExec)
+			cell, err := profileExec(sys, entry, kind, nExec)
+			if err != nil {
+				return nil, err
 			}
 			row.Cells[kind] = cell
 		}
@@ -106,22 +80,16 @@ func (r *TableIVResult) Report() string {
 		"t GPU", "t DLA", "t OAK-D",
 		"E GPU", "E DLA", "E OAK-D",
 		"P GPU", "P DLA", "P OAK-D"}}
-	cell := func(c TableIVCell, f func(TableIVCell) float64) string {
-		if !c.Supported {
-			return "-"
-		}
-		return fmt.Sprintf("%.3f", f(c))
-	}
 	for _, row := range r.Rows {
 		line := []string{row.Model, fmt.Sprintf("%.3f", row.AvgIoU),
 			fmt.Sprintf("%.1f%%", row.SuccessRate*100)}
-		for _, get := range []func(TableIVCell) float64{
-			func(c TableIVCell) float64 { return c.TimeSec },
-			func(c TableIVCell) float64 { return c.EnergyJ },
-			func(c TableIVCell) float64 { return c.PowerW },
+		for _, get := range []func(TableICell) float64{
+			func(c TableICell) float64 { return c.TimeSec },
+			func(c TableICell) float64 { return c.EnergyJ },
+			func(c TableICell) float64 { return c.PowerW },
 		} {
 			for _, kind := range tableIVKinds {
-				line = append(line, cell(row.Cells[kind], get))
+				line = append(line, cellText(row.Cells[kind], get))
 			}
 		}
 		rows = append(rows, line)

@@ -284,16 +284,6 @@ func (f *Fleet) scaleTick(at time.Duration, queue *[]*pending, lastResort bool) 
 	return true, nil
 }
 
-// canProvision reports whether any template still has warm-pool depth left.
-func (a *autoscaler) canProvision() bool {
-	for i, tpl := range a.cfg.Templates {
-		if a.used[i] < tpl.Count {
-			return true
-		}
-	}
-	return false
-}
-
 // provision builds the next warm-pool device (templates fill in order) and
 // inserts it into the fleet's name-sorted device list. It returns false when
 // the pool is exhausted.

@@ -125,10 +125,6 @@ type Device struct {
 	drained       int
 }
 
-// ActiveStreams returns the number of streams currently admitted to the
-// device.
-func (d *Device) ActiveStreams() int { return len(d.sessions) }
-
 // Down reports whether the device is currently unavailable (outage or death).
 func (d *Device) Down() bool { return d.down }
 

@@ -55,49 +55,10 @@ type FrameSource func(*scene.Scenario) []scene.Frame
 // factory. Generation consumes only the workload's own forked stream, so a
 // workload is reproducible independent of fleet composition.
 func GenerateWorkload(cfg WorkloadConfig, source FrameSource, policy PolicyFactory) ([]StreamRequest, error) {
-	if cfg.Streams <= 0 {
-		return nil, fmt.Errorf("fleet: workload needs a positive stream count, got %d", cfg.Streams)
-	}
 	if cfg.RatePerSec <= 0 {
 		return nil, fmt.Errorf("fleet: workload needs a positive arrival rate, got %v", cfg.RatePerSec)
 	}
-	if cfg.PeriodSec <= 0 {
-		return nil, fmt.Errorf("fleet: workload needs a positive camera period, got %v", cfg.PeriodSec)
-	}
-	if cfg.MinFrames <= 0 || cfg.MaxFrames < cfg.MinFrames {
-		return nil, fmt.Errorf("fleet: invalid stream length bounds [%d, %d]", cfg.MinFrames, cfg.MaxFrames)
-	}
-	if source == nil {
-		return nil, fmt.Errorf("fleet: workload needs a frame source")
-	}
-	scenarios := cfg.Scenarios
-	if scenarios == nil {
-		scenarios = scene.EvaluationSuite()
-	}
-	r := rng.New(cfg.Seed).Fork("fleet/workload")
-	reqs := make([]StreamRequest, 0, cfg.Streams)
-	at := time.Duration(0)
-	for i := 0; i < cfg.Streams; i++ {
-		// Exponential inter-arrival: -ln(1-U)/rate, with U in [0,1) so the
-		// argument stays in (0,1].
-		gap := -math.Log(1-r.Float64()) / cfg.RatePerSec
-		at += time.Duration(gap * float64(time.Second))
-		sc := scenarios[r.Intn(len(scenarios))]
-		n := cfg.MinFrames + r.Intn(cfg.MaxFrames-cfg.MinFrames+1)
-		frames := source(sc)
-		if len(frames) > n {
-			frames = frames[:n]
-		}
-		reqs = append(reqs, StreamRequest{
-			Name:      fmt.Sprintf("%s#%02d", sc.Name, i),
-			Scenario:  sc.Name,
-			Arrival:   at,
-			Frames:    frames,
-			PeriodSec: cfg.PeriodSec,
-			Policy:    policy,
-		})
-	}
-	return reqs, nil
+	return generate(cfg, nil, cfg.RatePerSec, source, policy)
 }
 
 // RateFn gives the instantaneous stream arrival rate (streams/second) at
@@ -135,14 +96,21 @@ func DiurnalRate(base, amp float64, period time.Duration) RateFn {
 // the constant-rate generator, identical inputs generate identical workloads
 // bit-for-bit, independent of fleet composition.
 func GenerateShapedWorkload(cfg WorkloadConfig, rate RateFn, peak float64, source FrameSource, policy PolicyFactory) ([]StreamRequest, error) {
-	if cfg.Streams <= 0 {
-		return nil, fmt.Errorf("fleet: workload needs a positive stream count, got %d", cfg.Streams)
-	}
 	if rate == nil {
 		return nil, fmt.Errorf("fleet: shaped workload needs a rate function")
 	}
 	if peak <= 0 {
 		return nil, fmt.Errorf("fleet: shaped workload needs a positive peak rate, got %v", peak)
+	}
+	return generate(cfg, rate, peak, source, policy)
+}
+
+// generate is both generators' body. Candidate arrivals come at the
+// constant rate peak; a nil rate accepts every one without drawing, and
+// otherwise a candidate at t is kept with probability rate(t)/peak.
+func generate(cfg WorkloadConfig, rate RateFn, peak float64, source FrameSource, policy PolicyFactory) ([]StreamRequest, error) {
+	if cfg.Streams <= 0 {
+		return nil, fmt.Errorf("fleet: workload needs a positive stream count, got %d", cfg.Streams)
 	}
 	if cfg.PeriodSec <= 0 {
 		return nil, fmt.Errorf("fleet: workload needs a positive camera period, got %v", cfg.PeriodSec)
@@ -162,22 +130,26 @@ func GenerateShapedWorkload(cfg WorkloadConfig, rate RateFn, peak float64, sourc
 	at := time.Duration(0)
 	rejected := 0
 	for i := 0; i < cfg.Streams; {
+		// Exponential inter-arrival: -ln(1-U)/peak, with U in [0,1) so the
+		// argument stays in (0,1].
 		gap := -math.Log(1-r.Float64()) / peak
 		at += time.Duration(gap * float64(time.Second))
-		want := rate(at.Seconds())
-		if want < 0 || want > peak {
-			return nil, fmt.Errorf("fleet: shaped rate %v at %v outside [0, peak %v]", want, at, peak)
-		}
-		if r.Float64() >= want/peak {
-			// Thinned candidate. A rate pinned (effectively) at zero would
-			// thin forever: a run of rejections this long means the
-			// acceptance probability is below ~1e-6 of peak.
-			if rejected++; rejected > 1<<20 {
-				return nil, fmt.Errorf("fleet: shaped rate stuck near zero after %v (%d candidates thinned)", at, rejected)
+		if rate != nil {
+			want := rate(at.Seconds())
+			if want < 0 || want > peak {
+				return nil, fmt.Errorf("fleet: shaped rate %v at %v outside [0, peak %v]", want, at, peak)
 			}
-			continue
+			if r.Float64() >= want/peak {
+				// Thinned candidate. A rate pinned (effectively) at zero
+				// would thin forever: a run of rejections this long means
+				// the acceptance probability is below ~1e-6 of peak.
+				if rejected++; rejected > 1<<20 {
+					return nil, fmt.Errorf("fleet: shaped rate stuck near zero after %v (%d candidates thinned)", at, rejected)
+				}
+				continue
+			}
+			rejected = 0
 		}
-		rejected = 0
 		sc := scenarios[r.Intn(len(scenarios))]
 		n := cfg.MinFrames + r.Intn(cfg.MaxFrames-cfg.MinFrames+1)
 		frames := source(sc)

@@ -67,27 +67,6 @@ func (r Rect) Intersect(o Rect) Rect {
 	return Rect{X: x1, Y: y1, W: x2 - x1, H: y2 - y1}
 }
 
-// Union returns the smallest rectangle containing both r and o. If either is
-// empty the other is returned.
-func (r Rect) Union(o Rect) Rect {
-	if r.Empty() {
-		return o
-	}
-	if o.Empty() {
-		return r
-	}
-	x1 := math.Min(r.X, o.X)
-	y1 := math.Min(r.Y, o.Y)
-	x2 := math.Max(r.Right(), o.Right())
-	y2 := math.Max(r.Bottom(), o.Bottom())
-	return Rect{X: x1, Y: y1, W: x2 - x1, H: y2 - y1}
-}
-
-// Contains reports whether the point (x, y) lies inside r.
-func (r Rect) Contains(x, y float64) bool {
-	return x >= r.X && x < r.Right() && y >= r.Y && y < r.Bottom()
-}
-
 // ClampTo returns r clipped to the bounds rectangle.
 func (r Rect) ClampTo(bounds Rect) Rect { return r.Intersect(bounds) }
 
@@ -105,27 +84,9 @@ func (r Rect) IoU(o Rect) float64 {
 	return inter / union
 }
 
-// Lerp linearly interpolates from r to o by t in [0, 1].
-func (r Rect) Lerp(o Rect, t float64) Rect {
-	return Rect{
-		X: r.X + (o.X-r.X)*t,
-		Y: r.Y + (o.Y-r.Y)*t,
-		W: r.W + (o.W-r.W)*t,
-		H: r.H + (o.H-r.H)*t,
-	}
-}
-
 // String implements fmt.Stringer.
 func (r Rect) String() string {
 	return fmt.Sprintf("Rect(%.1f,%.1f %gx%g)", r.X, r.Y, r.W, r.H)
-}
-
-// shiftForIoU returns the axis-aligned displacement d such that translating a
-// w×h box by (d, 0) against itself yields the target IoU. For a pure
-// translation along one axis, IoU = (w-d)/(w+d) on that axis, so
-// d = w*(1-iou)/(1+iou).
-func shiftForIoU(extent, iou float64) float64 {
-	return extent * (1 - iou) / (1 + iou)
 }
 
 // PerturbToIoU returns a copy of gt displaced so that the result's IoU with

@@ -62,31 +62,6 @@ func TestIntersect(t *testing.T) {
 	}
 }
 
-func TestUnion(t *testing.T) {
-	a := Rect{0, 0, 2, 2}
-	b := Rect{4, 4, 2, 2}
-	u := a.Union(b)
-	if u != (Rect{0, 0, 6, 6}) {
-		t.Fatalf("Union = %v", u)
-	}
-	if a.Union(Rect{}) != a {
-		t.Fatal("Union with empty should return the non-empty rect")
-	}
-	if (Rect{}).Union(b) != b {
-		t.Fatal("Union of empty with b should return b")
-	}
-}
-
-func TestContains(t *testing.T) {
-	r := Rect{0, 0, 10, 10}
-	if !r.Contains(5, 5) || !r.Contains(0, 0) {
-		t.Fatal("Contains false negatives")
-	}
-	if r.Contains(10, 5) || r.Contains(5, 10) || r.Contains(-1, 5) {
-		t.Fatal("Contains false positives on boundary/outside")
-	}
-}
-
 func TestIoUKnownValues(t *testing.T) {
 	a := Rect{0, 0, 10, 10}
 	cases := []struct {
@@ -136,21 +111,6 @@ func TestTranslateScale(t *testing.T) {
 	sc := Rect{0, 0, 4, 4}.Scale(0.5)
 	if sc != (Rect{1, 1, 2, 2}) {
 		t.Fatalf("Scale = %v", sc)
-	}
-}
-
-func TestLerp(t *testing.T) {
-	a := Rect{0, 0, 10, 10}
-	b := Rect{10, 20, 30, 40}
-	if got := a.Lerp(b, 0); got != a {
-		t.Fatalf("Lerp(0) = %v", got)
-	}
-	if got := a.Lerp(b, 1); got != b {
-		t.Fatalf("Lerp(1) = %v", got)
-	}
-	mid := a.Lerp(b, 0.5)
-	if mid != (Rect{5, 10, 20, 25}) {
-		t.Fatalf("Lerp(0.5) = %v", mid)
 	}
 }
 

@@ -83,15 +83,6 @@ func (m *Image) Variance() float64 {
 	return acc / float64(len(m.Pix))
 }
 
-// Histogram returns the 256-bin intensity histogram of m.
-func (m *Image) Histogram() [256]int {
-	var h [256]int
-	for _, p := range m.Pix {
-		h[p]++
-	}
-	return h
-}
-
 // Equal reports whether two images have identical dimensions and pixels.
 func (m *Image) Equal(o *Image) bool {
 	if m.W != o.W || m.H != o.H {

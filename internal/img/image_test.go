@@ -2,7 +2,6 @@ package img
 
 import (
 	"testing"
-	"testing/quick"
 
 	"repro/internal/rng"
 )
@@ -67,15 +66,6 @@ func TestFillMeanVariance(t *testing.T) {
 	}
 	if m.Variance() != 10000 {
 		t.Fatalf("Variance = %v, want 10000", m.Variance())
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	m := New(2, 2)
-	m.Pix = []uint8{0, 0, 7, 255}
-	h := m.Histogram()
-	if h[0] != 2 || h[7] != 1 || h[255] != 1 {
-		t.Fatalf("Histogram wrong: %v %v %v", h[0], h[7], h[255])
 	}
 }
 
@@ -195,76 +185,5 @@ func TestCompositeClipping(t *testing.T) {
 	dst.Composite(src, 1, 1, 1, 0)
 	if dst.At(1, 1) != 255 {
 		t.Fatal("clipped composite missed in-bounds pixel")
-	}
-}
-
-func TestAddScaledSaturates(t *testing.T) {
-	m := New(1, 2)
-	m.Pix = []uint8{250, 5}
-	m.AddScaled(10)
-	if m.Pix[0] != 255 {
-		t.Fatalf("positive saturation failed: %d", m.Pix[0])
-	}
-	m.AddScaled(-300)
-	if m.Pix[0] != 0 || m.Pix[1] != 0 {
-		t.Fatalf("negative saturation failed: %v", m.Pix)
-	}
-}
-
-func TestIntegralRectSum(t *testing.T) {
-	m := New(4, 4)
-	for i := range m.Pix {
-		m.Pix[i] = 1
-	}
-	it := m.Integral()
-	if got := RectSum(it, 0, 0, 4, 4); got != 16 {
-		t.Fatalf("full RectSum = %d, want 16", got)
-	}
-	if got := RectSum(it, 1, 1, 3, 3); got != 4 {
-		t.Fatalf("inner RectSum = %d, want 4", got)
-	}
-	// Clamped and inverted rectangles.
-	if got := RectSum(it, -5, -5, 99, 99); got != 16 {
-		t.Fatalf("clamped RectSum = %d, want 16", got)
-	}
-	if got := RectSum(it, 3, 3, 1, 1); got != 0 {
-		t.Fatalf("inverted RectSum = %d, want 0", got)
-	}
-}
-
-func TestIntegralMatchesBruteForce(t *testing.T) {
-	r := rng.New(22)
-	m := New(13, 9)
-	for i := range m.Pix {
-		m.Pix[i] = uint8(r.Intn(256))
-	}
-	it := m.Integral()
-	f := func(x0r, y0r, x1r, y1r uint8) bool {
-		x0, y0 := int(x0r%13), int(y0r%9)
-		x1, y1 := int(x1r%14), int(y1r%10)
-		var want uint64
-		for y := y0; y < y1; y++ {
-			for x := x0; x < x1; x++ {
-				want += uint64(m.At(x, y))
-			}
-		}
-		return RectSum(it, x0, y0, x1, y1) == want
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDownsample2x(t *testing.T) {
-	m := New(4, 4)
-	m.Fill(100)
-	d := m.Downsample2x()
-	if d.W != 2 || d.H != 2 {
-		t.Fatalf("Downsample2x size %dx%d", d.W, d.H)
-	}
-	for _, p := range d.Pix {
-		if p != 100 {
-			t.Fatalf("flat downsample pixel %d", p)
-		}
 	}
 }

@@ -193,71 +193,3 @@ func (m *Image) Composite(src *Image, x, y int, alpha float64, key uint8) {
 		}
 	}
 }
-
-// AddScaled adds v (which may be negative) to every pixel, saturating.
-// It implements global illumination shifts between scene segments.
-func (m *Image) AddScaled(v float64) {
-	for i, p := range m.Pix {
-		m.Pix[i] = clampU8(float64(p) + v)
-	}
-}
-
-// Integral returns the summed-area table of m: out[y][x] is the sum of all
-// pixels with coordinates < (x, y). The table has (H+1)×(W+1) entries, so
-// rectangle sums need no boundary checks. Used by the scene difficulty
-// estimator for fast local-contrast queries.
-func (m *Image) Integral() [][]uint64 {
-	out := make([][]uint64, m.H+1)
-	out[0] = make([]uint64, m.W+1)
-	for y := 1; y <= m.H; y++ {
-		out[y] = make([]uint64, m.W+1)
-		var rowSum uint64
-		for x := 1; x <= m.W; x++ {
-			rowSum += uint64(m.Pix[(y-1)*m.W+x-1])
-			out[y][x] = out[y-1][x] + rowSum
-		}
-	}
-	return out
-}
-
-// RectSum returns the pixel sum over the half-open rectangle
-// [x0,x1)×[y0,y1) using an integral table produced by Integral.
-// Coordinates are clamped to the table.
-func RectSum(integral [][]uint64, x0, y0, x1, y1 int) uint64 {
-	h := len(integral) - 1
-	if h < 0 {
-		return 0
-	}
-	w := len(integral[0]) - 1
-	clamp := func(v, hi int) int {
-		if v < 0 {
-			return 0
-		}
-		if v > hi {
-			return hi
-		}
-		return v
-	}
-	x0, x1 = clamp(x0, w), clamp(x1, w)
-	y0, y1 = clamp(y0, h), clamp(y1, h)
-	if x1 <= x0 || y1 <= y0 {
-		return 0
-	}
-	return integral[y1][x1] - integral[y0][x1] - integral[y1][x0] + integral[y0][x0]
-}
-
-// Downsample2x returns m reduced by a factor of two via 2×2 averaging; odd
-// trailing rows/columns are dropped. Cheaper than Resize for pyramid
-// construction in the tracker.
-func (m *Image) Downsample2x() *Image {
-	w, h := m.W/2, m.H/2
-	out := New(w, h)
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			s := int(m.Pix[(2*y)*m.W+2*x]) + int(m.Pix[(2*y)*m.W+2*x+1]) +
-				int(m.Pix[(2*y+1)*m.W+2*x]) + int(m.Pix[(2*y+1)*m.W+2*x+1])
-			out.Pix[y*w+x] = uint8((s + 2) / 4)
-		}
-	}
-	return out
-}

@@ -19,73 +19,3 @@ func (m *Image) WritePGM(w io.Writer) error {
 	}
 	return bw.Flush()
 }
-
-// ReadPGM decodes a binary PGM (P5) image as written by WritePGM. It
-// supports the subset this package emits: maxval 255, single whitespace
-// separators, optional comment lines after the magic.
-func ReadPGM(r io.Reader) (*Image, error) {
-	br := bufio.NewReader(r)
-	var magic string
-	if _, err := fmt.Fscan(br, &magic); err != nil {
-		return nil, fmt.Errorf("img: read PGM magic: %w", err)
-	}
-	if magic != "P5" {
-		return nil, fmt.Errorf("img: unsupported PGM magic %q", magic)
-	}
-	readToken := func() (int, error) {
-		// Skip whitespace and comments.
-		for {
-			b, err := br.ReadByte()
-			if err != nil {
-				return 0, err
-			}
-			switch {
-			case b == '#':
-				if _, err := br.ReadString('\n'); err != nil {
-					return 0, err
-				}
-			case b == ' ' || b == '\t' || b == '\n' || b == '\r':
-				continue
-			default:
-				if err := br.UnreadByte(); err != nil {
-					return 0, err
-				}
-				var v int
-				if _, err := fmt.Fscan(br, &v); err != nil {
-					return 0, err
-				}
-				return v, nil
-			}
-		}
-	}
-	w, err := readToken()
-	if err != nil {
-		return nil, fmt.Errorf("img: read PGM width: %w", err)
-	}
-	h, err := readToken()
-	if err != nil {
-		return nil, fmt.Errorf("img: read PGM height: %w", err)
-	}
-	maxval, err := readToken()
-	if err != nil {
-		return nil, fmt.Errorf("img: read PGM maxval: %w", err)
-	}
-	if maxval != 255 {
-		return nil, fmt.Errorf("img: unsupported PGM maxval %d", maxval)
-	}
-	// Bound each dimension before multiplying: a huge dimension would make
-	// w*h overflow and slip past a product-only check.
-	const maxDim = 1 << 15
-	if w <= 0 || h <= 0 || w > maxDim || h > maxDim || w*h > 1<<28 {
-		return nil, fmt.Errorf("img: implausible PGM size %dx%d", w, h)
-	}
-	// One whitespace byte separates the header from pixel data.
-	if _, err := br.ReadByte(); err != nil {
-		return nil, fmt.Errorf("img: read PGM separator: %w", err)
-	}
-	out := New(w, h)
-	if _, err := io.ReadFull(br, out.Pix); err != nil {
-		return nil, fmt.Errorf("img: read PGM pixels: %w", err)
-	}
-	return out, nil
-}

@@ -8,6 +8,8 @@ import (
 	"repro/internal/rng"
 )
 
+// TestPGMRoundTrip pins the P5 bytes of a non-square image: the header
+// names width before height, and the pixels follow it unchanged.
 func TestPGMRoundTrip(t *testing.T) {
 	r := rng.New(50)
 	m := randomImage(r, 17, 11)
@@ -15,12 +17,9 @@ func TestPGMRoundTrip(t *testing.T) {
 	if err := m.WritePGM(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadPGM(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.Equal(back) {
-		t.Fatal("PGM round trip changed pixels")
+	want := append([]byte("P5\n17 11\n255\n"), m.Pix...)
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("WritePGM wrote %q, want %q", buf.Bytes(), want)
 	}
 }
 
@@ -35,40 +34,13 @@ func TestPGMHeader(t *testing.T) {
 	}
 }
 
-func TestReadPGMWithComment(t *testing.T) {
-	data := "P5\n# a comment\n2 1\n255\nAB"
-	m, err := ReadPGM(strings.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.W != 2 || m.H != 1 || m.Pix[0] != 'A' || m.Pix[1] != 'B' {
-		t.Fatalf("parsed: %+v", m)
-	}
-}
-
-func TestReadPGMErrors(t *testing.T) {
-	cases := map[string]string{
-		"bad magic":  "P2\n2 2\n255\nxxxx",
-		"bad maxval": "P5\n2 2\n65535\nxxxx",
-		"truncated":  "P5\n4 4\n255\nxx",
-		"empty":      "",
-		"zero width": "P5\n0 2\n255\n",
-	}
-	for name, data := range cases {
-		if _, err := ReadPGM(strings.NewReader(data)); err == nil {
-			t.Errorf("%s: ReadPGM accepted invalid input", name)
-		}
-	}
-}
-
 func TestPGMEmptyImage(t *testing.T) {
 	m := New(0, 0)
 	var buf bytes.Buffer
 	if err := m.WritePGM(&buf); err != nil {
 		t.Fatal(err)
 	}
-	// Width 0 is rejected on read (implausible size guard).
-	if _, err := ReadPGM(&buf); err == nil {
-		t.Fatal("zero-size PGM should be rejected on read")
+	if got, want := buf.String(), "P5\n0 0\n255\n"; got != want {
+		t.Fatalf("WritePGM = %q, want %q", got, want)
 	}
 }

@@ -464,9 +464,6 @@ func (p *Predictor) NoteLateHit(savedSec, residualSec float64) {
 // Stats returns the scorecard so far.
 func (p *Predictor) Stats() Stats { return p.stats }
 
-// PrewarmDepth exposes the configured working-set chain bound.
-func (p *Predictor) PrewarmDepth() int { return p.cfg.PrewarmDepth }
-
 // WorkingSet walks the prediction chain from the current history — the
 // engines the stream is expected to demand next, most-imminent first —
 // without mutating predictor state. Only confident links are followed and

@@ -3,6 +3,7 @@ package profile
 import (
 	"fmt"
 
+	"repro/internal/detmodel"
 	"repro/internal/scene"
 	"repro/internal/zoo"
 )
@@ -24,36 +25,11 @@ func (c *Characterization) AddModel(sys *zoo.System, name string, frames []scene
 	if err != nil {
 		return err
 	}
-	t := &Traits{
-		Model:      entry.Name(),
-		Samples:    make([]Sample, 0, len(frames)),
-		PerfByKind: map[string]zoo.Perf{},
+	salts := make([]uint64, len(frames))
+	for i, f := range frames {
+		salts[i] = detmodel.FrameSalt(f)
 	}
-	for kind, p := range entry.PerfByKind {
-		t.PerfByKind[kind.String()] = p
-	}
-	var iouSum, confSum float64
-	success := 0
-	for _, f := range frames {
-		det := entry.Model.Detect(f, sys.Seed)
-		t.Samples = append(t.Samples, Sample{
-			FrameIndex: f.Index,
-			Found:      det.Found,
-			Conf:       det.Conf,
-			IoU:        det.IoU,
-		})
-		iouSum += det.IoU
-		confSum += det.Conf
-		if det.IoU >= 0.5 {
-			success++
-		}
-	}
-	if n := len(frames); n > 0 {
-		t.AvgIoU = iouSum / float64(n)
-		t.AvgConf = confSum / float64(n)
-		t.SuccessRate = float64(success) / float64(n)
-	}
-	c.ByModel[name] = t
+	c.ByModel[name] = characterizeModel(entry, frames, salts, sys.Seed)
 	// Pair score normalization is global, so rebuild both tables from the
 	// system's full pair set.
 	c.EnergyScore = map[PairKey]float64{}

@@ -11,7 +11,6 @@ package profile
 
 import (
 	"encoding/json"
-	"fmt"
 	"sort"
 
 	"repro/internal/accel"
@@ -193,15 +192,6 @@ type jsonDoc struct {
 	LatencyScore map[string]float64 `json:"latency_score"`
 }
 
-func kindFromString(s string) (accel.Kind, error) {
-	for _, k := range []accel.Kind{accel.KindCPU, accel.KindGPU, accel.KindDLA, accel.KindOAKD} {
-		if k.String() == s {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("profile: unknown kind %q", s)
-}
-
 // MarshalJSON flattens pair keys into "model/KIND" strings.
 func (c *Characterization) MarshalJSON() ([]byte, error) {
 	doc := jsonDoc{
@@ -216,42 +206,4 @@ func (c *Characterization) MarshalJSON() ([]byte, error) {
 		doc.LatencyScore[k.String()] = v
 	}
 	return json.Marshal(doc)
-}
-
-// UnmarshalJSON restores pair keys from their string form.
-func (c *Characterization) UnmarshalJSON(data []byte) error {
-	var doc jsonDoc
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return err
-	}
-	c.ByModel = doc.ByModel
-	c.EnergyScore = map[PairKey]float64{}
-	c.LatencyScore = map[PairKey]float64{}
-	parse := func(raw map[string]float64, dst map[PairKey]float64) error {
-		for s, v := range raw {
-			i := lastSlash(s)
-			if i < 0 {
-				return fmt.Errorf("profile: malformed pair key %q", s)
-			}
-			kind, err := kindFromString(s[i+1:])
-			if err != nil {
-				return err
-			}
-			dst[PairKey{Model: s[:i], Kind: kind}] = v
-		}
-		return nil
-	}
-	if err := parse(doc.EnergyScore, c.EnergyScore); err != nil {
-		return err
-	}
-	return parse(doc.LatencyScore, c.LatencyScore)
-}
-
-func lastSlash(s string) int {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == '/' {
-			return i
-		}
-	}
-	return -1
 }

@@ -161,20 +161,6 @@ func (r *Stream) SkipNorms(n int) {
 	}
 }
 
-// TruncNorm returns a normal sample clamped to [lo, hi]. Clamping (rather
-// than rejection) keeps per-call stream consumption constant, which matters
-// for reproducibility when callers interleave streams.
-func (r *Stream) TruncNorm(mean, stddev, lo, hi float64) float64 {
-	v := r.Norm(mean, stddev)
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
 // Jitter returns base scaled by a relative normal jitter: base*(1+N(0,rel)),
 // clamped to be non-negative. It is the canonical way the accelerator
 // simulator perturbs latency and power around their characterized means.

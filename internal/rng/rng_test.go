@@ -138,16 +138,6 @@ func TestNormZeroStddev(t *testing.T) {
 	}
 }
 
-func TestTruncNormClamps(t *testing.T) {
-	r := New(8)
-	for i := 0; i < 10000; i++ {
-		v := r.TruncNorm(0, 10, -1, 1)
-		if v < -1 || v > 1 {
-			t.Fatalf("TruncNorm escaped bounds: %v", v)
-		}
-	}
-}
-
 func TestRangeProperties(t *testing.T) {
 	r := New(10)
 	f := func(loRaw, hiRaw float64) bool {

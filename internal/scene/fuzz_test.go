@@ -1,11 +1,14 @@
 package scene
 
-import "testing"
+import (
+	"encoding/json"
+	"testing"
+)
 
 // FuzzParseScenario hardens the scenario-file parser: arbitrary input must
 // either fail or yield a validated scenario that renders without panicking.
 func FuzzParseScenario(f *testing.F) {
-	valid, err := MarshalScenario(Scenario2())
+	valid, err := json.Marshal(Scenario2())
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -34,14 +34,6 @@ func ParseScenario(data []byte) (*Scenario, error) {
 	return &s, nil
 }
 
-// MarshalScenario encodes a scenario as indented JSON.
-func MarshalScenario(s *Scenario) ([]byte, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return json.MarshalIndent(s, "", "  ")
-}
-
 // Validate checks structural invariants the renderer depends on.
 func (s *Scenario) Validate() error {
 	if s.Name == "" {
