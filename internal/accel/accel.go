@@ -209,6 +209,8 @@ type SoC struct {
 	// Unpark. The fleet's autoscaler parks a device after draining it, so a
 	// retired device can never silently serve again.
 	parked bool
+	// idsByKind is ProcIDsByKind's answer per kind, listed once by NewSoC.
+	idsByKind map[Kind][]string
 }
 
 // NewSoC assembles a platform from processors and pools, with jitter drawn
@@ -231,6 +233,18 @@ func NewSoC(procs []*Proc, pools []*MemPool, r *rng.Stream) *SoC {
 	}
 	for _, p := range pools {
 		s.Pools[p.Name] = p
+	}
+	// Nothing adds, removes or re-kinds a processor after construction, so
+	// each kind's sorted ID list is fixed here.
+	ids := make([]string, 0, len(s.Procs))
+	for id := range s.Procs {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	s.idsByKind = make(map[Kind][]string)
+	for _, id := range ids {
+		k := s.Procs[id].Kind
+		s.idsByKind[k] = append(s.idsByKind[k], id)
 	}
 	return s
 }
@@ -359,17 +373,10 @@ func (s *SoC) charge(r *rng.Stream, lane string, ready time.Duration, latMean, p
 	return Span{Start: start, End: end, Wait: start - ready, Cost: Cost{Lat: d, Energy: energy, PowerW: pow}}, nil
 }
 
-// ProcIDsByKind returns processor IDs of the given kind in sorted order.
-func (s *SoC) ProcIDsByKind(k Kind) []string {
-	var ids []string
-	for id, p := range s.Procs {
-		if p.Kind == k {
-			ids = append(ids, id)
-		}
-	}
-	sort.Strings(ids)
-	return ids
-}
+// ProcIDsByKind returns processor IDs of the given kind in sorted order, or
+// nil if there are none. Every call returns the slice NewSoC built, so
+// callers must treat it as read-only.
+func (s *SoC) ProcIDsByKind(k Kind) []string { return s.idsByKind[k] }
 
 // Platform memory sizing. The Xavier NX exposes 8 GB shared between the OS
 // and all engines; after the OS, capture pipeline and runtime are accounted

@@ -1,6 +1,8 @@
 package accel
 
 import (
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/rng"
@@ -21,6 +23,27 @@ func TestKindString(t *testing.T) {
 		if k.String() != s {
 			t.Errorf("Kind(%d).String() = %q, want %q", k, k.String(), s)
 		}
+	}
+}
+
+// TestProcIDsByKindListedOnce pins the lists NewSoC caches to a fresh scan
+// of the processors, and a lookup to zero allocations.
+func TestProcIDsByKindListedOnce(t *testing.T) {
+	s := testSoC()
+	for _, k := range []Kind{KindCPU, KindGPU, KindDLA, KindOAKD, Kind(9)} {
+		var fresh []string
+		for id, p := range s.Procs {
+			if p.Kind == k {
+				fresh = append(fresh, id)
+			}
+		}
+		sort.Strings(fresh)
+		if got := s.ProcIDsByKind(k); !slices.Equal(got, fresh) {
+			t.Fatalf("%v: cached %v, fresh %v", k, got, fresh)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = s.ProcIDsByKind(KindDLA) }); n != 0 {
+		t.Fatalf("ProcIDsByKind allocates %v times per call", n)
 	}
 }
 

@@ -10,53 +10,83 @@ func (m *Image) Resize(w, h int) *Image {
 	return out
 }
 
-// ResizeKernel caches the bilinear sample positions and weights for a fixed
-// (source size → destination size) mapping, so a caller resizing a stream of
-// equally sized images (the scheduler normalizes every bounding-box crop to
-// BoxCropSize²) pays for coefficient setup only when the geometry changes.
-// Apply produces output bit-identical to Resize.
-// A kernel owns scratch rows, so concurrent Apply calls need separate
-// kernels (each scheduler instance builds its own).
+// ResizeKernel caches the bilinear sample positions and weights for a
+// (source size → destination size) mapping, so a caller resizing a stream
+// of images (the scheduler normalizes every bounding-box crop to
+// BoxCropSize²) pays for coefficient setup only when the geometry changes,
+// and Retarget re-targets it in place. Apply produces output bit-identical
+// to Resize.
+//
+// Apply is separable: each source row it reads is interpolated
+// horizontally once, into one of two dstW-float rows, and every output row
+// blends the two rows its y taps name. A kernel owns those rows, so
+// concurrent Apply calls need separate kernels (each scheduler instance
+// holds its own). The zero value is a kernel for 0×0 → 0×0.
 type ResizeKernel struct {
 	srcW, srcH, dstW, dstH int
 	x0s, x1s               []int
 	fxs, gxs               []float64
-	frow0, frow1           []float64
+	y0s, y1s               []int
+	fys, gys               []float64
+	// rows holds horizontally interpolated source rows rowOf (−1: none).
+	rows  [2][]float64
+	rowOf [2]int
 }
 
-// Matches reports whether the kernel was built for this geometry.
-func (k *ResizeKernel) Matches(srcW, srcH, dstW, dstH int) bool {
-	return k != nil && k.srcW == srcW && k.srcH == srcH && k.dstW == dstW && k.dstH == dstH
-}
-
-// NewResizeKernel precomputes the horizontal coefficients for the mapping.
+// NewResizeKernel returns a kernel for the mapping.
 func NewResizeKernel(srcW, srcH, dstW, dstH int) *ResizeKernel {
-	k := &ResizeKernel{
-		srcW: srcW, srcH: srcH, dstW: dstW, dstH: dstH,
-		x0s: make([]int, dstW), x1s: make([]int, dstW),
-		fxs: make([]float64, dstW), gxs: make([]float64, dstW),
-		frow0: make([]float64, srcW), frow1: make([]float64, srcW),
-	}
-	if srcW == 0 || srcH == 0 || dstW == 0 || dstH == 0 {
-		return k
-	}
-	xRatio := float64(srcW) / float64(dstW)
-	for x := 0; x < dstW; x++ {
-		srcX := (float64(x)+0.5)*xRatio - 0.5
-		x0 := int(srcX)
-		if srcX < 0 {
-			x0 = 0
-			srcX = 0
-		}
-		x1 := x0 + 1
-		if x1 >= srcW {
-			x1 = srcW - 1
-		}
-		k.x0s[x], k.x1s[x] = x0, x1
-		k.fxs[x] = srcX - float64(x0)
-		k.gxs[x] = 1 - k.fxs[x]
-	}
+	k := &ResizeKernel{}
+	k.Retarget(srcW, srcH, dstW, dstH)
 	return k
+}
+
+// Retarget points k at a new mapping, reusing its buffers; they grow only
+// when a dimension exceeds every earlier one. It does nothing when k
+// already has the mapping.
+func (k *ResizeKernel) Retarget(srcW, srcH, dstW, dstH int) {
+	if k.srcW == srcW && k.srcH == srcH && k.dstW == dstW && k.dstH == dstH {
+		return
+	}
+	k.srcW, k.srcH, k.dstW, k.dstH = srcW, srcH, dstW, dstH
+	if srcW == 0 || srcH == 0 || dstW == 0 || dstH == 0 {
+		return
+	}
+	k.x0s, k.x1s = grow(k.x0s, dstW), grow(k.x1s, dstW)
+	k.fxs, k.gxs = grow(k.fxs, dstW), grow(k.gxs, dstW)
+	k.y0s, k.y1s = grow(k.y0s, dstH), grow(k.y1s, dstH)
+	k.fys, k.gys = grow(k.fys, dstH), grow(k.gys, dstH)
+	k.rows[0], k.rows[1] = grow(k.rows[0], dstW), grow(k.rows[1], dstW)
+	taps(srcW, dstW, k.x0s, k.x1s, k.fxs, k.gxs)
+	taps(srcH, dstH, k.y0s, k.y1s, k.fys, k.gys)
+}
+
+// taps fills the bilinear taps of one axis: output i samples source
+// positions i0s[i] and i1s[i] with weights gs[i] and fs[i].
+func taps(src, dst int, i0s, i1s []int, fs, gs []float64) {
+	ratio := float64(src) / float64(dst)
+	for i := 0; i < dst; i++ {
+		pos := (float64(i)+0.5)*ratio - 0.5
+		i0 := int(pos)
+		if pos < 0 {
+			i0 = 0
+			pos = 0
+		}
+		i1 := i0 + 1
+		if i1 >= src {
+			i1 = src - 1
+		}
+		i0s[i], i1s[i] = i0, i1
+		fs[i] = pos - float64(i0)
+		gs[i] = 1 - fs[i]
+	}
+}
+
+// grow returns s resliced to n, reallocated only when its capacity is short.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // Apply resamples src into dst; both must match the kernel's geometry.
@@ -72,41 +102,43 @@ func (k *ResizeKernel) Apply(src, dst *Image) {
 		}
 		return
 	}
-	// Source rows are converted to float once per output row (a source row
-	// is sampled by every destination column).
-	frow0, frow1 := k.frow0, k.frow1
-	yRatio := float64(k.srcH) / float64(k.dstH)
+	k.rowOf = [2]int{-1, -1}
 	for y := 0; y < k.dstH; y++ {
-		srcY := (float64(y)+0.5)*yRatio - 0.5
-		y0 := int(srcY)
-		if srcY < 0 {
-			y0 = 0
-			srcY = 0
-		}
-		y1 := y0 + 1
-		if y1 >= k.srcH {
-			y1 = k.srcH - 1
-		}
-		fy := srcY - float64(y0)
-		gy := 1 - fy
-		trow := src.Pix[y0*k.srcW : y0*k.srcW+k.srcW]
-		brow := src.Pix[y1*k.srcW : y1*k.srcW+k.srcW]
-		for j, v := range trow {
-			frow0[j] = float64(v)
-		}
-		for j, v := range brow {
-			frow1[j] = float64(v)
-		}
+		top := k.row(src, k.y0s[y])
+		bot := k.row(src, k.y1s[y])
+		fy, gy := k.fys[y], k.gys[y]
 		orow := dst.Pix[y*k.dstW : y*k.dstW+k.dstW]
 		for x := range orow {
-			top := frow0[k.x0s[x]]*k.gxs[x] + frow0[k.x1s[x]]*k.fxs[x]
-			bot := frow1[k.x0s[x]]*k.gxs[x] + frow1[k.x1s[x]]*k.fxs[x]
 			// top and bot are convex combinations of 8-bit samples, so the
 			// result lies in [0, 255] and clamping reduces to rounding
 			// (identical to clampU8 on that range).
-			orow[x] = uint8(top*gy + bot*fy + 0.5)
+			orow[x] = uint8(top[x]*gy + bot[x]*fy + 0.5)
 		}
 	}
+}
+
+// row returns source row sy of src interpolated horizontally, computing it
+// on first use. Output rows request source rows in non-decreasing order,
+// top before bottom, so the slot holding the lower row is the one no
+// longer needed.
+func (k *ResizeKernel) row(src *Image, sy int) []float64 {
+	if k.rowOf[0] == sy {
+		return k.rows[0]
+	}
+	if k.rowOf[1] == sy {
+		return k.rows[1]
+	}
+	i := 0
+	if k.rowOf[1] < k.rowOf[0] {
+		i = 1
+	}
+	h := k.rows[i]
+	s := src.Pix[sy*k.srcW : sy*k.srcW+k.srcW]
+	for x := range h {
+		h[x] = float64(s[k.x0s[x]])*k.gxs[x] + float64(s[k.x1s[x]])*k.fxs[x]
+	}
+	k.rowOf[i] = sy
+	return h
 }
 
 // BoxBlur returns m blurred with a (2r+1)×(2r+1) box filter, approximating

@@ -83,16 +83,22 @@ func FillTexture(m *Image, family Texture, base float64, phase float64, r *rng.S
 
 func fillFlat(m *Image, base float64, r *rng.Stream) {
 	for i := range m.Pix {
-		m.Pix[i] = clampU8(base + r.Norm(0, 1.5))
+		m.Pix[i], _ = noisyU8(base, 1.5, r)
 	}
 }
 
+// fillGradient lays a vertical ramp under a horizontal sine; the sine term
+// depends only on x, so it is evaluated once per column.
 func fillGradient(m *Image, base, phase float64) {
+	shift := make([]float64, m.W)
+	for x := range shift {
+		shift[x] = 10 * math.Sin(2*math.Pi*(float64(x)/float64(m.W)+phase))
+	}
 	for y := 0; y < m.H; y++ {
 		v := base - 40 + 80*float64(y)/float64(max(m.H-1, 1))
-		for x := 0; x < m.W; x++ {
-			shift := 10 * math.Sin(2*math.Pi*(float64(x)/float64(m.W)+phase))
-			m.Pix[y*m.W+x] = clampU8(v + shift)
+		row := m.Pix[y*m.W : (y+1)*m.W]
+		for x := range row {
+			row[x] = clampU8(v + shift[x])
 		}
 	}
 }

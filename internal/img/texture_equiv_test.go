@@ -126,4 +126,21 @@ func TestResizeMatchesReference(t *testing.T) {
 	if !dst.Equal(empty.Resize(5, 4)) {
 		t.Fatal("ResizeKernel of empty source is not a zeroed image")
 	}
+	// One kernel re-targeted in place, as the scheduler's box crops do:
+	// larger, smaller and larger again than every earlier mapping, through
+	// a degenerate one, each agreeing with the reference.
+	var rk ResizeKernel
+	for i, g := range [][4]int{
+		{14, 14, 24, 24}, {37, 29, 24, 24}, {5, 3, 24, 24}, {40, 40, 24, 24},
+		{0, 0, 24, 24}, {40, 40, 24, 24}, {9, 31, 7, 40}, {3, 3, 3, 3}, {33, 12, 41, 6},
+	} {
+		m := randomImage(r, g[0], g[1])
+		rk.Retarget(g[0], g[1], g[2], g[3])
+		dst := New(g[2], g[3])
+		dst.Fill(77)
+		rk.Apply(m, dst)
+		if !dst.Equal(resizeReference(m, g[2], g[3])) {
+			t.Fatalf("re-target %d: ResizeKernel(%dx%d -> %dx%d) differs from reference", i, g[0], g[1], g[2], g[3])
+		}
+	}
 }

@@ -8,7 +8,10 @@
 // following the reference implementations by Blackman and Vigna.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Stream is a deterministic random number stream. The zero value is not
 // usable; construct streams with New or Fork.
@@ -62,7 +65,7 @@ func (r *Stream) Fork(label string) *Stream {
 // into dst, without building the joined string or allocating the stream —
 // bit-identical to Fork(label1 + label2).
 func (r *Stream) Fork2Into(label1, label2 string, dst *Stream) {
-	x := r.s[0] ^ rotl(r.s[2], 17)
+	x := r.s[0] ^ bits.RotateLeft64(r.s[2], 17)
 	for _, b := range []byte(label1) {
 		x = (x ^ uint64(b)) * 0x100000001b3 // FNV-1a style mixing
 	}
@@ -72,19 +75,14 @@ func (r *Stream) Fork2Into(label1, label2 string, dst *Stream) {
 	dst.Reseed(splitmix64(&x))
 }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
-
-// Uint64 returns the next 64 random bits (xoshiro256**).
+// Uint64 returns the next 64 random bits (xoshiro256**). The state update
+// is one assignment over locals, which keeps Uint64 and Float64 within the
+// compiler's inlining budget; TestUint64MatchesReference pins it to the
+// reference step.
 func (r *Stream) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
-	return result
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2]^r.s[0], r.s[3]^r.s[1]
+	r.s = [4]uint64{s0 ^ s3, s1 ^ s2, s2 ^ s1<<17, bits.RotateLeft64(s3, 45)}
+	return bits.RotateLeft64(s1*5, 7) * 9
 }
 
 // Float64 returns a uniform value in [0, 1).
@@ -121,7 +119,10 @@ func (r *Stream) Range(lo, hi float64) float64 {
 // Norm returns a normally distributed value with the given mean and standard
 // deviation, using the Box-Muller transform (one value per call; the paired
 // value is discarded to keep the stream's consumption rate simple and
-// deterministic).
+// deterministic). It draws through NormUniforms and evaluates NormAt, so
+// Norm(mean, stddev) equals NormAt(mean, stddev, u1, u2) for the uniforms a
+// twin stream's NormUniforms returns. A non-positive stddev returns mean
+// and draws nothing.
 //
 // The transform is kept bit-for-bit stable deliberately: every calibrated
 // behaviour of the reproduction (scene pixels, detection draws, the Fig. 3
@@ -131,11 +132,27 @@ func (r *Stream) Norm(mean, stddev float64) float64 {
 	if stddev <= 0 {
 		return mean
 	}
-	u1 := r.Float64()
+	u1, u2 := r.NormUniforms()
+	return NormAt(mean, stddev, u1, u2)
+}
+
+// NormUniforms draws the two uniforms one Norm call consumes, in Norm's
+// order: u1 in (0, 1), re-drawn while it is zero, then u2 in [0, 1). Norm
+// and SkipNorms draw through it, and so does any caller that evaluates the
+// transform itself (img's pixel noise), so the consumption pattern is
+// written once.
+func (r *Stream) NormUniforms() (u1, u2 float64) {
+	u1 = r.Float64()
 	for u1 == 0 {
 		u1 = r.Float64()
 	}
-	u2 := r.Float64()
+	return u1, r.Float64()
+}
+
+// NormAt returns mean + stddev·√(−2 ln u1)·cos(2π u2), the exact
+// expression Norm evaluates on the uniforms NormUniforms drew. A caller that
+// approximates the transform falls back to NormAt to get Norm's bits.
+func NormAt(mean, stddev, u1, u2 float64) float64 {
 	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 	return mean + stddev*z
 }
@@ -150,14 +167,12 @@ func (r *Stream) Clone() *Stream {
 }
 
 // SkipNorms advances the stream past n Norm draws (with stddev > 0) without
-// computing the variates, replicating Norm's exact consumption pattern (u1
-// re-drawn while zero, then u2). The parallel renderer uses it to position
-// per-frame noise snapshots without paying for the transform itself.
+// computing the variates: it draws n NormUniforms pairs. The parallel
+// renderer uses it to position per-frame noise snapshots without paying for
+// the transform itself.
 func (r *Stream) SkipNorms(n int) {
 	for i := 0; i < n; i++ {
-		for r.Float64() == 0 {
-		}
-		r.Uint64() // u2
+		r.NormUniforms()
 	}
 }
 

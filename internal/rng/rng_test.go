@@ -15,6 +15,27 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestUint64MatchesReference pins Uint64 to the reference xoshiro256**
+// step of Blackman and Vigna.
+func TestUint64MatchesReference(t *testing.T) {
+	rotl := func(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
+	r := New(21)
+	s := r.s
+	for i := 0; i < 100000; i++ {
+		want := rotl(s[1]*5, 7) * 9
+		t1 := s[1] << 17
+		s[2] ^= s[0]
+		s[3] ^= s[1]
+		s[1] ^= s[2]
+		s[0] ^= s[3]
+		s[2] ^= t1
+		s[3] = rotl(s[3], 45)
+		if got := r.Uint64(); got != want || r.s != s {
+			t.Fatalf("step %d: got %#x, reference %#x", i, got, want)
+		}
+	}
+}
+
 func TestDistinctSeedsDiverge(t *testing.T) {
 	a, b := New(1), New(2)
 	same := 0

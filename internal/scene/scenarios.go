@@ -393,6 +393,6 @@ func RenderSingle(index int, ctx Context, r *rng.Stream) Frame {
 		gt = geom.Rect{X: float64(x0), Y: float64(y0), W: float64(size), H: float64(size)}
 		gt = gt.ClampTo(geom.Rect{X: 0, Y: 0, W: float64(s.W), H: float64(s.H)})
 	}
-	addNoise(frame, 2, r)
+	frame.AddNoise(2, r)
 	return Frame{Index: index, Image: frame, GT: gt, Ctx: ctx}
 }

@@ -298,7 +298,7 @@ func (s *Scenario) renderPlanned(idx int, p *framePlan) Frame {
 	}
 
 	if seg.NoiseStd > 0 {
-		addNoise(frame, seg.NoiseStd, p.noise)
+		frame.AddNoise(seg.NoiseStd, p.noise)
 	}
 	return Frame{Index: idx, Image: frame, GT: gt, Ctx: ctx}
 }
@@ -371,7 +371,7 @@ func (s *Scenario) renderSequential(seed uint64) []Frame {
 			}
 
 			if seg.NoiseStd > 0 {
-				addNoise(frame, seg.NoiseStd, noiseRand)
+				frame.AddNoise(seg.NoiseStd, noiseRand)
 			}
 
 			f := Frame{Index: idx, Image: frame, GT: gt, Ctx: ctx}
@@ -387,12 +387,6 @@ func (s *Scenario) renderSequential(seed uint64) []Frame {
 		}
 	}
 	return frames
-}
-
-func addNoise(m *img.Image, std float64, r *rng.Stream) {
-	for i, p := range m.Pix {
-		m.Pix[i] = clampU8(float64(p) + r.Norm(0, std))
-	}
 }
 
 func clampU8(v float64) uint8 {

@@ -137,12 +137,13 @@ type Scheduler struct {
 	lastBoxSum   uint64
 	lastBoxSumSq uint64
 
-	// Box-crop scratch state: the crop buffer, the cached bilinear kernel
-	// (rebuilt only when the box size changes between frames) and two
-	// normalized-crop buffers used alternately — the previous frame's crop
-	// stays live as lastBox while the current one is produced.
-	cropScratch  *img.Image
-	resizeKernel *img.ResizeKernel
+	// Box-crop scratch state: the crop buffer (its pixels only grow), the
+	// bilinear kernel (re-targeted in place when the box size changes
+	// between frames) and two normalized-crop buffers used alternately —
+	// the previous frame's crop stays live as lastBox while the current one
+	// is produced.
+	cropScratch  img.Image
+	resizeKernel img.ResizeKernel
 	boxOut       [2]*img.Image
 	boxFlip      int
 }
@@ -271,27 +272,28 @@ func (s *Scheduler) Reset() {
 
 // boxCrop extracts and normalizes the bounding-box region of frame. Output
 // pixels are identical to Crop followed by Resize; the crop scratch, resize
-// coefficients and destination buffers are reused across frames.
+// coefficients and destination buffers are reused across frames, so a box
+// size change allocates nothing once the buffers have seen a box as large.
 func (s *Scheduler) boxCrop(frame *img.Image, det detmodel.Detection) *img.Image {
 	if !det.Found || det.Box.Empty() {
 		return nil
 	}
 	w, h := int(det.Box.W), int(det.Box.H)
-	if s.cropScratch == nil || s.cropScratch.W != w || s.cropScratch.H != h {
-		s.cropScratch = img.New(w, h)
+	crop := &s.cropScratch
+	if cap(crop.Pix) < w*h {
+		crop.Pix = make([]uint8, w*h)
 	}
-	frame.CropInto(int(det.Box.X), int(det.Box.Y), s.cropScratch)
+	crop.W, crop.H, crop.Pix = w, h, crop.Pix[:w*h]
+	frame.CropInto(int(det.Box.X), int(det.Box.Y), crop)
 	size := s.cfg.BoxCropSize
-	if !s.resizeKernel.Matches(w, h, size, size) {
-		s.resizeKernel = img.NewResizeKernel(w, h, size, size)
-	}
+	s.resizeKernel.Retarget(w, h, size, size)
 	out := s.boxOut[s.boxFlip]
 	if out == nil {
 		out = img.New(size, size)
 		s.boxOut[s.boxFlip] = out
 	}
 	s.boxFlip = 1 - s.boxFlip
-	s.resizeKernel.Apply(s.cropScratch, out)
+	s.resizeKernel.Apply(crop, out)
 	return out
 }
 

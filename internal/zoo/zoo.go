@@ -73,14 +73,18 @@ type System struct {
 	Seed uint64
 
 	byName map[string]*Entry
+	pairs  []Pair // RuntimePairs, listed once by NewSystem
 }
 
-// NewSystem assembles a system from a platform and zoo entries.
+// NewSystem assembles a system from a platform and zoo entries. Neither the
+// entries nor the platform's processors change afterwards, so the runtime
+// pairs are listed here once.
 func NewSystem(soc *accel.SoC, entries []*Entry, seed uint64) *System {
 	s := &System{SoC: soc, Entries: entries, Seed: seed, byName: map[string]*Entry{}}
 	for _, e := range entries {
 		s.byName[e.Name()] = e
 	}
+	s.pairs = s.runtimePairs()
 	return s
 }
 
@@ -107,8 +111,13 @@ func (p Pair) String() string { return p.Model + "@" + p.ProcID }
 // runtime accelerators (GPU, DLA, OAK-D — the CPU hosts the scheduler, as in
 // the paper). Pairs are returned in deterministic order. With the default
 // platform's two DLAs collapsed to their shared kind, the distinct
-// (model, kind) combinations number 18, matching Table III.
-func (s *System) RuntimePairs() []Pair {
+// (model, kind) combinations number 18, matching Table III. Every call
+// returns the one slice NewSystem built, so callers must treat it as
+// read-only.
+func (s *System) RuntimePairs() []Pair { return s.pairs }
+
+// runtimePairs computes RuntimePairs' list.
+func (s *System) runtimePairs() []Pair {
 	var pairs []Pair
 	for _, e := range s.Entries {
 		for _, kind := range []accel.Kind{accel.KindGPU, accel.KindDLA, accel.KindOAKD} {

@@ -103,6 +103,25 @@ func TestRuntimePairsDeterministicOrder(t *testing.T) {
 	}
 }
 
+// TestRuntimePairsListedOnce pins the list NewSystem caches to a fresh
+// computation, and a lookup to zero allocations: the monitor policies
+// resolve their pair through it once per stream.
+func TestRuntimePairsListedOnce(t *testing.T) {
+	s := Default(1)
+	got, fresh := s.RuntimePairs(), s.runtimePairs()
+	if len(got) != len(fresh) || len(got) == 0 {
+		t.Fatalf("cached %d pairs, fresh %d", len(got), len(fresh))
+	}
+	for i := range got {
+		if got[i] != fresh[i] {
+			t.Fatalf("pair %d: cached %v, fresh %v", i, got[i], fresh[i])
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = s.RuntimePairs() }); n != 0 {
+		t.Fatalf("RuntimePairs allocates %v times per call", n)
+	}
+}
+
 func TestPerfLookup(t *testing.T) {
 	s := Default(1)
 	p, err := s.Perf(detmodel.YoloV7, "gpu")
