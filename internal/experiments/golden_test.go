@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/metrics"
+	"repro/internal/scene"
 )
 
 // goldenTableIII pins the Table III headline metrics, at full float64
@@ -39,6 +40,68 @@ const (
 // over every float's bits, rows in table order and cells in column order,
 // at seed 1 and the sizes TestTableIShape and TestTableIVShape use.
 const goldenTablesIAndIVHash = uint64(0x874e33449405ee90)
+
+// goldenSoloHash pins the solo experiments outside Table III bit for bit:
+// an FNV-1a hash over every number (labels excluded) of SkipComparison on
+// scenario 2 at skips 1 and 4, Figure5 on QuickSweepConfig over scenario 3,
+// and Figure2's series, at seed 1.
+const goldenSoloHash = uint64(0x11f1152a2a973645)
+
+// TestGoldenSoloExperiments pins the skip comparison, the Fig. 5 sweep and
+// the Fig. 2 series bit for bit.
+func TestGoldenSoloExperiments(t *testing.T) {
+	env, err := Shared()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf []byte
+	put := func(vs ...float64) {
+		for _, v := range vs {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+		}
+	}
+	putSummary := func(s metrics.Summary) {
+		put(float64(s.Scenarios), float64(s.Frames), s.AvgIoU, s.AvgTimeSec, s.AvgEnergyJ,
+			s.SuccessRate, s.NonGPUFrac, float64(s.Swaps), s.PairsUsed)
+	}
+	skip, err := SkipComparison(env, []*scene.Scenario{scene.Scenario2()}, []int{1, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range skip.SkipPoints {
+		put(float64(p.Skip))
+		putSummary(p.Summary)
+	}
+	putSummary(skip.SHIFT)
+	cfg := QuickSweepConfig()
+	cfg.Scenarios = []*scene.Scenario{scene.Scenario3()}
+	f5, err := Figure5(env, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range f5.Points {
+		put(p.AccKnob, p.EnergyKnob, p.LatencyKnob, p.AccThreshold, float64(p.Momentum),
+			p.DistThreshold, p.MeanIoU, p.MeanTimeSec, p.MeanEnergyJ)
+	}
+	for _, name := range []string{"accuracy knob", "energy knob", "latency knob",
+		"accuracy threshold", "momentum", "distance threshold"} {
+		c := f5.Correlations[name]
+		put(c[:]...)
+	}
+	f2, err := Figure2(env, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range f2.Series {
+		put(float64(len(s.Values)))
+		put(s.Values...)
+	}
+	h := fnv.New64a()
+	h.Write(buf)
+	if got := h.Sum64(); got != goldenSoloHash {
+		t.Errorf("solo experiments hash = %#x, golden %#x", got, goldenSoloHash)
+	}
+}
 
 // TestGoldenTablesIAndIV pins every Table I and Table IV number bit for bit.
 func TestGoldenTablesIAndIV(t *testing.T) {
