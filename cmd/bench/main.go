@@ -1,19 +1,19 @@
-// Command bench executes the reproduction's headline performance benchmarks
-// outside `go test` and records the results as BENCH_<date>.json, so the
-// perf trajectory of the hot paths (tracker NCC, SHIFT frame loop, offline
-// characterization) is tracked commit over commit.
+// Command bench executes the reproduction's headline benchmarks outside
+// `go test` and records them as BENCH_<date>.json: the exact bytes and
+// allocations per op of the hot paths (tracker NCC, SHIFT frame loop,
+// offline characterization, the experiment grids) and the headline table.
 //
 // Usage:
 //
-//	go run ./cmd/bench [-out BENCH_2026-07-28.json] [-date 2026-07-28] [-baseline BENCH_old.json] [-cpuprofile bench.pprof]
+//	go run ./cmd/bench [-out BENCH_2026-07-28.json] [-date 2026-07-28] [-cpuprofile bench.pprof]
 //
-// With -baseline, per-benchmark speedups against the older file are computed
-// and embedded. With -date, the document's date stamp (and the default -out
-// filename derived from it) is pinned instead of read from the wall clock,
-// so CI can produce byte-stable artifact names. Wall-clock results measure
-// the harness itself; the headline block (experiments.Headline) records
-// simulated metrics (virtual seconds and Joules), which are deterministic
-// per seed and must not drift when only performance changes.
+// With -date, the document's date stamp (and the default -out filename
+// derived from it) is pinned instead of read from the wall clock, so CI can
+// produce byte-stable artifact names. Host time is measured with paired
+// runs by the bench/ module, not here. The headline block
+// (experiments.Headline) records simulated metrics (virtual seconds and
+// Joules), which are deterministic per seed and must not drift when only
+// performance changes.
 package main
 
 import (
@@ -36,14 +36,12 @@ import (
 	"repro/internal/scene"
 )
 
-// Result is one benchmark measurement.
+// Result is one benchmark's allocation profile.
 type Result struct {
 	// Unit names what one op is (e.g. "frame", "env", "call").
-	Unit        string  `json:"unit"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	Iterations  int     `json:"iterations"`
+	Unit        string `json:"unit"`
+	BytesPerOp  int64  `json:"bytes_per_op"`
+	AllocsPerOp int64  `json:"allocs_per_op"`
 }
 
 // Doc is the serialized benchmark document.
@@ -54,17 +52,12 @@ type Doc struct {
 	GOMAXPROCS int                `json:"gomaxprocs"`
 	Results    map[string]Result  `json:"results"`
 	Headline   map[string]float64 `json:"headline"`
-	// Baseline and Speedup are present when -baseline is given: the older
-	// run's results and current-vs-baseline wall-clock ratios.
-	Baseline map[string]Result  `json:"baseline,omitempty"`
-	Speedup  map[string]float64 `json:"speedup,omitempty"`
-	Notes    string             `json:"notes,omitempty"`
+	Notes      string             `json:"notes,omitempty"`
 }
 
 func main() {
 	out := flag.String("out", "", "output JSON path (default BENCH_<date>.json)")
 	date := flag.String("date", "", "date stamp (YYYY-MM-DD) for the default -out filename and the Date field; empty means today, which drifts — pass a fixed date for reproducible artifacts in CI")
-	basePath := flag.String("baseline", "", "optional older BENCH_*.json to compute speedups against")
 	notes := flag.String("notes", "", "free-form notes recorded in the document")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the whole benchmark run to this file")
 	flag.Parse()
@@ -96,23 +89,13 @@ func main() {
 		}()
 	}
 
-	// Load the baseline before spending minutes on benchmarks, so a bad
-	// path fails immediately.
-	var baseDoc map[string]Result
-	if *basePath != "" {
-		var err error
-		if baseDoc, err = loadBaseline(*basePath); err != nil {
-			fatal(err)
-		}
-	}
-
 	env, err := experiments.NewEnv(1, experiments.DefaultValidationFrames)
 	if err != nil {
 		fatal(err)
 	}
 
 	doc := &Doc{
-		Schema:     "repro-bench/v1",
+		Schema:     "repro-bench/v2",
 		Date:       stamp,
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
@@ -121,7 +104,7 @@ func main() {
 	}
 
 	// run records one benchmark whose loop body does perOp units of work
-	// per iteration (a whole scenario is perOp frames), normalizing time and
+	// per iteration (a whole scenario is perOp frames), normalizing
 	// allocations per unit so they do not depend on the iteration count.
 	run := func(name, unit string, perOp int, fn func() error) {
 		fmt.Fprintf(os.Stderr, "benchmarking %s...\n", name)
@@ -136,10 +119,8 @@ func main() {
 		ops := int64(r.N) * int64(perOp)
 		doc.Results[name] = Result{
 			Unit:        unit,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(ops),
 			BytesPerOp:  int64(r.MemBytes) / ops,
 			AllocsPerOp: int64(r.MemAllocs) / ops,
-			Iterations:  r.N,
 		}
 	}
 
@@ -232,16 +213,6 @@ func main() {
 		doc.Notes += " " + wallNote
 	}
 
-	if baseDoc != nil {
-		doc.Baseline = baseDoc
-		doc.Speedup = map[string]float64{}
-		for name, cur := range doc.Results {
-			if base, ok := baseDoc[name]; ok && cur.NsPerOp > 0 {
-				doc.Speedup[name] = base.NsPerOp / cur.NsPerOp
-			}
-		}
-	}
-
 	buf, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		fatal(err)
@@ -254,19 +225,6 @@ func main() {
 	report(doc)
 }
 
-// loadBaseline reads an older document's results for speedup computation.
-func loadBaseline(path string) (map[string]Result, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var old Doc
-	if err := json.Unmarshal(raw, &old); err != nil {
-		return nil, fmt.Errorf("parse baseline %s: %w", path, err)
-	}
-	return old.Results, nil
-}
-
 // report prints a human-readable summary to stderr, in name order so two
 // runs of the same document render identically.
 func report(doc *Doc) {
@@ -277,12 +235,7 @@ func report(doc *Doc) {
 	sort.Strings(names)
 	for _, name := range names {
 		r := doc.Results[name]
-		line := fmt.Sprintf("%-20s %12.0f ns/%-5s %8d B/op %6d allocs/op",
-			name, r.NsPerOp, r.Unit, r.BytesPerOp, r.AllocsPerOp)
-		if s, ok := doc.Speedup[name]; ok {
-			line += fmt.Sprintf("   %.2fx vs baseline", s)
-		}
-		fmt.Fprintln(os.Stderr, line)
+		fmt.Fprintf(os.Stderr, "%-20s %8d B/%-5s %6d allocs/%s\n", name, r.BytesPerOp, r.Unit, r.AllocsPerOp, r.Unit)
 	}
 }
 

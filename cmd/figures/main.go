@@ -5,7 +5,7 @@
 //
 //	figures                # everything except the full sweep
 //	figures -exp table3    # one experiment: table1, table3, table4,
-//	                       # fig1, fig2, fig3, fig4, fig5
+//	                       # fig1, fig2, fig3, fig4, fig5, skip
 package main
 
 import (
@@ -31,81 +31,43 @@ func main() {
 	}
 }
 
+// reporter is an experiment result that renders itself as text.
+type reporter interface{ Report() string }
+
+// text is a report already rendered.
+type text string
+
+func (t text) Report() string { return string(t) }
+
 func run(seed uint64, valFrames int, exp string) error {
 	env, err := experiments.NewEnv(seed, valFrames)
 	if err != nil {
 		return err
 	}
-	runners := map[string]func() (string, error){
-		"table1": func() (string, error) {
-			r, err := experiments.TableI(env, valFrames, 500)
-			if err != nil {
-				return "", err
-			}
-			return r.Report(), nil
-		},
-		"table3": func() (string, error) {
-			r, err := experiments.TableIII(env, nil)
-			if err != nil {
-				return "", err
-			}
-			return r.Report(), nil
-		},
-		"table4": func() (string, error) {
-			r, err := experiments.TableIV(env, 500)
-			if err != nil {
-				return "", err
-			}
-			return r.Report(), nil
-		},
-		"fig1": func() (string, error) {
-			r, err := experiments.Figure1(env)
-			if err != nil {
-				return "", err
-			}
-			return r.Report(), nil
-		},
-		"fig2": func() (string, error) {
-			r, err := experiments.Figure2(env, nil)
-			if err != nil {
-				return "", err
-			}
-			return r.Report(), nil
-		},
-		"fig3": func() (string, error) {
-			r, err := experiments.Figure3(env)
-			if err != nil {
-				return "", err
-			}
-			return r.Report(), nil
-		},
-		"fig4": func() (string, error) {
-			r, err := experiments.Figure4(env)
-			if err != nil {
-				return "", err
-			}
-			return r.Report(), nil
-		},
-		"fig5": func() (string, error) {
+	runners := map[string]func() (reporter, error){
+		"table1": func() (reporter, error) { return experiments.TableI(env, valFrames, 500) },
+		"table3": func() (reporter, error) { return experiments.TableIII(env, nil) },
+		"table4": func() (reporter, error) { return experiments.TableIV(env, 500) },
+		"fig1":   func() (reporter, error) { return experiments.Figure1(env) },
+		"fig2":   func() (reporter, error) { return experiments.Figure2(env, nil) },
+		"fig3":   func() (reporter, error) { return experiments.Figure3(env) },
+		"fig4":   func() (reporter, error) { return experiments.Figure4(env) },
+		"fig5": func() (reporter, error) {
 			cfg := experiments.QuickSweepConfig()
 			cfg.Scenarios = []*scene.Scenario{scene.Scenario2()}
-			r, err := experiments.Figure5(env, cfg)
-			if err != nil {
-				return "", err
-			}
-			return r.Report(), nil
+			return experiments.Figure5(env, cfg)
 		},
-		"skip": func() (string, error) {
+		"skip": func() (reporter, error) {
 			r, err := experiments.SkipComparison(env, nil, nil)
 			if err != nil {
-				return "", err
+				return nil, err
 			}
 			fast, err := experiments.SkipComparison(env,
 				[]*scene.Scenario{scene.ScenarioFastManeuver()}, nil)
 			if err != nil {
-				return "", err
+				return nil, err
 			}
-			return r.Report() + "\nfast-maneuver stress:\n" + fast.Report(), nil
+			return text(r.Report() + "\nfast-maneuver stress:\n" + fast.Report()), nil
 		},
 	}
 	order := []string{"table1", "table4", "fig1", "fig2", "fig3", "fig4", "table3", "fig5", "skip"}
@@ -115,19 +77,19 @@ func run(seed uint64, valFrames int, exp string) error {
 		if !ok {
 			return fmt.Errorf("unknown experiment %q (have %v)", exp, order)
 		}
-		out, err := fn()
+		r, err := fn()
 		if err != nil {
 			return err
 		}
-		fmt.Println(out)
+		fmt.Println(r.Report())
 		return nil
 	}
 	for _, name := range order {
-		out, err := runners[name]()
+		r, err := runners[name]()
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
-		fmt.Printf("==== %s ====\n%s\n", name, out)
+		fmt.Printf("==== %s ====\n%s\n", name, r.Report())
 	}
 	return nil
 }

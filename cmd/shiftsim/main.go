@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/baseline"
@@ -25,57 +26,63 @@ import (
 	"repro/internal/textplot"
 )
 
+// options are the run flags.
+type options struct {
+	all, timeline                       bool
+	method, model, proc, scenario, file string
+	seed                                uint64
+	valFrames, momentum                 int
+	knobs                               sched.Knobs
+	goalAcc, maxLat, maxEnergy          float64
+}
+
 func main() {
-	var (
-		all        = flag.Bool("all", false, "run every Table III method over the whole suite")
-		method     = flag.String("method", "SHIFT", "method: SHIFT, Marlin, MarlinTiny, OracleE, OracleA, OracleL, single")
-		model      = flag.String("model", "YoloV7", "model name for -method single")
-		proc       = flag.String("proc", "gpu", "processor for -method single")
-		scenario   = flag.String("scenario", "", "scenario name (default: whole suite)")
-		file       = flag.String("file", "", "JSON scenario file (see scene.ParseScenario; overrides -scenario)")
-		seed       = flag.Uint64("seed", 1, "experiment seed")
-		valFrames  = flag.Int("val-frames", experiments.DefaultValidationFrames, "validation frames for characterization")
-		timeline   = flag.Bool("timeline", false, "print the per-scenario SHIFT timeline (Figs. 3/4 style)")
-		accKnob    = flag.Float64("acc-knob", 1.0, "accuracy knob (SHIFT)")
-		energyKnob = flag.Float64("energy-knob", 0.5, "energy knob (SHIFT)")
-		latKnob    = flag.Float64("latency-knob", 0.5, "latency knob (SHIFT)")
-		goalAcc    = flag.Float64("goal-accuracy", 0.25, "accuracy threshold (SHIFT)")
-		momentum   = flag.Int("momentum", 30, "momentum window (SHIFT)")
-		maxLat     = flag.Float64("max-latency", 0, "hard per-inference latency bound in seconds (SHIFT, 0 = off)")
-		maxEnergy  = flag.Float64("max-energy", 0, "hard per-inference energy bound in Joules (SHIFT, 0 = off)")
-	)
+	var o options
+	flag.BoolVar(&o.all, "all", false, "run every Table III method over the whole suite")
+	flag.StringVar(&o.method, "method", "SHIFT", "method: SHIFT, Marlin, MarlinTiny, OracleE, OracleA, OracleL, single")
+	flag.StringVar(&o.model, "model", "YoloV7", "model name for -method single")
+	flag.StringVar(&o.proc, "proc", "gpu", "processor for -method single")
+	flag.StringVar(&o.scenario, "scenario", "", "scenario name (default: whole suite)")
+	flag.StringVar(&o.file, "file", "", "JSON scenario file (see scene.ParseScenario; overrides -scenario)")
+	flag.Uint64Var(&o.seed, "seed", 1, "experiment seed")
+	flag.IntVar(&o.valFrames, "val-frames", experiments.DefaultValidationFrames, "validation frames for characterization")
+	flag.BoolVar(&o.timeline, "timeline", false, "print each scenario's timeline (Figs. 3/4 style) under its summary")
+	flag.Float64Var(&o.knobs.Accuracy, "acc-knob", 1.0, "accuracy knob (SHIFT)")
+	flag.Float64Var(&o.knobs.Energy, "energy-knob", 0.5, "energy knob (SHIFT)")
+	flag.Float64Var(&o.knobs.Latency, "latency-knob", 0.5, "latency knob (SHIFT)")
+	flag.Float64Var(&o.goalAcc, "goal-accuracy", 0.25, "accuracy threshold (SHIFT)")
+	flag.IntVar(&o.momentum, "momentum", 30, "momentum window (SHIFT)")
+	flag.Float64Var(&o.maxLat, "max-latency", 0, "hard per-inference latency bound in seconds (SHIFT, 0 = off)")
+	flag.Float64Var(&o.maxEnergy, "max-energy", 0, "hard per-inference energy bound in Joules (SHIFT, 0 = off)")
 	flag.Parse()
 
-	if err := run(*all, *method, *model, *proc, *scenario, *file, *seed, *valFrames, *timeline,
-		sched.Knobs{Accuracy: *accKnob, Energy: *energyKnob, Latency: *latKnob}, *goalAcc, *momentum,
-		*maxLat, *maxEnergy); err != nil {
+	if err := run(o, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "shiftsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(all bool, method, model, proc, scenarioName, file string, seed uint64, valFrames int,
-	timeline bool, knobs sched.Knobs, goalAcc float64, momentum int, maxLat, maxEnergy float64) error {
-	fmt.Printf("characterizing %d-frame validation set (seed %d)...\n", valFrames, seed)
-	env, err := experiments.NewEnv(seed, valFrames)
+func run(o options, w io.Writer) error {
+	fmt.Fprintf(w, "characterizing %d-frame validation set (seed %d)...\n", o.valFrames, o.seed)
+	env, err := experiments.NewEnv(o.seed, o.valFrames)
 	if err != nil {
 		return err
 	}
 
-	if all {
-		fmt.Println("running all methods over the six-scenario evaluation suite...")
+	if o.all {
+		fmt.Fprintln(w, "running all methods over the six-scenario evaluation suite...")
 		res, err := experiments.TableIII(env, nil)
 		if err != nil {
 			return err
 		}
-		fmt.Println(res.Report())
+		fmt.Fprintln(w, res.Report())
 		return nil
 	}
 
 	scenarios := scene.EvaluationSuite()
 	switch {
-	case file != "":
-		data, err := os.ReadFile(file)
+	case o.file != "":
+		data, err := os.ReadFile(o.file)
 		if err != nil {
 			return err
 		}
@@ -84,43 +91,47 @@ func run(all bool, method, model, proc, scenarioName, file string, seed uint64, 
 			return err
 		}
 		scenarios = []*scene.Scenario{sc}
-	case scenarioName != "":
-		sc, err := scene.ByName(scenarioName)
+	case o.scenario != "":
+		sc, err := scene.ByName(o.scenario)
 		if err != nil {
 			return err
 		}
 		scenarios = []*scene.Scenario{sc}
 	}
 
-	var summaries []metrics.Summary
-	for _, sc := range scenarios {
-		runner, err := buildRunner(env, method, model, proc, knobs, goalAcc, momentum, maxLat, maxEnergy)
-		if err != nil {
-			return err
-		}
-		r, err := runner.Run(sc.Name, env.Frames(sc))
-		if err != nil {
-			return err
-		}
+	opts := pipeline.DefaultOptions()
+	opts.Sched.Knobs = o.knobs
+	opts.Sched.AccuracyThreshold = o.goalAcc
+	opts.Sched.Momentum = o.momentum
+	opts.Sched.MaxLatencySec = o.maxLat
+	opts.Sched.MaxEnergyJ = o.maxEnergy
+	method, ok := map[string]experiments.Method{
+		"SHIFT":      experiments.SHIFTWith(env.Graph, opts),
+		"Marlin":     experiments.Marlin,
+		"MarlinTiny": experiments.MarlinTiny,
+		"OracleE":    experiments.Oracle(baseline.OracleEnergy),
+		"OracleA":    experiments.Oracle(baseline.OracleAccuracy),
+		"OracleL":    experiments.Oracle(baseline.OracleLatency),
+		"single":     experiments.SingleModel(o.model, o.proc),
+	}[o.method]
+	if !ok {
+		return fmt.Errorf("unknown method %q", o.method)
+	}
+	runs, err := experiments.RunMethods(env, []experiments.Method{method}, scenarios)
+	if err != nil {
+		return err
+	}
+	for _, r := range runs[0].Results {
 		s := metrics.Summarize(r)
-		fmt.Printf("%-12s %-10s iou=%.3f time=%.3fs energy=%.3fJ success=%.1f%% nonGPU=%.1f%% swaps=%d pairs=%.0f\n",
-			r.Method, sc.Name, s.AvgIoU, s.AvgTimeSec, s.AvgEnergyJ,
+		fmt.Fprintf(w, "%-12s %-10s iou=%.3f time=%.3fs energy=%.3fJ success=%.1f%% nonGPU=%.1f%% swaps=%d pairs=%.0f\n",
+			r.Method, r.Scenario, s.AvgIoU, s.AvgTimeSec, s.AvgEnergyJ,
 			s.SuccessRate*100, s.NonGPUFrac*100, s.Swaps, s.PairsUsed)
-		summaries = append(summaries, s)
-
-		if timeline {
-			tl, err := experiments.Timeline(env, sc)
-			if err != nil {
-				return err
-			}
-			fmt.Println(tl.Report())
+		if o.timeline {
+			fmt.Fprintln(w, experiments.TimelineOf(r).Report())
 		}
 	}
-	if len(summaries) > 1 {
-		combined, err := metrics.Combine(summaries)
-		if err != nil {
-			return err
-		}
+	if len(scenarios) > 1 {
+		combined := runs[0].Summary
 		rows := [][]string{
 			{"IoU", "Time (s)", "Energy (J)", "Success", "Non-GPU", "Swaps", "Pairs"},
 			{
@@ -133,40 +144,7 @@ func run(all bool, method, model, proc, scenarioName, file string, seed uint64, 
 				fmt.Sprintf("%.1f", combined.PairsUsed),
 			},
 		}
-		fmt.Println(textplot.Table("suite average ("+combined.Method+")", rows))
+		fmt.Fprintln(w, textplot.Table("suite average ("+combined.Method+")", rows))
 	}
 	return nil
-}
-
-// buildRunner constructs a fresh runner per scenario so clock, memory and
-// meters start clean.
-func buildRunner(env *experiments.Env, method, model, proc string,
-	knobs sched.Knobs, goalAcc float64, momentum int, maxLat, maxEnergy float64) (pipeline.Runner, error) {
-	sys := env.System()
-	switch method {
-	case "SHIFT":
-		opts := pipeline.DefaultOptions()
-		opts.Sched.Knobs = knobs
-		opts.Sched.AccuracyThreshold = goalAcc
-		opts.Sched.Momentum = momentum
-		opts.Sched.MaxLatencySec = maxLat
-		opts.Sched.MaxEnergyJ = maxEnergy
-		return pipeline.NewSHIFT(sys, env.Ch, env.Graph, opts)
-	case "Marlin":
-		return baseline.NewMarlin(sys, baseline.DefaultMarlinConfig())
-	case "MarlinTiny":
-		cfg := baseline.DefaultMarlinConfig()
-		cfg.Model = "YoloV7-Tiny"
-		return baseline.NewMarlin(sys, cfg)
-	case "OracleE":
-		return baseline.NewOracle(sys, baseline.OracleEnergy)
-	case "OracleA":
-		return baseline.NewOracle(sys, baseline.OracleAccuracy)
-	case "OracleL":
-		return baseline.NewOracle(sys, baseline.OracleLatency)
-	case "single":
-		return baseline.NewSingleModel(sys, model, proc)
-	default:
-		return nil, fmt.Errorf("unknown method %q", method)
-	}
 }

@@ -87,63 +87,16 @@ type Figure5Result struct {
 // Figure5 runs the sensitivity sweep. Confidence graphs are rebuilt per
 // distance threshold (construction bakes the threshold into the prediction
 // map); everything else reuses the environment's characterization.
+//
+// The grid is enumerated in its canonical nested order and its points run
+// over a worker pool, each as one SHIFT method served by RunMethods; a
+// point keeps only its means, so a full sweep never holds every run's
+// records at once.
 func Figure5(env *Env, cfg SweepConfig) (*Figure5Result, error) {
 	scenarios := cfg.Scenarios
 	if scenarios == nil {
 		scenarios = []*scene.Scenario{scene.Scenario2(), scene.Scenario4()}
 	}
-	// Pre-render scenario frames.
-	for _, sc := range scenarios {
-		env.Frames(sc)
-	}
-	// Pre-build graphs per distance threshold.
-	graphs, err := buildSweepGraphs(env, cfg)
-	if err != nil {
-		return nil, err
-	}
-
-	// Enumerate the grid in its canonical nested order, then run the
-	// configurations over a worker pool: each point builds fresh SHIFT
-	// runtimes over fresh systems and only reads the shared render cache,
-	// characterization and prebuilt graphs, so results land in their grid
-	// slot independent of scheduling order.
-	var grid []SweepPoint
-	for _, accK := range cfg.AccKnobs {
-		for _, enK := range cfg.EnergyKnobs {
-			for _, latK := range cfg.LatencyKnobs {
-				for _, thr := range cfg.AccThresholds {
-					for _, mom := range cfg.Momentums {
-						for _, dt := range cfg.DistThresholds {
-							grid = append(grid, SweepPoint{
-								AccKnob: accK, EnergyKnob: enK, LatencyKnob: latK,
-								AccThreshold: thr, Momentum: mom, DistThreshold: dt,
-							})
-						}
-					}
-				}
-			}
-		}
-	}
-	points := make([]SweepPoint, len(grid))
-	err = par.MapErr(len(grid), func(i int) error {
-		pt, err := runSweepPoint(env, graphs[grid[i].DistThreshold], scenarios, grid[i])
-		if err != nil {
-			return err
-		}
-		points[i] = pt
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	res := &Figure5Result{Points: points, Correlations: map[string][3]float64{}}
-	res.computeCorrelations()
-	return res, nil
-}
-
-// buildSweepGraphs constructs one confidence graph per distance threshold
-// (construction bakes the threshold into the prediction map).
-func buildSweepGraphs(env *Env, cfg SweepConfig) (map[float64]*confgraph.Graph, error) {
 	graphs := map[float64]*confgraph.Graph{}
 	for _, dt := range cfg.DistThresholds {
 		opts := confgraph.DefaultOptions()
@@ -154,40 +107,46 @@ func buildSweepGraphs(env *Env, cfg SweepConfig) (map[float64]*confgraph.Graph, 
 		}
 		graphs[dt] = g
 	}
-	return graphs, nil
-}
-
-// runSweepPoint executes SHIFT with one configuration over the scenarios.
-func runSweepPoint(env *Env, graph *confgraph.Graph, scenarios []*scene.Scenario, pt SweepPoint) (SweepPoint, error) {
-	opts := pipeline.DefaultOptions()
-	opts.Sched = sched.Config{
-		AccuracyThreshold: pt.AccThreshold,
-		Momentum:          pt.Momentum,
-		Knobs:             sched.Knobs{Accuracy: pt.AccKnob, Energy: pt.EnergyKnob, Latency: pt.LatencyKnob},
-		BoxCropSize:       24,
-	}
-	var summaries []metrics.Summary
-	for _, sc := range scenarios {
-		shift, err := pipeline.NewSHIFT(env.System(), env.Ch, graph, opts)
-		if err != nil {
-			return pt, err
+	var points []SweepPoint
+	for _, accK := range cfg.AccKnobs {
+		for _, enK := range cfg.EnergyKnobs {
+			for _, latK := range cfg.LatencyKnobs {
+				for _, thr := range cfg.AccThresholds {
+					for _, mom := range cfg.Momentums {
+						for _, dt := range cfg.DistThresholds {
+							points = append(points, SweepPoint{
+								AccKnob: accK, EnergyKnob: enK, LatencyKnob: latK,
+								AccThreshold: thr, Momentum: mom, DistThreshold: dt,
+							})
+						}
+					}
+				}
+			}
 		}
-		r, err := shift.Run(sc.Name, env.Frames(sc))
-		if err != nil {
-			return pt, err
-		}
-		s := metrics.Summarize(r)
-		s.Method = "SHIFT"
-		summaries = append(summaries, s)
 	}
-	combined, err := metrics.Combine(summaries)
+	err := par.MapErr(len(points), func(i int) error {
+		pt := &points[i]
+		opts := pipeline.DefaultOptions()
+		opts.Sched = sched.Config{
+			AccuracyThreshold: pt.AccThreshold,
+			Momentum:          pt.Momentum,
+			Knobs:             sched.Knobs{Accuracy: pt.AccKnob, Energy: pt.EnergyKnob, Latency: pt.LatencyKnob},
+			BoxCropSize:       24,
+		}
+		runs, err := RunMethods(env, []Method{SHIFTWith(graphs[pt.DistThreshold], opts)}, scenarios)
+		if err != nil {
+			return err
+		}
+		s := runs[0].Summary
+		pt.MeanIoU, pt.MeanTimeSec, pt.MeanEnergyJ = s.AvgIoU, s.AvgTimeSec, s.AvgEnergyJ
+		return nil
+	})
 	if err != nil {
-		return pt, err
+		return nil, err
 	}
-	pt.MeanIoU = combined.AvgIoU
-	pt.MeanTimeSec = combined.AvgTimeSec
-	pt.MeanEnergyJ = combined.AvgEnergyJ
-	return pt, nil
+	res := &Figure5Result{Points: points, Correlations: map[string][3]float64{}}
+	res.computeCorrelations()
+	return res, nil
 }
 
 // computeCorrelations fills the per-parameter Pearson coefficients.

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/accel"
-	"repro/internal/baseline"
 	"repro/internal/detmodel"
 	"repro/internal/metrics"
 	"repro/internal/pipeline"
@@ -97,25 +96,24 @@ func Figure2(env *Env, sc *scene.Scenario) (*Figure2Result, error) {
 	if sc == nil {
 		sc = scene.Scenario1()
 	}
-	frames := env.Frames(sc)
+	methods := make([]Method, len(figure2Models))
+	for i, model := range figure2Models {
+		methods[i] = SingleModel(model, "gpu")
+	}
+	runs, err := RunMethods(env, methods, []*scene.Scenario{sc})
+	if err != nil {
+		return nil, err
+	}
 	res := &Figure2Result{Scenario: sc.Name}
-	for _, model := range figure2Models {
-		runner, err := baseline.NewSingleModel(env.System(), model, "gpu")
-		if err != nil {
-			return nil, err
-		}
-		r, err := runner.Run(sc.Name, frames)
-		if err != nil {
-			return nil, err
-		}
+	for i, run := range runs {
 		// Drop the initial load frame so the series reflects steady state,
 		// then smooth like the paper's plots.
-		eff := metrics.EfficiencySeries(r)
+		eff := metrics.EfficiencySeries(run.Results[0])
 		if len(eff) > 1 {
 			eff = eff[1:]
 		}
 		res.Series = append(res.Series, textplot.Series{
-			Name:   model,
+			Name:   figure2Models[i],
 			Values: metrics.MovingAverage(eff, 31),
 		})
 	}
@@ -129,8 +127,8 @@ func (r *Figure2Result) Report() string {
 		r.Series, 100, 18)
 }
 
-// TimelineResult holds a SHIFT scenario timeline (Figs. 3 and 4): per-frame
-// IoU, the active pair, and the frames where SHIFT swapped.
+// TimelineResult holds one run's scenario timeline (Figs. 3 and 4 for
+// SHIFT): per-frame IoU, the active pair, and the frames where it swapped.
 type TimelineResult struct {
 	Scenario   string
 	Result     *pipeline.Result
@@ -147,15 +145,16 @@ type PairSpan struct {
 
 // Timeline runs SHIFT over a scenario and extracts the swap timeline.
 func Timeline(env *Env, sc *scene.Scenario) (*TimelineResult, error) {
-	shift, err := pipeline.NewSHIFT(env.System(), env.Ch, env.Graph, pipeline.DefaultOptions())
+	runs, err := RunMethods(env, []Method{SHIFT}, []*scene.Scenario{sc})
 	if err != nil {
 		return nil, err
 	}
-	r, err := shift.Run(sc.Name, env.Frames(sc))
-	if err != nil {
-		return nil, err
-	}
-	res := &TimelineResult{Scenario: sc.Name, Result: r}
+	return TimelineOf(runs[0].Results[0]), nil
+}
+
+// TimelineOf extracts the swap timeline of one run.
+func TimelineOf(r *pipeline.Result) *TimelineResult {
+	res := &TimelineResult{Scenario: r.Scenario, Result: r}
 	cur := ""
 	start := 0
 	for i, rec := range r.Records {
@@ -174,7 +173,7 @@ func Timeline(env *Env, sc *scene.Scenario) (*TimelineResult, error) {
 	if cur != "" {
 		res.PairSpans = append(res.PairSpans, PairSpan{Start: start, End: len(r.Records) - 1, Pair: cur})
 	}
-	return res, nil
+	return res
 }
 
 // Figure3 reproduces Fig. 3 (scenario 1: varying distance across multiple
@@ -195,7 +194,7 @@ func (r *TimelineResult) Report() string {
 	}
 	var b strings.Builder
 	b.WriteString(textplot.LineChart(
-		fmt.Sprintf("SHIFT timeline on %s (smoothed IoU and energy per frame)", r.Scenario),
+		fmt.Sprintf("%s timeline on %s (smoothed IoU and energy per frame)", r.Result.Method, r.Scenario),
 		[]textplot.Series{
 			{Name: "IoU", Values: metrics.MovingAverage(iou, 31)},
 			{Name: "energy (J)", Values: metrics.MovingAverage(energy, 31)},

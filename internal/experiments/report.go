@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/baseline"
 	"repro/internal/detmodel"
 	"repro/internal/metrics"
 	"repro/internal/scene"
@@ -68,26 +67,14 @@ func ComparisonReport(env *Env) (string, error) {
 	}
 	b.WriteString(textplot.Table("", rows))
 
-	// Headline ratios vs the single-model GPU deployment.
+	// Headline ratios vs the single-model GPU deployment, run fresh per
+	// scenario like every Table III row.
 	shift, _ := t3.Summary("SHIFT")
-	single, err := baseline.NewSingleModel(env.System(), detmodel.YoloV7, "gpu")
+	single, err := RunMethods(env, []Method{SingleModel(detmodel.YoloV7, "gpu")}, scene.EvaluationSuite())
 	if err != nil {
 		return "", err
 	}
-	var singleSummaries []metrics.Summary
-	for _, sc := range scene.EvaluationSuite() {
-		r, err := single.Run(sc.Name, env.Frames(sc))
-		if err != nil {
-			return "", err
-		}
-		s := metrics.Summarize(r)
-		s.Method = "YoloV7@gpu"
-		singleSummaries = append(singleSummaries, s)
-	}
-	sm, err := metrics.Combine(singleSummaries)
-	if err != nil {
-		return "", err
-	}
+	sm := single[0].Summary
 	fmt.Fprintf(&b, "\nHeadline vs YoloV7@GPU: latency %.1fx (paper 2.8x), energy %.1fx (paper 7.5x), IoU %.2fx (paper 0.97x)\n\n",
 		sm.AvgTimeSec/shift.AvgTimeSec, sm.AvgEnergyJ/shift.AvgEnergyJ, shift.AvgIoU/sm.AvgIoU)
 
@@ -110,25 +97,15 @@ func ComparisonReport(env *Env) (string, error) {
 	// sustain — at 30 fps even the fastest full-accuracy pipeline overruns,
 	// which is exactly why the paper optimizes latency).
 	b.WriteString("\n### Live-feed deadline extension (10 fps camera, scenario 1)\n\n")
-	sc := scene.Scenario1()
-	shiftRes := t3.PerScenario["SHIFT"][sc.Name]
-	marlinRes := t3.PerScenario["Marlin"][sc.Name]
-	singleRun, err := baseline.NewSingleModel(env.System(), detmodel.YoloV7, "gpu")
-	if err != nil {
-		return "", err
-	}
-	singleRes, err := singleRun.Run(sc.Name, env.Frames(sc))
-	if err != nil {
-		return "", err
-	}
+	s1 := single[0].Results[0] // the suite opens with scenario 1
 	const period = 1.0 / 10
 	for _, entry := range []struct {
 		name string
 		res  interface{ OnTimeRate() float64 }
 	}{
-		{"SHIFT", metrics.Deadline(shiftRes, period)},
-		{"Marlin", metrics.Deadline(marlinRes, period)},
-		{"YoloV7@gpu", metrics.Deadline(singleRes, period)},
+		{"SHIFT", metrics.Deadline(t3.PerScenario["SHIFT"][s1.Scenario], period)},
+		{"Marlin", metrics.Deadline(t3.PerScenario["Marlin"][s1.Scenario], period)},
+		{"YoloV7@gpu", metrics.Deadline(s1, period)},
 	} {
 		fmt.Fprintf(&b, "- %-12s %s\n", entry.name, entry.res)
 	}

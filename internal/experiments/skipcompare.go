@@ -4,11 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/baseline"
 	"repro/internal/detmodel"
 	"repro/internal/metrics"
-	"repro/internal/par"
-	"repro/internal/pipeline"
 	"repro/internal/scene"
 )
 
@@ -29,10 +26,6 @@ type SkipComparisonResult struct {
 
 // SkipComparison runs YoloV7@GPU with skip factors over the given scenarios
 // (default: scenarios 1 and 2) alongside SHIFT.
-//
-// All (configuration, scenario) runs fan out over a worker pool — each owns
-// a fresh runner and system — and are combined sequentially in the original
-// order, so the result matches the sequential loops exactly.
 func SkipComparison(env *Env, scenarios []*scene.Scenario, skips []int) (*SkipComparisonResult, error) {
 	if scenarios == nil {
 		scenarios = []*scene.Scenario{scene.Scenario1(), scene.Scenario2()}
@@ -40,56 +33,18 @@ func SkipComparison(env *Env, scenarios []*scene.Scenario, skips []int) (*SkipCo
 	if skips == nil {
 		skips = []int{1, 2, 4, 8, 16}
 	}
-	for _, sc := range scenarios {
-		env.Frames(sc)
+	methods := make([]Method, 0, len(skips)+1)
+	for _, skip := range skips {
+		methods = append(methods, FrameSkip(detmodel.YoloV7, "gpu", skip))
 	}
-	// Unit i runs configuration i/len(scenarios) — the skip factors first,
-	// then SHIFT — on scenario i%len(scenarios).
-	nsc := len(scenarios)
-	summaries := make([]metrics.Summary, (len(skips)+1)*nsc)
-	err := par.MapErr(len(summaries), func(i int) error {
-		ci, sc := i/nsc, scenarios[i%nsc]
-		var (
-			runner pipeline.Runner
-			method string
-			err    error
-		)
-		if ci < len(skips) {
-			runner, err = baseline.NewFrameSkip(env.System(), detmodel.YoloV7, "gpu", skips[ci])
-			method = fmt.Sprintf("skip=%d", skips[ci])
-		} else {
-			runner, err = pipeline.NewSHIFT(env.System(), env.Ch, env.Graph, pipeline.DefaultOptions())
-			method = "SHIFT"
-		}
-		if err != nil {
-			return err
-		}
-		r, err := runner.Run(sc.Name, env.Frames(sc))
-		if err != nil {
-			return err
-		}
-		s := metrics.Summarize(r)
-		s.Method = method
-		summaries[i] = s
-		return nil
-	})
+	runs, err := RunMethods(env, append(methods, SHIFT), scenarios)
 	if err != nil {
 		return nil, err
 	}
-
-	res := &SkipComparisonResult{}
-	for ci := range skips {
-		combined, err := metrics.Combine(summaries[ci*nsc : (ci+1)*nsc])
-		if err != nil {
-			return nil, err
-		}
-		res.SkipPoints = append(res.SkipPoints, SkipPoint{Skip: skips[ci], Summary: combined})
+	res := &SkipComparisonResult{SHIFT: runs[len(skips)].Summary}
+	for i, skip := range skips {
+		res.SkipPoints = append(res.SkipPoints, SkipPoint{Skip: skip, Summary: runs[i].Summary})
 	}
-	combined, err := metrics.Combine(summaries[len(skips)*nsc:])
-	if err != nil {
-		return nil, err
-	}
-	res.SHIFT = combined
 	return res, nil
 }
 

@@ -3,9 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/baseline"
 	"repro/internal/metrics"
-	"repro/internal/par"
 	"repro/internal/pipeline"
 	"repro/internal/scene"
 	"repro/internal/textplot"
@@ -20,100 +18,25 @@ type TableIIIResult struct {
 	PerScenario map[string]map[string]*pipeline.Result
 }
 
-// methodFactory builds a fresh runner (with a fresh platform) per scenario,
-// so memory, clock and meters never leak between videos.
-type methodFactory struct {
-	name  string
-	build func(env *Env) (pipeline.Runner, error)
-}
-
-// tableIIIMethods are the six rows of Table III.
-func tableIIIMethods() []methodFactory {
-	return []methodFactory{
-		{"Marlin", func(env *Env) (pipeline.Runner, error) {
-			return baseline.NewMarlin(env.System(), baseline.DefaultMarlinConfig())
-		}},
-		{"Marlin Tiny", func(env *Env) (pipeline.Runner, error) {
-			cfg := baseline.DefaultMarlinConfig()
-			cfg.Model = "YoloV7-Tiny"
-			return baseline.NewMarlin(env.System(), cfg)
-		}},
-		{"SHIFT", func(env *Env) (pipeline.Runner, error) {
-			return pipeline.NewSHIFT(env.System(), env.Ch, env.Graph, pipeline.DefaultOptions())
-		}},
-		{"Oracle E", func(env *Env) (pipeline.Runner, error) {
-			return baseline.NewOracle(env.System(), baseline.OracleEnergy)
-		}},
-		{"Oracle A", func(env *Env) (pipeline.Runner, error) {
-			return baseline.NewOracle(env.System(), baseline.OracleAccuracy)
-		}},
-		{"Oracle L", func(env *Env) (pipeline.Runner, error) {
-			return baseline.NewOracle(env.System(), baseline.OracleLatency)
-		}},
-	}
-}
-
 // TableIII reproduces the main results: Marlin, Marlin Tiny, SHIFT and the
-// three Oracles over the given scenarios (the full evaluation suite when
-// scenarios is nil).
-//
-// The (method, scenario) grid fans out over a worker pool: every cell owns a
-// fresh runner and zoo.System (clean virtual clock, meters and memory) and
-// reads the shared render cache and characterization read-only, so cell
-// results are independent of scheduling order. Assembly back into Summaries
-// and PerScenario happens sequentially in grid order, keeping the output
-// identical to the sequential loop (TestTableIIIParallelMatchesSequential).
+// three Oracles (TableIIIMethods) over the given scenarios (the full
+// evaluation suite when scenarios is nil).
 func TableIII(env *Env, scenarios []*scene.Scenario) (*TableIIIResult, error) {
 	if scenarios == nil {
 		scenarios = scene.EvaluationSuite()
 	}
-	// Render up front so workers hit the frame cache read-only.
-	for _, sc := range scenarios {
-		env.Frames(sc)
-	}
-	methods := tableIIIMethods()
-	type cell struct {
-		result  *pipeline.Result
-		summary metrics.Summary
-	}
-	cells := make([]cell, len(methods)*len(scenarios))
-	err := par.MapErr(len(cells), func(i int) error {
-		mf := methods[i/len(scenarios)]
-		sc := scenarios[i%len(scenarios)]
-		runner, err := mf.build(env)
-		if err != nil {
-			return fmt.Errorf("experiments: build %s: %w", mf.name, err)
-		}
-		r, err := runner.Run(sc.Name, env.Frames(sc))
-		if err != nil {
-			return fmt.Errorf("experiments: run %s on %s: %w", mf.name, sc.Name, err)
-		}
-		// Report under the factory's display name (e.g. the runner may
-		// self-describe as "Marlin Tiny" already; keep them aligned).
-		r.Method = mf.name
-		s := metrics.Summarize(r)
-		s.Method = mf.name
-		cells[i] = cell{result: r, summary: s}
-		return nil
-	})
+	runs, err := RunMethods(env, TableIIIMethods(), scenarios)
 	if err != nil {
 		return nil, err
 	}
-
 	res := &TableIIIResult{PerScenario: map[string]map[string]*pipeline.Result{}}
-	for mi, mf := range methods {
-		perScenario := make([]metrics.Summary, 0, len(scenarios))
-		res.PerScenario[mf.name] = map[string]*pipeline.Result{}
-		for si, sc := range scenarios {
-			c := cells[mi*len(scenarios)+si]
-			res.PerScenario[mf.name][sc.Name] = c.result
-			perScenario = append(perScenario, c.summary)
+	for _, run := range runs {
+		byScenario := map[string]*pipeline.Result{}
+		for _, r := range run.Results {
+			byScenario[r.Scenario] = r
 		}
-		combined, err := metrics.Combine(perScenario)
-		if err != nil {
-			return nil, err
-		}
-		res.Summaries = append(res.Summaries, combined)
+		res.PerScenario[run.Summary.Method] = byScenario
+		res.Summaries = append(res.Summaries, run.Summary)
 	}
 	return res, nil
 }
