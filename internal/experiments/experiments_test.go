@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/accel"
+	"repro/internal/confgraph"
 	"repro/internal/detmodel"
+	"repro/internal/pipeline"
 	"repro/internal/scene"
 )
 
@@ -326,6 +328,35 @@ func TestFigure5Correlations(t *testing.T) {
 	}
 	if !strings.Contains(res.Report(), "Figure 5") {
 		t.Fatal("report missing title")
+	}
+}
+
+// TestFigure5PointIsTableIIISHIFT pins that a sweep point runs the
+// scheduler Table III runs: at Table III's own parameters, a one-point
+// sweep over the default scenarios (2 and 4) equals SHIFT's summary there
+// bit for bit, swap margin included.
+func TestFigure5PointIsTableIIISHIFT(t *testing.T) {
+	env := testEnv(t)
+	def := pipeline.DefaultOptions().Sched
+	res, err := Figure5(env, SweepConfig{
+		AccKnobs:       []float64{def.Knobs.Accuracy},
+		EnergyKnobs:    []float64{def.Knobs.Energy},
+		LatencyKnobs:   []float64{def.Knobs.Latency},
+		AccThresholds:  []float64{def.AccuracyThreshold},
+		Momentums:      []int{def.Momentum},
+		DistThresholds: []float64{confgraph.DefaultOptions().DistanceThreshold},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs, err := RunMethods(env, []Method{SHIFT}, []*scene.Scenario{scene.Scenario2(), scene.Scenario4()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, s := res.Points[0], runs[0].Summary
+	if p.MeanIoU != s.AvgIoU || p.MeanTimeSec != s.AvgTimeSec || p.MeanEnergyJ != s.AvgEnergyJ {
+		t.Fatalf("sweep point at Table III's parameters (iou %v, %v s, %v J) differs from SHIFT (iou %v, %v s, %v J)",
+			p.MeanIoU, p.MeanTimeSec, p.MeanEnergyJ, s.AvgIoU, s.AvgTimeSec, s.AvgEnergyJ)
 	}
 }
 

@@ -84,7 +84,9 @@ type Figure5Result struct {
 	Correlations map[string][3]float64
 }
 
-// Figure5 runs the sensitivity sweep. Confidence graphs are rebuilt per
+// Figure5 runs the sensitivity sweep. Each point starts from Table III's
+// scheduler config (pipeline.DefaultOptions) and sets only the swept
+// threshold, momentum and knobs. Confidence graphs are rebuilt per
 // distance threshold (construction bakes the threshold into the prediction
 // map); everything else reuses the environment's characterization.
 //
@@ -127,12 +129,9 @@ func Figure5(env *Env, cfg SweepConfig) (*Figure5Result, error) {
 	err := par.MapErr(len(points), func(i int) error {
 		pt := &points[i]
 		opts := pipeline.DefaultOptions()
-		opts.Sched = sched.Config{
-			AccuracyThreshold: pt.AccThreshold,
-			Momentum:          pt.Momentum,
-			Knobs:             sched.Knobs{Accuracy: pt.AccKnob, Energy: pt.EnergyKnob, Latency: pt.LatencyKnob},
-			BoxCropSize:       24,
-		}
+		opts.Sched.AccuracyThreshold = pt.AccThreshold
+		opts.Sched.Momentum = pt.Momentum
+		opts.Sched.Knobs = sched.Knobs{Accuracy: pt.AccKnob, Energy: pt.EnergyKnob, Latency: pt.LatencyKnob}
 		runs, err := RunMethods(env, []Method{SHIFTWith(graphs[pt.DistThreshold], opts)}, scenarios)
 		if err != nil {
 			return err

@@ -156,12 +156,9 @@ func TestFigure5ParallelMatchesSequential(t *testing.T) {
 					for _, mom := range cfg.Momentums {
 						for _, dt := range cfg.DistThresholds {
 							opts := pipeline.DefaultOptions()
-							opts.Sched = sched.Config{
-								AccuracyThreshold: thr,
-								Momentum:          mom,
-								Knobs:             sched.Knobs{Accuracy: accK, Energy: enK, Latency: latK},
-								BoxCropSize:       24,
-							}
+							opts.Sched.AccuracyThreshold = thr
+							opts.Sched.Momentum = mom
+							opts.Sched.Knobs = sched.Knobs{Accuracy: accK, Energy: enK, Latency: latK}
 							s := sequentialSummary(t, env, SHIFTWith(graphs[dt], opts), cfg.Scenarios)
 							want.Points = append(want.Points, SweepPoint{
 								AccKnob: accK, EnergyKnob: enK, LatencyKnob: latK,
