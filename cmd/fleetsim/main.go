@@ -57,7 +57,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/fleet"
-	"repro/internal/predict"
 )
 
 // options are the serving flags.
@@ -306,12 +305,11 @@ func apply(c experiments.Cell, o options, scales []float64, set map[string]bool)
 		f.RatePerSec = o.faults / 60
 		c.Faults = &f
 	}
-	if o.autoscale && c.Autoscale == nil {
-		c.Autoscale = experiments.AutoscaleCell().Autoscale
+	if o.autoscale {
+		c.Autoscale = true
 	}
-	if o.prefetch && c.Prefetch == nil {
-		pf := predict.DefaultConfig()
-		c.Prefetch = &pf
+	if o.prefetch {
+		c.Prefetch = true
 	}
 	if o.trace != "" {
 		c.Record = true

@@ -21,28 +21,24 @@ const elasticCore = 2
 // AutoscaleCell is the elasticity cell: the fixed 4-device FleetCell
 // reference fleet serving a 20-stream SHIFT trace at base rate 0.08/s with
 // 3 streams/device and an unbounded queue — so fixed and elastic fleets
-// serve the same stream population and differ in latency only — carrying
-// the elastic controller AutoscaleGrid turns on: fleet.DefaultAutoscaleConfig
-// tightened to a 2 s control loop with ScaleOutStep 2 and an 8-device "auto"
-// warm pool at scale 1.
+// serve the same stream population and differ in latency only — with the
+// elastic controller on: a 2 s control loop against a 1 s p99 SLO that
+// provisions two devices per breach from an 8-device warm pool at scale 1
+// (fleet.Config.Autoscale).
 func AutoscaleCell() Cell {
 	c := FleetCell()
 	c.PremiumFraction = 0
 	c.Admission = fleet.Admission{PerDeviceStreams: 3, QueueLimit: -1}
 	c.Workload.Streams = 20
 	c.Workload.RatePerSec = 0.08
-	auto := fleet.DefaultAutoscaleConfig()
-	auto.Interval = 2 * time.Second
-	auto.ScaleOutStep = 2
-	auto.Templates = []fleet.DeviceTemplate{{Prefix: "auto", Scale: 1, Count: 8}}
-	c.Autoscale = &auto
+	c.Autoscale = true
 	return c
 }
 
 // AutoscaleGrid is the elasticity sweep: base expanded over arrival shape
 // (burst, diurnal) × placement (round-robin, residency-affinity) ×
 // capacity regime. "fixed" serves base's fleet with the autoscaler off;
-// "elastic" serves a 2-device core under base's controller, which
+// "elastic" serves a 2-device core with it on: the controller
 // provisions warm-pool devices when queue depth or rolling per-device p99
 // breach the target and drains idle ones back, migrating their live
 // sessions through the checkpoint/restore path — its warm pool tops out
@@ -56,10 +52,10 @@ func AutoscaleGrid(base Cell) []Cell {
 			fixed := base
 			fixed.Shape = &shape
 			fixed.Placement = p
-			fixed.Autoscale = nil
+			fixed.Autoscale = false
 			elastic := fixed
 			elastic.Devices = elasticCore
-			elastic.Autoscale = base.Autoscale
+			elastic.Autoscale = true
 			cells = append(cells, fixed, elastic)
 		}
 	}
@@ -68,7 +64,7 @@ func AutoscaleGrid(base Cell) []Cell {
 
 // mode names a cell's capacity regime.
 func (c Cell) mode() string {
-	if c.Autoscale != nil {
+	if c.Autoscale {
 		return "elastic"
 	}
 	return "fixed"
@@ -110,7 +106,7 @@ func AutoscaleReport(rows []*CellResult) string {
 		c.Workload.Streams, c.Workload.RatePerSec), table)
 	// Devices never retired run to the cell's horizon.
 	for _, row := range rows {
-		if row.Cell.Autoscale == nil || row.ScaleOuts == 0 {
+		if !row.Cell.Autoscale || row.ScaleOuts == 0 {
 			continue
 		}
 		horizon := row.Run.Horizon.Seconds()

@@ -10,7 +10,6 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
-	"repro/internal/predict"
 	"repro/internal/rng"
 	"repro/internal/runtime"
 	"repro/internal/sched"
@@ -55,10 +54,10 @@ type Cell struct {
 	// fault-free); its Seed is replaced by the experiment seed.
 	Faults *fleet.FaultConfig
 	// Durability, Autoscale, Prefetch and Regions configure the fleet
-	// directly (see fleet.Config); nil and 0 leave each feature off.
+	// directly (see fleet.Config); nil, false and 0 leave each feature off.
 	Durability *fleet.DurabilityConfig
-	Autoscale  *fleet.AutoscaleConfig
-	Prefetch   *predict.Config
+	Autoscale  bool
+	Prefetch   bool
 	Regions    int
 	// Record attaches a fresh flight recorder (CellResult.Recorder).
 	Record bool
@@ -126,7 +125,7 @@ func (r *CellResult) Report() string {
 	if st := fleet.Status(r.Run); st != "" {
 		out += "\n" + st + "\n"
 	}
-	if r.Cell.Prefetch != nil {
+	if r.Cell.Prefetch {
 		out += "\n" + scorecard(r.Run.Prefetch)
 	}
 	if r.Recorder != nil {

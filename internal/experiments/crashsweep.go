@@ -18,11 +18,7 @@ func CrashCell() Cell {
 	c.PremiumFraction = 0
 	c.BestEffortEvery = 4
 	c.Durability = &fleet.DurabilityConfig{}
-	c.Faults = &fleet.FaultConfig{
-		Horizon:             FaultHorizonFor(c.Workload),
-		PCrash:              1,
-		MeanCrashRestartSec: 5,
-	}
+	c.Faults = &fleet.FaultConfig{Horizon: FaultHorizonFor(c.Workload), PCrash: 1}
 	return c
 }
 

@@ -3,15 +3,14 @@ package experiments
 import "testing"
 
 // quickCrashCell keeps the grid small enough for unit tests: the quick
-// fault workload on two devices, with every 3rd stream best-effort and fast
-// restarts, crash-free and heavily crashed.
+// fault workload on two devices, with every 3rd stream best-effort,
+// crash-free and heavily crashed.
 func quickCrashCell() Cell {
 	q := quickFaultCell()
 	c := CrashCell()
 	c.Devices, c.Placement, c.Workload = q.Devices, q.Placement, q.Workload
 	c.BestEffortEvery = 3
 	c.Faults.Horizon = FaultHorizonFor(c.Workload)
-	c.Faults.MeanCrashRestartSec = 3
 	return c
 }
 

@@ -19,7 +19,6 @@ func quickFaultCell() Cell {
 		Scenarios: []*scene.Scenario{scene.Scenario2()},
 	}
 	c.Faults.Horizon = FaultHorizonFor(c.Workload)
-	c.Faults.MeanOutageSec = 3
 	return c
 }
 

@@ -11,7 +11,7 @@ import (
 // PrefetchCell is the miss-heavy, memory-tight predictive-prefetch cell:
 // the FleetCell tiers on 2 round-robin devices with 1000 MB pools, 12
 // oscillating-scenario streams of 240 frames at 0.3 s periods, and the
-// default TAGE swap predictor — engine loads miss periodically, so swap
+// TAGE swap predictor on — engine loads miss periodically, so swap
 // stalls own a visible share of the tail without the tail drowning in
 // queue backlog.
 func PrefetchCell() Cell {
@@ -25,16 +25,15 @@ func PrefetchCell() Cell {
 	c.Workload.MinFrames = 240
 	c.Workload.MaxFrames = 240
 	c.Workload.Scenarios = []*scene.Scenario{scene.ScenarioOscillate()}
-	pf := predict.DefaultConfig()
-	c.Prefetch = &pf
+	c.Prefetch = true
 	return c
 }
 
 // PrefetchPair is the predictive-prefetch experiment: the cell — by default
-// PrefetchCell() — served with the predictor off, then with the cell's
-// predictor on, the flight recorder attached to both. The off run is the
-// committed serving path bit-for-bit (a nil predictor takes the identical
-// code path as a build without it); the on run overlaps predicted engine
+// PrefetchCell() — served with the predictor off, then on, the flight
+// recorder attached to both. The off run is the committed serving path
+// bit-for-bit (with the predictor off the code path is identical to a
+// build without it); the on run overlaps predicted engine
 // loads with compute and pre-warms admission targets, so its swap-stall
 // share of the p99 tail is the number the predictor is judged on. The
 // predictor never steers decisions, but prefetch does change frame latency
@@ -43,7 +42,7 @@ func PrefetchCell() Cell {
 func PrefetchPair(c Cell) []Cell {
 	c.Record = true
 	off := c
-	off.Prefetch = nil
+	off.Prefetch = false
 	return []Cell{off, c}
 }
 

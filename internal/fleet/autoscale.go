@@ -8,163 +8,52 @@ import (
 	"repro/internal/metrics"
 )
 
-// DeviceTemplate describes one provisionable device class of the
-// autoscaler's warm pool. Provisioned devices are named deterministically —
-// Prefix plus a two-digit index in provisioning order — and their RNG seeds
-// derive from the fleet seed and that name alone, so elastic runs stay
-// bit-replayable and invariant to base-device listing order, exactly like
-// the fixed fleet.
-type DeviceTemplate struct {
-	// Prefix is the provisioned-device name prefix (default "auto"); the
-	// i-th device of the template is named Prefix + "%02d" % i.
-	Prefix string
-	// Scale is the accel TimeScale of provisioned devices (0: 1 — the
-	// characterized baseline; 2 a half-speed device).
-	Scale float64
-	// PoolMB sizes the provisioned device's SoC engine arena in MB (0: keep
-	// whatever the fleet's NewSystem built).
-	PoolMB int64
-	// Count is the warm-pool depth: how many devices this template can
-	// provision over the run (0: the template is exhausted from the start).
-	Count int
-}
+// The SLO-driven elastic controller. It runs as a first-class event of the
+// deterministic loop (tie order departure < fault < scale < arrival <
+// step): every scaleInterval it compares the rolling per-device p99 frame
+// latency and the admission-queue depth against the SLO, provisions
+// warm-pool devices on a breach, and decommissions quiet devices via drain
+// — stop admitting, snapshot and migrate the resident sessions
+// (runtime.Session.Drain + RestoreSession), verify the loader ended
+// refs-clean, then park the platform. Scale-in never leaves fewer
+// serving-capable devices than the base fleet had.
+const (
+	// scaleInterval is the control period on the virtual clock; the first
+	// tick fires at scaleInterval.
+	scaleInterval = 2 * time.Second
+	// scaleWindow is the rolling span of frame completions the latency
+	// signal is computed over.
+	scaleWindow = 2 * scaleInterval
+	// targetP99Sec is the SLO: a tick scales out when any device's rolling
+	// p99 frame latency exceeds it, or when any stream sits in the
+	// admission queue (the fleet is out of slots).
+	targetP99Sec = 1.0
+	// scaleOutStep is the number of devices provisioned per breach.
+	scaleOutStep = 2
+	// scaleInStreams bounds how many live sessions a drain victim may still
+	// carry: drained sessions migrate, so a small bound trades less churn
+	// for slower consolidation.
+	scaleInStreams = 1
+	// scaleInFactor sets the calm threshold: scale-in requires the worst
+	// rolling p99 below scaleInFactor×targetP99Sec, a band below the
+	// breach band.
+	scaleInFactor = 0.5
+	// idleTicks is how many consecutive calm ticks must pass before a
+	// scale-in.
+	idleTicks = 2
+	// cooldownTicks is how many ticks after a scale-out the controller
+	// refuses to scale in, so one burst cannot thrash provision/retire.
+	cooldownTicks = 2
+	// warmPool is how many devices the controller can provision over the
+	// run: auto00, auto01, … in provisioning order, at scale 1. Their RNG
+	// seeds derive from the fleet seed and that name alone, so elastic runs
+	// stay bit-replayable and invariant to base-device listing order,
+	// exactly like the fixed fleet.
+	warmPool = 8
+)
 
-// deviceName returns the template's i-th provisioned-device name.
-func (t DeviceTemplate) deviceName(i int) string {
-	return fmt.Sprintf("%s%02d", t.Prefix, i)
-}
-
-// AutoscaleConfig parameterizes the SLO-driven elastic controller. The
-// controller runs as a first-class event of the deterministic loop (tie
-// order departure < fault < scale < arrival < step): every Interval it
-// compares the rolling per-device p99 frame latency and the admission-queue
-// depth against the SLO, provisions warm-pool devices on a breach, and
-// decommissions quiet devices via drain — stop admitting, snapshot and
-// migrate the resident sessions (runtime.Session.Drain + RestoreSession),
-// verify the loader ended refs-clean, then park the platform.
-type AutoscaleConfig struct {
-	// Interval is the control period on the virtual clock (default 5s); the
-	// first tick fires at Interval.
-	Interval time.Duration
-	// Window is the rolling span of frame completions the latency signal is
-	// computed over (default 2×Interval).
-	Window time.Duration
-	// TargetP99Sec is the SLO: scale out when any device's rolling p99
-	// frame latency exceeds it (default 1.0).
-	TargetP99Sec float64
-	// QueueHighWater scales out when at least this many streams sit in the
-	// admission queue at a tick (default 1 — any queued stream means the
-	// fleet is out of slots).
-	QueueHighWater int
-	// ScaleOutStep is the number of devices provisioned per breach
-	// (default 1).
-	ScaleOutStep int
-	// ScaleInStreams bounds how many live sessions a drain victim may still
-	// carry — drained sessions migrate, so small values trade less churn
-	// for slower consolidation (default 1).
-	ScaleInStreams int
-	// ScaleInFactor sets the calm threshold: scale-in requires the worst
-	// rolling p99 below ScaleInFactor×TargetP99Sec (default 0.5; must stay
-	// ≤ 1 so the calm band sits below the breach band).
-	ScaleInFactor float64
-	// IdleTicks is how many consecutive calm ticks must pass before a
-	// scale-in (default 2).
-	IdleTicks int
-	// Cooldown is how many ticks after a scale-out the controller refuses
-	// to scale in, so one burst cannot thrash provision/retire (default 0).
-	Cooldown int
-	// MinDevices is the floor of serving-capable devices scale-in must
-	// leave (default: the configured base fleet size).
-	MinDevices int
-	// Templates is the warm pool (default: one "auto" template at scale 1
-	// with Count = 2× the base fleet).
-	Templates []DeviceTemplate
-}
-
-// DefaultAutoscaleConfig returns the controller shape the autoscale
-// experiments use: 5 s ticks against a 1 s tail SLO, with a small cooldown
-// so bursts do not thrash.
-func DefaultAutoscaleConfig() AutoscaleConfig {
-	return AutoscaleConfig{
-		Interval:       5 * time.Second,
-		TargetP99Sec:   1.0,
-		QueueHighWater: 1,
-		ScaleOutStep:   1,
-		ScaleInStreams: 1,
-		ScaleInFactor:  0.5,
-		IdleTicks:      2,
-		Cooldown:       2,
-	}
-}
-
-// withDefaults validates the config and fills the documented defaults.
-func (c AutoscaleConfig) withDefaults(baseDevices int) (AutoscaleConfig, error) {
-	if c.Interval < 0 || c.Window < 0 {
-		return c, fmt.Errorf("fleet: negative autoscale interval or window")
-	}
-	if c.Interval == 0 {
-		c.Interval = 5 * time.Second
-	}
-	if c.Window == 0 {
-		c.Window = 2 * c.Interval
-	}
-	if c.TargetP99Sec < 0 {
-		return c, fmt.Errorf("fleet: negative autoscale target p99 %v", c.TargetP99Sec)
-	}
-	if c.TargetP99Sec == 0 {
-		c.TargetP99Sec = 1.0
-	}
-	if c.QueueHighWater <= 0 {
-		c.QueueHighWater = 1
-	}
-	if c.ScaleOutStep <= 0 {
-		c.ScaleOutStep = 1
-	}
-	if c.ScaleInStreams < 0 {
-		return c, fmt.Errorf("fleet: negative autoscale scale-in stream bound %d", c.ScaleInStreams)
-	}
-	if c.ScaleInStreams == 0 {
-		c.ScaleInStreams = 1
-	}
-	if c.ScaleInFactor < 0 || c.ScaleInFactor > 1 {
-		return c, fmt.Errorf("fleet: autoscale scale-in factor %v outside [0, 1]", c.ScaleInFactor)
-	}
-	if c.ScaleInFactor == 0 {
-		c.ScaleInFactor = 0.5
-	}
-	if c.IdleTicks <= 0 {
-		c.IdleTicks = 2
-	}
-	if c.Cooldown < 0 {
-		return c, fmt.Errorf("fleet: negative autoscale cooldown %d", c.Cooldown)
-	}
-	if c.MinDevices <= 0 {
-		c.MinDevices = baseDevices
-	}
-	if len(c.Templates) == 0 {
-		c.Templates = []DeviceTemplate{{Prefix: "auto", Scale: 1, Count: 2 * baseDevices}}
-	}
-	tpls := append([]DeviceTemplate(nil), c.Templates...)
-	for i := range tpls {
-		if tpls[i].Prefix == "" {
-			tpls[i].Prefix = "auto"
-		}
-		if tpls[i].Scale < 0 {
-			return c, fmt.Errorf("fleet: template %q has negative scale %v", tpls[i].Prefix, tpls[i].Scale)
-		}
-		if tpls[i].Scale == 0 {
-			tpls[i].Scale = 1
-		}
-		if tpls[i].PoolMB < 0 {
-			return c, fmt.Errorf("fleet: template %q has negative pool %d MB", tpls[i].Prefix, tpls[i].PoolMB)
-		}
-		if tpls[i].Count < 0 {
-			return c, fmt.Errorf("fleet: template %q has negative count %d", tpls[i].Prefix, tpls[i].Count)
-		}
-	}
-	c.Templates = tpls
-	return c, nil
-}
+// warmPoolName returns the i-th provisioned device's name.
+func warmPoolName(i int) string { return fmt.Sprintf("auto%02d", i) }
 
 // latSample is one served frame's completion on the rolling signal window.
 type latSample struct {
@@ -176,11 +65,12 @@ type latSample struct {
 // autoscaler is the controller's run state. All of it is derived from
 // virtual-time events only, so elastic runs replay bit-for-bit.
 type autoscaler struct {
-	cfg    AutoscaleConfig
-	nextAt time.Duration
-	// used counts devices provisioned per template; samples is the rolling
-	// frame-latency window, appended in event order.
-	used    []int
+	// minDevices is the scale-in floor: the base fleet size.
+	minDevices int
+	nextAt     time.Duration
+	// used counts devices provisioned from the warm pool; samples is the
+	// rolling frame-latency window, appended in event order.
+	used    int
 	samples []latSample
 	// calm counts consecutive ticks below the scale-in threshold; cooldown
 	// blocks scale-in for a few ticks after a scale-out; exhausted latches
@@ -192,13 +82,9 @@ type autoscaler struct {
 	outs, ins int
 }
 
-// newAutoscaler builds the controller for a validated config.
-func newAutoscaler(cfg AutoscaleConfig) *autoscaler {
-	return &autoscaler{
-		cfg:    cfg,
-		nextAt: cfg.Interval,
-		used:   make([]int, len(cfg.Templates)),
-	}
+// newAutoscaler builds the controller for a base fleet of baseDevices.
+func newAutoscaler(baseDevices int) *autoscaler {
+	return &autoscaler{minDevices: baseDevices, nextAt: scaleInterval}
 }
 
 // worstDeviceP99 returns the maximum per-device rolling p99 frame latency,
@@ -225,22 +111,19 @@ func (a *autoscaler) worstDeviceP99() float64 {
 
 // scaleTick runs one control decision at virtual time at. It returns whether
 // the tick changed the fleet (provisioned or retired a device) so the event
-// loop can stop ticking once ticks alone cannot make progress. lastResort
-// marks a tick with no other event left in the simulation: any queued stream
-// then counts as a breach whatever QueueHighWater says, since provisioning
-// is the only thing that can ever serve it.
+// loop can stop ticking once ticks alone cannot make progress.
 //
 // Decision order: breach (queue backlog or tail-latency SLO violation) →
-// scale out; otherwise count calm ticks and, after IdleTicks of them outside
+// scale out; otherwise count calm ticks and, after idleTicks of them outside
 // any cooldown, drain the newest eligible warm-pool device.
-func (f *Fleet) scaleTick(at time.Duration, queue *[]*pending, lastResort bool) (bool, error) {
+func (f *Fleet) scaleTick(at time.Duration, queue *[]*pending) (bool, error) {
 	a := f.auto
-	a.nextAt = at + a.cfg.Interval
+	a.nextAt = at + scaleInterval
 	// Prune the signal window: samples are appended in event order but not
 	// sorted by completion (steps complete out of global order), so filter.
 	keep := a.samples[:0]
 	for _, s := range a.samples {
-		if s.done >= at-a.cfg.Window {
+		if s.done >= at-scaleWindow {
 			keep = append(keep, s)
 		}
 	}
@@ -248,11 +131,11 @@ func (f *Fleet) scaleTick(at time.Duration, queue *[]*pending, lastResort bool) 
 
 	depth := len(*queue)
 	worst := a.worstDeviceP99()
-	if (depth > 0 && lastResort) || depth >= a.cfg.QueueHighWater || worst > a.cfg.TargetP99Sec {
+	if depth > 0 || worst > targetP99Sec {
 		a.calm = 0
-		a.cooldown = a.cfg.Cooldown
+		a.cooldown = cooldownTicks
 		acted := false
-		for i := 0; i < a.cfg.ScaleOutStep; i++ {
+		for i := 0; i < scaleOutStep; i++ {
 			if !f.provision(at) {
 				break
 			}
@@ -265,12 +148,12 @@ func (f *Fleet) scaleTick(at time.Duration, queue *[]*pending, lastResort bool) 
 		a.calm = 0
 		return false, nil
 	}
-	if depth > 0 || worst > a.cfg.ScaleInFactor*a.cfg.TargetP99Sec {
+	if worst > scaleInFactor*targetP99Sec {
 		a.calm = 0
 		return false, nil
 	}
 	a.calm++
-	if a.calm < a.cfg.IdleTicks {
+	if a.calm < idleTicks {
 		return false, nil
 	}
 	d := f.drainCandidate()
@@ -284,53 +167,47 @@ func (f *Fleet) scaleTick(at time.Duration, queue *[]*pending, lastResort bool) 
 	return true, nil
 }
 
-// provision builds the next warm-pool device (templates fill in order) and
-// inserts it into the fleet's name-sorted device list. It returns false when
-// the pool is exhausted.
+// provision builds the next warm-pool device and inserts it into the
+// fleet's name-sorted device list. It returns false when the pool is
+// exhausted.
 func (f *Fleet) provision(at time.Duration) bool {
 	a := f.auto
-	for ti := range a.cfg.Templates {
-		tpl := a.cfg.Templates[ti]
-		if a.used[ti] >= tpl.Count {
-			continue
-		}
-		name := tpl.deviceName(a.used[ti])
-		a.used[ti]++
-		d, err := f.buildDevice(DeviceConfig{Name: name, Scale: tpl.Scale}, tpl.PoolMB)
-		if err != nil {
-			// Template scales were validated at New; only a harness bug can
-			// reach this.
-			panic(err)
-		}
-		d.auto = true
-		d.provisionedAt = at
-		i := sort.Search(len(f.devices), func(i int) bool { return f.devices[i].Name >= name })
-		f.devices = append(f.devices, nil)
-		copy(f.devices[i+1:], f.devices[i:])
-		f.devices[i] = d
-		f.live++
-		if f.live > f.peakLive {
-			f.peakLive = f.live
-		}
-		a.outs++
-		return true
+	if a.used >= warmPool {
+		return false
 	}
-	return false
+	name := warmPoolName(a.used)
+	a.used++
+	d, err := f.buildDevice(DeviceConfig{Name: name, Scale: 1})
+	if err != nil {
+		// Scale 1 always builds; only a harness bug can reach this.
+		panic(err)
+	}
+	d.auto = true
+	d.provisionedAt = at
+	i := sort.Search(len(f.devices), func(i int) bool { return f.devices[i].Name >= name })
+	f.devices = append(f.devices, nil)
+	copy(f.devices[i+1:], f.devices[i:])
+	f.devices[i] = d
+	f.live++
+	if f.live > f.peakLive {
+		f.peakLive = f.live
+	}
+	a.outs++
+	return true
 }
 
 // drainCandidate picks the device the next scale-in retires: an
 // autoscaler-provisioned, healthy, non-retired device carrying at most
-// ScaleInStreams sessions, leaving at least MinDevices serving-capable
-// devices behind — and only if the rest of the fleet has admission
+// scaleInStreams sessions, leaving at least the base fleet's size of
+// serving-capable devices behind — and only if the rest of the fleet has admission
 // headroom for every session the drain would migrate, so scale-in never
 // strands a live stream in the queue (which the next tick would read as a
 // breach and answer with a fresh provision, churning the warm pool). Among
 // eligible devices the warm pool retires newest-first: latest provision
-// time, ties broken by the latest name — true LIFO even when templates'
-// prefixes sort against provisioning order.
+// time, ties broken by the latest name.
 func (f *Fleet) drainCandidate() *Device {
 	a := f.auto
-	if f.live-1 < a.cfg.MinDevices {
+	if f.live-1 < a.minDevices {
 		return nil
 	}
 	var best *Device
@@ -338,7 +215,7 @@ func (f *Fleet) drainCandidate() *Device {
 		if !d.auto || d.retired || d.dead || d.down {
 			continue
 		}
-		if len(d.sessions) > a.cfg.ScaleInStreams {
+		if len(d.sessions) > scaleInStreams {
 			continue
 		}
 		if len(d.sessions) > f.headroomExcluding(d) {

@@ -1,25 +1,12 @@
 package fleet
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/detmodel"
 )
-
-// autoTestConfig returns a fast controller shape for unit tests: 1 s ticks,
-// no cooldown, scale-in after one calm tick, and a generous latency SLO so
-// queue depth is the only scale-out trigger unless a test lowers it.
-func autoTestConfig(pool int) *AutoscaleConfig {
-	return &AutoscaleConfig{
-		Interval:       time.Second,
-		TargetP99Sec:   1000,
-		QueueHighWater: 1,
-		ScaleInStreams: 1,
-		IdleTicks:      1,
-		Templates:      []DeviceTemplate{{Prefix: "auto", Scale: 1, Count: pool}},
-	}
-}
 
 // TestAutoscaleIdleIsBitIdentical: an enabled autoscaler that never has
 // reason to act (no queue pressure, nothing provisioned to drain) must leave
@@ -27,7 +14,7 @@ func autoTestConfig(pool int) *AutoscaleConfig {
 // controller costs nothing when idle.
 func TestAutoscaleIdleIsBitIdentical(t *testing.T) {
 	devs := []DeviceConfig{{Name: "edge-a"}, {Name: "edge-b", Scale: 1.25}}
-	run := func(auto *AutoscaleConfig) *Result {
+	run := func(auto bool) *Result {
 		f, err := New(Config{
 			Seed: 7, Devices: devs, Placement: NewResidencyAffinity(),
 			Admission: Admission{PerDeviceStreams: 4, QueueLimit: 4},
@@ -45,9 +32,8 @@ func TestAutoscaleIdleIsBitIdentical(t *testing.T) {
 	}
 	// A 4-stream budget keeps the seeded 8-stream workload out of the queue,
 	// so the enabled controller ticks but never acts.
-	idle := autoTestConfig(2)
-	a := run(nil)
-	b := run(idle)
+	a := run(false)
+	b := run(true)
 	compareRuns(t, a, b, "autoscaler-idle")
 	if b.ScaleOuts != 0 || b.ScaleIns != 0 {
 		t.Fatalf("idle autoscaler acted: %d outs, %d ins", b.ScaleOuts, b.ScaleIns)
@@ -58,11 +44,10 @@ func TestAutoscaleIdleIsBitIdentical(t *testing.T) {
 }
 
 // TestAutoscaleScaleOutOnQueuePressure: one saturated base device plus a
-// queued arrival must provision a warm-pool device at the next tick and
-// serve the queued stream on it — no rejections.
+// queued arrival must provision two warm-pool devices at the next tick and
+// serve the queued stream, and the one arriving at the tick, on them — no
+// rejections.
 func TestAutoscaleScaleOutOnQueuePressure(t *testing.T) {
-	cfg := autoTestConfig(2)
-	cfg.IdleTicks = 1 << 20 // scale-out only: never calm long enough to drain
 	f, err := New(Config{
 		Seed:    1,
 		Devices: []DeviceConfig{{Name: "base"}},
@@ -70,12 +55,14 @@ func TestAutoscaleScaleOutOnQueuePressure(t *testing.T) {
 			PerDeviceStreams: 1,
 			QueueLimit:       -1,
 		},
-		Autoscale: cfg,
+		Autoscale: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	frames := testFrames(t)[:100]
+	// Streams end before the controller is calm long enough to drain, so
+	// each one finishes where it was placed.
+	frames := testFrames(t)[:60]
 	mk := func(name string, at time.Duration) StreamRequest {
 		return StreamRequest{
 			Name: name, Scenario: "scenario2", Arrival: at, Frames: frames,
@@ -90,7 +77,7 @@ func TestAutoscaleScaleOutOnQueuePressure(t *testing.T) {
 		t.Fatalf("served %d rejected %d, want 3/0", res.Served, res.Rejected)
 	}
 	if res.ScaleOuts != 2 {
-		t.Fatalf("scale-outs %d, want 2 (one per queued stream)", res.ScaleOuts)
+		t.Fatalf("scale-outs %d, want 2 (one breach provisions two devices)", res.ScaleOuts)
 	}
 	if res.PeakDevices != 3 {
 		t.Fatalf("peak devices %d, want 3", res.PeakDevices)
@@ -126,12 +113,11 @@ func TestAutoscaleScaleOutOnQueuePressure(t *testing.T) {
 // and the stream completes on a base device with every frame served exactly
 // once and zero leaked refs anywhere.
 func TestAutoscaleDrainMigratesLiveSession(t *testing.T) {
-	cfg := autoTestConfig(1)
 	f, err := New(Config{
 		Seed:      1,
 		Devices:   []DeviceConfig{{Name: "base"}},
 		Admission: Admission{PerDeviceStreams: 1, QueueLimit: -1},
-		Autoscale: cfg,
+		Autoscale: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -139,8 +125,9 @@ func TestAutoscaleDrainMigratesLiveSession(t *testing.T) {
 	frames := testFrames(t)
 	// a occupies the only base slot for ~10 s; b queues behind it, is served
 	// on the provisioned auto00 and outlives a. Once a departs, the fleet is
-	// calm and base has headroom, so the next tick drains auto00 — b's live
-	// session checkpoints and resumes on base.
+	// calm and base has headroom, so the calm ticks retire the idle auto01
+	// and then drain auto00 — b's live session checkpoints and resumes on
+	// base.
 	res, err := f.RunWithFaults([]StreamRequest{
 		{Name: "a", Scenario: "scenario2", Arrival: 0, Frames: frames[:100],
 			PeriodSec: 0.1, Policy: fixedFactory(detmodel.YoloV7Tiny, "gpu")},
@@ -153,8 +140,10 @@ func TestAutoscaleDrainMigratesLiveSession(t *testing.T) {
 	if res.Served != 2 || res.Aborted != 0 {
 		t.Fatalf("served %d aborted %d, want 2/0", res.Served, res.Aborted)
 	}
-	if res.ScaleOuts != 1 || res.ScaleIns != 1 {
-		t.Fatalf("scale-outs %d scale-ins %d, want 1/1", res.ScaleOuts, res.ScaleIns)
+	// One breach provisions auto00 and auto01; the calm retires the idle
+	// auto01 first (newest), then drains auto00 under b.
+	if res.ScaleOuts != 2 || res.ScaleIns != 2 {
+		t.Fatalf("scale-outs %d scale-ins %d, want 2/2", res.ScaleOuts, res.ScaleIns)
 	}
 	var b *StreamOutcome
 	for _, out := range res.Outcomes {
@@ -214,7 +203,7 @@ func TestAutoscaleDeterminism(t *testing.T) {
 		f, err := New(Config{
 			Seed: 7, Devices: d, Placement: NewRoundRobin(),
 			Admission: Admission{PerDeviceStreams: 1, QueueLimit: -1},
-			Autoscale: autoTestConfig(3),
+			Autoscale: true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -234,52 +223,58 @@ func TestAutoscaleDeterminism(t *testing.T) {
 	compareRuns(t, a, run(shuffled), "autoscale/shuffled-devices")
 }
 
-// TestAutoscaleExhaustedPoolTerminates: when every device is dead and the
-// warm pool is empty, queued arrivals must be rejected and the run must
-// terminate rather than tick forever.
+// TestAutoscaleExhaustedPoolTerminates: when every device is dead or
+// retired and the warm pool is spent, a queued arrival must be rejected and
+// the run must terminate rather than tick forever. A burst queues behind
+// the one base device until four breaches have provisioned all eight
+// warm-pool devices, a calm stretch drains them back one by one, the base
+// device dies, and a late arrival finds nothing left to serve or provision.
 func TestAutoscaleExhaustedPoolTerminates(t *testing.T) {
-	cfg := autoTestConfig(0) // zero-depth warm pool
 	f, err := New(Config{
 		Seed:      1,
 		Devices:   []DeviceConfig{{Name: "only"}},
 		Admission: Admission{PerDeviceStreams: 1, QueueLimit: -1},
-		Autoscale: cfg,
+		Autoscale: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	frames := testFrames(t)[:30]
-	res, err := f.RunWithFaults(
-		[]StreamRequest{
-			{Name: "early", Scenario: "scenario2", Arrival: 0, Frames: frames,
-				PeriodSec: 0.1, Policy: fixedFactory(detmodel.YoloV7Tiny, "gpu")},
-			{Name: "late", Scenario: "scenario2", Arrival: 20 * time.Second, Frames: frames,
-				PeriodSec: 0.1, Policy: fixedFactory(detmodel.YoloV7Tiny, "gpu")},
-		},
-		[]Fault{{Device: "only", Kind: FaultDeath, At: 10 * time.Second}},
-	)
+	frames := testFrames(t)[:100]
+	var reqs []StreamRequest
+	for i := 0; i <= warmPool; i++ {
+		reqs = append(reqs, StreamRequest{Name: fmt.Sprintf("burst%d", i), Scenario: "scenario2",
+			Arrival: time.Duration(i) * time.Millisecond, Frames: frames,
+			PeriodSec: 0.1, Policy: fixedFactory(detmodel.YoloV7Tiny, "gpu")})
+	}
+	reqs = append(reqs, StreamRequest{Name: "late", Scenario: "scenario2", Arrival: 70 * time.Second,
+		Frames: frames[:30], PeriodSec: 0.1, Policy: fixedFactory(detmodel.YoloV7Tiny, "gpu")})
+	res, err := f.RunWithFaults(reqs, []Fault{{Device: "only", Kind: FaultDeath, At: 60 * time.Second}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rejected != 1 || res.ScaleOuts != 0 {
-		t.Fatalf("rejected %d scale-outs %d, want 1/0 (exhausted pool must reject, not spin)",
-			res.Rejected, res.ScaleOuts)
+	if res.ScaleOuts != warmPool || res.ScaleIns != warmPool {
+		t.Fatalf("scale-outs %d scale-ins %d, want %d/%d (the burst spends the pool, the calm retires it)",
+			res.ScaleOuts, res.ScaleIns, warmPool, warmPool)
+	}
+	if res.Served != warmPool+1 || res.Rejected != 1 {
+		t.Fatalf("served %d rejected %d, want %d/1 (exhausted pool must reject, not spin)",
+			res.Served, res.Rejected, warmPool+1)
+	}
+	if late := res.Outcomes[len(res.Outcomes)-1]; late.Name != "late" || !late.Rejected {
+		t.Fatalf("last outcome %s rejected=%v, want the late arrival rejected", late.Name, late.Rejected)
 	}
 	checkNoLeaks(t, f)
 }
 
-// TestAutoscaleLastResortProvisionBelowHighWater: when the queue is the only
-// thing left in the simulation, a tick must provision even though the depth
-// sits below QueueHighWater — otherwise a servable stream would be aborted
-// with warm-pool capacity still on the shelf.
-func TestAutoscaleLastResortProvisionBelowHighWater(t *testing.T) {
-	cfg := autoTestConfig(1)
-	cfg.QueueHighWater = 3 // one queued stream is normally not a breach
+// TestAutoscaleLastResortProvision: when the queue is the only thing left
+// in the simulation, a tick must still fire and provision — otherwise a
+// servable stream would be aborted with warm-pool capacity on the shelf.
+func TestAutoscaleLastResortProvision(t *testing.T) {
 	f, err := New(Config{
 		Seed:      1,
 		Devices:   []DeviceConfig{{Name: "only"}},
 		Admission: Admission{PerDeviceStreams: 1, QueueLimit: -1},
-		Autoscale: cfg,
+		Autoscale: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -293,9 +288,9 @@ func TestAutoscaleLastResortProvisionBelowHighWater(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Served != 1 || res.Rejected != 0 || res.ScaleOuts != 1 {
-		t.Fatalf("served %d rejected %d scale-outs %d, want 1/0/1 (last-resort tick must provision)",
-			res.Served, res.Rejected, res.ScaleOuts)
+	if res.Served != 1 || res.Rejected != 0 || res.ScaleOuts != scaleOutStep {
+		t.Fatalf("served %d rejected %d scale-outs %d, want 1/0/%d (last-resort tick must provision)",
+			res.Served, res.Rejected, res.ScaleOuts, scaleOutStep)
 	}
 	if res.Outcomes[0].Device != "auto00" {
 		t.Fatalf("late stream served on %s, want the provisioned auto00", res.Outcomes[0].Device)
@@ -303,71 +298,51 @@ func TestAutoscaleLastResortProvisionBelowHighWater(t *testing.T) {
 	checkNoLeaks(t, f)
 }
 
-// TestAutoscaleMinDevicesFloor: scale-in never drains below MinDevices even
-// when warm-pool devices sit idle.
+// TestAutoscaleMinDevicesFloor: scale-in never leaves fewer
+// serving-capable devices than the base fleet had, even when warm-pool
+// devices sit idle. One of two base devices dies at once, a queued stream
+// provisions two warm-pool devices, and the calm that follows may retire
+// only one of them.
 func TestAutoscaleMinDevicesFloor(t *testing.T) {
-	cfg := autoTestConfig(1)
-	cfg.MinDevices = 2 // base + one provisioned device must survive
 	f, err := New(Config{
 		Seed:      1,
-		Devices:   []DeviceConfig{{Name: "base"}},
+		Devices:   []DeviceConfig{{Name: "a"}, {Name: "b"}},
 		Admission: Admission{PerDeviceStreams: 1, QueueLimit: -1},
-		Autoscale: cfg,
+		Autoscale: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	frames := testFrames(t)[:60]
-	res, err := f.RunWithFaults([]StreamRequest{
-		{Name: "a", Scenario: "scenario2", Arrival: 0, Frames: frames,
-			PeriodSec: 0.1, Policy: fixedFactory(detmodel.YoloV7Tiny, "gpu")},
-		{Name: "b", Scenario: "scenario2", Arrival: time.Second, Frames: frames,
-			PeriodSec: 0.1, Policy: fixedFactory(detmodel.YoloV7Tiny, "gpu")},
-	}, nil)
+	mk := func(name string, at time.Duration) StreamRequest {
+		return StreamRequest{Name: name, Scenario: "scenario2", Arrival: at, Frames: frames,
+			PeriodSec: 0.1, Policy: fixedFactory(detmodel.YoloV7Tiny, "gpu")}
+	}
+	// The late arrival keeps the controller ticking through the calm.
+	res, err := f.RunWithFaults([]StreamRequest{mk("s1", 0), mk("s2", time.Second), mk("late", 40*time.Second)},
+		[]Fault{{Device: "b", Kind: FaultDeath, At: 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ScaleOuts != 1 || res.ScaleIns != 0 {
-		t.Fatalf("scale-outs %d scale-ins %d, want 1/0 (MinDevices forbids the drain)",
+	if res.ScaleOuts != 2 || res.ScaleIns != 1 {
+		t.Fatalf("scale-outs %d scale-ins %d, want 2/1 (the base size forbids the second drain)",
 			res.ScaleOuts, res.ScaleIns)
+	}
+	if res.Served != 3 {
+		t.Fatalf("served %d, want 3", res.Served)
 	}
 	checkNoLeaks(t, f)
 }
 
 // TestAutoscaleConfigValidation covers the controller's constructor
-// contracts: bad knobs and warm-pool name collisions fail at New.
+// contract: a base device squatting on a warm-pool name fails at New.
 func TestAutoscaleConfigValidation(t *testing.T) {
-	base := []DeviceConfig{{Name: "edge"}}
-	bad := []AutoscaleConfig{
-		{Interval: -time.Second},
-		{TargetP99Sec: -1},
-		{ScaleInFactor: 2},
-		{ScaleInStreams: -1},
-		{Cooldown: -1},
-		{Templates: []DeviceTemplate{{Prefix: "auto", Scale: -1, Count: 1}}},
-		{Templates: []DeviceTemplate{{Prefix: "auto", PoolMB: -1, Count: 1}}},
-		{Templates: []DeviceTemplate{{Prefix: "auto", Count: -1}}},
-	}
-	for i, cfg := range bad {
-		c := cfg
-		if _, err := New(Config{Devices: base, Autoscale: &c}); err == nil {
-			t.Fatalf("bad autoscale config %d accepted: %+v", i, cfg)
-		}
-	}
-	// A base device squatting on a warm-pool name must be rejected up front.
-	collide := AutoscaleConfig{Templates: []DeviceTemplate{{Prefix: "edge", Count: 1}}}
-	if _, err := New(Config{
-		Devices:   []DeviceConfig{{Name: "edge00"}},
-		Autoscale: &collide,
-	}); err == nil {
+	devs := []DeviceConfig{{Name: "edge"}, {Name: "auto07"}}
+	if _, err := New(Config{Devices: devs, Autoscale: true}); err == nil {
 		t.Fatal("warm-pool name collision accepted")
 	}
-	// Duplicate prefixes across templates collide with each other too.
-	dup := AutoscaleConfig{Templates: []DeviceTemplate{
-		{Prefix: "auto", Count: 1}, {Prefix: "auto", Count: 1},
-	}}
-	if _, err := New(Config{Devices: base, Autoscale: &dup}); err == nil {
-		t.Fatal("duplicate warm-pool names accepted")
+	if _, err := New(Config{Devices: devs}); err != nil {
+		t.Fatalf("fixed fleet rejected a device named like the warm pool: %v", err)
 	}
 }
 

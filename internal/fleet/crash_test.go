@@ -316,8 +316,6 @@ func TestJournalAuditAcrossRegions(t *testing.T) {
 	fcfg.RatePerSec = 1
 	fcfg.Horizon = 15 * time.Second
 	fcfg.POutage, fcfg.PDeath, fcfg.PBrownout, fcfg.PCrash = 0.2, 0, 0.2, 0.6
-	fcfg.MeanOutageSec = 2
-	fcfg.MeanCrashRestartSec = 1
 	faults, err := GenerateFaults(fcfg, names(devices))
 	if err != nil {
 		t.Fatal(err)

@@ -76,38 +76,36 @@ type FaultConfig struct {
 	// Horizon bounds fault onsets: faults fire in [0, Horizon).
 	Horizon time.Duration
 	// POutage, PDeath, PBrownout and PCrash weight the kind drawn per fault
-	// (normalized; outage/death/brownout all zero means the default
-	// 0.5/0.2/0.3 mix). PCrash > 0 requires the fleet's Durability journal;
-	// leaving it zero keeps the generated schedule bit-identical to builds
-	// without the crash fault class.
+	// (normalized; all zero means the default 0.5/0.2/0.3
+	// outage/death/brownout mix). PCrash > 0 requires the fleet's
+	// Durability journal; leaving it zero keeps the generated schedule
+	// bit-identical to builds without the crash fault class.
 	POutage, PDeath, PBrownout, PCrash float64
-	// MeanOutageSec and MeanBrownoutSec are the mean transient-fault lengths
-	// (exponential draws); MeanCrashRestartSec is the mean worker restart
-	// time after a crash (default 5).
-	MeanOutageSec, MeanBrownoutSec, MeanCrashRestartSec float64
-	// BrownoutFactor is the latency multiplier applied during brownouts.
-	BrownoutFactor float64
-	// MaxDeaths caps permanent failures; generation always leaves at least
-	// one device un-killed so a schedule alone can never strand the workload
-	// forever. Negative disables deaths entirely.
-	MaxDeaths int
 }
+
+// The shape of a generated fault: outages, brownouts and crash restarts
+// last an exponential draw around their mean, a brownout multiplies the
+// device's latency by brownoutFactor, and at most maxDeaths devices die —
+// always leaving at least one un-killed, so a schedule alone can never
+// strand the workload forever.
+const (
+	meanOutageSec       = 8
+	meanBrownoutSec     = 15
+	meanCrashRestartSec = 5
+	brownoutFactor      = 2.5
+	maxDeaths           = 1
+)
 
 // DefaultFaultConfig returns a schedule shape that exercises every failure
 // mode a few times over a multi-minute serving window.
 func DefaultFaultConfig() FaultConfig {
 	return FaultConfig{
-		Seed:                1,
-		RatePerSec:          1.0 / 30,
-		Horizon:             120 * time.Second,
-		POutage:             0.5,
-		PDeath:              0.2,
-		PBrownout:           0.3,
-		MeanOutageSec:       8,
-		MeanBrownoutSec:     15,
-		MeanCrashRestartSec: 5,
-		BrownoutFactor:      2.5,
-		MaxDeaths:           1,
+		Seed:       1,
+		RatePerSec: 1.0 / 30,
+		Horizon:    120 * time.Second,
+		POutage:    0.5,
+		PDeath:     0.2,
+		PBrownout:  0.3,
 	}
 }
 
@@ -115,7 +113,7 @@ func DefaultFaultConfig() FaultConfig {
 // devices: exponential inter-onset gaps, device and kind drawn per fault, and
 // transient lengths drawn exponentially. Devices are addressed in sorted-name
 // order, so the schedule is invariant to listing order; generation consumes
-// only its own forked stream. Deaths stop once MaxDeaths (or device count - 1)
+// only its own forked stream. Deaths stop once maxDeaths (or device count - 1)
 // devices have been condemned — the remaining mass falls to outages.
 func GenerateFaults(cfg FaultConfig, devices []string) ([]Fault, error) {
 	if len(devices) == 0 {
@@ -127,35 +125,17 @@ func GenerateFaults(cfg FaultConfig, devices []string) ([]Fault, error) {
 	if cfg.Horizon <= 0 {
 		return nil, fmt.Errorf("fleet: fault schedule needs a positive horizon, got %v", cfg.Horizon)
 	}
-	def := DefaultFaultConfig()
 	if cfg.POutage == 0 && cfg.PDeath == 0 && cfg.PBrownout == 0 && cfg.PCrash == 0 {
+		def := DefaultFaultConfig()
 		cfg.POutage, cfg.PDeath, cfg.PBrownout = def.POutage, def.PDeath, def.PBrownout
 	}
 	if cfg.POutage < 0 || cfg.PDeath < 0 || cfg.PBrownout < 0 || cfg.PCrash < 0 {
 		return nil, fmt.Errorf("fleet: negative fault kind weight")
 	}
-	if cfg.MeanOutageSec <= 0 {
-		cfg.MeanOutageSec = def.MeanOutageSec
-	}
-	if cfg.MeanBrownoutSec <= 0 {
-		cfg.MeanBrownoutSec = def.MeanBrownoutSec
-	}
-	if cfg.MeanCrashRestartSec <= 0 {
-		cfg.MeanCrashRestartSec = def.MeanCrashRestartSec
-	}
-	if cfg.BrownoutFactor <= 1 {
-		cfg.BrownoutFactor = def.BrownoutFactor
-	}
 	names := append([]string(nil), devices...)
 	sort.Strings(names)
 
-	deathBudget := cfg.MaxDeaths
-	if deathBudget < 0 {
-		deathBudget = 0
-	}
-	if deathBudget > len(names)-1 {
-		deathBudget = len(names) - 1
-	}
+	deathBudget := min(maxDeaths, len(names)-1)
 	dead := map[string]bool{}
 
 	r := rng.New(cfg.Seed).Fork("fleet/faults")
@@ -190,14 +170,14 @@ func GenerateFaults(cfg FaultConfig, devices []string) ([]Fault, error) {
 		}
 		switch f.Kind {
 		case FaultOutage:
-			f.Duration = time.Duration(-math.Log(1-r.Float64()) * cfg.MeanOutageSec * float64(time.Second))
+			f.Duration = time.Duration(-math.Log(1-r.Float64()) * meanOutageSec * float64(time.Second))
 		case FaultDeath:
 			dead[name] = true
 		case FaultBrownout:
-			f.Duration = time.Duration(-math.Log(1-r.Float64()) * cfg.MeanBrownoutSec * float64(time.Second))
-			f.Factor = cfg.BrownoutFactor
+			f.Duration = time.Duration(-math.Log(1-r.Float64()) * meanBrownoutSec * float64(time.Second))
+			f.Factor = brownoutFactor
 		case FaultCrash:
-			f.Duration = time.Duration(-math.Log(1-r.Float64()) * cfg.MeanCrashRestartSec * float64(time.Second))
+			f.Duration = time.Duration(-math.Log(1-r.Float64()) * meanCrashRestartSec * float64(time.Second))
 		}
 		faults = append(faults, f)
 	}

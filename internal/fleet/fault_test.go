@@ -490,8 +490,8 @@ func TestGenerateFaultsDeterministicAndBounded(t *testing.T) {
 			t.Fatalf("fault %d names unknown device %q", i, a[i].Device)
 		}
 	}
-	if deaths > cfg.MaxDeaths {
-		t.Fatalf("%d deaths exceed budget %d", deaths, cfg.MaxDeaths)
+	if deaths > maxDeaths {
+		t.Fatalf("%d deaths exceed budget %d", deaths, maxDeaths)
 	}
 	if _, err := GenerateFaults(cfg, nil); err == nil {
 		t.Fatal("no devices should fail")

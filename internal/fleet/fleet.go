@@ -24,7 +24,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/accel"
 	"repro/internal/loader"
 	"repro/internal/obs"
 	"repro/internal/predict"
@@ -239,9 +238,11 @@ type Config struct {
 	NewSystem func(seed uint64) *zoo.System
 	// Eviction is each device loader's eviction policy (default LRR).
 	Eviction loader.EvictionPolicy
-	// Autoscale enables the SLO-driven elastic controller (nil: the fleet is
-	// fixed and behaves bit-identically to a build without the autoscaler).
-	Autoscale *AutoscaleConfig
+	// Autoscale turns on the SLO-driven elastic controller, which
+	// provisions up to eight warm-pool devices under pressure and drains
+	// idle ones back (autoscale.go). Off, the fleet is fixed and behaves
+	// bit-identically to a build without the autoscaler.
+	Autoscale bool
 	// Durability enables the durable checkpoint journal, the recovery store
 	// crash faults restore from (nil: no journaling; crash faults are then
 	// rejected at schedule validation, and results are bit-identical to a
@@ -268,17 +269,17 @@ type Config struct {
 	// the determinism fuzzer). Nil disables recording at zero cost beyond
 	// one nil-check per hook.
 	Recorder *obs.Recorder
-	// Prefetch enables TAGE-style swap prediction with speculative overlap
+	// Prefetch turns on TAGE-style swap prediction with speculative overlap
 	// prefetch (internal/predict) on every served session, plus an
 	// admission-time pre-warm: an arriving stream's scenario affinity set (or
 	// a migrating stream's predicted working set) is speculatively loaded on
-	// the target device before its first frame. Strictly advisory — nil is
-	// bit-identical to a build without the predictor, and with it set the
+	// the target device before its first frame. Strictly advisory — off is
+	// bit-identical to a build without the predictor, and on leaves the
 	// decision stream (pairs, detections, fallbacks, admission and placement)
-	// is unchanged; only latency and energy move. Wrong predictions cost
+	// unchanged; only latency and energy move. Wrong predictions cost
 	// bandwidth and ghost memory only: speculative residents are invisible to
 	// eviction pre-checks and are reclaimed before any demand eviction.
-	Prefetch *predict.Config
+	Prefetch bool
 }
 
 // DeriveSeed returns the deterministic per-device seed used when a
@@ -348,11 +349,11 @@ type Fleet struct {
 	// single nil-check).
 	rec *obs.Recorder
 
-	// prefetch enables per-session swap prediction (nil: off, bit-identical
-	// to a build without it); prefTotal accumulates departed sessions' fleet-
+	// prefetch enables per-session swap prediction (off: bit-identical to
+	// a build without it); prefTotal accumulates departed sessions' fleet-
 	// wide predictor stats in global event order (aborted and shed streams'
 	// partial stats are not folded — their sessions never depart).
-	prefetch  *predict.Config
+	prefetch  bool
 	prefTotal predict.Stats
 }
 
@@ -386,12 +387,6 @@ func New(cfg Config) (*Fleet, error) {
 		rec:          cfg.Recorder,
 		prefetch:     cfg.Prefetch,
 	}
-	if f.prefetch != nil {
-		// Normalize once so fleet-level knob reads (the pre-warm depth
-		// cap) see the same values the per-session predictors resolve.
-		norm := f.prefetch.WithDefaults()
-		f.prefetch = &norm
-	}
 	for i := 0; i < f.nregions; i++ {
 		f.regions = append(f.regions, &region{})
 	}
@@ -404,7 +399,7 @@ func New(cfg Config) (*Fleet, error) {
 			return nil, fmt.Errorf("fleet: duplicate device name %q", dc.Name)
 		}
 		seen[dc.Name] = true
-		d, err := f.buildDevice(dc, 0)
+		d, err := f.buildDevice(dc)
 		if err != nil {
 			return nil, err
 		}
@@ -413,32 +408,22 @@ func New(cfg Config) (*Fleet, error) {
 	sort.Slice(f.devices, func(i, j int) bool { return f.devices[i].Name < f.devices[j].Name })
 	f.live = len(f.devices)
 	f.peakLive = f.live
-	if cfg.Autoscale != nil {
-		acfg, err := cfg.Autoscale.withDefaults(len(cfg.Devices))
-		if err != nil {
-			return nil, err
-		}
-		// Warm-pool names are fixed up front, so a template can never
-		// collide with a base device mid-run.
-		for _, tpl := range acfg.Templates {
-			for i := 0; i < tpl.Count; i++ {
-				name := tpl.deviceName(i)
-				if seen[name] {
-					return nil, fmt.Errorf("fleet: warm-pool device name %q collides", name)
-				}
-				seen[name] = true
+	if cfg.Autoscale {
+		// Warm-pool names are fixed up front, so a provisioned device can
+		// never collide with a base device mid-run.
+		for i := 0; i < warmPool; i++ {
+			if name := warmPoolName(i); seen[name] {
+				return nil, fmt.Errorf("fleet: warm-pool device name %q collides", name)
 			}
 		}
-		f.auto = newAutoscaler(acfg)
+		f.auto = newAutoscaler(len(cfg.Devices))
 	}
 	return f, nil
 }
 
 // buildDevice assembles one serving platform from its config — shared by New
-// (base fleet) and the autoscaler (warm-pool provisioning). poolMB > 0
-// replaces the SoC engine arena after construction, the warm-pool template's
-// memory knob.
-func (f *Fleet) buildDevice(dc DeviceConfig, poolMB int64) (*Device, error) {
+// (base fleet) and the autoscaler (warm-pool provisioning).
+func (f *Fleet) buildDevice(dc DeviceConfig) (*Device, error) {
 	scale := dc.Scale
 	if scale == 0 {
 		scale = 1
@@ -453,9 +438,6 @@ func (f *Fleet) buildDevice(dc DeviceConfig, poolMB int64) (*Device, error) {
 	sys := f.newSystem(devSeed)
 	if err := sys.SoC.SetTimeScale(scale); err != nil {
 		return nil, fmt.Errorf("fleet: device %q: %w", dc.Name, err)
-	}
-	if poolMB > 0 {
-		sys.SoC.Pools[accel.SoCPoolName] = accel.NewMemPool(accel.SoCPoolName, poolMB*accel.MB)
 	}
 	return &Device{
 		Name:   dc.Name,
@@ -724,11 +706,10 @@ func (f *Fleet) RunWithFaults(reqs []StreamRequest, faults []Fault) (*Result, er
 			}
 		case evScale:
 			// When no departure, fault, arrival or step remains, only
-			// provisioning can ever serve the queue — the tick must try
-			// regardless of QueueHighWater, and if even that cannot act,
-			// the scale stream ends so the queue falls through to the
+			// provisioning can ever serve the queue; if even that cannot
+			// act, the scale stream ends so the queue falls through to the
 			// terminal rejection above.
-			acted, err := f.scaleTick(pick.at, &queue, pick.lastResort)
+			acted, err := f.scaleTick(pick.at, &queue)
 			if err != nil {
 				return fail(err)
 			}
@@ -1006,7 +987,7 @@ func (f *Fleet) admit(p *pending, at time.Duration, cands []*Device) error {
 	carried := 0
 	if p.snap != nil {
 		// Checkpoints decoded from the wire (crash recovery) carry no
-		// predictor config — re-install the fleet's before restoring, so a
+		// predictor switch — re-install the fleet's before restoring, so a
 		// recovered stream resumes predicting. In-memory snapshots already
 		// carry it (and their predictor state); SetPrefetch is idempotent.
 		p.snap.SetPrefetch(f.prefetch)
@@ -1051,7 +1032,7 @@ func (f *Fleet) admit(p *pending, at time.Duration, cands []*Device) error {
 			f.rec.QueueWait(out.Name, dev.Name, out.Arrival, at)
 		}
 	}
-	if f.prefetch != nil {
+	if f.prefetch {
 		// Pre-warm the target before the first frame: a migrating stream
 		// brings its predictor's confident working-set chain; when that is
 		// empty (fresh arrival, or crash recovery whose wire checkpoint
@@ -1061,7 +1042,7 @@ func (f *Fleet) admit(p *pending, at time.Duration, cands []*Device) error {
 		// Admissions run on the sequential global path in both region modes,
 		// so flushing the pre-warm spans here keeps region-mode span
 		// collection ranges exact.
-		warm := sess.PredictedWorkingSet(0)
+		warm := sess.PredictedWorkingSet()
 		if len(warm) == 0 {
 			warm = f.Affinity(req.Scenario)
 		}
@@ -1069,8 +1050,8 @@ func (f *Fleet) admit(p *pending, at time.Duration, cands []*Device) error {
 		// cap it at the same depth the predictor chain walks so one
 		// admission cannot clog the copy channel or displace a working
 		// set's worth of warm engines.
-		if d := f.prefetch.PrewarmDepth; d > 0 && len(warm) > d {
-			warm = warm[:d]
+		if len(warm) > predict.PrewarmDepth {
+			warm = warm[:predict.PrewarmDepth]
 		}
 		if err := sess.Prewarm(warm); err != nil {
 			return errors.Join(fmt.Errorf("fleet: prewarm %s on %s: %w", req.Name, dev.Name, err), sess.Close())

@@ -7,7 +7,6 @@ import (
 	"repro/internal/accel"
 	"repro/internal/detmodel"
 	"repro/internal/obs"
-	"repro/internal/predict"
 	"repro/internal/runtime"
 	"repro/internal/scene"
 	"repro/internal/zoo"
@@ -55,7 +54,6 @@ func FuzzFleetDeterminism(f *testing.F) {
 			fcfg.Seed = fseed
 			fcfg.RatePerSec = 0.1
 			fcfg.Horizon = 45 * time.Second
-			fcfg.MeanOutageSec = 4
 			faults, err = GenerateFaults(fcfg, names(devices))
 			if err != nil {
 				t.Fatal(err)
@@ -88,25 +86,25 @@ func FuzzFleetDeterminism(f *testing.F) {
 			}
 			return res
 		}
-		run := func(devs []DeviceConfig, regions int, rec *obs.Recorder, pf *predict.Config) *Result {
+		run := func(devs []DeviceConfig, regions int, rec *obs.Recorder, pf bool) *Result {
 			cfg := base
 			cfg.Devices, cfg.Regions, cfg.Recorder, cfg.Prefetch = devs, regions, rec, pf
 			return serve(cfg, reqs, faults)
 		}
-		a := run(devices, 0, nil, nil)
-		b := run(devices, 0, nil, nil)
+		a := run(devices, 0, nil, false)
+		b := run(devices, 0, nil, false)
 		compareRuns(t, a, b, "repeat")
 		shuffled := make([]DeviceConfig, devCount)
 		for i := range devices {
 			shuffled[(i+1)%devCount] = devices[i]
 		}
-		c := run(shuffled, 0, nil, nil)
+		c := run(shuffled, 0, nil, false)
 		compareRuns(t, a, c, "shuffled-devices")
 		// Region equivalence: the sharded-region loop must replay the
 		// single-region run bit-for-bit, at a region count derived from the
 		// input so the corpus explores several.
 		regions := int((wseed+fseed+ndev)%3) + 2
-		r := run(devices, regions, nil, nil)
+		r := run(devices, regions, nil, false)
 		compareRuns(t, a, r, "regions")
 		if a.Events != r.Events {
 			t.Fatalf("event counts diverge across region counts: 1-region %d, %d-region %d",
@@ -117,10 +115,10 @@ func FuzzFleetDeterminism(f *testing.F) {
 		// span for span, and every frame span's latency decomposition sums
 		// exactly (integer Duration domain, no rounding slack).
 		recA := obs.NewRecorder()
-		ra := run(devices, 0, recA, nil)
+		ra := run(devices, 0, recA, false)
 		compareRuns(t, a, ra, "recorder-attached")
 		recR := obs.NewRecorder()
-		rr := run(devices, regions, recR, nil)
+		rr := run(devices, regions, recR, false)
 		compareRuns(t, a, rr, "recorder-regions")
 		sa, sr := recA.Spans(), recR.Spans()
 		if len(sa) != len(sr) {
@@ -150,11 +148,10 @@ func FuzzFleetDeterminism(f *testing.F) {
 		// prefetch-hit frames carry zero swap stall, and every decomposition
 		// still sums exactly (checkPrefetchSpans, shared with the fleet
 		// prefetch test).
-		pf := predict.DefaultConfig()
 		recP := obs.NewRecorder()
-		p1 := run(devices, 0, recP, &pf)
+		p1 := run(devices, 0, recP, true)
 		recP2 := obs.NewRecorder()
-		p2 := run(devices, regions, recP2, &pf)
+		p2 := run(devices, regions, recP2, true)
 		compareRuns(t, p1, p2, "prefetch-regions")
 		if p1.Prefetch != p2.Prefetch {
 			t.Fatalf("predictor scorecard diverges across region counts: %+v vs %+v", p1.Prefetch, p2.Prefetch)
@@ -198,8 +195,6 @@ func FuzzFleetDeterminism(f *testing.F) {
 		ccfg.RatePerSec = 0.1
 		ccfg.Horizon = 45 * time.Second
 		ccfg.PCrash = 0.5
-		ccfg.MeanOutageSec = 4
-		ccfg.MeanCrashRestartSec = 3
 		cfaults, err := GenerateFaults(ccfg, names(devices))
 		if err != nil {
 			t.Fatal(err)
@@ -216,9 +211,9 @@ func FuzzFleetDeterminism(f *testing.F) {
 				sys.SoC.Pools[accel.SoCPoolName] = accel.NewMemPool(accel.SoCPoolName, 1100*accel.MB)
 				return sys
 			}
-			cfg.Autoscale = autoTestConfig(2)
+			cfg.Autoscale = true
 			cfg.Durability = &DurabilityConfig{EveryFrames: 3}
-			cfg.Prefetch = &pf
+			cfg.Prefetch = true
 			cfg.Recorder = obs.NewRecorder()
 			res := serve(cfg, creqs, cfaults)
 			for _, out := range res.Outcomes {

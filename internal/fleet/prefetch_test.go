@@ -7,7 +7,6 @@ import (
 	"repro/internal/accel"
 	"repro/internal/detmodel"
 	"repro/internal/obs"
-	"repro/internal/predict"
 	"repro/internal/runtime"
 	"repro/internal/zoo"
 )
@@ -62,7 +61,7 @@ func (p *cyclePolicy) Step(st *runtime.Step) error {
 // 1100 MB pool fits any two of {YoloV7 600, SSD-MobilenetV1 150,
 // SSD-Resnet50 400} but never all three, so block-cycling streams swap at
 // every block boundary forever.
-func prefetchCell(t *testing.T, regions int, rec *obs.Recorder, pf *predict.Config) *Result {
+func prefetchCell(t *testing.T, regions int, rec *obs.Recorder, pf bool) *Result {
 	t.Helper()
 	frames := testFrames(t)[:108]
 	newSystem := func(seed uint64) *zoo.System {
@@ -163,9 +162,8 @@ func checkPrefetchSpans(t *testing.T, spans []obs.Span) (hits int) {
 // and the run is deterministic — an identical repeat and a region-sharded
 // advance reproduce results, spans and the predictor scorecard bit-for-bit.
 func TestFleetPrefetchHitFramesHaveZeroSwap(t *testing.T) {
-	pf := predict.DefaultConfig()
 	rec := obs.NewRecorder()
-	a := prefetchCell(t, 0, rec, &pf)
+	a := prefetchCell(t, 0, rec, true)
 	if a.Prefetch.Swaps == 0 {
 		t.Fatal("cell produced no swaps; the prefetch suite is vacuous")
 	}
@@ -183,7 +181,7 @@ func TestFleetPrefetchHitFramesHaveZeroSwap(t *testing.T) {
 
 	// Identical repeat: results, spans and scorecard must reproduce exactly.
 	rec2 := obs.NewRecorder()
-	b := prefetchCell(t, 0, rec2, &pf)
+	b := prefetchCell(t, 0, rec2, true)
 	compareRuns(t, a, b, "prefetch-repeat")
 	if a.Prefetch != b.Prefetch {
 		t.Fatalf("predictor scorecard not deterministic: %+v vs %+v", a.Prefetch, b.Prefetch)
@@ -200,7 +198,7 @@ func TestFleetPrefetchHitFramesHaveZeroSwap(t *testing.T) {
 
 	// Region-sharded advance: same cell, three regions, bit-identical.
 	rec3 := obs.NewRecorder()
-	c := prefetchCell(t, 3, rec3, &pf)
+	c := prefetchCell(t, 3, rec3, true)
 	compareRuns(t, a, c, "prefetch-regions")
 	if a.Prefetch != c.Prefetch {
 		t.Fatalf("predictor scorecard diverges under region sharding: %+v vs %+v", a.Prefetch, c.Prefetch)

@@ -87,7 +87,7 @@ func TestFleetSelectorEquivalenceElastic(t *testing.T) {
 		Devices:   []DeviceConfig{{Name: "edge-a"}, {Name: "edge-b", Scale: 1.25}},
 		Placement: NewLeastOutstanding(),
 		Admission: Admission{PerDeviceStreams: 1, QueueLimit: -1},
-		Autoscale: autoTestConfig(2),
+		Autoscale: true,
 	}, func(res *Result) {
 		if res.ScaleOuts == 0 {
 			t.Fatalf("elastic scenario never scaled out — not exercising provisioning")

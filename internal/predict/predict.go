@@ -13,94 +13,40 @@
 // loader's refcounted eviction rules.
 package predict
 
-import (
-	"fmt"
+import "repro/internal/zoo"
 
-	"repro/internal/zoo"
+// The predictor's geometry. It is deliberately tiny: per-stream predictors
+// are cheap.
+const (
+	// baseBits is log2 of the bimodal base-table size. The base table is
+	// indexed by the current pair ID alone and captures simple A->B
+	// alternation.
+	baseBits = 6
+	// tableBits is log2 of each tagged table's size, and tagBits the
+	// partial-tag width in each tagged entry.
+	tableBits = 6
+	tagBits   = 8
+	// confMax saturates the per-entry confidence counter; confThreshold is
+	// the minimum confidence before a prediction is acted on — below it the
+	// predictor stays silent (1: one confirmed repeat).
+	confMax       = 3
+	confThreshold = 1
+	// usefulMax saturates the per-entry useful counter.
+	usefulMax = 3
+	// decayPeriod is the number of swap events between useful-counter
+	// halvings — the aging that lets stale allocations be reclaimed.
+	decayPeriod = 128
+	// maxHist is the longest history length (the last entry of histories).
+	maxHist = 16
 )
 
-// Config sizes the predictor. Zero values take defaults (DefaultConfig);
-// the config is deliberately tiny — per-stream predictors are cheap.
-type Config struct {
-	// BaseBits is log2 of the bimodal base-table size (default 6). The base
-	// table is indexed by the current pair ID alone and captures simple
-	// A->B alternation.
-	BaseBits int
-	// TableBits is log2 of each tagged table's size (default 6).
-	TableBits int
-	// TagBits is the partial-tag width in each tagged entry (default 8).
-	TagBits int
-	// Histories are the geometric history lengths, shortest first
-	// (default {2, 4, 8, 16}): table j indexes and tags on the last
-	// Histories[j] distinct pair IDs.
-	Histories []int
-	// ConfMax saturates the per-entry confidence counter (default 3).
-	ConfMax int
-	// ConfThreshold is the minimum confidence before a prediction is acted
-	// on — below it the predictor stays silent (default 1, i.e. one
-	// confirmed repeat).
-	ConfThreshold int
-	// UsefulMax saturates the per-entry useful counter (default 3).
-	UsefulMax int
-	// DecayPeriod is the number of swap events between useful-counter
-	// halvings — the aging that lets stale allocations be reclaimed
-	// (default 128).
-	DecayPeriod int
-	// PrewarmDepth bounds the predicted working-set chain walked when a
-	// migrating or arriving stream pre-warms its target device (default 2).
-	PrewarmDepth int
-}
+// histories are the geometric history lengths, shortest first: tagged
+// table j indexes and tags on the last histories[j] distinct pair IDs.
+var histories = [...]int{2, 4, 8, maxHist}
 
-// DefaultConfig returns the standard predictor geometry.
-func DefaultConfig() Config {
-	return Config{
-		BaseBits:      6,
-		TableBits:     6,
-		TagBits:       8,
-		Histories:     []int{2, 4, 8, 16},
-		ConfMax:       3,
-		ConfThreshold: 1,
-		UsefulMax:     3,
-		DecayPeriod:   128,
-		PrewarmDepth:  2,
-	}
-}
-
-// WithDefaults returns the config with every unset (zero or negative)
-// field replaced by its DefaultConfig value — the normalization New
-// applies; exported so layers that read config knobs directly (the
-// fleet's pre-warm depth cap) see the same values the predictor does.
-func (c Config) WithDefaults() Config {
-	def := DefaultConfig()
-	if c.BaseBits <= 0 {
-		c.BaseBits = def.BaseBits
-	}
-	if c.TableBits <= 0 {
-		c.TableBits = def.TableBits
-	}
-	if c.TagBits <= 0 {
-		c.TagBits = def.TagBits
-	}
-	if len(c.Histories) == 0 {
-		c.Histories = def.Histories
-	}
-	if c.ConfMax <= 0 {
-		c.ConfMax = def.ConfMax
-	}
-	if c.ConfThreshold <= 0 {
-		c.ConfThreshold = def.ConfThreshold
-	}
-	if c.UsefulMax <= 0 {
-		c.UsefulMax = def.UsefulMax
-	}
-	if c.DecayPeriod <= 0 {
-		c.DecayPeriod = def.DecayPeriod
-	}
-	if c.PrewarmDepth <= 0 {
-		c.PrewarmDepth = def.PrewarmDepth
-	}
-	return c
-}
+// PrewarmDepth bounds the predicted working-set chain walked when a
+// migrating or arriving stream pre-warms its target device.
+const PrewarmDepth = 2
 
 // Stats is the SupraX-style scorecard, folded per sweep cell. The first
 // group is scored by the predictor at swap events; the issue/hit group is
@@ -185,9 +131,6 @@ type tagEntry struct {
 // Predictor is one stream's swap-sequence predictor. Not safe for
 // concurrent use; every operation is deterministic.
 type Predictor struct {
-	cfg     Config
-	maxHist int
-
 	// Interning: engines are identified by residency key (model + kind);
 	// the first-seen pair keeps its ProcID so predictions can be reissued
 	// as loads.
@@ -217,20 +160,15 @@ type Predictor struct {
 	stats           Stats
 }
 
-// New builds a predictor; zero config fields take defaults.
-func New(cfg Config) *Predictor {
-	cfg = cfg.WithDefaults()
+// New builds a cold predictor.
+func New() *Predictor {
 	p := &Predictor{
-		cfg:    cfg,
 		ids:    map[string]uint16{},
-		base:   make([]baseEntry, 1<<cfg.BaseBits),
-		tables: make([][]tagEntry, len(cfg.Histories)),
+		base:   make([]baseEntry, 1<<baseBits),
+		tables: make([][]tagEntry, len(histories)),
 	}
 	for j := range p.tables {
-		p.tables[j] = make([]tagEntry, 1<<cfg.TableBits)
-		if cfg.Histories[j] > p.maxHist {
-			p.maxHist = cfg.Histories[j]
-		}
+		p.tables[j] = make([]tagEntry, 1<<tableBits)
 	}
 	return p
 }
@@ -265,15 +203,15 @@ func (p *Predictor) fold(h, salt int) uint32 {
 }
 
 func (p *Predictor) tableIndex(j int) int {
-	return int(p.fold(p.cfg.Histories[j], j) & uint32(1<<p.cfg.TableBits-1))
+	return int(p.fold(histories[j], j) & uint32(1<<tableBits-1))
 }
 
 func (p *Predictor) tableTag(j int) uint16 {
-	return uint16(p.fold(p.cfg.Histories[j], j) >> p.cfg.TableBits & uint32(1<<p.cfg.TagBits-1))
+	return uint16(p.fold(histories[j], j) >> tableBits & uint32(1<<tagBits-1))
 }
 
 func (p *Predictor) baseIndex() int {
-	return int(p.last) & (1<<p.cfg.BaseBits - 1)
+	return int(p.last) & (1<<baseBits - 1)
 }
 
 // lookup computes the prediction for the current history: the provider is
@@ -295,7 +233,7 @@ func (p *Predictor) lookup() {
 		if !p.predValid {
 			p.predValid = true
 			p.pred = e.Pred
-			p.predConf = int(e.Conf) >= p.cfg.ConfThreshold
+			p.predConf = int(e.Conf) >= confThreshold
 			p.provider, p.provIdx = j, idx
 		} else {
 			p.altValid, p.alt = true, e.Pred
@@ -307,7 +245,7 @@ func (p *Predictor) lookup() {
 		if !p.predValid {
 			p.predValid = true
 			p.pred = be.Pred
-			p.predConf = int(be.Conf) >= p.cfg.ConfThreshold
+			p.predConf = int(be.Conf) >= confThreshold
 			p.provider, p.provIdx = -1, p.baseIndex()
 		} else {
 			p.altValid, p.alt = true, be.Pred
@@ -340,7 +278,7 @@ func (p *Predictor) Observe(pair zoo.Pair) {
 		p.stats.Swaps++
 		p.train(id)
 		p.swapsSinceDecay++
-		if p.swapsSinceDecay >= p.cfg.DecayPeriod {
+		if p.swapsSinceDecay >= decayPeriod {
 			p.swapsSinceDecay = 0
 			p.decay()
 		}
@@ -349,8 +287,8 @@ func (p *Predictor) Observe(pair zoo.Pair) {
 	p.hist = append(p.hist, 0)
 	copy(p.hist[1:], p.hist)
 	p.hist[0] = id
-	if len(p.hist) > p.maxHist {
-		p.hist = p.hist[:p.maxHist]
+	if len(p.hist) > maxHist {
+		p.hist = p.hist[:maxHist]
 	}
 	p.last, p.haveLast = id, true
 	p.havePred = false
@@ -376,10 +314,10 @@ func (p *Predictor) train(actual uint16) {
 	if p.predValid && p.provider >= 0 {
 		e := &p.tables[p.provider][p.provIdx]
 		if correct {
-			if int(e.Conf) < p.cfg.ConfMax {
+			if int(e.Conf) < confMax {
 				e.Conf++
 			}
-			if p.altValid && p.alt != e.Pred && int(e.Useful) < p.cfg.UsefulMax {
+			if p.altValid && p.alt != e.Pred && int(e.Useful) < usefulMax {
 				e.Useful++
 			}
 		} else {
@@ -399,7 +337,7 @@ func (p *Predictor) train(actual uint16) {
 		if !be.Valid {
 			be.Valid, be.Pred, be.Conf = true, actual, 0
 		} else if be.Pred == actual {
-			if int(be.Conf) < p.cfg.ConfMax {
+			if int(be.Conf) < confMax {
 				be.Conf++
 			}
 		} else if be.Conf > 0 {
@@ -465,14 +403,12 @@ func (p *Predictor) NoteLateHit(savedSec, residualSec float64) {
 func (p *Predictor) Stats() Stats { return p.stats }
 
 // WorkingSet walks the prediction chain from the current history — the
-// engines the stream is expected to demand next, most-imminent first —
-// without mutating predictor state. Only confident links are followed and
-// the walk stops on a repeat, so the set is small and high-precision; it
-// is what pre-warms the target device when a stream migrates or arrives.
-func (p *Predictor) WorkingSet(depth int) []zoo.Pair {
-	if depth <= 0 {
-		depth = p.cfg.PrewarmDepth
-	}
+// engines the stream is expected to demand next, most-imminent first, at
+// most PrewarmDepth of them — without mutating predictor state. Only
+// confident links are followed and the walk stops on a repeat, so the set
+// is small and high-precision; it is what pre-warms the target device when
+// a stream migrates or arrives.
+func (p *Predictor) WorkingSet() []zoo.Pair {
 	savedHist := append([]uint16(nil), p.hist...)
 	savedLast, savedHave := p.last, p.haveLast
 	defer func() {
@@ -482,7 +418,7 @@ func (p *Predictor) WorkingSet(depth int) []zoo.Pair {
 	}()
 	seen := map[uint16]bool{}
 	var out []zoo.Pair
-	for len(out) < depth {
+	for len(out) < PrewarmDepth {
 		p.havePred = false
 		pair, ok := p.Predict()
 		if !ok {
@@ -495,8 +431,8 @@ func (p *Predictor) WorkingSet(depth int) []zoo.Pair {
 		seen[id] = true
 		out = append(out, pair)
 		p.hist = append([]uint16{id}, p.hist...)
-		if len(p.hist) > p.maxHist {
-			p.hist = p.hist[:p.maxHist]
+		if len(p.hist) > maxHist {
+			p.hist = p.hist[:maxHist]
 		}
 		p.last = id
 	}
@@ -510,7 +446,6 @@ func (p *Predictor) WorkingSet(depth int) []zoo.Pair {
 // crash-recovered streams re-learn, and the journal byte stream stays
 // bit-identical with the predictor off or on.
 type State struct {
-	Config  Config
 	Pairs   []zoo.Pair
 	Hist    []uint16
 	Last    uint16
@@ -524,7 +459,6 @@ type State struct {
 // Snapshot deep-copies the predictor's learned state.
 func (p *Predictor) Snapshot() *State {
 	st := &State{
-		Config:  p.cfg,
 		Pairs:   append([]zoo.Pair(nil), p.pairs...),
 		Hist:    append([]uint16(nil), p.hist...),
 		Last:    p.last,
@@ -540,22 +474,8 @@ func (p *Predictor) Snapshot() *State {
 	return st
 }
 
-// Restore replaces the predictor's state with a snapshot taken from a
-// predictor of the same geometry.
-func (p *Predictor) Restore(st *State) error {
-	if st == nil {
-		return fmt.Errorf("predict: nil state")
-	}
-	cfg := st.Config.WithDefaults()
-	if cfg.BaseBits != p.cfg.BaseBits || cfg.TableBits != p.cfg.TableBits ||
-		cfg.TagBits != p.cfg.TagBits || len(cfg.Histories) != len(p.cfg.Histories) {
-		return fmt.Errorf("predict: snapshot geometry mismatch")
-	}
-	for j, h := range cfg.Histories {
-		if h != p.cfg.Histories[j] {
-			return fmt.Errorf("predict: snapshot geometry mismatch")
-		}
-	}
+// Restore replaces the predictor's state with a snapshot.
+func (p *Predictor) Restore(st *State) {
 	p.pairs = append([]zoo.Pair(nil), st.Pairs...)
 	p.ids = make(map[string]uint16, len(p.pairs))
 	for i, pair := range p.pairs {
@@ -571,7 +491,6 @@ func (p *Predictor) Restore(st *State) error {
 	p.swapsSinceDecay = st.SwapsSD
 	p.stats = st.Stats
 	p.havePred = false
-	return nil
 }
 
 // Pairs returns the interned engines in ID order (first-seen order) —

@@ -41,7 +41,7 @@ func TestConfidencePromotionDemotion(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			p := New(Config{ConfMax: 2, ConfThreshold: 1})
+			p := New()
 			feed(p, tc.warmup)
 			pair, ok := p.Predict()
 			if ok != tc.confident {
@@ -58,7 +58,7 @@ func TestConfidencePromotionDemotion(t *testing.T) {
 // mispredict first spends confidence and only re-points the entry at zero:
 // a dominant pattern survives a one-off violation without forgetting.
 func TestCounterMisdirectionRetargets(t *testing.T) {
-	p := New(Config{ConfMax: 3, ConfThreshold: 1})
+	p := New()
 	feed(p, "ABABABAB")
 	if pair, ok := p.Predict(); !ok || pair.Model != "A" {
 		t.Fatalf("warmed alternation not confident on A: ok=%v pair=%v", ok, pair)
@@ -75,42 +75,75 @@ func TestCounterMisdirectionRetargets(t *testing.T) {
 	}
 }
 
-// TestTagAliasing forces distinct histories into the same tagged entry with
-// a one-slot, one-bit-tag geometry and checks the collision is handled like
-// TAGE handles it: the entry serves whichever pattern owns it, mispredicts
-// from the aliased pattern retrain it through the confidence counter, and
-// predictions never cross the interned-pair table (no out-of-range IDs).
+// TestTagAliasing drives two swap histories that alias to one slot of the
+// shortest-history tagged table under different partial tags. The entry
+// the first history allocates on its mispredict never provides for the
+// second, and the second's mispredict re-tags the slot (a useful==0
+// victim), after which it no longer provides for the first.
 func TestTagAliasing(t *testing.T) {
-	p := New(Config{
-		BaseBits:  1,
-		TableBits: 1,
-		TagBits:   1,
-		Histories: []int{1, 2},
-	})
-	// Two interleaved alternations (A/B and C/D) hash into the same handful
-	// of entries. The predictor must stay internally consistent: every
-	// prediction resolves to an interned pair.
-	seq := "ABABCDCDABCDADBCABCD"
-	for i, c := range seq {
-		p.Observe(mk(string(c)))
-		if pair, ok := p.Predict(); ok {
-			found := false
-			for _, q := range p.Pairs() {
-				if q == pair {
-					found = true
-					break
-				}
+	// Engines A..H are interned first, so their IDs are 0..7.
+	const alphabet = "ABCDEFGH"
+	slot := func(newest, older int) (int, uint16) {
+		q := New()
+		q.hist = []uint16{uint16(newest), uint16(older)}
+		return q.tableIndex(0), q.tableTag(0)
+	}
+	// The first pair of two-engine histories, in enumeration order, that
+	// share a table-0 slot under different tags and newest engines.
+	type hist struct{ newest, older int }
+	var h1, h2 hist
+	found := false
+	for i := 0; i < 64 && !found; i++ {
+		for j := i + 1; j < 64 && !found; j++ {
+			a, b := hist{i / 8, i % 8}, hist{j / 8, j % 8}
+			if a.newest == a.older || b.newest == b.older || a.newest == b.newest {
+				continue
 			}
-			if !found {
-				t.Fatalf("step %d: prediction %v is not an interned pair", i, pair)
+			ia, ta := slot(a.newest, a.older)
+			ib, tb := slot(b.newest, b.older)
+			if ia == ib && ta != tb {
+				h1, h2, found = a, b, true
 			}
 		}
 	}
-	// With one slot per table the dominant closing pattern must still win
-	// through retraining despite aliasing pressure.
-	feed(p, "ABABABABABAB")
-	if pair, ok := p.Predict(); !ok || pair.Model != "A" {
-		t.Fatalf("aliased predictor failed to converge on dominant pattern: ok=%v pair=%v", ok, pair)
+	if !found {
+		t.Fatal("no two histories over 8 engines share a table-0 slot")
+	}
+	idx, tag1 := slot(h1.newest, h1.older)
+	_, tag2 := slot(h2.newest, h2.older)
+	p := New()
+	visit := func(h hist) { feed(p, string(alphabet[h.older])+string(alphabet[h.newest])) }
+	feed(p, alphabet)
+	visit(h1)
+	p.Observe(mk("Z"))
+	z := uint16(len(alphabet))
+	if e := p.tables[0][idx]; e != (tagEntry{Tag: tag1, Pred: z, Valid: true}) {
+		t.Fatalf("mispredict after history %v did not allocate slot %d: %+v", h1, idx, e)
+	}
+
+	visit(h2)
+	if e := p.tables[0][idx]; e.Tag != tag1 || e.Pred != z {
+		t.Fatalf("slot %d changed on the way to history %v: %+v", idx, h2, e)
+	}
+	p.lookup()
+	if p.provider == 0 && p.provIdx == idx {
+		t.Fatalf("history %v used the slot tagged for history %v", h2, h1)
+	}
+	if pair, ok := p.Predict(); ok && pair.Model == "Z" {
+		t.Fatalf("history %v predicted Z, learned only after history %v", h2, h1)
+	}
+	if p.provider != -1 {
+		t.Fatalf("history %v found provider table %d, want the base table", h2, p.provider)
+	}
+	p.Observe(mk("Y"))
+	if e := p.tables[0][idx]; e != (tagEntry{Tag: tag2, Pred: z + 1, Valid: true}) {
+		t.Fatalf("mispredict after history %v did not re-tag slot %d: %+v", h2, idx, e)
+	}
+
+	visit(h1)
+	p.lookup()
+	if p.provider == 0 && p.provIdx == idx {
+		t.Fatalf("history %v still uses slot %d after history %v re-tagged it", h1, idx, h2)
 	}
 }
 
@@ -118,7 +151,7 @@ func TestTagAliasing(t *testing.T) {
 // the provider beats the alternate, allocation preferring useful==0 victims,
 // and the periodic halving that reclaims stale entries.
 func TestUsefulAgingAndDecay(t *testing.T) {
-	p := New(Config{DecayPeriod: 4, UsefulMax: 3})
+	p := New()
 
 	// A's successor alternates B and C, so the one-engine base context
 	// waffles while the history-2 tagged context disambiguates: the tagged
@@ -180,8 +213,8 @@ func validEntries(p *Predictor) int {
 	return n
 }
 
-// TestDecayPeriodSchedule checks the halving fires on the configured swap
-// cadence: the DecayPeriod-th swap triggers it, the one before does not.
+// TestDecayPeriodSchedule checks the halving fires every decayPeriod (128)
+// swaps: the 128th swap triggers it, the one before does not.
 // The sentinel entry is planted in a slot the cold predictor's first
 // allocations cannot claim (Valid with Useful > 0 is never a victim).
 func TestDecayPeriodSchedule(t *testing.T) {
@@ -190,11 +223,11 @@ func TestDecayPeriodSchedule(t *testing.T) {
 		prior int  // swaps already counted toward the period
 		want  int8 // sentinel useful after one observed swap
 	}{
-		{name: "one short of the period does not decay", prior: 2, want: 2},
-		{name: "period boundary halves", prior: 3, want: 1},
+		{name: "one short of the period does not decay", prior: decayPeriod - 2, want: 2},
+		{name: "period boundary halves", prior: decayPeriod - 1, want: 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			p := New(Config{DecayPeriod: 4})
+			p := New()
 			for j := range p.tables {
 				for i := range p.tables[j] {
 					p.tables[j][i] = tagEntry{Valid: true, Useful: 2}
@@ -214,14 +247,12 @@ func TestDecayPeriodSchedule(t *testing.T) {
 // stats, same future behavior — and the snapshot is a deep copy that later
 // training cannot reach back into.
 func TestSnapshotRestoreRoundtrip(t *testing.T) {
-	p := New(Config{})
+	p := New()
 	feed(p, "ABABCACABCABABAB")
 	st := p.Snapshot()
 
-	q := New(Config{})
-	if err := q.Restore(st); err != nil {
-		t.Fatalf("restore: %v", err)
-	}
+	q := New()
+	q.Restore(st)
 	if !reflect.DeepEqual(p.Stats(), q.Stats()) {
 		t.Fatalf("restored stats differ: %+v vs %+v", p.Stats(), q.Stats())
 	}
@@ -253,45 +284,17 @@ func TestSnapshotRestoreRoundtrip(t *testing.T) {
 	}
 }
 
-// TestRestoreGeometryMismatch rejects snapshots from differently-sized
-// predictors instead of silently misindexing.
-func TestRestoreGeometryMismatch(t *testing.T) {
-	p := New(Config{})
-	feed(p, "ABAB")
-	st := p.Snapshot()
-	for _, cfg := range []Config{
-		{TableBits: 7},
-		{BaseBits: 3},
-		{TagBits: 5},
-		{Histories: []int{2, 4, 8}},
-		{Histories: []int{2, 4, 8, 32}},
-	} {
-		q := New(cfg)
-		if err := q.Restore(st); err == nil {
-			t.Fatalf("restore into geometry %+v: want mismatch error, got nil", cfg)
-		}
-	}
-	var q *Predictor = New(Config{})
-	if err := q.Restore(nil); err == nil {
-		t.Fatalf("restore(nil): want error")
-	}
-}
-
 // TestWorkingSetChain checks the pre-warm walk: on a learned cycle it
-// returns the next engines most-imminent first, stops on a repeat, honors
-// the depth bound, and leaves the predictor's state untouched.
+// returns the next engines most-imminent first, stops at PrewarmDepth, and
+// leaves the predictor's state untouched.
 func TestWorkingSetChain(t *testing.T) {
-	p := New(Config{PrewarmDepth: 2})
+	p := New()
 	feed(p, "ABCABCABCABCABC") // learned 3-cycle, last observed C
 	before := p.Snapshot()
 
-	ws := p.WorkingSet(0) // 0 = configured depth
-	if len(ws) != 2 || ws[0].Model != "A" || ws[1].Model != "B" {
+	ws := p.WorkingSet()
+	if len(ws) != PrewarmDepth || ws[0].Model != "A" || ws[1].Model != "B" {
 		t.Fatalf("working set = %v, want [A B]", ws)
-	}
-	deep := p.WorkingSet(10) // walks until the cycle repeats
-	if len(deep) != 3 {
-		t.Fatalf("deep working set = %v, want the full 3-cycle", deep)
 	}
 
 	after := p.Snapshot()
@@ -329,27 +332,11 @@ func TestStatsScorecard(t *testing.T) {
 	}
 }
 
-// TestWithDefaults pins the normalization every layer relies on: zero and
-// negative fields take defaults, set fields survive.
-func TestWithDefaults(t *testing.T) {
-	def := DefaultConfig()
-	if got := (Config{}).WithDefaults(); !reflect.DeepEqual(got, def) {
-		t.Fatalf("zero config normalized to %+v, want defaults", got)
-	}
-	c := Config{TableBits: 9, PrewarmDepth: -1}.WithDefaults()
-	if c.TableBits != 9 {
-		t.Fatalf("set field clobbered: TableBits=%d", c.TableBits)
-	}
-	if c.PrewarmDepth != def.PrewarmDepth {
-		t.Fatalf("negative field not defaulted: PrewarmDepth=%d", c.PrewarmDepth)
-	}
-}
-
 // TestKindDistinguishesEngines pins the residency identity: the same model
 // on different engine kinds is two engines (two residency keys), while the
 // same model+kind on another same-kind processor is one.
 func TestKindDistinguishesEngines(t *testing.T) {
-	p := New(Config{})
+	p := New()
 	gpu := zoo.Pair{Model: "M", ProcID: "gpu", Kind: accel.KindGPU}
 	dla0 := zoo.Pair{Model: "M", ProcID: "dla0", Kind: accel.KindDLA}
 	dla1 := zoo.Pair{Model: "M", ProcID: "dla1", Kind: accel.KindDLA}

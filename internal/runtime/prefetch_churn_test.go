@@ -8,15 +8,14 @@ import (
 
 	"repro/internal/loader"
 	"repro/internal/pipeline"
-	"repro/internal/predict"
 	"repro/internal/runtime"
 	"repro/internal/scene"
 	"repro/internal/zoo"
 )
 
-// shiftSessionPrefetch opens a SHIFT session with the swap predictor
-// installed (nil cfg = predictor off), over an arbitrary frame prefix.
-func shiftSessionPrefetch(t *testing.T, frames []scene.Frame, cfg *predict.Config) (*runtime.Session, *loader.Loader) {
+// shiftSessionPrefetch opens a SHIFT session with the swap predictor on or
+// off, over an arbitrary frame prefix.
+func shiftSessionPrefetch(t *testing.T, frames []scene.Frame, prefetch bool) (*runtime.Session, *loader.Loader) {
 	t.Helper()
 	env, _ := churnFixture(t)
 	sys := zoo.Default(1)
@@ -26,7 +25,7 @@ func shiftSessionPrefetch(t *testing.T, frames []scene.Frame, cfg *predict.Confi
 		t.Fatal(err)
 	}
 	sess, err := runtime.OpenSession(sys, dml, runtime.StreamSpec{
-		Name: "churn", Frames: frames, PeriodSec: 0.1, Policy: pol, Prefetch: cfg,
+		Name: "churn", Frames: frames, PeriodSec: 0.1, Policy: pol, Prefetch: prefetch,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -66,9 +65,8 @@ func runToEnd(t *testing.T, sess *runtime.Session) []runtime.FrameRecord {
 // predictor-off golden digest — prefetch hides stalls, it never steers.
 func TestSessionChurnConformancePrefetchOn(t *testing.T) {
 	_, frames := churnFixture(t)
-	cfg := predict.DefaultConfig()
 
-	ref, _ := shiftSessionPrefetch(t, frames, &cfg)
+	ref, _ := shiftSessionPrefetch(t, frames, true)
 	want := runToEnd(t, ref)
 	refStats := ref.PrefetchStats()
 	if got := digestOf(want); got != goldenChurnDecisions {
@@ -79,7 +77,7 @@ func TestSessionChurnConformancePrefetchOn(t *testing.T) {
 	}
 
 	for _, k := range []int{0, 1, 37, 80, len(frames) - 1} {
-		a, dmlA := shiftSessionPrefetch(t, frames, &cfg)
+		a, dmlA := shiftSessionPrefetch(t, frames, true)
 		for i := 0; i < k; i++ {
 			if err := a.Step(); err != nil {
 				t.Fatal(err)
@@ -145,8 +143,7 @@ func TestSessionChurnConformancePrefetchOn(t *testing.T) {
 // fork must not leak learning into the restored copy.
 func TestSnapshotPredictorStateIsDeepCopy(t *testing.T) {
 	_, frames := churnFixture(t)
-	cfg := predict.DefaultConfig()
-	a, _ := shiftSessionPrefetch(t, frames, &cfg)
+	a, _ := shiftSessionPrefetch(t, frames, true)
 	for i := 0; i < 40; i++ {
 		if err := a.Step(); err != nil {
 			t.Fatal(err)
@@ -182,8 +179,8 @@ func TestSnapshotPredictorStateIsDeepCopy(t *testing.T) {
 }
 
 // FuzzPredictorDeterminism is the predictor-path replay harness: for a
-// fuzz-chosen split point and predictor geometry it checks the three
-// invariants the whole feature rests on —
+// fuzz-chosen stream length and split point it checks the three invariants
+// the whole feature rests on —
 //
 //  1. no steering: the predictor-on decision sequence is bit-identical to
 //     the predictor-off run;
@@ -191,28 +188,22 @@ func TestSnapshotPredictorStateIsDeepCopy(t *testing.T) {
 //     scorecard;
 //  3. churn stability: snapshot/restore at the split point changes nothing.
 //
-// The seed corpus in testdata/fuzz pins the default geometry and two
-// degenerate ones (tiny aliasing-prone tables, instant decay).
+// The seeds and the corpus in testdata/fuzz split streams of 19 to 100
+// frames at the first frame, mid-stream and before the last frame.
 func FuzzPredictorDeterminism(f *testing.F) {
-	f.Add(uint8(37), uint8(120), uint8(0), uint8(0), uint8(0), uint8(0))
-	f.Add(uint8(0), uint8(60), uint8(1), uint8(1), uint8(1), uint8(1))
-	f.Add(uint8(59), uint8(90), uint8(3), uint8(12), uint8(2), uint8(255))
-	f.Fuzz(func(t *testing.T, split, nframes, tableBits, tagBits, confThr, decay uint8) {
+	f.Add(uint8(37), uint8(120))
+	f.Add(uint8(0), uint8(60))
+	f.Add(uint8(59), uint8(90))
+	f.Fuzz(func(t *testing.T, split, nframes uint8) {
 		_, all := churnFixture(t)
 		n := 10 + int(nframes)%(len(all)-9)
 		frames := all[:n]
 		k := int(split) % n
-		cfg := predict.Config{
-			TableBits:     int(tableBits) % 8,
-			TagBits:       int(tagBits) % 13,
-			ConfThreshold: int(confThr) % 4,
-			DecayPeriod:   int(decay),
-		}
 
-		off, _ := shiftSessionPrefetch(t, frames, nil)
+		off, _ := shiftSessionPrefetch(t, frames, false)
 		offDigest := digestOf(runToEnd(t, off))
 
-		onA, _ := shiftSessionPrefetch(t, frames, &cfg)
+		onA, _ := shiftSessionPrefetch(t, frames, true)
 		recsA := runToEnd(t, onA)
 		statsA := onA.PrefetchStats()
 		if d := digestOf(recsA); d != offDigest {
@@ -220,14 +211,14 @@ func FuzzPredictorDeterminism(f *testing.F) {
 		}
 
 		// Identical rerun: decisions and scorecard must reproduce exactly.
-		onB, _ := shiftSessionPrefetch(t, frames, &cfg)
+		onB, _ := shiftSessionPrefetch(t, frames, true)
 		recsB := runToEnd(t, onB)
 		if digestOf(recsB) != digestOf(recsA) || onB.PrefetchStats() != statsA {
 			t.Fatalf("predictor-on run not deterministic: stats %+v vs %+v", onB.PrefetchStats(), statsA)
 		}
 
 		// Churn at the split point: same decisions, scorecard carried.
-		c, _ := shiftSessionPrefetch(t, frames, &cfg)
+		c, _ := shiftSessionPrefetch(t, frames, true)
 		for i := 0; i < k; i++ {
 			if err := c.Step(); err != nil {
 				t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/loader"
-	"repro/internal/predict"
 	"repro/internal/scene"
 	"repro/internal/zoo"
 )
@@ -24,13 +23,12 @@ type StreamSpec struct {
 	// Policy is this stream's decision logic. Policies are stateful and must
 	// not be shared between streams.
 	Policy Policy
-	// Prefetch enables TAGE-style swap prediction with speculative overlap
-	// prefetch for the stream (internal/predict); nil disables it. The
-	// predictor is strictly advisory — with it nil the serving path is
-	// bit-identical to a build without it, and with it set the decision
-	// stream (pairs, detections, fallbacks) is unchanged; only latency and
-	// energy move.
-	Prefetch *predict.Config
+	// Prefetch turns on TAGE-style swap prediction with speculative overlap
+	// prefetch for the stream (internal/predict). The predictor is strictly
+	// advisory — with it off the serving path is bit-identical to a build
+	// without it, and with it on the decision stream (pairs, detections,
+	// fallbacks) is unchanged; only latency and energy move.
+	Prefetch bool
 }
 
 // FrameTiming is the queueing-aware timing of one served frame.

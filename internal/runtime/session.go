@@ -64,8 +64,8 @@ func (e *Engine) session(spec StreamSpec, name string, at time.Duration) (*Sessi
 		return nil, fmt.Errorf("runtime: stream %q opens at negative time %v", name, at)
 	}
 	e.at = at
-	if spec.Prefetch != nil {
-		e.pred = predict.New(*spec.Prefetch)
+	if spec.Prefetch {
+		e.pred = predict.New()
 		e.prefReady = map[string]prefFlight{}
 	}
 	return &Session{
@@ -262,10 +262,10 @@ type SessionSnapshot struct {
 	HaveHeld bool
 
 	// frames are the stream's frames, nil until re-supplied on a decoded
-	// snapshot; prefetch is the swap-predictor config the restored session
-	// runs with (SetPrefetch).
+	// snapshot; prefetch is whether the restored session runs the swap
+	// predictor (SetPrefetch).
 	frames   []scene.Frame
-	prefetch *predict.Config
+	prefetch bool
 	// predState carries the swap predictor's learned history so a migrated
 	// stream keeps predicting from frame one on its new device. It rides
 	// only the in-memory snapshot, never the durable wire format:
@@ -371,11 +371,11 @@ func (s *Session) Snapshot() *SessionSnapshot {
 	return sn
 }
 
-// SetPrefetch installs (or clears) the swap-predictor config the restored
-// session runs with, so a snapshot decoded from the durable wire format —
-// which intentionally carries no prefetch state — resumes with prediction
-// enabled when the fleet is configured for it.
-func (sn *SessionSnapshot) SetPrefetch(cfg *predict.Config) { sn.prefetch = cfg }
+// SetPrefetch turns the swap predictor of the restored session on or off,
+// so a snapshot decoded from the durable wire format — which intentionally
+// carries no prefetch state — resumes with prediction enabled when the
+// fleet is configured for it.
+func (sn *SessionSnapshot) SetPrefetch(on bool) { sn.prefetch = on }
 
 // RestoreSession resumes a checkpointed stream on sys/dml at virtual time at
 // (no earlier than the checkpoint's horizon): the frame cursor, camera
@@ -428,9 +428,7 @@ func RestoreSession(sys *zoo.System, dml *loader.Loader, snap *SessionSnapshot, 
 		}
 	}
 	if s.eng.pred != nil && snap.predState != nil {
-		if err := s.eng.pred.Restore(snap.predState); err != nil {
-			return nil, errors.Join(fmt.Errorf("runtime: restore stream %s: %w", snap.Name, err), s.Close())
-		}
+		s.eng.pred.Restore(snap.predState)
 	}
 	if snap.HaveHeld {
 		// The load is charged through the engine's exec, so it queues on the
@@ -524,20 +522,20 @@ func (sn *SessionSnapshot) validate(sys *zoo.System) error {
 
 // Prewarm speculatively loads the given pairs at admission time — the
 // fleet's pre-warm for arriving and migrating streams. No-op when the
-// session's spec has no prefetch config; the loads overlap whatever the
+// session's spec has prefetch off; the loads overlap whatever the
 // stream does next and never evict or steer (loader.PrefetchSpeculative).
 func (s *Session) Prewarm(pairs []zoo.Pair) error {
 	return s.eng.prewarm(pairs)
 }
 
 // PredictedWorkingSet walks the predictor's confident prediction chain —
-// the engines the stream is expected to demand next, most-imminent first.
-// depth <= 0 uses the config's PrewarmDepth; nil without a predictor.
-func (s *Session) PredictedWorkingSet(depth int) []zoo.Pair {
+// the engines the stream is expected to demand next, most-imminent first,
+// at most predict.PrewarmDepth of them; nil without a predictor.
+func (s *Session) PredictedWorkingSet() []zoo.Pair {
 	if s.eng.pred == nil {
 		return nil
 	}
-	return s.eng.pred.WorkingSet(depth)
+	return s.eng.pred.WorkingSet()
 }
 
 // PrefetchStats returns the session's predictor scorecard (zero-valued
