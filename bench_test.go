@@ -340,9 +340,8 @@ func BenchmarkGraphQuality(b *testing.B) {
 // latency and deadline misses at the top concurrency.
 func BenchmarkMultiStream(b *testing.B) {
 	e := env(b)
-	cfg := experiments.DefaultMultiStreamConfig()
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.MultiStream(e, cfg)
+		res, err := experiments.MultiStream(e)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -350,7 +349,7 @@ func BenchmarkMultiStream(b *testing.B) {
 			one, _ := res.Row(1)
 			eight, _ := res.Row(8)
 			b.Logf("multi-stream @%.0f fps: 1 stream p99=%.3fs miss=%.1f%% | 8 streams p99=%.3fs miss=%.1f%% wait=%.3fs swaps/stream=%.1f",
-				1/cfg.PeriodSec, one.Latency.P99, one.DeadlineMissRate*100,
+				1/res.PeriodSec, one.Latency.P99, one.DeadlineMissRate*100,
 				eight.Latency.P99, eight.DeadlineMissRate*100, eight.AvgQueueWaitSec, eight.SwapsPerStream)
 		}
 	}

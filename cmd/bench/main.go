@@ -173,7 +173,7 @@ func main() {
 	// multi-stream sweep, and every fleet sweep at its default grid.
 	run("TableIII", "table", 1, func() error { _, err := experiments.TableIII(env, nil); return err })
 	run("MultiStream", "sweep", 1, func() error {
-		_, err := experiments.MultiStream(env, experiments.DefaultMultiStreamConfig())
+		_, err := experiments.MultiStream(env)
 		return err
 	})
 	for _, x := range []struct {

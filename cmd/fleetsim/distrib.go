@@ -52,8 +52,7 @@ func runCoordinator(workers, streams int, period float64, seed uint64, killOne b
 	transports := make([]*distrib.ProcTransport, workers)
 	killed := false
 	c := distrib.NewCoordinator(distrib.CoordConfig{
-		ChunkFrames: 8,
-		JournalDir:  journalDir,
+		JournalDir: journalDir,
 		OnProgress: func(ev distrib.Progress) {
 			if killOne && !killed && ev.Worker == "w0" {
 				killed = true

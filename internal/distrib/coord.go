@@ -16,6 +16,10 @@ type Transport interface {
 	Close() error
 }
 
+// chunkFrames bounds frames per serve request — also the most work a crash
+// can destroy per stream beyond the journal.
+const chunkFrames = 8
+
 // CoordConfig parameterizes the coordinator's dispatch loop.
 type CoordConfig struct {
 	// RequestTimeout is the per-request deadline (default 10s).
@@ -26,9 +30,6 @@ type CoordConfig struct {
 	Retries int
 	// Backoff is the first retry delay, doubling per attempt (default 50ms).
 	Backoff time.Duration
-	// ChunkFrames bounds frames per serve request (default 16) — also the
-	// most work a crash can destroy per stream beyond the journal.
-	ChunkFrames int
 	// JournalDir, when set, persists each stream's latest checkpoint to
 	// <dir>/<stream>.ckpt after every chunk.
 	JournalDir string
@@ -122,9 +123,6 @@ func NewCoordinator(cfg CoordConfig) *Coordinator {
 	}
 	if cfg.Backoff <= 0 {
 		cfg.Backoff = 50 * time.Millisecond
-	}
-	if cfg.ChunkFrames <= 0 {
-		cfg.ChunkFrames = 16
 	}
 	if cfg.sleep == nil {
 		cfg.sleep = time.Sleep //detlint:allow wallclock retry backoff against live worker processes; virtual time cannot pace real pipes
@@ -242,7 +240,7 @@ func (c *Coordinator) step(st *streamState, states []*streamState, rep *RunRepor
 		Frames:     st.job.Frames,
 		PeriodSec:  st.job.PeriodSec,
 		Policy:     st.job.Policy,
-		Chunk:      c.cfg.ChunkFrames,
+		Chunk:      chunkFrames,
 		Checkpoint: st.journal,
 	}
 	resp, err := c.send(st.worker, req)

@@ -97,7 +97,7 @@ func TestPipeWorkersServeJobs(t *testing.T) {
 	jobs := testJobs(40, 56, 24)
 	want := soloDigests(t, jobs)
 	dir := t.TempDir()
-	c := distrib.NewCoordinator(distrib.CoordConfig{ChunkFrames: 8, Backoff: time.Millisecond, JournalDir: dir})
+	c := distrib.NewCoordinator(distrib.CoordConfig{Backoff: time.Millisecond, JournalDir: dir})
 	for _, name := range []string{"w0", "w1"} {
 		if err := c.AddWorker(name, distrib.PipeWorker(distrib.WorkerConfig{Name: name, Seed: 1})); err != nil {
 			t.Fatal(err)
@@ -160,7 +160,7 @@ func TestCoordinatorSurvivesWorkerDeath(t *testing.T) {
 	w0 := &mortal{Transport: distrib.PipeWorker(distrib.WorkerConfig{Name: "w0", Seed: 1})}
 	tripped := false
 	c := distrib.NewCoordinator(distrib.CoordConfig{
-		ChunkFrames: 8, Retries: 2, Backoff: time.Millisecond,
+		Retries: 2, Backoff: time.Millisecond,
 		OnProgress: func(ev distrib.Progress) {
 			if ev.Worker == "w0" && !tripped {
 				tripped = true
@@ -231,7 +231,7 @@ func TestRetryReplaysLostResponse(t *testing.T) {
 	jobs := testJobs(40)
 	want := soloDigests(t, jobs)
 	w0 := &lossy{Transport: distrib.PipeWorker(distrib.WorkerConfig{Name: "w0", Seed: 1})}
-	c := distrib.NewCoordinator(distrib.CoordConfig{ChunkFrames: 8, Retries: 2, Backoff: time.Millisecond})
+	c := distrib.NewCoordinator(distrib.CoordConfig{Retries: 2, Backoff: time.Millisecond})
 	if err := c.AddWorker("w0", w0); err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestNoSurvivorsFails(t *testing.T) {
 	w0 := &mortal{Transport: distrib.PipeWorker(distrib.WorkerConfig{Name: "w0", Seed: 1})}
 	tripped := false
 	c := distrib.NewCoordinator(distrib.CoordConfig{
-		ChunkFrames: 8, Retries: 1, Backoff: time.Millisecond,
+		Retries: 1, Backoff: time.Millisecond,
 		OnProgress: func(ev distrib.Progress) {
 			if !tripped {
 				tripped = true
@@ -308,7 +308,7 @@ func TestProcWorkerSIGKILLRecovery(t *testing.T) {
 	w1 := startWorkerProc(t, "w1")
 	killed := false
 	c := distrib.NewCoordinator(distrib.CoordConfig{
-		ChunkFrames: 8, Retries: 2, Backoff: 10 * time.Millisecond,
+		Retries: 2, Backoff: 10 * time.Millisecond,
 		RequestTimeout: 30 * time.Second,
 		OnProgress: func(ev distrib.Progress) {
 			// First journaled chunk from w0: kill -9 the worker process.

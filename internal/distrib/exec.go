@@ -8,9 +8,6 @@ import (
 	"os"
 	"os/exec"
 	"time"
-
-	"repro/internal/loader"
-	"repro/internal/zoo"
 )
 
 // ioTransport speaks the sequential line protocol over a writer/reader pair,
@@ -155,12 +152,7 @@ func PipeWorker(cfg WorkerConfig) Transport {
 // the reference a distributed (and possibly crash-recovered) run must match
 // decision-for-decision.
 func Solo(job Job, cfg WorkerConfig) (*Response, error) {
-	newSystem := cfg.NewSystem
-	if newSystem == nil {
-		newSystem = zoo.Default
-	}
-	sys := newSystem(cfg.Seed)
-	wk := &worker{cfg: cfg, sys: sys, dml: loader.New(sys, cfg.Eviction), streams: map[string]*workerStream{}}
+	wk := newWorker(cfg)
 	defer wk.closeAll()
 	resp := wk.serve(&Request{
 		ID: 1, Cmd: CmdServe,

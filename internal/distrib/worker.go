@@ -22,10 +22,6 @@ import (
 // largest payload; base64-in-JSON roughly ×1.4 over the wire bytes).
 const maxLine = 16 << 20
 
-// PolicyBuilder constructs one stream's decision logic on the worker's
-// device.
-type PolicyBuilder func(sys *zoo.System) (runtime.Policy, error)
-
 // WorkerConfig parameterizes one worker process.
 type WorkerConfig struct {
 	// Name is the worker's device name, reported in hello responses.
@@ -35,13 +31,6 @@ type WorkerConfig struct {
 	// stream must draw the same detections on its new worker — that is what
 	// makes recovery decision-preserving across processes.
 	Seed uint64
-	// NewSystem builds the device platform + zoo (default zoo.Default).
-	NewSystem func(seed uint64) *zoo.System
-	// Eviction is the loader eviction policy (default LRR).
-	Eviction loader.EvictionPolicy
-	// Policies maps policy names to builders; the "fixed:<model>/<proc>"
-	// family is built in.
-	Policies map[string]PolicyBuilder
 }
 
 // workerStream is one stream the worker serves (or served) — live session
@@ -54,7 +43,7 @@ type workerStream struct {
 	lastResp *Response
 }
 
-// worker is the per-process serving state behind RunWorker.
+// worker is the per-process serving state behind RunWorker and Solo.
 type worker struct {
 	cfg     WorkerConfig
 	sys     *zoo.System
@@ -62,22 +51,20 @@ type worker struct {
 	streams map[string]*workerStream
 }
 
+// newWorker builds a worker's serving state: the default platform and zoo
+// on the configured seed, behind a loader that evicts the
+// least-recently-requested engine first (the paper's policy).
+func newWorker(cfg WorkerConfig) *worker {
+	sys := zoo.Default(cfg.Seed)
+	return &worker{cfg: cfg, sys: sys, dml: loader.New(sys, loader.EvictLRR), streams: map[string]*workerStream{}}
+}
+
 // RunWorker speaks the worker side of the protocol over r/w (stdin/stdout of
 // a worker process, or in-process pipes) until shutdown or EOF. Every live
 // session is closed on exit; the error reports protocol-level failures only —
 // per-request serving errors travel back in Response.Err.
 func RunWorker(r io.Reader, w io.Writer, cfg WorkerConfig) error {
-	newSystem := cfg.NewSystem
-	if newSystem == nil {
-		newSystem = zoo.Default
-	}
-	sys := newSystem(cfg.Seed)
-	wk := &worker{
-		cfg:     cfg,
-		sys:     sys,
-		dml:     loader.New(sys, cfg.Eviction),
-		streams: map[string]*workerStream{},
-	}
+	wk := newWorker(cfg)
 	defer wk.closeAll()
 
 	out := bufio.NewWriter(w)
@@ -229,12 +216,9 @@ func (wk *worker) open(req *Request) (*runtime.Session, error) {
 	return runtime.RestoreSession(wk.sys, wk.dml, snap, pol, at)
 }
 
-// policy resolves a policy name through the registry, with the
-// "fixed:<model>/<proc>" family built in.
+// policy resolves a policy name: the "fixed:<model>/<proc>" family, one
+// model on one processor.
 func (wk *worker) policy(name string) (runtime.Policy, error) {
-	if b, ok := wk.cfg.Policies[name]; ok {
-		return b(wk.sys)
-	}
 	if spec, ok := strings.CutPrefix(name, "fixed:"); ok {
 		model, proc, ok := strings.Cut(spec, "/")
 		if !ok || model == "" || proc == "" {

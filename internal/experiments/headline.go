@@ -171,7 +171,7 @@ func streamsBlock(n int) HeadlineBlock {
 		},
 		solo: func(src *soloSources) (headlineInput, error) {
 			if src.multi == nil {
-				m, err := MultiStream(src.env, DefaultMultiStreamConfig())
+				m, err := MultiStream(src.env)
 				if err != nil {
 					return headlineInput{}, err
 				}

@@ -11,30 +11,15 @@ import (
 	"repro/internal/textplot"
 )
 
-// MultiStreamConfig parameterizes the multi-stream serving experiment.
-type MultiStreamConfig struct {
-	// StreamCounts lists the concurrency levels to sweep (default 1–8).
-	StreamCounts []int
-	// PeriodSec is every stream's camera frame period; a frame's deadline is
-	// the next frame's arrival (default 0.1 s = 10 fps).
-	PeriodSec float64
-	// MaxFrames caps each stream's length so the sweep stays fast (0 = full
-	// scenarios).
-	MaxFrames int
-	// Scenarios are assigned to streams round-robin (default the evaluation
-	// suite), so concurrent streams carry heterogeneous content.
-	Scenarios []*scene.Scenario
-}
-
-// DefaultMultiStreamConfig returns the standard sweep: 1–8 streams of
-// 10 fps video, 600 frames per stream.
-func DefaultMultiStreamConfig() MultiStreamConfig {
-	return MultiStreamConfig{
-		StreamCounts: []int{1, 2, 3, 4, 5, 6, 7, 8},
-		PeriodSec:    0.1,
-		MaxFrames:    600,
-	}
-}
+// The multi-stream sweep: 1–8 concurrent streams of 10 fps video, at most
+// 600 frames each, assigned the evaluation suite's scenarios round-robin so
+// concurrent streams carry heterogeneous content. A frame's deadline is the
+// next frame's arrival.
+const (
+	multiStreamMax       = 8
+	multiStreamPeriodSec = 0.1
+	multiStreamMaxFrames = 600
+)
 
 // MultiStreamRow aggregates one concurrency level of the sweep.
 type MultiStreamRow struct {
@@ -78,25 +63,13 @@ type MultiStreamResult struct {
 //
 // The serve loop is a sequential discrete-event simulation, so results are
 // deterministic and independent of the host's worker count.
-func MultiStream(env *Env, cfg MultiStreamConfig) (*MultiStreamResult, error) {
-	if len(cfg.StreamCounts) == 0 {
-		cfg.StreamCounts = DefaultMultiStreamConfig().StreamCounts
-	}
-	if cfg.PeriodSec <= 0 {
-		return nil, fmt.Errorf("experiments: MultiStream needs a positive period, got %v", cfg.PeriodSec)
-	}
-	scenarios := cfg.Scenarios
-	if scenarios == nil {
-		scenarios = scene.EvaluationSuite()
-	}
+func MultiStream(env *Env) (*MultiStreamResult, error) {
+	scenarios := scene.EvaluationSuite()
 	res := &MultiStreamResult{
-		PeriodSec: cfg.PeriodSec,
+		PeriodSec: multiStreamPeriodSec,
 		PerStream: map[int][]*runtime.StreamResult{},
 	}
-	for _, n := range cfg.StreamCounts {
-		if n <= 0 {
-			return nil, fmt.Errorf("experiments: invalid stream count %d", n)
-		}
+	for n := 1; n <= multiStreamMax; n++ {
 		// Fresh shared platform and loader per concurrency level.
 		sys := env.System()
 		dml := loader.New(sys, loader.EvictLRR)
@@ -104,8 +77,8 @@ func MultiStream(env *Env, cfg MultiStreamConfig) (*MultiStreamResult, error) {
 		for i := 0; i < n; i++ {
 			sc := scenarios[i%len(scenarios)]
 			frames := env.Frames(sc)
-			if cfg.MaxFrames > 0 && len(frames) > cfg.MaxFrames {
-				frames = frames[:cfg.MaxFrames]
+			if len(frames) > multiStreamMaxFrames {
+				frames = frames[:multiStreamMaxFrames]
 			}
 			pol, err := pipeline.NewPolicy(sys, env.Ch, env.Graph, pipeline.DefaultOptions())
 			if err != nil {
@@ -114,7 +87,7 @@ func MultiStream(env *Env, cfg MultiStreamConfig) (*MultiStreamResult, error) {
 			specs[i] = runtime.StreamSpec{
 				Name:      fmt.Sprintf("%s#%d", sc.Name, i),
 				Frames:    frames,
-				PeriodSec: cfg.PeriodSec,
+				PeriodSec: multiStreamPeriodSec,
 				Policy:    pol,
 			}
 		}

@@ -8,13 +8,11 @@ import (
 	"repro/internal/scene"
 )
 
-// quickMultiStreamConfig keeps the sweep small for tests.
-func quickMultiStreamConfig(counts ...int) MultiStreamConfig {
-	return MultiStreamConfig{
-		StreamCounts: counts,
-		PeriodSec:    0.1,
-		MaxFrames:    200,
-	}
+// sweepFrames returns the frames the sweep serves to its i-th stream.
+func sweepFrames(env *Env, i int) []scene.Frame {
+	suite := scene.EvaluationSuite()
+	frames := env.Frames(suite[i%len(suite)])
+	return frames[:min(len(frames), multiStreamMaxFrames)]
 }
 
 func TestMultiStreamSingleStreamMatchesSoloRun(t *testing.T) {
@@ -22,7 +20,7 @@ func TestMultiStreamSingleStreamMatchesSoloRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := MultiStream(env, quickMultiStreamConfig(1))
+	res, err := MultiStream(env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +32,7 @@ func TestMultiStreamSingleStreamMatchesSoloRun(t *testing.T) {
 	// solo pipeline over the same frames: queueing cannot exist without a
 	// second stream.
 	sc := scene.EvaluationSuite()[0]
-	frames := env.Frames(sc)[:200]
+	frames := sweepFrames(env, 0)
 	shift, err := pipeline.NewSHIFT(env.System(), env.Ch, env.Graph, pipeline.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +61,7 @@ func TestMultiStreamContentionGrowsWithStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := MultiStream(env, quickMultiStreamConfig(1, 4))
+	res, err := MultiStream(env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,8 +70,12 @@ func TestMultiStreamContentionGrowsWithStreams(t *testing.T) {
 	if !ok1 || !ok4 {
 		t.Fatal("missing sweep rows")
 	}
-	if one.Frames != 200 || four.Frames != 4*200 {
-		t.Fatalf("frame totals %d/%d, want 200/800", one.Frames, four.Frames)
+	wantOne, wantFour := len(sweepFrames(env, 0)), 0
+	for i := 0; i < 4; i++ {
+		wantFour += len(sweepFrames(env, i))
+	}
+	if one.Frames != wantOne || four.Frames != wantFour {
+		t.Fatalf("frame totals %d/%d, want %d/%d", one.Frames, four.Frames, wantOne, wantFour)
 	}
 	if four.AvgQueueWaitSec <= 0 {
 		t.Fatal("four contending streams paid no queueing delay")
@@ -103,7 +105,7 @@ func TestMultiStreamDeterministicAcrossWorkerCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func() *MultiStreamResult {
-		res, err := MultiStream(env, quickMultiStreamConfig(3))
+		res, err := MultiStream(env)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,31 +116,22 @@ func TestMultiStreamDeterministicAcrossWorkerCounts(t *testing.T) {
 	gort.GOMAXPROCS(8)
 	b := run()
 	gort.GOMAXPROCS(prev)
-	for si := range a.PerStream[3] {
-		ra, rb := a.PerStream[3][si], b.PerStream[3][si]
-		for i := range ra.Result.Records {
-			if ra.Result.Records[i] != rb.Result.Records[i] {
-				t.Fatalf("stream %d record %d differs across worker counts", si, i)
-			}
-			if ra.Timings[i] != rb.Timings[i] {
-				t.Fatalf("stream %d timing %d differs across worker counts", si, i)
+	for n, streams := range a.PerStream {
+		for si := range streams {
+			ra, rb := streams[si], b.PerStream[n][si]
+			for i := range ra.Result.Records {
+				if ra.Result.Records[i] != rb.Result.Records[i] {
+					t.Fatalf("%d streams: stream %d record %d differs across worker counts", n, si, i)
+				}
+				if ra.Timings[i] != rb.Timings[i] {
+					t.Fatalf("%d streams: stream %d timing %d differs across worker counts", n, si, i)
+				}
 			}
 		}
 	}
-	if a.Rows[0] != b.Rows[0] {
-		t.Fatalf("sweep rows differ across worker counts:\n%+v\n%+v", a.Rows[0], b.Rows[0])
-	}
-}
-
-func TestMultiStreamValidation(t *testing.T) {
-	env, err := Shared()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := MultiStream(env, MultiStreamConfig{StreamCounts: []int{1}, PeriodSec: 0}); err == nil {
-		t.Fatal("zero period should fail")
-	}
-	if _, err := MultiStream(env, MultiStreamConfig{StreamCounts: []int{0}, PeriodSec: 0.1}); err == nil {
-		t.Fatal("zero stream count should fail")
+	for i := range a.Rows {
+		if a.Rows[i] != b.Rows[i] {
+			t.Fatalf("sweep rows differ across worker counts:\n%+v\n%+v", a.Rows[i], b.Rows[i])
+		}
 	}
 }

@@ -111,7 +111,7 @@ func ComparisonReport(env *Env) (string, error) {
 	}
 	// Multi-stream serving extension: the contention regime beyond the
 	// paper's single-stream evaluation.
-	ms, err := MultiStream(env, DefaultMultiStreamConfig())
+	ms, err := MultiStream(env)
 	if err != nil {
 		return "", err
 	}

@@ -273,7 +273,7 @@ func TestDurabilityDisabledBitIdentical(t *testing.T) {
 	f, err := New(Config{
 		Seed: 7, Devices: devs, Placement: place,
 		Admission:  Admission{PerDeviceStreams: 2, QueueLimit: 2},
-		Durability: &DurabilityConfig{EveryFrames: 7, RenderSeed: 1},
+		Durability: &DurabilityConfig{EveryFrames: 7},
 	})
 	if err != nil {
 		t.Fatal(err)

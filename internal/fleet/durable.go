@@ -27,10 +27,6 @@ type DurabilityConfig struct {
 	// (<= 0: default 10). Smaller means less replay after a crash and more
 	// journal bytes.
 	EveryFrames int
-	// RenderSeed is recorded in each checkpoint's frame-source reference so
-	// an out-of-process consumer can re-render the stream's frames; the
-	// in-process recovery path re-supplies frames directly and ignores it.
-	RenderSeed uint64
 }
 
 // defaultJournalEvery is the journal cadence when the config leaves it zero.
@@ -64,10 +60,11 @@ type journalEntry struct {
 // checkpoint.Encode of the same checkpoint.
 func (f *Fleet) commitJournal(as *activeSession, snap *runtime.SessionSnapshot) error {
 	f.journalSeq++
+	// The in-process recovery path re-supplies frames directly, so the
+	// checkpoint's render seed stays zero.
 	c := &checkpoint.Checkpoint{
-		Session:    snap,
-		Scenario:   as.req.Scenario,
-		RenderSeed: f.durable.RenderSeed,
+		Session:  snap,
+		Scenario: as.req.Scenario,
 		Counters: map[string]uint64{
 			"journal_seq": f.journalSeq,
 			"served":      uint64(snap.Served()),

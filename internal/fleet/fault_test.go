@@ -124,7 +124,7 @@ func TestFaultDeathPermanentlyExcludesDevice(t *testing.T) {
 // its base scale.
 func TestFaultBrownoutSlowsWithoutMigration(t *testing.T) {
 	run := func(faults []Fault) (*Result, *Fleet) {
-		f := newTestFleet(t, Admission{}, DeviceConfig{Name: "solo", Seed: 1})
+		f := newTestFleet(t, Admission{}, DeviceConfig{Name: "solo"})
 		res, err := f.RunWithFaults([]StreamRequest{{
 			Name: "s", Scenario: "scenario2", Frames: testFrames(t)[:80], PeriodSec: 0, // offline pacing
 			Policy: fixedFactory(detmodel.YoloV7, "gpu"),
@@ -158,7 +158,7 @@ func TestFaultBrownoutSlowsWithoutMigration(t *testing.T) {
 // last one ends.
 func TestFaultOverlappingBrownoutsCompound(t *testing.T) {
 	run := func(faults []Fault) (*Result, *Fleet) {
-		f := newTestFleet(t, Admission{}, DeviceConfig{Name: "solo", Seed: 1})
+		f := newTestFleet(t, Admission{}, DeviceConfig{Name: "solo"})
 		res, err := f.RunWithFaults([]StreamRequest{{
 			Name: "s", Scenario: "scenario2", Frames: testFrames(t)[:80], PeriodSec: 0, // offline pacing
 			Policy: fixedFactory(detmodel.YoloV7, "gpu"),
@@ -526,7 +526,7 @@ func TestFaultScheduleValidation(t *testing.T) {
 // TestSnapshotAccessors covers the checkpoint's introspection surface the
 // fleet and its tests rely on.
 func TestSnapshotAccessors(t *testing.T) {
-	f := newTestFleet(t, Admission{}, DeviceConfig{Name: "d0", Seed: 1})
+	f := newTestFleet(t, Admission{}, DeviceConfig{Name: "d0"})
 	d := f.Devices()[0]
 	pol, err := fixedFactory(detmodel.YoloV7, "gpu")(d.Sys)
 	if err != nil {

@@ -76,9 +76,6 @@ type DeviceConfig struct {
 	// TimeScale): 1 is the characterized baseline, 2 a half-speed device.
 	// 0 defaults to 1.
 	Scale float64
-	// Seed overrides the device's derived RNG seed when non-zero; the
-	// default is DeriveSeed(fleet seed, name).
-	Seed uint64
 }
 
 // Device is one serving platform of the fleet.
@@ -234,10 +231,9 @@ type Config struct {
 	Admission Admission
 	// NewSystem builds one device's platform + zoo from its seed (default
 	// zoo.Default). The autoscaler provisions warm-pool devices through the
-	// same factory.
+	// same factory. Each device's loader evicts least-recently-requested
+	// engines first (loader.EvictLRR, the paper's policy).
 	NewSystem func(seed uint64) *zoo.System
-	// Eviction is each device loader's eviction policy (default LRR).
-	Eviction loader.EvictionPolicy
 	// Autoscale turns on the SLO-driven elastic controller, which
 	// provisions up to eight warm-pool devices under pressure and drains
 	// idle ones back (autoscale.go). Off, the fleet is fixed and behaves
@@ -282,9 +278,9 @@ type Config struct {
 	Prefetch bool
 }
 
-// DeriveSeed returns the deterministic per-device seed used when a
-// DeviceConfig does not pin one: a function of the fleet seed and the device
-// name only, so device listing order cannot perturb any jitter stream.
+// DeriveSeed returns a device's RNG seed: a function of the fleet seed and
+// the device name only, so device listing order cannot perturb any jitter
+// stream.
 func DeriveSeed(seed uint64, name string) uint64 {
 	return rng.New(seed).Fork("device/" + name).Uint64()
 }
@@ -300,7 +296,6 @@ type Fleet struct {
 	// fleet.
 	seed      uint64
 	newSystem func(seed uint64) *zoo.System
-	evict     loader.EvictionPolicy
 
 	// affinity is the dispatcher's learned residency model: for each
 	// scenario, the (model, kind) engines streams of that scenario ended up
@@ -378,7 +373,6 @@ func New(cfg Config) (*Fleet, error) {
 		adm:          cfg.Admission,
 		seed:         cfg.Seed,
 		newSystem:    newSystem,
-		evict:        cfg.Eviction,
 		affinity:     map[string]map[string]zoo.Pair{},
 		durable:      cfg.Durability,
 		journalStore: map[*StreamOutcome]*journalEntry{},
@@ -431,11 +425,7 @@ func (f *Fleet) buildDevice(dc DeviceConfig) (*Device, error) {
 	if scale < 0 {
 		return nil, fmt.Errorf("fleet: device %q has negative scale %v", dc.Name, scale)
 	}
-	devSeed := dc.Seed
-	if devSeed == 0 {
-		devSeed = DeriveSeed(f.seed, dc.Name)
-	}
-	sys := f.newSystem(devSeed)
+	sys := f.newSystem(DeriveSeed(f.seed, dc.Name))
 	if err := sys.SoC.SetTimeScale(scale); err != nil {
 		return nil, fmt.Errorf("fleet: device %q: %w", dc.Name, err)
 	}
@@ -443,7 +433,7 @@ func (f *Fleet) buildDevice(dc DeviceConfig) (*Device, error) {
 		Name:   dc.Name,
 		Scale:  scale,
 		Sys:    sys,
-		DML:    loader.New(sys, f.evict),
+		DML:    loader.New(sys, loader.EvictLRR),
 		region: regionIndex(dc.Name, f.nregions),
 	}, nil
 }

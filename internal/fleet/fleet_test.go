@@ -79,8 +79,9 @@ func fixedFactory(model, proc string) PolicyFactory {
 func TestFleetSingleDeviceReproducesServe(t *testing.T) {
 	frames := testFrames(t)[:80]
 	for _, n := range []int{1, 3} {
-		// Reference: runtime.Serve on zoo.Default(1).
-		sys := zoo.Default(1)
+		// Reference: runtime.Serve on the platform the fleet builds for its
+		// one device, seeded from the fleet seed and the device name.
+		sys := zoo.Default(DeriveSeed(99, "solo"))
 		dml := loader.New(sys, loader.EvictLRR)
 		specs := make([]runtime.StreamSpec, n)
 		for i := range specs {
@@ -96,8 +97,8 @@ func TestFleetSingleDeviceReproducesServe(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		// Fleet: one device pinned to the same seed, same streams at t=0.
-		f, err := New(Config{Seed: 99, Devices: []DeviceConfig{{Name: "solo", Seed: 1}}})
+		// Fleet: that one device, same streams at t=0.
+		f, err := New(Config{Seed: 99, Devices: []DeviceConfig{{Name: "solo"}}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -320,7 +321,7 @@ func TestFleetHeterogeneousScale(t *testing.T) {
 	run := func(scale float64) time.Duration {
 		f, err := New(Config{
 			Seed:    1,
-			Devices: []DeviceConfig{{Name: "dev", Seed: 1, Scale: scale}},
+			Devices: []DeviceConfig{{Name: "dev", Scale: scale}},
 		})
 		if err != nil {
 			t.Fatal(err)

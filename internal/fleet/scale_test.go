@@ -253,7 +253,7 @@ func TestFleetAuditTripsOnMissedFix(t *testing.T) {
 }
 
 // TestFleetDepartureBeforeStepTie: a departure and a step due at the same
-// instant resolve departure first. Two devices pinned to one seed serve
+// instant resolve departure first. Two devices built on one seed serve
 // identical streams of 5 and 8 frames at period 0 in lockstep, so the short
 // stream departs exactly when the long stream's frame 5 is ready. The
 // departure hook, run sequentially (R = 0), must see the long stream with 5
@@ -267,8 +267,11 @@ func TestFleetDepartureBeforeStepTie(t *testing.T) {
 	var fl *Fleet
 	served := -1
 	fl, err := New(Config{
-		Seed:      4,
-		Devices:   []DeviceConfig{{Name: "edge-a", Seed: 77}, {Name: "edge-b", Seed: 77}},
+		Seed:    4,
+		Devices: []DeviceConfig{{Name: "edge-a"}, {Name: "edge-b"}},
+		// Both platforms ignore their derived seeds, so their jitter
+		// streams, and the two streams' timings, are identical.
+		NewSystem: func(uint64) *zoo.System { return zoo.Default(77) },
 		Placement: NewRoundRobin(),
 		OnDepart: func(out *StreamOutcome) {
 			if out.Name != "short" {
