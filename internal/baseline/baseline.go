@@ -100,36 +100,34 @@ func (p *singleModelPolicy) Step(st *runtime.Step) error {
 
 // MarlinConfig tunes the Marlin baseline.
 type MarlinConfig struct {
-	// Model and ProcID fix the DNN pair (the paper runs Marlin on the GPU
-	// with YoloV7, and "Marlin Tiny" with YoloV7-Tiny).
-	Model  string
-	ProcID string
-	// Tracker configures the template tracker.
-	Tracker track.Config
-	// MotionThreshold (pixels) of tracked-box movement since the last DNN
-	// fix that triggers re-detection; drone footage moves constantly, which
-	// is why the paper's Marlin ran its DNN on most frames.
-	MotionThreshold float64
-	// MaxTrackAge is the maximum number of consecutive tracker-only frames
-	// before a mandatory DNN refresh.
-	MaxTrackAge int
+	// Model is the DNN Marlin runs on the GPU (the paper runs Marlin with
+	// YoloV7, and "Marlin Tiny" with YoloV7-Tiny).
+	Model string
 }
 
 // DefaultMarlinConfig mirrors the paper's Marlin setup (YoloV7 on GPU).
-// The motion threshold is expressed in this repo's 72-pixel frames: the
-// paper's drone videos at 640x640 see several pixels of target motion per
-// frame, which scales to fractions of a pixel here, so the trigger fires on
-// most frames of a moving target — matching Table III, where Marlin's
-// latency (0.132 s) shows its DNN running at nearly every frame.
 func DefaultMarlinConfig() MarlinConfig {
-	return MarlinConfig{
-		Model:           detmodel.YoloV7,
-		ProcID:          "gpu",
-		Tracker:         track.DefaultConfig(),
-		MotionThreshold: 0.2,
-		MaxTrackAge:     8,
-	}
+	return MarlinConfig{Model: detmodel.YoloV7}
 }
+
+// Marlin's fixed settings. The motion threshold is expressed in this
+// repo's 72-pixel frames: the paper's drone videos at 640x640 see several
+// pixels of target motion per frame, which scales to fractions of a pixel
+// here, so the trigger fires on most frames of a moving target — matching
+// Table III, where Marlin's latency (0.132 s) shows its DNN running at
+// nearly every frame.
+const (
+	// marlinProcID is the processor Marlin's DNN runs on.
+	marlinProcID = "gpu"
+	// marlinMotionThreshold is the tracked-box movement (pixels) since the
+	// last DNN fix that triggers re-detection; drone footage moves
+	// constantly, which is why the paper's Marlin ran its DNN on most
+	// frames.
+	marlinMotionThreshold = 0.2
+	// marlinMaxTrackAge is the maximum number of consecutive tracker-only
+	// frames before a mandatory DNN refresh.
+	marlinMaxTrackAge = 8
+)
 
 // NewMarlin builds a Marlin runner: the DNN+tracker alternation baseline.
 func NewMarlin(sys *zoo.System, cfg MarlinConfig) (*runtime.Engine, error) {
@@ -142,7 +140,6 @@ func NewMarlin(sys *zoo.System, cfg MarlinConfig) (*runtime.Engine, error) {
 
 // marlinPolicy alternates the DNN with the template tracker.
 type marlinPolicy struct {
-	cfg  MarlinConfig
 	pair zoo.Pair
 	name string
 
@@ -151,20 +148,17 @@ type marlinPolicy struct {
 	trackAge           int
 }
 
-// newMarlinPolicy validates the configuration and resolves the DNN pair.
+// newMarlinPolicy resolves the DNN pair.
 func newMarlinPolicy(sys *zoo.System, cfg MarlinConfig) (*marlinPolicy, error) {
-	pair, err := findPair(sys, cfg.Model, cfg.ProcID)
+	pair, err := findPair(sys, cfg.Model, marlinProcID)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.MaxTrackAge <= 0 {
-		return nil, fmt.Errorf("baseline: MaxTrackAge must be positive, got %d", cfg.MaxTrackAge)
 	}
 	name := "Marlin"
 	if cfg.Model == detmodel.YoloV7Tiny {
 		name = "Marlin Tiny"
 	}
-	return &marlinPolicy{cfg: cfg, pair: pair, name: name}, nil
+	return &marlinPolicy{pair: pair, name: name}, nil
 }
 
 // Name implements runtime.Policy.
@@ -172,11 +166,7 @@ func (p *marlinPolicy) Name() string { return p.name }
 
 // Reset implements runtime.Policy: fresh tracker and fix history.
 func (p *marlinPolicy) Reset(*runtime.Engine) error {
-	tr, err := track.New(p.cfg.Tracker)
-	if err != nil {
-		return err
-	}
-	p.tr = tr
+	p.tr = track.New()
 	p.lastFixX, p.lastFixY = 0, 0
 	p.trackAge = 0
 	return nil
@@ -195,10 +185,10 @@ func (p *marlinPolicy) Step(st *runtime.Step) error {
 		box, score, ok := p.tr.Step(st.Frame().Image)
 		if ok {
 			cx, cy := box.Center()
-			moved := abs(cx-p.lastFixX) > p.cfg.MotionThreshold ||
-				abs(cy-p.lastFixY) > p.cfg.MotionThreshold
+			moved := abs(cx-p.lastFixX) > marlinMotionThreshold ||
+				abs(cy-p.lastFixY) > marlinMotionThreshold
 			p.trackAge++
-			if !moved && p.trackAge < p.cfg.MaxTrackAge {
+			if !moved && p.trackAge < marlinMaxTrackAge {
 				// Tracker-only frame.
 				needDNN = false
 				rec := st.Rec()

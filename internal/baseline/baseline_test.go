@@ -94,9 +94,9 @@ func TestMarlinTinyName(t *testing.T) {
 func TestMarlinValidation(t *testing.T) {
 	sys := zoo.Default(1)
 	cfg := DefaultMarlinConfig()
-	cfg.MaxTrackAge = 0
+	cfg.Model = "no-such-model"
 	if _, err := NewMarlin(sys, cfg); err == nil {
-		t.Fatal("zero MaxTrackAge should fail")
+		t.Fatal("unknown model should fail")
 	}
 }
 

@@ -41,8 +41,8 @@ type NodeKey struct {
 
 // String returns "model(lo-hi)" using the graph's bucket width.
 func (g *Graph) nodeString(k NodeKey) string {
-	lo := float64(k.Bucket) / float64(g.buckets)
-	hi := float64(k.Bucket+1) / float64(g.buckets)
+	lo := float64(k.Bucket) / buckets
+	hi := float64(k.Bucket+1) / buckets
 	return fmt.Sprintf("%s-(%.2f-%.2f)", k.Model, lo, hi)
 }
 
@@ -75,7 +75,6 @@ func (n *node) expectedAcc() float64 {
 
 // Graph is a built confidence graph plus its precomputed prediction map.
 type Graph struct {
-	buckets   int
 	threshold float64
 	nodes     map[NodeKey]*node
 	// predictions is the paper's step-6 map: node -> consolidated
@@ -83,32 +82,29 @@ type Graph struct {
 	predictions map[NodeKey][]Prediction
 }
 
+// buckets is the number of confidence-score ranges per model (the paper's
+// example uses width-0.1 ranges, i.e. 10 buckets).
+const buckets = 10
+
 // Options configure graph construction.
 type Options struct {
-	// Buckets is the number of confidence-score ranges per model (the
-	// paper's example uses width-0.1 ranges, i.e. 10 buckets).
-	Buckets int
 	// DistanceThreshold bounds the step-4 traversal; Table III uses 0.5.
 	DistanceThreshold float64
 }
 
 // DefaultOptions mirror the paper's configuration.
 func DefaultOptions() Options {
-	return Options{Buckets: 10, DistanceThreshold: 0.5}
+	return Options{DistanceThreshold: 0.5}
 }
 
 // Build constructs the confidence graph from characterization samples.
 // Samples of different models taken on the same validation frame create the
 // cross-model edges that make prediction possible.
 func Build(ch *profile.Characterization, opts Options) (*Graph, error) {
-	if opts.Buckets <= 0 {
-		return nil, fmt.Errorf("confgraph: Buckets must be positive, got %d", opts.Buckets)
-	}
 	if opts.DistanceThreshold < 0 {
 		return nil, fmt.Errorf("confgraph: negative DistanceThreshold %v", opts.DistanceThreshold)
 	}
 	g := &Graph{
-		buckets:     opts.Buckets,
 		threshold:   opts.DistanceThreshold,
 		nodes:       map[NodeKey]*node{},
 		predictions: map[NodeKey][]Prediction{},
@@ -159,9 +155,9 @@ func (g *Graph) bucketOf(conf float64) int {
 	if conf < 0 {
 		conf = 0
 	}
-	b := int(conf * float64(g.buckets))
-	if b >= g.buckets {
-		b = g.buckets - 1
+	b := int(conf * buckets)
+	if b >= buckets {
+		b = buckets - 1
 	}
 	return b
 }

@@ -27,10 +27,7 @@ func buildTestGraph(t *testing.T, nFrames int, opts Options) (*profile.Character
 func TestBuildValidation(t *testing.T) {
 	sys := zoo.Default(1)
 	ch := profile.Characterize(sys, scene.ValidationSet(1, 10))
-	if _, err := Build(ch, Options{Buckets: 0, DistanceThreshold: 0.5}); err == nil {
-		t.Fatal("zero buckets should fail")
-	}
-	if _, err := Build(ch, Options{Buckets: 10, DistanceThreshold: -1}); err == nil {
+	if _, err := Build(ch, Options{DistanceThreshold: -1}); err == nil {
 		t.Fatal("negative threshold should fail")
 	}
 }
@@ -47,7 +44,7 @@ func TestGraphCoversAllModels(t *testing.T) {
 }
 
 func TestBucketOf(t *testing.T) {
-	g := &Graph{buckets: 10}
+	g := &Graph{}
 	cases := []struct {
 		conf float64
 		want int
@@ -217,7 +214,7 @@ func TestZeroThresholdLimitsToSelf(t *testing.T) {
 	// With threshold 0, only zero-cost hops are traversable; predictions
 	// should cover far fewer models (the ablation case from DESIGN.md).
 	_, full := buildTestGraph(t, 500, DefaultOptions())
-	_, tight := buildTestGraph(t, 500, Options{Buckets: 10, DistanceThreshold: 0})
+	_, tight := buildTestGraph(t, 500, Options{DistanceThreshold: 0})
 	fullPreds, _ := full.Predict(detmodel.YoloV7, 0.6)
 	tightPreds, _ := tight.Predict(detmodel.YoloV7, 0.6)
 	if len(tightPreds) >= len(fullPreds) {
@@ -227,8 +224,8 @@ func TestZeroThresholdLimitsToSelf(t *testing.T) {
 }
 
 func TestLargerThresholdReachesMore(t *testing.T) {
-	_, small := buildTestGraph(t, 400, Options{Buckets: 10, DistanceThreshold: 0.2})
-	_, large := buildTestGraph(t, 400, Options{Buckets: 10, DistanceThreshold: 1.5})
+	_, small := buildTestGraph(t, 400, Options{DistanceThreshold: 0.2})
+	_, large := buildTestGraph(t, 400, Options{DistanceThreshold: 1.5})
 	sTot, lTot := 0, 0
 	for _, conf := range []float64{0.2, 0.5, 0.8} {
 		if p, ok := small.Predict(detmodel.YoloV7, conf); ok {

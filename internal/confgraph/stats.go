@@ -62,17 +62,17 @@ func (s Stats) String() string {
 }
 
 // Validate checks the structural invariants a well-formed graph must hold:
-// edge symmetry, costs in [0, 1], node accuracy in [0, 1], and prediction
-// entries referencing existing models. Build always produces a valid graph;
+// at least one node, edge symmetry, costs in [0, 1], node accuracy in
+// [0, 1], and prediction entries referencing existing models. Build always produces a valid graph;
 // cmd/characterize checks the one it builds.
 func (g *Graph) Validate() error {
-	if g.buckets <= 0 {
-		return fmt.Errorf("confgraph: invalid bucket count %d", g.buckets)
+	if len(g.nodes) == 0 {
+		return fmt.Errorf("confgraph: graph has no nodes")
 	}
 	models := map[string]bool{}
 	for key, n := range g.nodes {
 		models[key.Model] = true
-		if key.Bucket < 0 || key.Bucket >= g.buckets {
+		if key.Bucket < 0 || key.Bucket >= buckets {
 			return fmt.Errorf("confgraph: node %v bucket out of range", key)
 		}
 		if n.samples < 0 {

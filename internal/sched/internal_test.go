@@ -6,8 +6,10 @@ import (
 	"repro/internal/detmodel"
 	"repro/internal/geom"
 	"repro/internal/img"
+	"repro/internal/profile"
 	"repro/internal/rng"
 	"repro/internal/scene"
+	"repro/internal/zoo"
 )
 
 // These tests exercise the scheduler's internal mechanics (box cropping,
@@ -25,8 +27,8 @@ func TestBoxCropNormalizesSize(t *testing.T) {
 	if crop == nil {
 		t.Fatal("crop nil for a found detection")
 	}
-	if crop.W != s.cfg.BoxCropSize || crop.H != s.cfg.BoxCropSize {
-		t.Fatalf("crop size %dx%d, want %dx%d", crop.W, crop.H, s.cfg.BoxCropSize, s.cfg.BoxCropSize)
+	if crop.W != boxCropSize || crop.H != boxCropSize {
+		t.Fatalf("crop size %dx%d, want %dx%d", crop.W, crop.H, boxCropSize, boxCropSize)
 	}
 }
 
@@ -97,38 +99,74 @@ func TestGateArithmetic(t *testing.T) {
 	}
 }
 
+// challenger returns the margin-free choice of the last rescheduling
+// Decide — the best-scoring candidate whose model passed the accuracy
+// filter, first in candidate order on ties — and its score, beside the
+// incumbent's score and whether the incumbent passed the filter.
+func (s *Scheduler) challenger(cur zoo.Pair) (best zoo.Pair, bestScore, curScore float64, curValid bool) {
+	bestScore = -1
+	for _, c := range s.candidates {
+		if !s.valid[c.modelIdx] {
+			continue
+		}
+		if sc := s.rVals[c.modelIdx]*s.cfg.Knobs.Accuracy + c.eTerm + c.lTerm; sc > bestScore {
+			best, bestScore = c.pair, sc
+		}
+	}
+	idx := s.internModel(cur.Model)
+	terms := s.knobTerms[profile.PairKey{Model: cur.Model, Kind: cur.Kind}]
+	curR := 0.0
+	if s.rSet[idx] {
+		curR = s.rVals[idx]
+	}
+	return best, bestScore, curR*s.cfg.Knobs.Accuracy + terms[0] + terms[1], s.valid[idx]
+}
+
+// TestHysteresisPreventsMarginalSwaps drives the scheduler through changing
+// contexts and checks every rescheduling decision against the swap margin:
+// a challenger that beats a qualifying incumbent by less than swapMargin is
+// held back, one that beats it by at least swapMargin takes over. The
+// margin must hold back at least one challenger, or the check is vacuous.
 func TestHysteresisPreventsMarginalSwaps(t *testing.T) {
-	// With an enormous SwapMargin, the scheduler must never leave the
-	// current pair once predictions exist for it.
 	f := fx(t)
-	cfg := DefaultConfig()
-	cfg.SwapMargin = 100
-	s := newSched(t, cfg)
+	s := newSched(t, DefaultConfig())
 	cur := pairFor(t, s, detmodel.YoloV7, 1)
-	for i := 0; i < 20; i++ {
-		var frame scene.Frame
-		if i%2 == 0 {
-			frame = easyFrame(1000 + i)
-		} else {
+	held, taken := 0, 0
+	for i := 0; i < 120; i++ {
+		frame := easyFrame(1000 + i)
+		if (i/6)%2 == 1 {
 			frame = hardFrame(1000 + i)
 		}
 		dec := s.Decide(cur, detect(t, f, cur.Model, frame), frame)
-		if dec.Rescheduled && dec.Pair != cur {
-			// A swap is only legitimate if the incumbent's model failed the
-			// accuracy filter entirely.
-			if _, ok := s.predicted()[cur.Model]; ok && dec.MetThreshold {
-				t.Fatalf("iteration %d: swapped to %v despite infinite margin", i, dec.Pair)
+		if dec.Rescheduled {
+			best, bestScore, curScore, curValid := s.challenger(cur)
+			if curValid && best != cur {
+				want := best
+				if bestScore < curScore+swapMargin {
+					want = cur
+					held++
+				} else {
+					taken++
+				}
+				if dec.Pair != want {
+					t.Fatalf("frame %d: chose %v, want %v (challenger %v scores %.4f, incumbent %v %.4f)",
+						i, dec.Pair, want, best, bestScore, cur, curScore)
+				}
 			}
 		}
 		cur = dec.Pair
 	}
+	t.Logf("held %d, taken %d", held, taken)
+	if held == 0 {
+		t.Fatal("the swap margin never held back a challenger")
+	}
 }
 
-func TestZeroMarginAllowsSwaps(t *testing.T) {
+// TestMarginAllowsSwaps checks the margin is a hysteresis, not a freeze:
+// on easy frames the scheduler still swaps off the expensive default.
+func TestMarginAllowsSwaps(t *testing.T) {
 	f := fx(t)
-	cfg := DefaultConfig()
-	cfg.SwapMargin = 0
-	s := newSched(t, cfg)
+	s := newSched(t, DefaultConfig())
 	cur := pairFor(t, s, detmodel.YoloV7, 1)
 	swapped := false
 	for i := 0; i < 10; i++ {
@@ -140,6 +178,6 @@ func TestZeroMarginAllowsSwaps(t *testing.T) {
 		cur = dec.Pair
 	}
 	if !swapped {
-		t.Fatal("zero margin never swapped off the expensive default")
+		t.Fatal("the scheduler never swapped off the expensive default")
 	}
 }

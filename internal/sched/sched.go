@@ -52,16 +52,6 @@ type Config struct {
 	Momentum int
 	// Knobs weight accuracy, energy and latency in candidate scoring.
 	Knobs Knobs
-	// BoxCropSize is the edge length to which bounding-box crops are
-	// normalized before NCC comparison.
-	BoxCropSize int
-	// SwapMargin is the score advantage a challenger pair needs over the
-	// incumbent before a swap happens. Swaps cost engine loads, so a small
-	// hysteresis keeps the scheduler from thrashing when candidate scores
-	// jitter — most visibly during no-detection stretches, where the paper
-	// notes SHIFT "conservatively allocates resources" rather than cycling
-	// models (its total swap count in Table III is only 42).
-	SwapMargin float64
 	// DisableGate is an ablation switch: when set, the NCC keep-gate is
 	// bypassed and the full decision path runs on every frame. Used by
 	// BenchmarkAblationNoNCC to quantify what the gate saves.
@@ -81,10 +71,21 @@ func DefaultConfig() Config {
 		AccuracyThreshold: 0.25,
 		Momentum:          30,
 		Knobs:             Knobs{Accuracy: 1.0, Energy: 0.5, Latency: 0.5},
-		BoxCropSize:       24,
-		SwapMargin:        0.03,
 	}
 }
+
+const (
+	// boxCropSize is the edge length to which bounding-box crops are
+	// normalized before NCC comparison.
+	boxCropSize = 24
+	// swapMargin is the score advantage a challenger pair needs over the
+	// incumbent before a swap happens. Swaps cost engine loads, so a small
+	// hysteresis keeps the scheduler from thrashing when candidate scores
+	// jitter — most visibly during no-detection stretches, where the paper
+	// notes SHIFT "conservatively allocates resources" rather than cycling
+	// models (its total swap count in Table III is only 42).
+	swapMargin = 0.03
+)
 
 // Decision reports one scheduling outcome with its diagnostics, consumed by
 // the pipeline (for accounting) and by the figure generators.
@@ -161,9 +162,6 @@ type candidate struct {
 func New(sys *zoo.System, ch *profile.Characterization, graph *confgraph.Graph, cfg Config) (*Scheduler, error) {
 	if cfg.Momentum <= 0 {
 		return nil, fmt.Errorf("sched: Momentum must be positive, got %d", cfg.Momentum)
-	}
-	if cfg.BoxCropSize <= 0 {
-		return nil, fmt.Errorf("sched: BoxCropSize must be positive, got %d", cfg.BoxCropSize)
 	}
 	if cfg.AccuracyThreshold < 0 || cfg.AccuracyThreshold > 1 {
 		return nil, fmt.Errorf("sched: AccuracyThreshold %v outside [0,1]", cfg.AccuracyThreshold)
@@ -285,11 +283,10 @@ func (s *Scheduler) boxCrop(frame *img.Image, det detmodel.Detection) *img.Image
 	}
 	crop.W, crop.H, crop.Pix = w, h, crop.Pix[:w*h]
 	frame.CropInto(int(det.Box.X), int(det.Box.Y), crop)
-	size := s.cfg.BoxCropSize
-	s.resizeKernel.Retarget(w, h, size, size)
+	s.resizeKernel.Retarget(w, h, boxCropSize, boxCropSize)
 	out := s.boxOut[s.boxFlip]
 	if out == nil {
-		out = img.New(size, size)
+		out = img.New(boxCropSize, boxCropSize)
 		s.boxOut[s.boxFlip] = out
 	}
 	s.boxFlip = 1 - s.boxFlip
@@ -404,7 +401,7 @@ func (s *Scheduler) Decide(cur zoo.Pair, det detmodel.Detection, frame scene.Fra
 		}
 	}
 	// Hysteresis: swapping pays a load, so the challenger must beat the
-	// incumbent by SwapMargin. When the incumbent's model failed the
+	// incumbent by swapMargin. When the incumbent's model failed the
 	// accuracy filter, the swap is unconditional. A model absent from the
 	// predictions contributes accuracy 0, as with the map's zero value.
 	curIdx := s.internModel(cur.Model)
@@ -415,7 +412,7 @@ func (s *Scheduler) Decide(cur zoo.Pair, det detmodel.Detection, frame scene.Fra
 			curR = s.rVals[curIdx]
 		}
 		curScore := curR*s.cfg.Knobs.Accuracy + terms[0] + terms[1]
-		if bestScore < curScore+s.cfg.SwapMargin {
+		if bestScore < curScore+swapMargin {
 			best = cur
 		}
 	}

@@ -95,11 +95,6 @@ func TestNewValidation(t *testing.T) {
 		t.Fatal("zero momentum should fail")
 	}
 	bad = DefaultConfig()
-	bad.BoxCropSize = 0
-	if _, err := New(f.sys, f.ch, f.graph, bad); err == nil {
-		t.Fatal("zero crop size should fail")
-	}
-	bad = DefaultConfig()
 	bad.AccuracyThreshold = 1.5
 	if _, err := New(f.sys, f.ch, f.graph, bad); err == nil {
 		t.Fatal("threshold > 1 should fail")

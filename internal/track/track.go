@@ -11,34 +11,26 @@
 package track
 
 import (
-	"fmt"
-
 	"repro/internal/geom"
 	"repro/internal/img"
 )
 
-// Config tunes the tracker.
-type Config struct {
-	// SearchRadius is how far (in pixels) the target may move between
+// The tracker's settings, tuned for the evaluation scenarios.
+const (
+	// searchRadius is how far (in pixels) the target may move between
 	// frames and still be found.
-	SearchRadius int
-	// MinScore is the NCC score under which the tracker declares itself
+	searchRadius = 10
+	// minScore is the NCC score under which the tracker declares itself
 	// lost (Marlin then re-runs the DNN).
-	MinScore float64
-	// TemplateBlend controls template refresh: 0 keeps the original
-	// template forever, 1 replaces it fully each frame. Partial blending
-	// resists drift while following slow appearance change.
-	TemplateBlend float64
-}
-
-// DefaultConfig returns tracker settings tuned for the evaluation scenarios.
-func DefaultConfig() Config {
-	return Config{SearchRadius: 10, MinScore: 0.55, TemplateBlend: 0.15}
-}
+	minScore = 0.55
+	// templateBlend is the share of the current appearance blended into
+	// the template each frame: partial blending resists drift while
+	// following slow appearance change.
+	templateBlend = 0.15
+)
 
 // Tracker tracks a single target by template matching.
 type Tracker struct {
-	cfg      Config
 	template *img.Image
 	box      geom.Rect
 	active   bool
@@ -50,15 +42,7 @@ type Tracker struct {
 }
 
 // New returns an idle tracker; call Init with a detection to start tracking.
-func New(cfg Config) (*Tracker, error) {
-	if cfg.SearchRadius <= 0 {
-		return nil, fmt.Errorf("track: SearchRadius must be positive, got %d", cfg.SearchRadius)
-	}
-	if cfg.TemplateBlend < 0 || cfg.TemplateBlend > 1 {
-		return nil, fmt.Errorf("track: TemplateBlend %v outside [0,1]", cfg.TemplateBlend)
-	}
-	return &Tracker{cfg: cfg}, nil
-}
+func New() *Tracker { return &Tracker{} }
 
 // Active reports whether the tracker currently holds a target.
 func (t *Tracker) Active() bool { return t.active }
@@ -86,23 +70,22 @@ func (t *Tracker) Drop() {
 
 // Step advances the tracker on the next frame. It returns the tracked box
 // and the NCC confidence of the match. If the tracker is inactive or the
-// best match falls below MinScore, ok is false and the target is dropped.
+// best match falls below minScore, ok is false and the target is dropped.
 func (t *Tracker) Step(frame *img.Image) (box geom.Rect, score float64, ok bool) {
 	if !t.active || t.template == nil {
 		return geom.Rect{}, 0, false
 	}
 	// Search window around the previous position.
-	r := t.cfg.SearchRadius
-	x0 := int(t.box.X) - r
-	y0 := int(t.box.Y) - r
-	w := int(t.box.W) + 2*r
-	h := int(t.box.H) + 2*r
+	x0 := int(t.box.X) - searchRadius
+	y0 := int(t.box.Y) - searchRadius
+	w := int(t.box.W) + 2*searchRadius
+	h := int(t.box.H) + 2*searchRadius
 	if t.window == nil || t.window.W != w || t.window.H != h {
 		t.window = img.New(w, h)
 	}
 	frame.CropInto(x0, y0, t.window)
 	dx, dy, best, found := img.NCCSearch(t.window, t.template)
-	if !found || best < t.cfg.MinScore {
+	if !found || best < minScore {
 		t.Drop()
 		return geom.Rect{}, best, false
 	}
@@ -118,20 +101,16 @@ func (t *Tracker) Step(frame *img.Image) (box geom.Rect, score float64, ok bool)
 
 // refreshTemplate blends the current appearance into the template.
 func (t *Tracker) refreshTemplate(frame *img.Image) {
-	if t.cfg.TemplateBlend == 0 {
-		return
-	}
 	w, h := int(t.box.W), int(t.box.H)
 	if t.refresh == nil || t.refresh.W != w || t.refresh.H != h {
 		t.refresh = img.New(w, h)
 	}
 	frame.CropInto(int(t.box.X), int(t.box.Y), t.refresh)
 	cur := t.refresh
-	a := t.cfg.TemplateBlend
 	for i := range t.template.Pix {
 		old := float64(t.template.Pix[i])
 		neu := float64(cur.Pix[i])
-		t.template.Pix[i] = uint8(old*(1-a) + neu*a + 0.5)
+		t.template.Pix[i] = uint8(old*(1-templateBlend) + neu*templateBlend + 0.5)
 	}
 }
 
