@@ -29,7 +29,7 @@
 //     (constant-rate and shaped: burst / diurnal via thinning), a seeded
 //     fault injector (outages, deaths, brownouts) whose failures
 //     checkpoint and migrate in-flight streams, and an SLO-driven
-//     autoscaler (fleet.AutoscaleConfig) that provisions warm-pool
+//     autoscaler (fleet.Config.Autoscale) that provisions warm-pool
 //     devices on tail-latency or queue breaches and decommissions idle
 //     ones via drain-based scale-in; one global deterministic event loop
 //     interleaves arrivals, frame steps, departures, fault edges and

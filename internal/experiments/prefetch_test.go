@@ -40,7 +40,7 @@ func TestPrefetchSweep(t *testing.T) {
 		t.Fatalf("prefetch did not shrink the p99 swap-stall share: off=%.4f on=%.4f",
 			off.SwapStallShareOfP99, on.SwapStallShareOfP99)
 	}
-	// The off run with Prefetch nil takes the identical code path as a
+	// The off run with Prefetch off takes the identical code path as a
 	// build without the predictor — its registry must contain no prefetch
 	// counters at all, and the on run's counters must match the predictor's
 	// own accounting.

@@ -195,7 +195,7 @@ func TestAutoscaleDrainMigratesLiveSession(t *testing.T) {
 
 // TestAutoscaleDeterminism: elastic runs replay bit-for-bit and are
 // invariant to base-device listing order — provisioned names derive from the
-// fleet seed and template indices only.
+// fleet seed and warm-pool indices only.
 func TestAutoscaleDeterminism(t *testing.T) {
 	devs := []DeviceConfig{{Name: "edge-a"}, {Name: "edge-b", Scale: 1.25}}
 	shuffled := []DeviceConfig{devs[1], devs[0]}

@@ -13,7 +13,7 @@ func (m *Image) Resize(w, h int) *Image {
 // ResizeKernel caches the bilinear sample positions and weights for a
 // (source size → destination size) mapping, so a caller resizing a stream
 // of images (the scheduler normalizes every bounding-box crop to
-// boxCropSize²) pays for coefficient setup only when the geometry changes,
+// 24×24) pays for coefficient setup only when the geometry changes,
 // and Retarget re-targets it in place. Apply produces output bit-identical
 // to Resize.
 //
