@@ -38,11 +38,11 @@ func AutoscaleCell() Cell {
 // AutoscaleGrid is the elasticity sweep: base expanded over arrival shape
 // (burst, diurnal) × placement (round-robin, residency-affinity) ×
 // capacity regime. "fixed" serves base's fleet with the autoscaler off;
-// "elastic" serves a 2-device core with it on: the controller
-// provisions warm-pool devices when queue depth or rolling per-device p99
-// breach the target and drains idle ones back, migrating their live
-// sessions through the checkpoint/restore path — its warm pool tops out
-// above the fixed size so scale-out has headroom to win. Every cell serves
+// "elastic" serves a 2-device core with it on: the controller provisions
+// warm-pool devices when queue depth or rolling per-device p99 breach the
+// target and drains idle ones back, migrating their live sessions through
+// the checkpoint/restore path — its warm pool tops out above the fixed
+// size so scale-out has headroom to win. Every cell serves
 // an identical shaped trace (non-homogeneous Poisson arrivals) and is
 // checked leak-free. AutoscaleReport renders it.
 func AutoscaleGrid(base Cell) []Cell {

@@ -199,12 +199,12 @@ func (f *Fleet) provision(at time.Duration) bool {
 // drainCandidate picks the device the next scale-in retires: an
 // autoscaler-provisioned, healthy, non-retired device carrying at most
 // scaleInStreams sessions, leaving at least the base fleet's size of
-// serving-capable devices behind — and only if the rest of the fleet has admission
-// headroom for every session the drain would migrate, so scale-in never
-// strands a live stream in the queue (which the next tick would read as a
-// breach and answer with a fresh provision, churning the warm pool). Among
-// eligible devices the warm pool retires newest-first: latest provision
-// time, ties broken by the latest name.
+// serving-capable devices behind — and only if the rest of the fleet has
+// admission headroom for every session the drain would migrate, so
+// scale-in never strands a live stream in the queue (which the next tick
+// would read as a breach and answer with a fresh provision, churning the
+// warm pool). Among eligible devices the warm pool retires newest-first:
+// latest provision time, ties broken by the latest name.
 func (f *Fleet) drainCandidate() *Device {
 	a := f.auto
 	if f.live-1 < a.minDevices {

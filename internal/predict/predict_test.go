@@ -2,6 +2,7 @@ package predict
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/accel"
@@ -144,6 +145,19 @@ func TestTagAliasing(t *testing.T) {
 	p.lookup()
 	if p.provider == 0 && p.provIdx == idx {
 		t.Fatalf("history %v still uses slot %d after history %v re-tagged it", h1, idx, h2)
+	}
+
+	// Under interleaved patterns every prediction still resolves to an
+	// interned pair, and the dominant closing pattern wins by retraining.
+	for i, c := range "ABABCDCDABCDADBCABCD" {
+		p.Observe(mk(string(c)))
+		if pair, ok := p.Predict(); ok && !slices.Contains(p.Pairs(), pair) {
+			t.Fatalf("step %d: prediction %v is not an interned pair", i, pair)
+		}
+	}
+	feed(p, "ABABABABABAB")
+	if pair, ok := p.Predict(); !ok || pair.Model != "A" {
+		t.Fatalf("predictor failed to converge on the dominant pattern: ok=%v pair=%v", ok, pair)
 	}
 }
 
