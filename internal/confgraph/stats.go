@@ -62,12 +62,13 @@ func (s Stats) String() string {
 }
 
 // Validate checks the structural invariants a well-formed graph must hold:
-// at least one node, edge symmetry, costs in [0, 1], node accuracy in
-// [0, 1], and prediction entries referencing existing models. Build always produces a valid graph;
+// edge symmetry, costs in [0, 1], node accuracy in [0, 1], and prediction
+// entries referencing existing models. The zero Graph, which Build never
+// returns, is invalid. Build always produces a valid graph;
 // cmd/characterize checks the one it builds.
 func (g *Graph) Validate() error {
-	if len(g.nodes) == 0 {
-		return fmt.Errorf("confgraph: graph has no nodes")
+	if g.nodes == nil {
+		return fmt.Errorf("confgraph: zero-value graph")
 	}
 	models := map[string]bool{}
 	for key, n := range g.nodes {

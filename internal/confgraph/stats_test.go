@@ -89,4 +89,8 @@ func TestValidateZeroValue(t *testing.T) {
 	if err := g.Validate(); err == nil {
 		t.Fatal("zero-value graph should be invalid")
 	}
+	// A graph built from no samples has no nodes but is well formed.
+	if _, empty := buildTestGraph(t, 0, DefaultOptions()); empty.Validate() != nil {
+		t.Fatalf("graph built from no samples: %v", empty.Validate())
+	}
 }

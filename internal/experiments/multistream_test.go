@@ -2,11 +2,33 @@ package experiments
 
 import (
 	gort "runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/pipeline"
 	"repro/internal/scene"
 )
+
+var (
+	sweepOnce sync.Once
+	sweepRes  *MultiStreamResult
+	sweepErr  error
+)
+
+// sharedSweep runs the multi-stream sweep on the shared env once per test
+// binary; the tests only read the result.
+func sharedSweep(t *testing.T) (*Env, *MultiStreamResult) {
+	t.Helper()
+	env, err := Shared()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweepOnce.Do(func() { sweepRes, sweepErr = MultiStream(env) })
+	if sweepErr != nil {
+		t.Fatal(sweepErr)
+	}
+	return env, sweepRes
+}
 
 // sweepFrames returns the frames the sweep serves to its i-th stream.
 func sweepFrames(env *Env, i int) []scene.Frame {
@@ -16,14 +38,7 @@ func sweepFrames(env *Env, i int) []scene.Frame {
 }
 
 func TestMultiStreamSingleStreamMatchesSoloRun(t *testing.T) {
-	env, err := Shared()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := MultiStream(env)
-	if err != nil {
-		t.Fatal(err)
-	}
+	env, res := sharedSweep(t)
 	streams := res.PerStream[1]
 	if len(streams) != 1 {
 		t.Fatalf("%d streams for count 1", len(streams))
@@ -57,14 +72,7 @@ func TestMultiStreamSingleStreamMatchesSoloRun(t *testing.T) {
 }
 
 func TestMultiStreamContentionGrowsWithStreams(t *testing.T) {
-	env, err := Shared()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := MultiStream(env)
-	if err != nil {
-		t.Fatal(err)
-	}
+	env, res := sharedSweep(t)
 	one, ok1 := res.Row(1)
 	four, ok4 := res.Row(4)
 	if !ok1 || !ok4 {
@@ -99,23 +107,20 @@ func TestMultiStreamContentionGrowsWithStreams(t *testing.T) {
 
 // TestMultiStreamDeterministicAcrossWorkerCounts pins the acceptance
 // criterion: the sweep's results cannot depend on the host's core count.
+// The shared sweep ran at the binary's GOMAXPROCS; the second run uses 1,
+// or 8 when that is already 1.
 func TestMultiStreamDeterministicAcrossWorkerCounts(t *testing.T) {
-	env, err := Shared()
+	env, a := sharedSweep(t)
+	other := 1
+	if gort.GOMAXPROCS(0) == 1 {
+		other = 8
+	}
+	prev := gort.GOMAXPROCS(other)
+	b, err := MultiStream(env)
+	gort.GOMAXPROCS(prev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func() *MultiStreamResult {
-		res, err := MultiStream(env)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	prev := gort.GOMAXPROCS(1)
-	a := run()
-	gort.GOMAXPROCS(8)
-	b := run()
-	gort.GOMAXPROCS(prev)
 	for n, streams := range a.PerStream {
 		for si := range streams {
 			ra, rb := streams[si], b.PerStream[n][si]

@@ -300,7 +300,8 @@ func TestSnapshotRestoreRoundtrip(t *testing.T) {
 
 // TestWorkingSetChain checks the pre-warm walk: on a learned cycle it
 // returns the next engines most-imminent first, stops at PrewarmDepth, and
-// leaves the predictor's state untouched.
+// leaves the predictor's state untouched; when the chain predicts an engine
+// it already predicted, the walk stops there.
 func TestWorkingSetChain(t *testing.T) {
 	p := New()
 	feed(p, "ABCABCABCABCABC") // learned 3-cycle, last observed C
@@ -318,6 +319,20 @@ func TestWorkingSetChain(t *testing.T) {
 	pair, ok := p.Predict()
 	if !ok || pair.Model != "A" {
 		t.Fatalf("prediction after WorkingSet: ok=%v pair=%v, want A", ok, pair)
+	}
+
+	// A chain that loops back on itself: from B the base predicts A, and
+	// from A (as an aliased entry would) A again. The second link repeats
+	// the first prediction, so the walk cuts there.
+	p = New()
+	feed(p, "AB") // A=0, B=1, last observed B
+	for j := range p.tables {
+		clear(p.tables[j])
+	}
+	self := baseEntry{Pred: 0, Conf: confMax, Valid: true}
+	p.base[0], p.base[1] = self, self
+	if ws := p.WorkingSet(); len(ws) != 1 || ws[0].Model != "A" {
+		t.Fatalf("looping working set = %v, want [A]", ws)
 	}
 }
 

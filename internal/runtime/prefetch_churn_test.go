@@ -188,11 +188,12 @@ func TestSnapshotPredictorStateIsDeepCopy(t *testing.T) {
 //     scorecard;
 //  3. churn stability: snapshot/restore at the split point changes nothing.
 //
-// The seeds and the corpus in testdata/fuzz split streams of 19 to 100
-// frames at the first frame, mid-stream and before the last frame.
+// The seeds and the corpus in testdata/fuzz split streams of 10 to 100
+// frames at the first frame, mid-stream and before the last frame. The
+// corpus file names are historical: they named predictor geometries.
 func FuzzPredictorDeterminism(f *testing.F) {
-	f.Add(uint8(37), uint8(120))
-	f.Add(uint8(0), uint8(60))
+	f.Add(uint8(9), uint8(0))   // 10 frames, split before the last
+	f.Add(uint8(30), uint8(50)) // 60 frames, split mid-stream
 	f.Add(uint8(59), uint8(90))
 	f.Fuzz(func(t *testing.T, split, nframes uint8) {
 		_, all := churnFixture(t)
