@@ -91,6 +91,15 @@ type Detection struct {
 	IoU float64
 }
 
+// Identical reports whether d and o are the same detection bit for bit:
+// every float compares by its bits, so a memoized detection stands in for a
+// recomputed one only when no output could tell them apart.
+func (d Detection) Identical(o Detection) bool {
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	return d.Found == o.Found && same(d.Box.X, o.Box.X) && same(d.Box.Y, o.Box.Y) &&
+		same(d.Box.W, o.Box.W) && same(d.Box.H, o.Box.H) && same(d.Conf, o.Conf) && same(d.IoU, o.IoU)
+}
+
 // ExpectedIoU returns the model's mean IoU at latent difficulty d, before
 // noise: Top / (1 + exp(Slope·(d − Mid))).
 func (m *Model) ExpectedIoU(d float64) float64 {

@@ -329,8 +329,9 @@ type Fleet struct {
 	// Event-loop state: nregions/regions hold the sharded session-event
 	// heaps (one region when sharding is off); audit (tests only) checks the
 	// heap's pick, and its key, against a full rescan of the live sessions
-	// before each selection, and each journal write against a one-shot
-	// encode (commitJournal); events counts processed loop events;
+	// before each selection, each journal write against a one-shot encode
+	// (commitJournal), and each device memo hit against a recompute (see
+	// zoo.Memo); events counts processed loop events;
 	// resHorizon accumulates departure completion times so Result.Horizon
 	// survives outcomes whose records an OnDepart hook released.
 	nregions   int
@@ -429,6 +430,10 @@ func (f *Fleet) buildDevice(dc DeviceConfig) (*Device, error) {
 	if err := sys.SoC.SetTimeScale(scale); err != nil {
 		return nil, fmt.Errorf("fleet: device %q: %w", dc.Name, err)
 	}
+	// The device's streams share one memo of per-frame scheduler work; one
+	// region goroutine serves the device, so it needs no lock. The audit
+	// recomputes every hit.
+	sys.EnableMemo(&f.audit)
 	return &Device{
 		Name:   dc.Name,
 		Scale:  scale,
@@ -944,7 +949,7 @@ func (f *Fleet) arrive(req *StreamRequest, at time.Duration, queue *[]*pending) 
 // autoscaler) are excluded — failure- and elasticity-aware placement starts
 // here.
 func (f *Fleet) candidates() []*Device {
-	var cands []*Device
+	cands := make([]*Device, 0, len(f.devices))
 	for _, d := range f.devices {
 		if d.down || d.retired {
 			continue

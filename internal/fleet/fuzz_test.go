@@ -170,13 +170,14 @@ func FuzzFleetDeterminism(f *testing.F) {
 		}
 		// Feature combination, the one the fleetsim CLI composes: the elastic
 		// controller, the durable journal under a crash-bearing fault mix,
-		// best-effort streams, the predictor and the recorder, all at once. A
-		// repeat and every region count replay outcomes, events, journal
-		// traffic, spans and the predictor scorecard bit-for-bit; serve
-		// checks refs and journal entries never leak; and crash recovery
-		// never sheds a premium stream.
+		// best-effort streams, the predictor, the recorder and SHIFT streams
+		// sharing device memos, all at once. A repeat and every region count
+		// replay outcomes, events, journal traffic, spans and the predictor
+		// scorecard bit-for-bit; serve checks refs and journal entries never
+		// leak, and its armed audit recomputes every memo hit; and crash
+		// recovery never sheds a premium stream.
 		creqs := append([]StreamRequest(nil), reqs...)
-		for i := range creqs {
+		for i := range reqs {
 			phase := i
 			creqs[i].BestEffort = i%2 == 1
 			// Block-cycling engines on a pool that never holds all three
@@ -189,6 +190,13 @@ func FuzzFleetDeterminism(f *testing.F) {
 					phase:  phase,
 				}, nil
 			}
+			// Each stream has a SHIFT twin on the same frames, in the
+			// other service class.
+			shift := reqs[i]
+			shift.Name = "shift-" + shift.Name
+			shift.BestEffort = i%2 == 0
+			shift.Policy = shiftFactory(t)
+			creqs = append(creqs, shift)
 		}
 		ccfg := DefaultFaultConfig()
 		ccfg.Seed = fseed

@@ -98,7 +98,9 @@ func TestFleetSelectorEquivalenceElastic(t *testing.T) {
 // TestFleetSelectorEquivalenceFaulty: brownout TimeScale churn, an outage
 // migration and a crash recovery from the durable journal replay identically
 // at every region count, with the heap agreeing with the rescan at every
-// selection — the fault paths all maintain the heap correctly.
+// selection — the fault paths all maintain the heap correctly. Every other
+// stream runs SHIFT, so device memos fill and serve hits under the armed
+// audit across the moves.
 func TestFleetSelectorEquivalenceFaulty(t *testing.T) {
 	cfg := WorkloadConfig{
 		Seed: 5, Streams: 6, RatePerSec: 1, PeriodSec: 0.1,
@@ -110,6 +112,9 @@ func TestFleetSelectorEquivalenceFaulty(t *testing.T) {
 		fixedFactory(detmodel.YoloV7Tiny, "gpu"))
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i := 0; i < len(reqs); i += 2 {
+		reqs[i].Policy = shiftFactory(t)
 	}
 	faults := []Fault{
 		{Device: "edge-a", Kind: FaultBrownout, At: time.Second, Duration: 2 * time.Second, Factor: 2},

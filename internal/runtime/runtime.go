@@ -44,17 +44,19 @@ type FrameRecord struct {
 	Index int
 	// Pair is the (model, processor) that ran inference on this frame.
 	Pair zoo.Pair
-	// Found, Conf, IoU and Box mirror the detection outcome.
-	Found bool
-	Conf  float64
-	IoU   float64
-	Box   geom.Rect
+	// Conf, IoU and Box mirror the detection outcome, and so does Found,
+	// kept beside the other flags so the four share one word.
+	Conf float64
+	IoU  float64
+	Box  geom.Rect
 	// LatSec and EnergyJ are the total charges for this frame: inference +
 	// model loading + decision overhead. Queueing delay under multi-stream
 	// contention is not included here; runtime.Serve reports it separately
 	// per frame (FrameTiming).
 	LatSec  float64
 	EnergyJ float64
+	// Found reports whether the detection produced a box.
+	Found bool
 	// Swapped marks frames where the active pair differs from the previous
 	// frame's (Table III "Model Swaps").
 	Swapped bool
@@ -611,13 +613,11 @@ func (st *Step) ExecPerf(procID string, latSec, powerW float64) error {
 
 // Detect runs model on the frame and returns the (deterministic) detection
 // without touching the record — oracles evaluate many candidates per frame.
-// Use RecordDetection to commit an outcome.
+// Use RecordDetection to commit an outcome. On a system with the memo on
+// (fleet devices), a detection a scheduler already recorded for this frame
+// is returned instead of recomputed (zoo.System.Detect).
 func (st *Step) Detect(model string) (detmodel.Detection, error) {
-	e, err := st.eng.sys.Entry(model)
-	if err != nil {
-		return detmodel.Detection{}, err
-	}
-	return e.Model.Detect(*st.frame, st.eng.sys.Seed), nil
+	return st.eng.sys.Detect(model, st.frame)
 }
 
 // RecordDetection commits a detection outcome to the record.

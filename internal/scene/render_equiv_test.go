@@ -25,10 +25,17 @@ func framesEqual(t *testing.T, a, b []Frame, label string) {
 		if !a[i].Image.Equal(b[i].Image) {
 			t.Fatalf("%s: frame %d pixels differ", label, i)
 		}
-		// The gate memo: both frames follow no image or each follows the
-		// frame before it, and the moments and score agree to the bit.
-		if (a[i].prev == nil) != (b[i].prev == nil) || a[i].prev != nil &&
-			(i == 0 || a[i].prev != a[i-1].Image || b[i].prev != b[i-1].Image) {
+		// The render identity and the gate memo: both frames belong to no
+		// render or each to its own slice's, both follow no image or each
+		// follows the frame before it, and the moments and score agree to
+		// the bit.
+		if (a[i].render == nil) != (b[i].render == nil) || a[i].render != nil &&
+			(a[i].render != a[0].render || b[i].render != b[0].render) {
+			t.Fatalf("%s: frame %d render identity differs", label, i)
+		}
+		pa, pb := a[i].prevImage(), b[i].prevImage()
+		if (pa == nil) != (pb == nil) || pa != nil &&
+			(i == 0 || pa != a[i-1].Image || pb != b[i-1].Image) {
 			t.Fatalf("%s: frame %d predecessor differs", label, i)
 		}
 		if a[i].sum != b[i].sum || a[i].sumSq != b[i].sumSq ||
@@ -58,7 +65,7 @@ func TestRenderMatchesSequential(t *testing.T) {
 // before it, with the value the scheduler would compute itself.
 func TestPrevNCCNeedsTheRenderedPredecessor(t *testing.T) {
 	frames := Scenario2().Render(3)[:3]
-	if _, _, _, ok := frames[0].PrevNCC(nil); ok || frames[0].prev != nil {
+	if _, _, _, ok := frames[0].PrevNCC(nil); ok || frames[0].prevImage() != nil {
 		t.Fatal("frame 0 has a predecessor")
 	}
 	p := frames[0].Image

@@ -72,14 +72,36 @@ type Frame struct {
 	GT    geom.Rect // ground-truth box; Empty() when the target is absent
 	Ctx   Context
 
-	// Render fills the context gate's whole-frame term once per frame, so
-	// every stream replaying this render shares it: prev is the image
-	// rendered just before this one (nil for frame 0 and for frames not
-	// made by Render), prevNCC is img.NCCMoments(prev, Image) and
-	// sum/sumSq are Image's integer pixel moments.
-	prev       *img.Image
+	// render is the render the frame belongs to (nil for frames not made
+	// by Render). Render also fills the context gate's whole-frame term
+	// once per frame, so every stream replaying the render shares it:
+	// prevNCC is img.NCCMoments(predecessor, Image), against the image
+	// rendered just before this one (frame 0 has none), and sum/sumSq are
+	// Image's integer pixel moments.
+	render     *RenderID
 	prevNCC    float64
 	sum, sumSq uint64
+}
+
+// RenderID is the identity of one render: every frame one Scenario.Render
+// call makes points at the same RenderID, and a frame's Index is its
+// position in it. A per-render memo keys on the pointer (package zoo's
+// Memo); the images it lists are the render's, which never change.
+type RenderID struct {
+	images []*img.Image // the render's frames, in order
+}
+
+// RenderID returns the render f belongs to, nil for a frame not made by
+// Scenario.Render.
+func (f *Frame) RenderID() *RenderID { return f.render }
+
+// prevImage returns the image rendered just before f, nil for a render's
+// first frame and for frames not made by Render.
+func (f *Frame) prevImage() *img.Image {
+	if f.render == nil || f.Index == 0 {
+		return nil
+	}
+	return f.render.images[f.Index-1]
 }
 
 // PrevNCC returns what img.NCCMoments(prev, f.Image, prev's moments) would:
@@ -88,20 +110,20 @@ type Frame struct {
 // produced just before this frame; a pixel-equal copy does not qualify.
 // Rendered images are immutable, so the stored values stay exact.
 func (f *Frame) PrevNCC(prev *img.Image) (score float64, sum, sumSq uint64, ok bool) {
-	if prev == nil || prev != f.prev {
+	if prev == nil || prev != f.prevImage() {
 		return 0, 0, 0, false
 	}
 	return f.prevNCC, f.sum, f.sumSq, true
 }
 
-// follow fills the gate memo for a frame rendered right after p, whose
-// moments are pSum and pSumSq; p is nil for a scenario's first frame.
-func (f *Frame) follow(p *img.Image, pSum, pSumSq uint64) {
+// follow fills the gate memo of a rendered frame whose predecessor has
+// moments pSum and pSumSq (ignored for a render's first frame).
+func (f *Frame) follow(pSum, pSumSq uint64) {
+	p := f.prevImage()
 	if p == nil {
 		f.sum, f.sumSq = f.Image.Moments()
 		return
 	}
-	f.prev = p
 	f.prevNCC, f.sum, f.sumSq = img.NCCMoments(p, f.Image, pSum, pSumSq)
 }
 
@@ -201,16 +223,19 @@ func (s *Scenario) Render(seed uint64) []Frame {
 	par.ForEach(len(plans), func(i int) {
 		frames[i] = s.renderPlanned(i, &plans[i])
 	})
+	id := &RenderID{images: make([]*img.Image, len(frames))}
+	for i := range frames {
+		id.images[i] = frames[i].Image
+		frames[i].render = id
+	}
 	// The gate memo reads each frame's predecessor, so it waits for every
 	// pixel; each worker derives the predecessor's moments itself.
 	par.ForEach(len(frames), func(i int) {
-		if i == 0 {
-			frames[0].follow(nil, 0, 0)
-			return
+		var pSum, pSumSq uint64
+		if p := frames[i].prevImage(); p != nil {
+			pSum, pSumSq = p.Moments()
 		}
-		p := frames[i-1].Image
-		pSum, pSumSq := p.Moments()
-		frames[i].follow(p, pSum, pSumSq)
+		frames[i].follow(pSum, pSumSq)
 	})
 	return frames
 }
@@ -308,6 +333,7 @@ func (s *Scenario) renderPlanned(idx int, p *framePlan) Frame {
 func (s *Scenario) renderSequential(seed uint64) []Frame {
 	r := rng.New(seed).Fork("scene:" + s.Name)
 	frames := make([]Frame, 0, s.TotalFrames())
+	id := &RenderID{}
 	idx := 0
 	phase := 0.0
 	var prevX, prevY float64
@@ -374,12 +400,13 @@ func (s *Scenario) renderSequential(seed uint64) []Frame {
 				frame.AddNoise(seg.NoiseStd, noiseRand)
 			}
 
-			f := Frame{Index: idx, Image: frame, GT: gt, Ctx: ctx}
+			f := Frame{Index: idx, Image: frame, GT: gt, Ctx: ctx, render: id}
+			id.images = append(id.images, frame)
 			if idx == 0 {
-				f.follow(nil, 0, 0)
+				f.follow(0, 0)
 			} else {
 				p := &frames[idx-1]
-				f.follow(p.Image, p.sum, p.sumSq)
+				f.follow(p.sum, p.sumSq)
 			}
 			frames = append(frames, f)
 			idx++

@@ -45,9 +45,16 @@ func TestBoxCropMisses(t *testing.T) {
 
 func TestSimilarityNoHistory(t *testing.T) {
 	s := newSched(t, DefaultConfig())
-	frame := img.New(32, 32)
-	if got := s.similarity(&scene.Frame{Image: frame}, nil); got != 0 {
-		t.Fatalf("similarity with no history = %v, want 0", got)
+	frame := &scene.Frame{Image: img.New(32, 32)}
+	if got := s.imageNCC(frame); got != 0 {
+		t.Fatalf("image NCC with no history = %v, want 0", got)
+	}
+	det := detmodel.Detection{Found: true, Box: geom.Rect{X: 4, Y: 4, W: 8, H: 8}}
+	if got := s.boxNCC(detmodel.YoloV7, det, frame); got != 0 {
+		t.Fatalf("box NCC with no history = %v, want 0", got)
+	}
+	if got := s.boxNCC(detmodel.YoloV7, detmodel.Detection{}, frame); got != 0 || s.lastBox == nil {
+		t.Fatalf("box NCC of a lost detection = %v, want 0 with the history kept", got)
 	}
 }
 
@@ -60,21 +67,21 @@ func TestSimilarityTakesMinimum(t *testing.T) {
 	for i := range frame.Pix {
 		frame.Pix[i] = uint8(r.Intn(256))
 	}
-	boxA := img.New(24, 24)
-	for i := range boxA.Pix {
-		boxA.Pix[i] = uint8(r.Intn(256))
+	boxA := geom.Rect{X: 2, Y: 2, W: 20, H: 20}
+	boxB := geom.Rect{X: 26, Y: 24, W: 20, H: 22}
+	cropOf := func(b geom.Rect) *img.Image {
+		c := img.New(int(b.W), int(b.H))
+		frame.CropInto(int(b.X), int(b.Y), c)
+		return c.Resize(boxCropSize, boxCropSize)
 	}
-	boxB := img.New(24, 24)
-	for i := range boxB.Pix {
-		boxB.Pix[i] = uint8(r.Intn(256))
-	}
-	s.lastImg = frame
-	s.lastBox = boxA
-	got := s.similarity(&scene.Frame{Image: frame}, boxB)
-	imgNCC := img.NCC(frame, frame) // 1.0
-	boxNCC := img.NCC(boxA, boxB)   // ~0
-	if got >= imgNCC {
-		t.Fatalf("similarity %v did not follow the lower box NCC %v", got, boxNCC)
+	fr := scene.Frame{Image: frame}
+	cur := s.Pairs()[0]
+	s.Decide(cur, detmodel.Detection{Found: true, Box: boxA, Conf: 1}, fr)
+	got := s.Decide(cur, detmodel.Detection{Found: true, Box: boxB, Conf: 1}, fr).Similarity
+	imgNCC := img.NCC(frame, frame)               // 1.0
+	boxNCC := img.NCC(cropOf(boxA), cropOf(boxB)) // ~0
+	if got != boxNCC || got >= imgNCC {
+		t.Fatalf("similarity %v did not follow the lower box NCC %v (image %v)", got, boxNCC, imgNCC)
 	}
 }
 

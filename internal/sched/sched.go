@@ -24,10 +24,12 @@ package sched
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"repro/internal/confgraph"
 	"repro/internal/detmodel"
+	"repro/internal/geom"
 	"repro/internal/img"
 	"repro/internal/profile"
 	"repro/internal/scene"
@@ -121,10 +123,13 @@ type Scheduler struct {
 
 	// Momentum state is index-based: modelIdx interns model names once and
 	// the per-model windows, averages and validity flags live in flat slices
-	// so the re-scheduling path does no per-frame map construction.
+	// so the re-scheduling path does no per-frame map construction. The
+	// zoo's models are interned first, in sys.Entries order, so a zoo
+	// model's index is its index in Entries (the memo's model key).
 	modelIdx   map[string]int
 	modelNames []string
-	bufs       [][]float64 // per-model momentum windows
+	bufs       [][]float64 // per-model momentum windows, oldest first
+	windows    []float64   // backing of the zoo models' windows, Momentum each
 	rVals      []float64   // momentum-averaged prediction per model
 	rSet       []bool      // model has at least one buffered prediction
 	valid      []bool      // model passed the accuracy filter this decision
@@ -147,6 +152,22 @@ type Scheduler struct {
 	resizeKernel img.ResizeKernel
 	boxOut       [2]*img.Image
 	boxFlip      int
+
+	// Memo state (see boxNCC). pendImg, when set, marks lastBox's pixels as
+	// pending: lastBox is the crop of pendBox in pendImg, written only when
+	// something reads the pixels (fillBox). boxKey is lastBox's provenance:
+	// the (render, frame, model) whose memo entry holds the detection
+	// lastBox is the crop of, zero when unknown.
+	pendImg *img.Image
+	pendBox geom.Rect
+	boxKey  memoKey
+}
+
+// memoKey names one memo entry of the scheduler's system.
+type memoKey struct {
+	render *scene.RenderID
+	index  int
+	model  int
 }
 
 // candidate is one scorable (model, kind) pair with its precomputed
@@ -193,13 +214,20 @@ func New(sys *zoo.System, ch *profile.Characterization, graph *confgraph.Graph, 
 		return nil, fmt.Errorf("sched: no runtime pair satisfies the constraints (latency <= %vs, energy <= %vJ)",
 			cfg.MaxLatencySec, cfg.MaxEnergyJ)
 	}
+	n := len(sys.Entries)
 	s := &Scheduler{
-		cfg:      cfg,
-		graph:    graph,
-		ch:       ch,
-		sys:      sys,
-		pairs:    pairs,
-		modelIdx: map[string]int{},
+		cfg:        cfg,
+		graph:      graph,
+		ch:         ch,
+		sys:        sys,
+		pairs:      pairs,
+		modelIdx:   make(map[string]int, n),
+		modelNames: make([]string, 0, n),
+		bufs:       make([][]float64, 0, n),
+		windows:    make([]float64, n*cfg.Momentum),
+		rVals:      make([]float64, 0, n),
+		rSet:       make([]bool, 0, n),
+		valid:      make([]bool, 0, n),
 	}
 	for _, e := range sys.Entries {
 		s.internModel(e.Name())
@@ -216,14 +244,16 @@ func New(sys *zoo.System, ch *profile.Characterization, graph *confgraph.Graph, 
 			ch.LatencyScore[key] * cfg.Knobs.Latency,
 		}
 	}
-	for _, p := range s.candidatesSorted() {
+	cands := s.candidatesSorted()
+	s.candidates = make([]candidate, len(cands))
+	for i, p := range cands {
 		terms := s.knobTerms[profile.PairKey{Model: p.Model, Kind: p.Kind}]
-		s.candidates = append(s.candidates, candidate{
+		s.candidates[i] = candidate{
 			pair:     p,
 			modelIdx: s.internModel(p.Model),
 			eTerm:    terms[0],
 			lTerm:    terms[1],
-		})
+		}
 	}
 	return s, nil
 }
@@ -247,10 +277,11 @@ func (s *Scheduler) internModel(model string) int {
 }
 
 // Reset clears every per-stream decision state — NCC history, momentum
-// buffers and the crop double-buffer phase — so a reset scheduler is
-// indistinguishable from a freshly constructed one. The serving runtime
-// relies on this boundary: each stream owns a scheduler, reset at stream
-// start (TestResetMatchesFreshScheduler pins the equivalence).
+// buffers, the crop double-buffer phase, a pending crop and its provenance —
+// so a reset scheduler is indistinguishable from a freshly constructed one.
+// The serving runtime relies on this boundary: each stream owns a
+// scheduler, reset at stream start (TestResetMatchesFreshScheduler pins the
+// equivalence).
 func (s *Scheduler) Reset() {
 	for i := range s.bufs {
 		s.bufs[i] = nil
@@ -266,77 +297,216 @@ func (s *Scheduler) Reset() {
 	// only realigns which buffer serves first, keeping the reset scheduler's
 	// internal state (not just its outputs) identical to a fresh one.
 	s.boxFlip = 0
+	s.pendImg = nil
+	s.boxKey = memoKey{}
 }
 
-// boxCrop extracts and normalizes the bounding-box region of frame. Output
-// pixels are identical to Crop followed by Resize; the crop scratch, resize
-// coefficients and destination buffers are reused across frames, so a box
-// size change allocates nothing once the buffers have seen a box as large.
-func (s *Scheduler) boxCrop(frame *img.Image, det detmodel.Detection) *img.Image {
-	if !det.Found || det.Box.Empty() {
+// window returns model idx's momentum window, empty, in its slot of the
+// shared backing array; nil for a model interned after construction.
+func (s *Scheduler) window(idx int) []float64 {
+	lo := idx * s.cfg.Momentum
+	if lo >= len(s.windows) {
 		return nil
 	}
-	w, h := int(det.Box.W), int(det.Box.H)
-	crop := &s.cropScratch
-	if cap(crop.Pix) < w*h {
-		crop.Pix = make([]uint8, w*h)
+	return s.windows[lo : lo : lo+s.cfg.Momentum]
+}
+
+// hasBox reports whether det yields a box crop.
+func hasBox(det detmodel.Detection) bool { return det.Found && !det.Box.Empty() }
+
+// boxCrop extracts and normalizes the bounding-box region of frame into the
+// next crop buffer, or returns nil for a lost detection.
+func (s *Scheduler) boxCrop(frame *img.Image, det detmodel.Detection) *img.Image {
+	if !hasBox(det) {
+		return nil
 	}
-	crop.W, crop.H, crop.Pix = w, h, crop.Pix[:w*h]
-	frame.CropInto(int(det.Box.X), int(det.Box.Y), crop)
-	s.resizeKernel.Retarget(w, h, boxCropSize, boxCropSize)
+	out := s.nextBoxOut()
+	s.cropInto(frame, det.Box, out)
+	return out
+}
+
+// nextBoxOut returns the crop buffer the next crop goes to and flips the
+// double-buffer phase.
+func (s *Scheduler) nextBoxOut() *img.Image {
 	out := s.boxOut[s.boxFlip]
 	if out == nil {
 		out = img.New(boxCropSize, boxCropSize)
 		s.boxOut[s.boxFlip] = out
 	}
 	s.boxFlip = 1 - s.boxFlip
-	s.resizeKernel.Apply(crop, out)
 	return out
 }
 
-// similarity computes s = min(NCC(lastImage, current), NCC(lastBox, curBox)),
-// Algorithm 1 line 2, and updates the NCC history. Missing history or a lost
-// detection yields 0 for that component, forcing the gate open — exactly
-// when re-evaluation is needed. Each comparison reuses the previous image's
-// cached moments, so only the new image is traversed (incremental NCC).
-// When lastImg is the frame's rendered predecessor, the image term is the
-// one Render already computed: the same NCCMoments call over the same
-// immutable pixels, since lastImgSum/lastImgSumSq always hold lastImg's
-// moments.
-func (s *Scheduler) similarity(frame *scene.Frame, curBox *img.Image) float64 {
-	imgNCC, fSum, fSumSq, ok := frame.PrevNCC(s.lastImg)
+// cropInto writes the crop of box in frame, normalized to boxCropSize
+// square, into out. Output pixels are identical to Crop followed by Resize;
+// the crop scratch and resize coefficients are reused across frames, so a
+// box size change allocates nothing once the scratch has seen a box as
+// large.
+func (s *Scheduler) cropInto(frame *img.Image, box geom.Rect, out *img.Image) {
+	w, h := int(box.W), int(box.H)
+	crop := &s.cropScratch
+	if cap(crop.Pix) < w*h {
+		crop.Pix = make([]uint8, w*h)
+	}
+	crop.W, crop.H, crop.Pix = w, h, crop.Pix[:w*h]
+	frame.CropInto(int(box.X), int(box.Y), crop)
+	s.resizeKernel.Retarget(w, h, boxCropSize, boxCropSize)
+	s.resizeKernel.Apply(crop, out)
+}
+
+// fillBox writes a pending lastBox's pixels.
+func (s *Scheduler) fillBox() {
+	if s.pendImg != nil {
+		s.cropInto(s.pendImg, s.pendBox, s.lastBox)
+		s.pendImg = nil
+	}
+}
+
+// imageNCC returns NCC(lastImg, frame), the whole-frame term of Algorithm 1
+// line 2, and moves the image history to frame. Without history it is 0,
+// forcing the gate open. The previous image's cached moments are reused, so
+// only the new image is traversed (incremental NCC). When lastImg is the
+// frame's rendered predecessor, the term is the one Render already
+// computed: the same NCCMoments call over the same immutable pixels, since
+// lastImgSum/lastImgSumSq always hold lastImg's moments.
+func (s *Scheduler) imageNCC(frame *scene.Frame) float64 {
+	ncc, sum, sumSq, ok := frame.PrevNCC(s.lastImg)
 	if !ok {
 		if s.lastImg != nil {
-			imgNCC, fSum, fSumSq = img.NCCMoments(s.lastImg, frame.Image, s.lastImgSum, s.lastImgSumSq)
+			ncc, sum, sumSq = img.NCCMoments(s.lastImg, frame.Image, s.lastImgSum, s.lastImgSumSq)
 		} else {
-			fSum, fSumSq = frame.Image.Moments()
+			sum, sumSq = frame.Image.Moments()
 		}
 	}
-	boxNCC := 0.0
-	if curBox != nil {
-		var bSum, bSumSq uint64
-		if s.lastBox != nil {
-			boxNCC, bSum, bSumSq = img.NCCMoments(s.lastBox, curBox, s.lastBoxSum, s.lastBoxSumSq)
-		} else {
-			bSum, bSumSq = curBox.Moments()
+	s.lastImg, s.lastImgSum, s.lastImgSumSq = frame.Image, sum, sumSq
+	return ncc
+}
+
+// boxNCC returns NCC(lastBox, curBox), the box term of Algorithm 1 line 2,
+// for the detection det that model made on frame, and moves the box history
+// to det's crop. Without history it is 0; a lost detection yields 0 and
+// leaves the history as it is.
+//
+// With the system's memo on (fleet devices), the first scheduler to decide
+// a (model, frame) of a render writes the memo entry: det, its crop's
+// moments and, when lastBox is that model's crop of the rendered
+// predecessor, the NCC. A later scheduler whose det is the entry's, bit for
+// bit, neither crops nor correlates: it takes the moments, takes the NCC
+// when its own lastBox has that provenance (boxKey), and leaves the crop
+// pending in the buffer the eager path would have written, so the crop
+// phase, the moments and, once filled, the pixels are exactly the eager
+// path's. Any other case computes eagerly.
+func (s *Scheduler) boxNCC(model string, det detmodel.Detection, frame *scene.Frame) float64 {
+	memo := s.sys.Memo()
+	var e *zoo.MemoEntry
+	var key memoKey
+	fresh := false
+	if memo != nil && frame.RenderID() != nil {
+		// A zoo model's interned index is its memo key; a model outside
+		// the zoo keeps no entries.
+		if idx, ok := s.modelIdx[model]; ok && idx < len(s.sys.Entries) {
+			key = memoKey{frame.RenderID(), frame.Index, idx}
+			switch e = memo.Lookup(frame, idx); {
+			case e == nil:
+				e, fresh = memo.Add(frame, idx), true
+				e.Det = det
+			case !e.Det.Identical(det):
+				e, key = nil, memoKey{}
+			}
 		}
-		s.lastBox, s.lastBoxSum, s.lastBoxSumSq = curBox, bSum, bSumSq
 	}
-	s.lastImg, s.lastImgSum, s.lastImgSumSq = frame.Image, fSum, fSumSq
-	if boxNCC < imgNCC {
-		return boxNCC
+	if !hasBox(det) {
+		return 0
 	}
-	return imgNCC
+	// chained: lastBox is this model's crop of the rendered predecessor, so
+	// NCC(lastBox, curBox) is the entry's NCC.
+	chained := key.render != nil && s.boxKey == memoKey{key.render, key.index - 1, key.model}
+	if e != nil && !fresh {
+		return s.boxHit(e, key, chained, det, frame)
+	}
+	s.fillBox()
+	cur := s.boxCrop(frame.Image, det)
+	var ncc float64
+	var sum, sumSq uint64
+	if s.lastBox != nil {
+		ncc, sum, sumSq = img.NCCMoments(s.lastBox, cur, s.lastBoxSum, s.lastBoxSumSq)
+	} else {
+		sum, sumSq = cur.Moments()
+	}
+	if e != nil {
+		e.BoxSum, e.BoxSumSq = uint32(sum), uint32(sumSq)
+		if chained {
+			e.BoxNCC, e.HasNCC = ncc, true
+		}
+	}
+	s.lastBox, s.lastBoxSum, s.lastBoxSumSq, s.boxKey = cur, sum, sumSq, key
+	return ncc
+}
+
+// boxHit is boxNCC on a memo hit: entry e, keyed key, holds det and its
+// crop's moments.
+func (s *Scheduler) boxHit(e *zoo.MemoEntry, key memoKey, chained bool, det detmodel.Detection, frame *scene.Frame) float64 {
+	out := s.nextBoxOut()
+	ncc, filled := 0.0, false
+	switch {
+	case s.lastBox == nil:
+	case chained && e.HasNCC:
+		ncc = e.BoxNCC
+	default:
+		s.fillBox()
+		s.cropInto(frame.Image, det.Box, out)
+		ncc, _, _ = img.NCCMoments(s.lastBox, out, s.lastBoxSum, s.lastBoxSumSq)
+		filled = true
+		if chained {
+			e.BoxNCC, e.HasNCC = ncc, true
+		}
+	}
+	if s.sys.Memo().Audit() {
+		s.auditHit(e, ncc, det, frame)
+	}
+	s.lastBox, s.lastBoxSum, s.lastBoxSumSq, s.boxKey = out, uint64(e.BoxSum), uint64(e.BoxSumSq), key
+	s.pendImg = nil
+	if !filled {
+		s.pendImg, s.pendBox = frame.Image, det.Box
+	}
+	return ncc
+}
+
+// auditHit recomputes, into fresh buffers, what a memo hit took from entry
+// e — the crop's moments and the box NCC ncc against lastBox — and panics
+// on a difference. It runs before the hit moves the box history, and
+// leaves the scheduler's state as it found it.
+func (s *Scheduler) auditHit(e *zoo.MemoEntry, ncc float64, det detmodel.Detection, frame *scene.Frame) {
+	cur := img.New(boxCropSize, boxCropSize)
+	s.cropInto(frame.Image, det.Box, cur)
+	want, sum, sumSq := 0.0, uint64(0), uint64(0)
+	if s.lastBox == nil {
+		sum, sumSq = cur.Moments()
+	} else {
+		last := s.lastBox
+		if s.pendImg != nil {
+			last = img.New(boxCropSize, boxCropSize)
+			s.cropInto(s.pendImg, s.pendBox, last)
+		}
+		want, sum, sumSq = img.NCCMoments(last, cur, s.lastBoxSum, s.lastBoxSumSq)
+	}
+	if uint64(e.BoxSum) != sum || uint64(e.BoxSumSq) != sumSq || math.Float64bits(ncc) != math.Float64bits(want) {
+		panic(fmt.Sprintf("sched: memo hit on frame %d: moments (%d, %d) and box NCC %v, recomputed (%d, %d) and %v",
+			frame.Index, e.BoxSum, e.BoxSumSq, ncc, sum, sumSq, want))
+	}
 }
 
 // Decide implements Algorithm 1 for one frame: cur is the pair that just
 // ran, det its detection on frame. The returned decision names the pair to
 // use for the next frame.
 func (s *Scheduler) Decide(cur zoo.Pair, det detmodel.Detection, frame scene.Frame) Decision {
-	curBox := s.boxCrop(frame.Image, det)
-	// similarity also updates the NCC history (image, box and their moments)
-	// for the next frame, regardless of the gate outcome.
-	sim := s.similarity(&frame, curBox)
+	// Both terms also move the NCC history (image, box and their moments)
+	// to this frame, regardless of the gate outcome.
+	boxNCC := s.boxNCC(cur.Model, det, &frame)
+	sim := s.imageNCC(&frame)
+	if boxNCC < sim {
+		sim = boxNCC
+	}
 
 	gate := sim * det.Conf
 	if !s.cfg.DisableGate && gate >= s.cfg.AccuracyThreshold {
@@ -350,13 +520,18 @@ func (s *Scheduler) Decide(cur zoo.Pair, det detmodel.Detection, frame scene.Fra
 		// only trait source available.
 		return Decision{Pair: cur, Rescheduled: false, Similarity: sim, Gate: gate}
 	}
+	// Each window keeps the last Momentum predictions, oldest first, shifted
+	// in place inside its own slice.
 	for _, p := range preds {
 		idx := s.internModel(p.Model)
-		buf := append(s.bufs[idx], p.Acc)
-		if len(buf) > s.cfg.Momentum {
-			buf = buf[len(buf)-s.cfg.Momentum:]
+		buf := s.bufs[idx]
+		if buf == nil {
+			buf = s.window(idx)
 		}
-		s.bufs[idx] = buf
+		if len(buf) >= s.cfg.Momentum {
+			buf = buf[:copy(buf, buf[len(buf)-s.cfg.Momentum+1:])]
+		}
+		s.bufs[idx] = append(buf, p.Acc)
 	}
 	for idx, buf := range s.bufs {
 		if len(buf) == 0 {
@@ -425,21 +600,18 @@ func (s *Scheduler) Decide(cur zoo.Pair, det detmodel.Detection, frame scene.Fra
 	}
 }
 
-// candidatesSorted returns pairs in deterministic order with the single
+// candidatesSorted returns pairs in Pair.String() order with the single
 // preferred processor per (model, kind): among same-kind processors the
-// lexicographically first (e.g. dla0 over dla1) hosts single-stream
-// inference; the loader may still spread prefetched models across both DLAs.
+// first in that order (e.g. dla0 over dla1) hosts single-stream inference;
+// the loader may still spread prefetched models across both DLAs. s.pairs
+// is already in that order (RuntimePairs lists it so, and the constraint
+// filter keeps it), so keeping each (model, kind)'s first pair suffices.
 func (s *Scheduler) candidatesSorted() []zoo.Pair {
-	seen := map[string]bool{}
 	out := make([]zoo.Pair, 0, len(s.pairs))
 	for _, p := range s.pairs {
-		key := p.Model + "/" + p.Kind.String()
-		if seen[key] {
-			continue
+		if !slices.ContainsFunc(out, func(q zoo.Pair) bool { return q.Model == p.Model && q.Kind == p.Kind }) {
+			out = append(out, p)
 		}
-		seen[key] = true
-		out = append(out, p)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
 	return out
 }

@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/accel"
@@ -340,8 +342,15 @@ func TestDecisionDeterminism(t *testing.T) {
 func TestCandidatesDeduplicateDLAs(t *testing.T) {
 	s := newSched(t, DefaultConfig())
 	seen := map[string]int{}
-	for _, p := range s.candidatesSorted() {
+	cands := s.candidatesSorted()
+	for _, p := range cands {
 		seen[p.Model+"/"+p.Kind.String()]++
+	}
+	// Ties between equal scores resolve to the first candidate, so the
+	// order is part of every decision: Pair.String() order, where
+	// "YoloV7-Tiny@gpu" precedes "YoloV7@gpu".
+	if !slices.IsSortedFunc(cands, func(a, b zoo.Pair) int { return strings.Compare(a.String(), b.String()) }) {
+		t.Fatalf("candidates not in Pair.String() order: %v", cands)
 	}
 	for k, n := range seen {
 		if n != 1 {
@@ -410,6 +419,39 @@ func BenchmarkDecideRendered(b *testing.B) {
 		}
 		dec := s.Decide(cur, dets[k], frames[k])
 		cur = dec.Pair
+	}
+}
+
+// BenchmarkDecideMemoHit is BenchmarkDecideRendered on a memo-on system
+// whose memo another stream already filled, with each lap restarting from
+// the same pair, so every Decide is a hit: a decision with a box takes the
+// crop's moments and, chained to the previous frame's crop, its NCC from the
+// memo, and leaves the crop pending.
+func BenchmarkDecideMemoHit(b *testing.B) {
+	frames := scene.Scenario2().Render(1)[:240]
+	s, dets := benchSched(b, frames)
+	s.sys.EnableMemo(nil)
+	lap := func(s *Scheduler) {
+		cur := s.Pairs()[0]
+		for k := range frames {
+			cur = s.Decide(cur, dets[k], frames[k]).Pair
+		}
+	}
+	writer, err := New(s.sys, s.ch, s.graph, s.cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	lap(writer)
+	cur := s.Pairs()[0]
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		k := i % len(frames)
+		if k == 0 {
+			s.Reset()
+			cur = s.Pairs()[0]
+		}
+		cur = s.Decide(cur, dets[k], frames[k]).Pair
 	}
 }
 

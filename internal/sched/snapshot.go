@@ -34,9 +34,11 @@ type State struct {
 
 // Snapshot captures the scheduler's per-stream decision state. The momentum
 // windows are deep-copied and the previous box crop is cloned (it aliases a
-// scratch buffer the live scheduler keeps rewriting); the previous frame image
-// is shared, since rendered frames are immutable.
+// scratch buffer the live scheduler keeps rewriting), its pixels written
+// first if a memo hit left them pending; the previous frame image is shared,
+// since rendered frames are immutable.
 func (s *Scheduler) Snapshot() *State {
+	s.fillBox()
 	st := &State{
 		Models:   append([]string(nil), s.modelNames...),
 		Bufs:     make([][]float64, len(s.bufs)),
@@ -80,13 +82,16 @@ func (st *State) Check() error {
 // as Reset replaces it with the fresh-stream state: after Restore the
 // scheduler decides exactly as the snapshotted one would have (pinned by
 // TestSnapshotRestoreMatchesUninterrupted). Models unknown to this scheduler's
-// zoo are interned on the fly, mirroring Decide's own behavior. st must pass
-// Check.
+// zoo are interned on the fly, mirroring Decide's own behavior. The restored
+// crop has no memo provenance, so the first box NCC after Restore is
+// computed. st must pass Check.
 func (s *Scheduler) Restore(st *State) {
 	s.Reset()
 	for i, name := range st.Models {
 		idx := s.internModel(name)
-		s.bufs[idx] = append([]float64(nil), st.Bufs[i]...)
+		if len(st.Bufs[i]) > 0 {
+			s.bufs[idx] = append(s.window(idx), st.Bufs[i]...)
+		}
 		s.rVals[idx] = st.RVals[i]
 		s.rSet[idx] = st.RSet[i]
 		s.valid[idx] = st.Valid[i]

@@ -17,6 +17,7 @@ import (
 	"repro/internal/accel"
 	"repro/internal/detmodel"
 	"repro/internal/rng"
+	"repro/internal/scene"
 )
 
 // Perf is the execution profile of a model on a processor kind.
@@ -72,17 +73,18 @@ type System struct {
 	// identical experiments bit-for-bit.
 	Seed uint64
 
-	byName map[string]*Entry
-	pairs  []Pair // RuntimePairs, listed once by NewSystem
+	byName map[string]int // index into Entries
+	pairs  []Pair         // RuntimePairs, listed once by NewSystem
+	memo   *Memo          // nil unless EnableMemo switched it on
 }
 
 // NewSystem assembles a system from a platform and zoo entries. Neither the
 // entries nor the platform's processors change afterwards, so the runtime
 // pairs are listed here once.
 func NewSystem(soc *accel.SoC, entries []*Entry, seed uint64) *System {
-	s := &System{SoC: soc, Entries: entries, Seed: seed, byName: map[string]*Entry{}}
-	for _, e := range entries {
-		s.byName[e.Name()] = e
+	s := &System{SoC: soc, Entries: entries, Seed: seed, byName: make(map[string]int, len(entries))}
+	for i, e := range entries {
+		s.byName[e.Name()] = i
 	}
 	s.pairs = s.runtimePairs()
 	return s
@@ -90,11 +92,31 @@ func NewSystem(soc *accel.SoC, entries []*Entry, seed uint64) *System {
 
 // Entry returns the zoo entry for a model name.
 func (s *System) Entry(name string) (*Entry, error) {
-	e, ok := s.byName[name]
+	i, ok := s.byName[name]
 	if !ok {
 		return nil, fmt.Errorf("zoo: unknown model %q", name)
 	}
-	return e, nil
+	return s.Entries[i], nil
+}
+
+// Detect runs the named model on frame f under the system's seed. With the
+// memo on, an entry's detection stands in for the run: the same function of
+// the same inputs.
+func (s *System) Detect(model string, f *scene.Frame) (detmodel.Detection, error) {
+	i, ok := s.byName[model]
+	if !ok {
+		return detmodel.Detection{}, fmt.Errorf("zoo: unknown model %q", model)
+	}
+	m := s.Entries[i].Model
+	if e := s.memo.Lookup(f, i); e != nil {
+		if s.memo.Audit() {
+			if d := m.Detect(*f, s.Seed); !d.Identical(e.Det) {
+				panic(fmt.Sprintf("zoo: memo detection of %s on frame %d is %+v, recomputed %+v", model, f.Index, e.Det, d))
+			}
+		}
+		return e.Det, nil
+	}
+	return m.Detect(*f, s.Seed), nil
 }
 
 // Pair is a schedulable (model, processor) combination.
@@ -109,7 +131,7 @@ func (p Pair) String() string { return p.Model + "@" + p.ProcID }
 
 // RuntimePairs enumerates every executable (model, processor) pair on the
 // runtime accelerators (GPU, DLA, OAK-D — the CPU hosts the scheduler, as in
-// the paper). Pairs are returned in deterministic order. With the default
+// the paper). Pairs are returned in Pair.String() order. With the default
 // platform's two DLAs collapsed to their shared kind, the distinct
 // (model, kind) combinations number 18, matching Table III. Every call
 // returns the one slice NewSystem built, so callers must treat it as
