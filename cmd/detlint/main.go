@@ -4,20 +4,18 @@
 // shared across pool workers without a Fork. See internal/analysis for the
 // analyzer catalog and DESIGN.md §15 for the annotation grammar.
 //
-// It runs three ways:
+// It runs two ways:
 //
-//	detlint ./...                 standalone over the module (CI-friendly)
-//	go vet -vettool=$(pwd)/detlint ./...   as a vet tool (unitchecker protocol)
+//	detlint ./...                 lint the module
 //	detlint -inventory ./...      list every //detlint:allow site with reasons
 //
-// Standalone and vettool modes report the same diagnostics; the vettool
-// path reuses the go command's cached export data, the standalone path
-// type-checks the module from source and needs only GOROOT. Exit status is
-// 0 when clean, 2 when any unsuppressed diagnostic is found.
+// It type-checks the module from source and needs only GOROOT; ./... also
+// reaches nested modules such as bench/. Exit status is 0 when clean, 2
+// when any unsuppressed diagnostic is found. internal/analysis's
+// TestRepoIsLintClean runs the same lint inside go test ./...
 package main
 
 import (
-	"crypto/sha256"
 	"flag"
 	"fmt"
 	"io"
@@ -29,24 +27,6 @@ import (
 )
 
 func main() {
-	args := os.Args[1:]
-	// The go vet driver probes the tool before running it: -flags must
-	// dump the supported analyzer flags as JSON, and -V=full must print a
-	// version line carrying a content hash of the executable so results
-	// cache correctly (see cmd/go/internal/work.toolID).
-	if len(args) == 1 && args[0] == "-flags" {
-		fmt.Println(`[{"Name":"inventory","Bool":true,"Usage":"list every //detlint:allow annotation site with its reason"}]`)
-		return
-	}
-	if len(args) == 1 && strings.HasPrefix(args[0], "-V") {
-		versionLine()
-		return
-	}
-	if n := len(args); n > 0 && strings.HasSuffix(args[n-1], ".cfg") {
-		runVettool(args[n-1])
-		return
-	}
-
 	inventory := flag.Bool("inventory", false,
 		"list every //detlint:allow annotation site with its reason instead of linting")
 	flag.Parse()
@@ -152,20 +132,6 @@ func (iw *inventoryWriter) write(site analysis.AllowSite) {
 // readable output.
 func rel(root, line string) string {
 	return strings.TrimPrefix(line, root+string(filepath.Separator))
-}
-
-// versionLine answers go vet's -V=full probe. The "devel" form makes
-// cmd/go use the buildID field — a content hash of this executable — as
-// the tool's cache key, so editing an analyzer invalidates prior results.
-func versionLine() {
-	h := sha256.New()
-	if exe, err := os.Executable(); err == nil {
-		if f, err := os.Open(exe); err == nil {
-			_, _ = io.Copy(h, f)
-			f.Close()
-		}
-	}
-	fmt.Printf("detlint version devel buildID=%x\n", h.Sum(nil))
 }
 
 func fatal(err error) {

@@ -99,8 +99,8 @@
 //   - cmd/: shiftsim, characterize, sweep, figures, bench, render, report,
 //     fleetsim (flags map onto one experiments.Cell, so -faults,
 //     -autoscale, -prefetch, -trace and -regions compose; -sweep picks a
-//     grid by name), detlint (standalone linter, go vet -vettool, and
-//     -inventory suppression listing).
+//     grid by name), detlint (standalone linter over ./..., and -inventory
+//     suppression listing).
 //   - examples/: quickstart, dronechase, energybudget, customzoo, livefeed,
 //     edgefarm.
 //

@@ -5,9 +5,10 @@
 // The physical hardware is replaced by a virtual-time model. All work goes
 // through one charge path, called by ExecFrom for a processor and by
 // CopyFrom for the DMA channel: the work queues FIFO behind the lane's
-// earlier work, runs for a jittered latency, advances a simulated clock to
-// its completion and integrates a jittered power draw into per-lane energy
-// meters. Latency and power anchors come from Tables I and IV of the
+// earlier work, runs for a jittered latency at a jittered power draw, adds
+// its latency to the lane's busy time and advances the platform's virtual
+// time to its completion. The caller books the returned cost into its own
+// frame record. Latency and power anchors come from Tables I and IV of the
 // paper, so simulated seconds and Joules are directly comparable to the
 // paper's columns, while remaining deterministic and machine-independent.
 package accel
@@ -55,10 +56,22 @@ type Proc struct {
 	Kind Kind
 	// Pool names the memory pool models must be resident in to execute.
 	Pool string
-	// IdlePowerW is the rail draw when the processor sits idle; charged by
-	// the pipeline for wait periods when requested.
-	IdlePowerW float64
+
+	lane lane
 }
+
+// lane is one FIFO timeline of the platform: a processor's, or the DMA
+// channel's.
+type lane struct {
+	// horizon is the completion time of the last work queued on the lane.
+	horizon time.Duration
+	// busy sums the latencies charged to the lane.
+	busy time.Duration
+}
+
+// Busy returns the processor's busy time: the sum of every latency
+// ExecFrom charged to it.
+func (p *Proc) Busy() time.Duration { return p.lane.busy }
 
 // MemPool is a named memory arena with explicit allocations. GPU and DLAs
 // share the SoC pool (as on the Xavier NX); the OAK-D has its own.
@@ -128,24 +141,6 @@ func (p *MemPool) Keys() []string {
 	return keys
 }
 
-// Clock is the virtual time source. Every charge advances it to its own
-// completion; wall-clock time never enters any measurement.
-type Clock struct {
-	now time.Duration
-}
-
-// Now returns the current virtual time.
-func (c *Clock) Now() time.Duration { return c.now }
-
-// AdvanceTo moves the clock to t when t is later; earlier times are a no-op.
-// The multi-stream event loop completes work out of global order, so the
-// clock tracks the horizon — the latest completion seen so far.
-func (c *Clock) AdvanceTo(t time.Duration) {
-	if t > c.now {
-		c.now = t
-	}
-}
-
 // Cost is the latency and energy charged for one operation.
 type Cost struct {
 	Lat    time.Duration
@@ -153,58 +148,35 @@ type Cost struct {
 	PowerW float64 // average power over Lat, for reporting
 }
 
-// Meter accumulates per-processor usage.
-type Meter struct {
-	BusyTime map[string]time.Duration
-	Energy   map[string]float64
-	Execs    map[string]int
-}
+// latJitter and powerJitter are the relative standard deviations applied
+// to every execution's latency and power.
+const (
+	latJitter   = 0.04
+	powerJitter = 0.03
+)
 
-// NewMeter returns an empty meter.
-func NewMeter() *Meter {
-	return &Meter{
-		BusyTime: make(map[string]time.Duration),
-		Energy:   make(map[string]float64),
-		Execs:    make(map[string]int),
-	}
-}
-
-// TotalEnergy returns the energy accumulated across all processors.
-func (m *Meter) TotalEnergy() float64 {
-	var sum float64
-	for _, e := range m.Energy {
-		sum += e
-	}
-	return sum
-}
-
-// SoC is the simulated platform: processors, memory pools, virtual clock and
-// energy meter. It is not safe for concurrent use; the detection pipeline is
-// a sequential per-frame loop, as in the paper.
+// SoC is the simulated platform: processors, memory pools and virtual time.
+// It is not safe for concurrent use; the detection pipeline is a sequential
+// per-frame loop, as in the paper.
 type SoC struct {
-	Clock *Clock
 	Procs map[string]*Proc
 	Pools map[string]*MemPool
-	Meter *Meter
 
-	// LatJitter and PowerJitter are relative standard deviations applied to
-	// every execution.
-	LatJitter   float64
-	PowerJitter float64
-	// TimeScale multiplies every execution latency before jitter: 1 is the
+	// timeScale multiplies every execution latency before jitter: 1 is the
 	// characterized Xavier-NX-class baseline, 2 a half-speed device, 0.5 a
-	// double-speed one. The fleet layer uses it to model heterogeneous
-	// device capacities from one set of zoo anchors; at the default 1.0 the
-	// multiplication is exact and results are bit-identical to a platform
-	// without scaling.
-	TimeScale float64
+	// double-speed one. The fleet layer sets it through SetTimeScale to
+	// model heterogeneous device capacities from one set of zoo anchors; at
+	// the default 1.0 the multiplication is exact and results are
+	// bit-identical to a platform without scaling.
+	timeScale float64
 
 	// r draws the compute procs' jitter, dmaR the copy channel's.
 	r    *rng.Stream
 	dmaR *rng.Stream
-	// busy tracks each lane's FIFO queue horizon: one per processor, plus
-	// DMAProcID for the copy channel.
-	busy map[string]time.Duration
+	// dma is the copy channel's lane.
+	dma lane
+	// now is the latest completion of any lane: the platform's virtual time.
+	now time.Duration
 	// parked marks a powered-down platform: every execution is refused until
 	// Unpark. The fleet's autoscaler parks a device after draining it, so a
 	// retired device can never silently serve again.
@@ -217,16 +189,11 @@ type SoC struct {
 // from the stream r.
 func NewSoC(procs []*Proc, pools []*MemPool, r *rng.Stream) *SoC {
 	s := &SoC{
-		Clock:       &Clock{},
-		Procs:       make(map[string]*Proc, len(procs)),
-		Pools:       make(map[string]*MemPool, len(pools)),
-		Meter:       NewMeter(),
-		LatJitter:   0.04,
-		PowerJitter: 0.03,
-		TimeScale:   1,
-		r:           r,
-		dmaR:        r.Fork("dma"),
-		busy:        make(map[string]time.Duration, len(procs)),
+		Procs:     make(map[string]*Proc, len(procs)),
+		Pools:     make(map[string]*MemPool, len(pools)),
+		timeScale: 1,
+		r:         r,
+		dmaR:      r.Fork("dma"),
 	}
 	for _, p := range procs {
 		s.Procs[p.ID] = p
@@ -258,13 +225,19 @@ func (s *SoC) SetTimeScale(scale float64) error {
 	if scale <= 0 {
 		return fmt.Errorf("accel: non-positive time scale %v", scale)
 	}
-	s.TimeScale = scale
+	s.timeScale = scale
 	return nil
 }
 
+// Now returns the platform's virtual time: the latest completion of any
+// work charged so far. The multi-stream event loop completes work out of
+// global order, so it is a horizon, never rewound; wall-clock time never
+// enters any measurement.
+func (s *SoC) Now() time.Duration { return s.now }
+
 // Park powers the platform down: every subsequent ExecFrom/CopyFrom is refused
-// until Unpark. Memory pools and meters are left intact — a parked device is
-// retired capacity, not a wiped one — so end-of-run accounting (busy time,
+// until Unpark. Memory pools and busy times are left intact — a parked device
+// is retired capacity, not a wiped one — so end-of-run accounting (busy time,
 // residency leak checks) still reads the device's final state.
 func (s *SoC) Park() { s.parked = true }
 
@@ -315,21 +288,17 @@ type Span struct {
 // and pushes the horizon and the clock to its completion. This is the
 // contention primitive of the multi-stream serving runtime: concurrent
 // streams on one accelerator pay each other's execution latency as Wait. A
-// lone caller submits at Clock.Now(), where nothing is queued.
+// lone caller submits at Now(), where nothing is queued.
 func (s *SoC) ExecFrom(procID string, ready time.Duration, latMean, powerMean float64) (Span, error) {
-	if _, err := s.Proc(procID); err != nil {
+	p, err := s.Proc(procID)
+	if err != nil {
 		return Span{}, err
 	}
-	return s.charge(s.r, procID, ready, latMean, powerMean)
+	return s.charge(s.r, &p.lane, ready, latMean, powerMean)
 }
 
-// BusyUntil returns the lane's FIFO queue horizon: the completion time of
-// the last workload queued on a processor via ExecFrom, or on DMAProcID via
-// CopyFrom.
-func (s *SoC) BusyUntil(procID string) time.Duration { return s.busy[procID] }
-
-// DMAProcID is the pseudo-processor the copy channel meters under. It is not
-// a Proc: deviceStats-style reductions that iterate Procs never see it, and
+// DMAProcID names the copy channel in traces. It is not a Proc:
+// deviceStats-style reductions that iterate Procs never see it, and
 // ExecFrom refuses it, so compute charging cannot land on the copy channel
 // by mistake.
 const DMAProcID = "dma"
@@ -343,13 +312,14 @@ const DMAProcID = "dma"
 // procs' draws: a run with prefetch enabled consumes exactly the demand-path
 // draws of a prefetch-free run (forks do not advance the parent).
 func (s *SoC) CopyFrom(ready time.Duration, latMean, powerMean float64) (Span, error) {
-	return s.charge(s.dmaR, DMAProcID, ready, latMean, powerMean)
+	return s.charge(s.dmaR, &s.dma, ready, latMean, powerMean)
 }
 
 // charge is the one charge path behind ExecFrom and CopyFrom: validate, draw
 // latency then power from r, start at the later of ready and the lane's FIFO
-// horizon, advance the clock to the end, and meter under lane.
-func (s *SoC) charge(r *rng.Stream, lane string, ready time.Duration, latMean, powerMean float64) (Span, error) {
+// horizon, and advance the lane's horizon, its busy time and the platform's
+// virtual time.
+func (s *SoC) charge(r *rng.Stream, l *lane, ready time.Duration, latMean, powerMean float64) (Span, error) {
 	if s.parked {
 		return Span{}, fmt.Errorf("accel: platform is parked")
 	}
@@ -359,17 +329,15 @@ func (s *SoC) charge(r *rng.Stream, lane string, ready time.Duration, latMean, p
 	if ready < 0 {
 		return Span{}, fmt.Errorf("accel: negative ready time %v", ready)
 	}
-	lat := r.Jitter(latMean*s.TimeScale, s.LatJitter)
-	pow := r.Jitter(powerMean, s.PowerJitter)
+	lat := r.Jitter(latMean*s.timeScale, latJitter)
+	pow := r.Jitter(powerMean, powerJitter)
 	d := time.Duration(lat * float64(time.Second))
-	start := max(ready, s.busy[lane])
+	start := max(ready, l.horizon)
 	end := start + d
-	s.busy[lane] = end
-	s.Clock.AdvanceTo(end)
+	l.horizon = end
+	l.busy += d
+	s.now = max(s.now, end)
 	energy := d.Seconds() * pow // rounded duration, so Energy == Lat·Power exactly
-	s.Meter.BusyTime[lane] += d
-	s.Meter.Energy[lane] += energy
-	s.Meter.Execs[lane]++
 	return Span{Start: start, End: end, Wait: start - ready, Cost: Cost{Lat: d, Energy: energy, PowerW: pow}}, nil
 }
 
@@ -393,15 +361,14 @@ const (
 )
 
 // DefaultPlatform builds the paper's evaluation platform: CPU, GPU, two
-// DLAs (sharing the SoC pool) and an OAK-D. Idle powers follow the rail
-// baselines reported for the Xavier NX and OAK-D.
+// DLAs (sharing the SoC pool) and an OAK-D.
 func DefaultPlatform(r *rng.Stream) *SoC {
 	procs := []*Proc{
-		{ID: "cpu", Kind: KindCPU, Pool: SoCPoolName, IdlePowerW: 1.5},
-		{ID: "gpu", Kind: KindGPU, Pool: SoCPoolName, IdlePowerW: 2.0},
-		{ID: "dla0", Kind: KindDLA, Pool: SoCPoolName, IdlePowerW: 0.8},
-		{ID: "dla1", Kind: KindDLA, Pool: SoCPoolName, IdlePowerW: 0.8},
-		{ID: "oakd", Kind: KindOAKD, Pool: OAKDPool, IdlePowerW: 0.9},
+		{ID: "cpu", Kind: KindCPU, Pool: SoCPoolName},
+		{ID: "gpu", Kind: KindGPU, Pool: SoCPoolName},
+		{ID: "dla0", Kind: KindDLA, Pool: SoCPoolName},
+		{ID: "dla1", Kind: KindDLA, Pool: SoCPoolName},
+		{ID: "oakd", Kind: KindOAKD, Pool: OAKDPool},
 	}
 	pools := []*MemPool{
 		NewMemPool(SoCPoolName, SoCPoolMB*MB),

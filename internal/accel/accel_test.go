@@ -4,17 +4,26 @@ import (
 	"slices"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/rng"
 )
 
 func testSoC() *SoC { return DefaultPlatform(rng.New(1)) }
 
-// execNow charges a workload as a lone caller does: submitted at the clock's
-// current time, where nothing is queued.
+// execNow charges a workload as a lone caller does: submitted at the
+// platform's current time, where nothing is queued.
 func execNow(s *SoC, procID string, latMean, powerMean float64) (Cost, error) {
-	sp, err := s.ExecFrom(procID, s.Clock.Now(), latMean, powerMean)
+	sp, err := s.ExecFrom(procID, s.Now(), latMean, powerMean)
 	return sp.Cost, err
+}
+
+// laneOf returns the lane behind a processor ID or DMAProcID.
+func laneOf(s *SoC, id string) *lane {
+	if id == DMAProcID {
+		return &s.dma
+	}
+	return &s.Procs[id].lane
 }
 
 func TestKindString(t *testing.T) {
@@ -143,14 +152,11 @@ func TestExecAdvancesClockAndMeters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Clock.Now() != cost.Lat {
-		t.Fatalf("clock %v != cost latency %v", s.Clock.Now(), cost.Lat)
+	if s.Now() != cost.Lat {
+		t.Fatalf("clock %v != cost latency %v", s.Now(), cost.Lat)
 	}
-	if s.Meter.Execs["gpu"] != 1 {
-		t.Fatal("exec count not recorded")
-	}
-	if s.Meter.Energy["gpu"] != cost.Energy {
-		t.Fatal("energy not metered")
+	if busy := s.Procs["gpu"].Busy(); busy != cost.Lat {
+		t.Fatalf("gpu busy %v, want the one latency %v", busy, cost.Lat)
 	}
 	// Jittered values stay near their anchors.
 	lat := cost.Lat.Seconds()
@@ -175,23 +181,26 @@ func absDiff(a, b float64) float64 {
 func TestExecStatistics(t *testing.T) {
 	s := testSoC()
 	const n = 2000
-	var latSum float64
+	var latSum, energy float64
+	var busy time.Duration
 	for i := 0; i < n; i++ {
 		c, err := execNow(s, "dla0", 0.118, 5.56)
 		if err != nil {
 			t.Fatal(err)
 		}
 		latSum += c.Lat.Seconds()
+		busy += c.Lat
+		energy += c.Energy
 	}
 	mean := latSum / n
 	if absDiff(mean, 0.118) > 0.005 {
 		t.Fatalf("mean latency %v, want ~0.118", mean)
 	}
-	if s.Meter.Execs["dla0"] != n {
-		t.Fatalf("exec count %d", s.Meter.Execs["dla0"])
+	if got := s.Procs["dla0"].Busy(); got != busy {
+		t.Fatalf("dla0 busy %v, want the summed latencies %v", got, busy)
 	}
-	if total := s.Meter.TotalEnergy(); absDiff(total, n*0.118*5.56) > n*0.118*5.56*0.05 {
-		t.Fatalf("total energy %v far from expectation", total)
+	if absDiff(energy, n*0.118*5.56) > n*0.118*5.56*0.05 {
+		t.Fatalf("total energy %v far from expectation", energy)
 	}
 }
 
@@ -250,7 +259,9 @@ func TestPoolCapacityForcesEviction(t *testing.T) {
 func TestTimeScale(t *testing.T) {
 	base := testSoC()
 	slow := testSoC() // same seed: identical jitter draws
-	slow.TimeScale = 2
+	if err := slow.SetTimeScale(2); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 50; i++ {
 		cb, err := execNow(base, "gpu", 0.1, 10)
 		if err != nil {
@@ -270,8 +281,13 @@ func TestTimeScale(t *testing.T) {
 	// The constructor default is exactly 1, so unscaled platforms stay
 	// bit-identical (multiplication by 1.0 is exact); the golden tests pin
 	// the actual values.
-	if def := testSoC(); def.TimeScale != 1 {
-		t.Fatalf("default TimeScale %v, want 1", def.TimeScale)
+	if def := testSoC(); def.timeScale != 1 {
+		t.Fatalf("default time scale %v, want 1", def.timeScale)
+	}
+	for _, bad := range []float64{0, -1} {
+		if err := base.SetTimeScale(bad); err == nil {
+			t.Fatalf("time scale %v accepted", bad)
+		}
 	}
 }
 
@@ -279,12 +295,12 @@ func BenchmarkExecFrom(b *testing.B) {
 	s := testSoC()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_, _ = s.ExecFrom("gpu", s.Clock.Now(), 0.1, 10)
+		_, _ = s.ExecFrom("gpu", s.Now(), 0.1, 10)
 	}
 }
 
 // TestParkRefusesExecution: a parked platform (a retired fleet device)
-// refuses every execution path but keeps its meters and pools readable, and
+// refuses every execution path but keeps its busy times and pools readable, and
 // Unpark restores service.
 func TestParkRefusesExecution(t *testing.T) {
 	s := testSoC()
@@ -294,7 +310,7 @@ func TestParkRefusesExecution(t *testing.T) {
 	if _, err := execNow(s, "gpu", 0.01, 10); err != nil {
 		t.Fatal(err)
 	}
-	busy := s.Meter.BusyTime["gpu"]
+	busy := s.Procs["gpu"].Busy()
 	s.Park()
 	if !s.Parked() {
 		t.Fatal("Park did not stick")
@@ -302,10 +318,10 @@ func TestParkRefusesExecution(t *testing.T) {
 	if _, err := execNow(s, "gpu", 0.01, 10); err == nil {
 		t.Fatal("ExecFrom on a parked platform must fail")
 	}
-	if s.Meter.BusyTime["gpu"] != busy {
-		t.Fatal("refused executions charged the meter")
+	if s.Procs["gpu"].Busy() != busy {
+		t.Fatal("refused executions charged the lane")
 	}
-	// Retired capacity stays auditable: pools and meters remain readable.
+	// Retired capacity stays auditable: pools and busy times remain readable.
 	if _, err := s.PoolOf("gpu"); err != nil {
 		t.Fatal(err)
 	}

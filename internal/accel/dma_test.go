@@ -10,7 +10,7 @@ import (
 // TestCopyFromFIFOSerialization pins the copy channel's queue discipline:
 // concurrent copies serialize FIFO against each other on the one DMA
 // channel, paying the earlier copy's remaining transfer as Wait, and the
-// channel meters its own busy time under DMAProcID.
+// channel's lane sums its own busy time.
 func TestCopyFromFIFOSerialization(t *testing.T) {
 	s := testSoC()
 	a, err := s.CopyFrom(0, 1.0, 8.0)
@@ -30,14 +30,11 @@ func TestCopyFromFIFOSerialization(t *testing.T) {
 	if b.Wait != a.End {
 		t.Fatalf("second copy waited %v, want the full first transfer %v", b.Wait, a.End)
 	}
-	if got := s.BusyUntil(DMAProcID); got != b.End {
+	if got := s.dma.horizon; got != b.End {
 		t.Fatalf("DMA horizon %v, want %v", got, b.End)
 	}
-	if s.Meter.Execs[DMAProcID] != 2 {
-		t.Fatalf("DMA metered %d transfers, want 2", s.Meter.Execs[DMAProcID])
-	}
-	if s.Meter.BusyTime[DMAProcID] != a.Cost.Lat+b.Cost.Lat {
-		t.Fatalf("DMA busy time %v, want %v", s.Meter.BusyTime[DMAProcID], a.Cost.Lat+b.Cost.Lat)
+	if s.dma.busy != a.Cost.Lat+b.Cost.Lat {
+		t.Fatalf("DMA busy time %v, want %v", s.dma.busy, a.Cost.Lat+b.Cost.Lat)
 	}
 	// A copy submitted after the queue drains starts at its own ready time.
 	c, err := s.CopyFrom(b.End+time.Second, 0.1, 8.0)
@@ -50,14 +47,15 @@ func TestCopyFromFIFOSerialization(t *testing.T) {
 }
 
 // TestCopyFromNeverOccupiesCompute pins the overlap contract: transfers
-// move only the DMA horizon — every compute processor's FIFO queue is
-// exactly where it was, so a stream keeps executing while its engine loads.
+// move only the DMA lane — every compute processor's FIFO queue and busy
+// time are exactly where they were, so a stream keeps executing while its
+// engine loads.
 func TestCopyFromNeverOccupiesCompute(t *testing.T) {
 	s := testSoC()
 	if _, err := s.ExecFrom("gpu", 0, 0.2, 10); err != nil {
 		t.Fatal(err)
 	}
-	horizon := s.BusyUntil("gpu")
+	gpu := s.Procs["gpu"].lane
 	if _, err := s.CopyFrom(0, 2.0, 8.0); err != nil {
 		t.Fatal(err)
 	}
@@ -65,12 +63,12 @@ func TestCopyFromNeverOccupiesCompute(t *testing.T) {
 		if p.ID == "gpu" {
 			continue
 		}
-		if bu := s.BusyUntil(p.ID); bu != 0 {
-			t.Fatalf("copy pushed %s's queue horizon to %v", p.ID, bu)
+		if p.lane != (lane{}) {
+			t.Fatalf("copy charged %s's lane: %+v", p.ID, p.lane)
 		}
 	}
-	if got := s.BusyUntil("gpu"); got != horizon {
-		t.Fatalf("copy moved the gpu horizon %v -> %v", horizon, got)
+	if got := s.Procs["gpu"].lane; got != gpu {
+		t.Fatalf("copy moved the gpu lane %+v -> %+v", gpu, got)
 	}
 }
 

@@ -29,8 +29,8 @@ func TestExecFromQueuesFIFO(t *testing.T) {
 	if b.Wait != a.End-a.End/2 {
 		t.Fatalf("wait %v, want %v", b.Wait, a.End-a.End/2)
 	}
-	if got := s.BusyUntil("gpu"); got != b.End {
-		t.Fatalf("BusyUntil %v, want %v", got, b.End)
+	if got := s.Procs["gpu"].lane.horizon; got != b.End {
+		t.Fatalf("gpu horizon %v, want %v", got, b.End)
 	}
 	// A different processor is unaffected.
 	c, err := s.ExecFrom("dla0", 0, 0.1, 5)
@@ -41,8 +41,8 @@ func TestExecFromQueuesFIFO(t *testing.T) {
 		t.Fatalf("dla0 queued behind gpu work: %+v", c)
 	}
 	// The clock tracks the horizon (latest completion).
-	if s.Clock.Now() != b.End {
-		t.Fatalf("clock %v, want horizon %v", s.Clock.Now(), b.End)
+	if s.Now() != b.End {
+		t.Fatalf("clock %v, want horizon %v", s.Now(), b.End)
 	}
 	// Submission after the horizon starts at its ready time.
 	d, err := s.ExecFrom("gpu", b.End+time.Second, 0.1, 10)
@@ -68,9 +68,9 @@ func TestExecFromValidation(t *testing.T) {
 }
 
 // TestClockNeverBehindAnyLane pins what lets a lone caller submit at
-// Clock.Now(): every charge, on any processor or the copy channel, advances
-// the clock to its own end, so the clock is never behind any lane's FIFO
-// horizon and work submitted at Clock.Now() never queues.
+// Now(): every charge, on any processor or the copy channel, advances the
+// clock to its own end, so the clock is never behind any lane's FIFO
+// horizon and work submitted at Now() never queues.
 func TestClockNeverBehindAnyLane(t *testing.T) {
 	s := testSoC()
 	procs := []string{"cpu", "gpu", "dla0", "dla1", "oakd"}
@@ -86,50 +86,68 @@ func TestClockNeverBehindAnyLane(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, lane := range lanes {
-			if s.BusyUntil(lane) > s.Clock.Now() {
-				t.Fatalf("charge %d: clock %v behind %s's horizon %v", i, s.Clock.Now(), lane, s.BusyUntil(lane))
+		for _, id := range lanes {
+			if h := laneOf(s, id).horizon; h > s.Now() {
+				t.Fatalf("charge %d: clock %v behind %s's horizon %v", i, s.Now(), id, h)
 			}
 		}
-		sp, err := s.ExecFrom(procs[i%len(procs)], s.Clock.Now(), 0.01, 8)
+		sp, err := s.ExecFrom(procs[i%len(procs)], s.Now(), 0.01, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sp.Wait != 0 || s.Clock.Now() != sp.End {
-			t.Fatalf("charge %d: submission at Clock.Now() queued or left the clock behind: %+v, clock %v", i, sp, s.Clock.Now())
+		if sp.Wait != 0 || s.Now() != sp.End {
+			t.Fatalf("charge %d: submission at Now() queued or left the clock behind: %+v, clock %v", i, sp, s.Now())
 		}
 	}
 }
 
-func TestClockAdvanceTo(t *testing.T) {
-	c := &Clock{}
-	c.AdvanceTo(3 * time.Second)
-	if c.Now() != 3*time.Second {
-		t.Fatalf("clock %v", c.Now())
+// TestNowNeverRewinds: the event loop completes work out of global order,
+// so a charge that ends before the latest completion leaves Now() where it
+// is, while that charge's own lane still advances.
+func TestNowNeverRewinds(t *testing.T) {
+	s := testSoC()
+	late, err := s.ExecFrom("gpu", 3*time.Second, 0.1, 10)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Earlier targets are a no-op, not a rewind.
-	c.AdvanceTo(time.Second)
-	if c.Now() != 3*time.Second {
-		t.Fatalf("AdvanceTo rewound the clock to %v", c.Now())
+	if s.Now() != late.End {
+		t.Fatalf("clock %v, want %v", s.Now(), late.End)
+	}
+	early, err := s.ExecFrom("dla0", time.Second, 0.1, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if early.End >= late.End || s.Now() != late.End {
+		t.Fatalf("clock %v after an earlier completion %v, want %v", s.Now(), early.End, late.End)
+	}
+	if h := s.Procs["dla0"].lane.horizon; h != early.End {
+		t.Fatalf("dla0 horizon %v, want %v", h, early.End)
 	}
 }
 
-// TestExecFromMetersAndTrace checks that a charge is metered and that the
-// span it returns (what the flight recorder records as an exec span) sits
-// where the work ran: at its ready time on an idle processor, one latency long.
+// TestExecFromMetersAndTrace checks that a charge lands in its own lane's
+// busy time and no other, and that the span it returns (what the flight
+// recorder records as an exec span) sits where the work ran: at its ready
+// time on an idle processor, one latency long.
 func TestExecFromMetersAndTrace(t *testing.T) {
 	s := testSoC()
 	sp, err := s.ExecFrom("gpu", time.Second, 0.2, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Meter.Execs["gpu"] != 1 || s.Meter.BusyTime["gpu"] != sp.Cost.Lat {
-		t.Fatal("meter not charged")
+	for _, id := range []string{"cpu", "gpu", "dla0", "dla1", "oakd", DMAProcID} {
+		want := time.Duration(0)
+		if id == "gpu" {
+			want = sp.Cost.Lat
+		}
+		if got := laneOf(s, id).busy; got != want {
+			t.Fatalf("%s busy %v, want %v", id, got, want)
+		}
 	}
 	if sp.Start != time.Second || sp.Wait != 0 || sp.End != sp.Start+sp.Cost.Lat {
 		t.Fatalf("span misplaced: %+v", sp)
 	}
-	if s.Clock.Now() != sp.End {
-		t.Fatalf("clock %v, want span end %v", s.Clock.Now(), sp.End)
+	if s.Now() != sp.End {
+		t.Fatalf("clock %v, want span end %v", s.Now(), sp.End)
 	}
 }

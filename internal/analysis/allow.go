@@ -24,8 +24,6 @@ type AllowSite struct {
 	Pos      token.Position
 	Analyzer string
 	Reason   string
-
-	used bool
 }
 
 // allowIndex indexes a package's annotations by file and line for
@@ -35,18 +33,18 @@ type allowIndex struct {
 	sites      []*AllowSite
 }
 
-// match returns the annotation covering a diagnostic at pos for the named
-// analyzer: one on the same line, or on the line directly above.
-func (ix *allowIndex) match(pos token.Position, analyzer string) *AllowSite {
+// covers reports whether an annotation covers a diagnostic at pos for the
+// named analyzer: one on the same line, or on the line directly above.
+func (ix *allowIndex) covers(pos token.Position, analyzer string) bool {
 	lines := ix.byFileLine[pos.Filename]
 	for _, line := range []int{pos.Line, pos.Line - 1} {
 		for _, s := range lines[line] {
 			if s.Analyzer == analyzer {
-				return s
+				return true
 			}
 		}
 	}
-	return nil
+	return false
 }
 
 // collectAllows parses every //detlint:allow annotation in files. Malformed

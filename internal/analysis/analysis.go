@@ -28,9 +28,8 @@
 //     fan-out without deriving a per-task stream via Fork/Clone first.
 //
 // Findings are suppressed site-by-site with a //detlint:allow annotation
-// (see allow.go); cmd/detlint runs the suite standalone, as a go vet
-// -vettool, and in -inventory mode listing every suppression with its
-// reason.
+// (see allow.go); cmd/detlint runs the suite over the module, or in
+// -inventory mode lists every suppression with its reason.
 //
 // The framework deliberately mirrors the shape of golang.org/x/tools
 // go/analysis (Analyzer, Pass, Diagnostic, an analysistest harness) but is
@@ -52,8 +51,6 @@ type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in
 	// //detlint:allow annotations.
 	Name string
-	// Doc is a one-paragraph description of the invariant.
-	Doc string
 	// Run performs the check on one package, reporting findings via
 	// pass.Reportf.
 	Run func(pass *Pass) error
@@ -82,8 +79,6 @@ type Diagnostic struct {
 	// Suppressed is set by the driver when a matching //detlint:allow
 	// annotation covers the finding's line.
 	Suppressed bool
-	// Reason is the suppressing annotation's reason, when Suppressed.
-	Reason string
 }
 
 func (d Diagnostic) String() string {
@@ -141,11 +136,7 @@ func RunPackage(pkg *Package, suite []*Analyzer) ([]Diagnostic, error) {
 			return nil, fmt.Errorf("analysis: %s on %s: %w", a.Name, pkg.Path, err)
 		}
 		for _, d := range pass.diagnostics {
-			if site := allows.match(d.Pos, a.Name); site != nil {
-				d.Suppressed = true
-				d.Reason = site.Reason
-				site.used = true
-			}
+			d.Suppressed = allows.covers(d.Pos, a.Name)
 			out = append(out, d)
 		}
 	}

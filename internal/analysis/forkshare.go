@@ -17,10 +17,7 @@ import (
 // parent.Fork with a per-index label inside the worker.
 var ForkshareAnalyzer = &Analyzer{
 	Name: "forkshare",
-	Doc: "flag rng.Stream values captured by closures passed to par " +
-		"fan-outs and used without Fork/Clone: shared draws interleave " +
-		"nondeterministically across workers",
-	Run: runForkshare,
+	Run:  runForkshare,
 }
 
 // forkSafeMethods may be called on a captured stream inside a pool worker:

@@ -13,9 +13,7 @@ import "strconv"
 // import-path suffix.
 var GlobalrandAnalyzer = &Analyzer{
 	Name: "globalrand",
-	Doc: "flag math/rand and math/rand/v2 outside internal/rng: randomness " +
-		"must flow through seeded rng.Stream forks",
-	Run: runGlobalrand,
+	Run:  runGlobalrand,
 }
 
 func runGlobalrand(pass *Pass) error {

@@ -16,9 +16,7 @@ import (
 // OS pipes to worker processes.
 var GoroutineAnalyzer = &Analyzer{
 	Name: "goroutine",
-	Doc: "flag go statements and sync.WaitGroup outside internal/par and " +
-		"internal/distrib: parallelism must flow through the pool",
-	Run: runGoroutine,
+	Run:  runGoroutine,
 }
 
 func runGoroutine(pass *Pass) error {

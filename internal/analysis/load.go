@@ -19,9 +19,7 @@ import (
 type Package struct {
 	// Path is the package's import path ("repro/internal/fleet", or a
 	// synthetic path for analysistest testdata).
-	Path string
-	// Dir is the directory the files were read from.
-	Dir   string
+	Path  string
 	Fset  *token.FileSet
 	Files []*ast.File
 	Types *types.Package
@@ -202,7 +200,7 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 		Implicits:  map[ast.Node]types.Object{},
 	}
-	pkg := &Package{Path: path, Dir: dir, Fset: l.Fset, Files: files}
+	pkg := &Package{Path: path, Fset: l.Fset, Files: files}
 	conf := types.Config{
 		Importer:    l,
 		FakeImportC: true,

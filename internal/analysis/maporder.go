@@ -22,10 +22,7 @@ import (
 // else can carry //detlint:allow maporder <reason>.
 var MaporderAnalyzer = &Analyzer{
 	Name: "maporder",
-	Doc: "flag range-over-map bodies that feed order-sensitive sinks " +
-		"(slice append, writer/encoder, channel send, par fan-out); " +
-		"iterate sorted keys instead",
-	Run: runMaporder,
+	Run:  runMaporder,
 }
 
 // methodSinkNames are method names treated as order-sensitive emission

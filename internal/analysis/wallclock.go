@@ -5,7 +5,7 @@ import (
 )
 
 // WallclockAnalyzer flags every reference to time.Now, time.Since and
-// time.Sleep. The simulator runs on a virtual clock (accel.Clock and the
+// time.Sleep. The simulator runs on a virtual clock (accel.SoC.Now and the
 // fleet event loop's virtual horizon); a wall-clock read anywhere in a
 // simulation package makes decisions depend on host speed and breaks
 // bit-identity across machines and runs.
@@ -17,9 +17,7 @@ import (
 // inventory golden pins.
 var WallclockAnalyzer = &Analyzer{
 	Name: "wallclock",
-	Doc: "flag time.Now/time.Since/time.Sleep: simulation code must use the " +
-		"virtual clock; annotate deliberate wall-clock measurement sites",
-	Run: runWallclock,
+	Run:  runWallclock,
 }
 
 func runWallclock(pass *Pass) error {

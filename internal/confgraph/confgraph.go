@@ -59,7 +59,6 @@ type Prediction struct {
 
 // node carries accumulation state during construction.
 type node struct {
-	key     NodeKey
 	iouSum  float64
 	samples int
 	edges   map[NodeKey]float64 // raw co-occurrence counts, then costs
@@ -165,7 +164,7 @@ func (g *Graph) bucketOf(conf float64) int {
 func (g *Graph) ensureNode(key NodeKey) *node {
 	n, ok := g.nodes[key]
 	if !ok {
-		n = &node{key: key, edges: map[NodeKey]float64{}}
+		n = &node{edges: map[NodeKey]float64{}}
 		g.nodes[key] = n
 	}
 	return n

@@ -242,10 +242,10 @@ func TestLargerThresholdReachesMore(t *testing.T) {
 
 func TestEdgeCostsInUnitRange(t *testing.T) {
 	_, g := buildTestGraph(t, 200, DefaultOptions())
-	for _, n := range g.nodes {
+	for key, n := range g.nodes {
 		for other, cost := range n.edges {
 			if cost < 0 || cost > 1 {
-				t.Fatalf("edge cost out of [0,1]: %v -> %v = %v", n.key, other, cost)
+				t.Fatalf("edge cost out of [0,1]: %v -> %v = %v", key, other, cost)
 			}
 		}
 	}

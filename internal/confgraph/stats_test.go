@@ -51,10 +51,10 @@ func TestValidateDetectsCorruption(t *testing.T) {
 			}
 		}},
 		{"asymmetric edge", func(g *Graph) {
-			for _, n := range g.nodes {
+			for key, n := range g.nodes {
 				for k := range n.edges {
 					other := g.nodes[k]
-					delete(other.edges, n.key)
+					delete(other.edges, key)
 					return
 				}
 			}

@@ -16,28 +16,27 @@ type Transport interface {
 	Close() error
 }
 
-// chunkFrames bounds frames per serve request — also the most work a crash
-// can destroy per stream beyond the journal.
-const chunkFrames = 8
+// The coordinator's dispatch constants. chunkFrames bounds frames per serve
+// request — also the most work a crash can destroy per stream beyond the
+// journal. requestTimeout is the per-request deadline; a failed request is
+// re-sent up to retries times (same ID, so the worker's idempotency cache
+// absorbs duplicates), after a backoff that doubles per attempt, before the
+// worker is declared dead.
+const (
+	chunkFrames    = 8
+	requestTimeout = 10 * time.Second
+	retries        = 3
+	backoff        = 50 * time.Millisecond
+)
 
 // CoordConfig parameterizes the coordinator's dispatch loop.
 type CoordConfig struct {
-	// RequestTimeout is the per-request deadline (default 10s).
-	RequestTimeout time.Duration
-	// Retries is how many times a timed-out request is re-sent (same ID, so
-	// the worker's idempotency cache absorbs duplicates) before the worker
-	// is declared dead. Default 3.
-	Retries int
-	// Backoff is the first retry delay, doubling per attempt (default 50ms).
-	Backoff time.Duration
 	// JournalDir, when set, persists each stream's latest checkpoint to
 	// <dir>/<stream>.ckpt after every chunk.
 	JournalDir string
 	// OnProgress observes each journaled chunk (tests and harnesses hook
 	// fault injection here). Nil: no observer.
 	OnProgress func(ev Progress)
-	// sleep is stubbed by tests; nil means time.Sleep.
-	sleep func(time.Duration)
 }
 
 // Progress is one OnProgress observation.
@@ -45,7 +44,6 @@ type Progress struct {
 	Stream string
 	Worker string
 	Served int
-	Done   bool
 }
 
 // Job is one stream for the coordinator to serve, frames by reference.
@@ -61,14 +59,14 @@ type Job struct {
 // JobReport is one stream's outcome.
 type JobReport struct {
 	Stream string
-	// Workers is the serving path (one entry per placement).
+	// Workers is the serving path (one entry per placement, so a stream
+	// re-dispatched after worker deaths lists every worker it ran on).
 	Workers []string
 	Served  int
 	Digest  uint64
-	// Redispatches counts re-placements after worker death; Replayed counts
-	// frames lost with dead workers and served again from the journal.
-	Redispatches int
-	Replayed     int
+	// Replayed counts frames lost with dead workers and served again from
+	// the journal.
+	Replayed int
 }
 
 // RunReport is one coordinator run.
@@ -111,22 +109,8 @@ type Coordinator struct {
 	deaths  int
 }
 
-// NewCoordinator applies defaults.
+// NewCoordinator returns a coordinator with no workers attached.
 func NewCoordinator(cfg CoordConfig) *Coordinator {
-	if cfg.RequestTimeout <= 0 {
-		cfg.RequestTimeout = 10 * time.Second
-	}
-	if cfg.Retries < 0 {
-		cfg.Retries = 0
-	} else if cfg.Retries == 0 {
-		cfg.Retries = 3
-	}
-	if cfg.Backoff <= 0 {
-		cfg.Backoff = 50 * time.Millisecond
-	}
-	if cfg.sleep == nil {
-		cfg.sleep = time.Sleep //detlint:allow wallclock retry backoff against live worker processes; virtual time cannot pace real pipes
-	}
 	return &Coordinator{cfg: cfg}
 }
 
@@ -154,15 +138,13 @@ func (c *Coordinator) AddWorker(name string, tr Transport) error {
 func (c *Coordinator) send(w *remoteWorker, req *Request) (*Response, error) {
 	w.nextID++
 	req.ID = w.nextID
-	backoff := c.cfg.Backoff
 	var lastErr error
-	for attempt := 0; attempt <= c.cfg.Retries; attempt++ {
+	for attempt := 0; attempt <= retries; attempt++ {
 		if attempt > 0 {
 			c.retries++
-			c.cfg.sleep(backoff)
-			backoff *= 2
+			time.Sleep(backoff << (attempt - 1)) //detlint:allow wallclock retry backoff against live worker processes; virtual time cannot pace real pipes
 		}
-		resp, err := w.tr.Send(req, c.cfg.RequestTimeout)
+		resp, err := w.tr.Send(req, requestTimeout)
 		if err == nil {
 			if resp.ID != req.ID {
 				return nil, fmt.Errorf("distrib: worker %s answered id %d to request %d", w.name, resp.ID, req.ID)
@@ -270,7 +252,7 @@ func (c *Coordinator) step(st *streamState, states []*streamState, rep *RunRepor
 		st.report.Digest = resp.Digest
 	}
 	if c.cfg.OnProgress != nil {
-		c.cfg.OnProgress(Progress{Stream: st.job.Stream, Worker: st.worker.name, Served: resp.Served, Done: resp.Done})
+		c.cfg.OnProgress(Progress{Stream: st.job.Stream, Worker: st.worker.name, Served: resp.Served})
 	}
 	return nil
 }
@@ -295,7 +277,6 @@ func (c *Coordinator) workerDied(w *remoteWorker, states []*streamState, cause e
 		n++
 		st.worker = next
 		st.report.Workers = append(st.report.Workers, next.name)
-		st.report.Redispatches++
 		// The survivor restores from the journal; anything the dead worker
 		// served past it is replayed.
 		st.report.Replayed += st.served - st.journaled

@@ -97,7 +97,7 @@ func TestPipeWorkersServeJobs(t *testing.T) {
 	jobs := testJobs(40, 56, 24)
 	want := soloDigests(t, jobs)
 	dir := t.TempDir()
-	c := distrib.NewCoordinator(distrib.CoordConfig{Backoff: time.Millisecond, JournalDir: dir})
+	c := distrib.NewCoordinator(distrib.CoordConfig{JournalDir: dir})
 	for _, name := range []string{"w0", "w1"} {
 		if err := c.AddWorker(name, distrib.PipeWorker(distrib.WorkerConfig{Name: name, Seed: 1})); err != nil {
 			t.Fatal(err)
@@ -151,16 +151,16 @@ func (m *mortal) Send(req *distrib.Request, timeout time.Duration) (*distrib.Res
 }
 
 // TestCoordinatorSurvivesWorkerDeath: worker w0 stops answering after its
-// first chunk; the coordinator burns its bounded retries, declares it dead,
-// and re-dispatches its streams to w1 from the journaled checkpoints — every
-// stream completes with the solo digest (the cross-process churn contract).
+// first chunk; the coordinator burns its three retries (0.35 s of backoff),
+// declares it dead, and re-dispatches its streams to w1 from the journaled
+// checkpoints — every stream completes with the solo digest (the
+// cross-process churn contract).
 func TestCoordinatorSurvivesWorkerDeath(t *testing.T) {
 	jobs := testJobs(40, 56)
 	want := soloDigests(t, jobs)
 	w0 := &mortal{Transport: distrib.PipeWorker(distrib.WorkerConfig{Name: "w0", Seed: 1})}
 	tripped := false
 	c := distrib.NewCoordinator(distrib.CoordConfig{
-		Retries: 2, Backoff: time.Millisecond,
 		OnProgress: func(ev distrib.Progress) {
 			if ev.Worker == "w0" && !tripped {
 				tripped = true
@@ -182,14 +182,16 @@ func TestCoordinatorSurvivesWorkerDeath(t *testing.T) {
 	if rep.WorkerDeaths != 1 {
 		t.Fatalf("worker deaths %d, want 1", rep.WorkerDeaths)
 	}
-	if rep.Retries != 2 {
-		t.Fatalf("retries %d, want the bounded 2 before declaring death", rep.Retries)
+	if rep.Retries != 3 {
+		t.Fatalf("retries %d, want the bounded 3 before declaring death", rep.Retries)
 	}
 	redispatched := 0
 	for _, jr := range rep.Jobs {
-		redispatched += jr.Redispatches
-		if jr.Redispatches > 0 && jr.Workers[len(jr.Workers)-1] != "w1" {
-			t.Fatalf("stream %s re-dispatched to %v, want w1 last", jr.Stream, jr.Workers)
+		if len(jr.Workers) > 1 {
+			redispatched++
+			if jr.Workers[len(jr.Workers)-1] != "w1" {
+				t.Fatalf("stream %s re-dispatched to %v, want w1 last", jr.Stream, jr.Workers)
+			}
 		}
 	}
 	if redispatched == 0 {
@@ -231,7 +233,7 @@ func TestRetryReplaysLostResponse(t *testing.T) {
 	jobs := testJobs(40)
 	want := soloDigests(t, jobs)
 	w0 := &lossy{Transport: distrib.PipeWorker(distrib.WorkerConfig{Name: "w0", Seed: 1})}
-	c := distrib.NewCoordinator(distrib.CoordConfig{Retries: 2, Backoff: time.Millisecond})
+	c := distrib.NewCoordinator(distrib.CoordConfig{})
 	if err := c.AddWorker("w0", w0); err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +261,6 @@ func TestNoSurvivorsFails(t *testing.T) {
 	w0 := &mortal{Transport: distrib.PipeWorker(distrib.WorkerConfig{Name: "w0", Seed: 1})}
 	tripped := false
 	c := distrib.NewCoordinator(distrib.CoordConfig{
-		Retries: 1, Backoff: time.Millisecond,
 		OnProgress: func(ev distrib.Progress) {
 			if !tripped {
 				tripped = true
@@ -308,8 +309,6 @@ func TestProcWorkerSIGKILLRecovery(t *testing.T) {
 	w1 := startWorkerProc(t, "w1")
 	killed := false
 	c := distrib.NewCoordinator(distrib.CoordConfig{
-		Retries: 2, Backoff: 10 * time.Millisecond,
-		RequestTimeout: 30 * time.Second,
 		OnProgress: func(ev distrib.Progress) {
 			// First journaled chunk from w0: kill -9 the worker process.
 			if ev.Worker == "w0" && !killed {
@@ -334,12 +333,14 @@ func TestProcWorkerSIGKILLRecovery(t *testing.T) {
 		t.Fatal("w0 never served a chunk, kill not exercised")
 	}
 	checkReport(t, rep, jobs, want)
-	if rep.WorkerDeaths != 1 {
-		t.Fatalf("worker deaths %d, want 1", rep.WorkerDeaths)
+	if rep.WorkerDeaths != 1 || rep.Retries != 3 {
+		t.Fatalf("worker deaths %d retries %d, want 1 death after 3 retries", rep.WorkerDeaths, rep.Retries)
 	}
 	redispatched := 0
 	for _, jr := range rep.Jobs {
-		redispatched += jr.Redispatches
+		if len(jr.Workers) > 1 {
+			redispatched++
+		}
 	}
 	if redispatched == 0 {
 		t.Fatal("SIGKILL re-dispatched no streams")

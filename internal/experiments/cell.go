@@ -144,6 +144,51 @@ func (r *CellResult) EventsPerSec() float64 { return float64(r.Run.Events) / r.W
 // The workload is generated per call, so every cell sees identical requests
 // with fresh policy state.
 func RunCell(env *Env, c Cell) (*CellResult, error) {
+	cr, err := assemble(env, c)
+	if err != nil {
+		return nil, err
+	}
+	start := time.Now() //detlint:allow wallclock events/sec keys are documented as wall-clock-drifting harness throughput
+	run, err := cr.fleet.RunWithFaults(cr.reqs, cr.faults)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: cell %s: %w", c.label(), err)
+	}
+	wall := time.Since(start).Seconds() //detlint:allow wallclock events/sec keys are documented as wall-clock-drifting harness throughput
+
+	sum := fleet.Summarize(run)
+	if sum.LeakedRefs != 0 {
+		return nil, fmt.Errorf("experiments: cell %s leaked %d residency refs", c.label(), sum.LeakedRefs)
+	}
+	// The recovery contract: only best-effort streams may be shed.
+	for _, out := range run.Outcomes {
+		if out.Shed && !out.BestEffort {
+			return nil, fmt.Errorf("experiments: cell %s shed premium stream %s", c.label(), out.Name)
+		}
+	}
+	if agg := cr.agg; agg != nil {
+		sum.Frames = agg.frames
+		sum.Latency.P50 = agg.hist.quantile(0.50)
+		sum.Latency.P99 = agg.hist.quantile(0.99)
+		sum.DeadlineMissRate = 0
+		if agg.frames > 0 {
+			sum.DeadlineMissRate = float64(agg.missed) / float64(agg.frames)
+		}
+	}
+	return &CellResult{Cell: c, Summary: sum, Run: run, Recorder: cr.rec, WallSec: wall}, nil
+}
+
+// cellRun is a cell assembled for serving: its fresh fleet, requests and
+// fault schedule, and the recorder and departure reduction it switched on.
+type cellRun struct {
+	fleet  *fleet.Fleet
+	reqs   []fleet.StreamRequest
+	faults []fleet.Fault
+	rec    *obs.Recorder
+	agg    *departAgg
+}
+
+// assemble builds what RunCell serves.
+func assemble(env *Env, c Cell) (*cellRun, error) {
 	if c.Devices <= 0 {
 		return nil, fmt.Errorf("experiments: invalid device count %d", c.Devices)
 	}
@@ -200,45 +245,19 @@ func RunCell(env *Env, c Cell) (*CellResult, error) {
 		Prefetch:   c.Prefetch,
 		Regions:    c.Regions,
 	}
+	cr := &cellRun{reqs: reqs, faults: faults}
 	if c.Record {
-		cfg.Recorder = obs.NewRecorder()
+		cr.rec = obs.NewRecorder()
+		cfg.Recorder = cr.rec
 	}
-	var agg *departAgg
 	if c.Release {
-		agg = &departAgg{hist: newLatHist()}
-		cfg.OnDepart = agg.depart
+		cr.agg = &departAgg{hist: newLatHist()}
+		cfg.OnDepart = cr.agg.depart
 	}
-	fl, err := fleet.New(cfg)
-	if err != nil {
+	if cr.fleet, err = fleet.New(cfg); err != nil {
 		return nil, err
 	}
-	start := time.Now() //detlint:allow wallclock events/sec keys are documented as wall-clock-drifting harness throughput
-	run, err := fl.RunWithFaults(reqs, faults)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: cell %s: %w", c.label(), err)
-	}
-	wall := time.Since(start).Seconds() //detlint:allow wallclock events/sec keys are documented as wall-clock-drifting harness throughput
-
-	sum := fleet.Summarize(run)
-	if sum.LeakedRefs != 0 {
-		return nil, fmt.Errorf("experiments: cell %s leaked %d residency refs", c.label(), sum.LeakedRefs)
-	}
-	// The recovery contract: only best-effort streams may be shed.
-	for _, out := range run.Outcomes {
-		if out.Shed && !out.BestEffort {
-			return nil, fmt.Errorf("experiments: cell %s shed premium stream %s", c.label(), out.Name)
-		}
-	}
-	if agg != nil {
-		sum.Frames = agg.frames
-		sum.Latency.P50 = agg.hist.quantile(0.50)
-		sum.Latency.P99 = agg.hist.quantile(0.99)
-		sum.DeadlineMissRate = 0
-		if agg.frames > 0 {
-			sum.DeadlineMissRate = float64(agg.missed) / float64(agg.frames)
-		}
-	}
-	return &CellResult{Cell: c, Summary: sum, Run: run, Recorder: cfg.Recorder, WallSec: wall}, nil
+	return cr, nil
 }
 
 // label names a cell in errors.
@@ -315,13 +334,12 @@ func (g *departAgg) depart(out *fleet.StreamOutcome) {
 	out.Stream = nil
 }
 
-// latHist is a fixed-resolution latency histogram: 1 ms buckets to 60 s
-// plus an overflow bucket. Collecting raw per-frame latencies at 100 000
+// latHist is a fixed-resolution latency histogram: 1 ms buckets to 60 s;
+// a later latency counts only in n. Collecting raw per-frame latencies at 100 000
 // streams would cost gigabytes; the histogram reduces them in O(1) memory
 // and stays exactly deterministic (bucketing is pure arithmetic).
 type latHist struct {
 	counts []int64
-	over   int64
 	n      int64
 }
 
@@ -335,15 +353,13 @@ func (h *latHist) add(sec float64) {
 	if i < 0 {
 		i = 0
 	}
-	if i >= len(h.counts) {
-		h.over++
-		return
+	if i < len(h.counts) {
+		h.counts[i]++
 	}
-	h.counts[i]++
 }
 
-// quantile returns the q-quantile as its bucket's midpoint (the overflow
-// bucket reports the 60 s cap).
+// quantile returns the q-quantile as its bucket's midpoint (a rank past the
+// last bucket reports the 60 s cap).
 func (h *latHist) quantile(q float64) float64 {
 	if h.n == 0 {
 		return 0

@@ -1,7 +1,12 @@
 package experiments
 
 import (
+	"slices"
 	"testing"
+	"time"
+
+	"repro/internal/fleet"
+	"repro/internal/obs"
 )
 
 // TestFleetSweepDefaultGrid runs the standard grid once and pins the
@@ -101,5 +106,61 @@ func TestFleetSweepValidation(t *testing.T) {
 	bogus.Placement = "nope"
 	if _, err := RunCells(env, []Cell{bogus}); err == nil {
 		t.Fatal("unknown placement should fail")
+	}
+}
+
+// TestLaneBusyMatchesRecorder cross-checks the platform's lane busy time
+// against the flight recorder on a recorded FleetCell run (no faults,
+// predictor off), so every charge lands in exactly one lane: on each
+// device, each processor's exec and load spans sum to its busy time
+// exactly, and DeviceStats.BusySec is those totals summed in
+// processor-name order.
+func TestLaneBusyMatchesRecorder(t *testing.T) {
+	env, err := Shared()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := FleetCell()
+	c.Record = true
+	cr, err := assemble(env, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := cr.fleet.RunWithFaults(cr.reqs, cr.faults)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type lane struct{ device, proc string }
+	spans := map[lane]time.Duration{}
+	for _, sp := range cr.rec.Spans() {
+		if sp.Kind == obs.SpanExec || sp.Kind == obs.SpanLoad {
+			spans[lane{sp.Device, sp.Proc}] += sp.Dur()
+		}
+	}
+	matched := 0
+	for _, d := range cr.fleet.Devices() {
+		var ids []string
+		for id := range d.Sys.SoC.Procs {
+			ids = append(ids, id)
+		}
+		slices.Sort(ids)
+		var busySec float64
+		for _, id := range ids {
+			busy := d.Sys.SoC.Procs[id].Busy()
+			if got := spans[lane{d.Name, id}]; got != busy {
+				t.Fatalf("%s/%s: spans sum to %v, lane busy %v", d.Name, id, got, busy)
+			}
+			if busy > 0 {
+				matched++
+			}
+			busySec += busy.Seconds()
+		}
+		i := slices.IndexFunc(run.Devices, func(st fleet.DeviceStats) bool { return st.Name == d.Name })
+		if i < 0 || run.Devices[i].BusySec != busySec {
+			t.Fatalf("%s: DeviceStats.BusySec differs from the lanes' %v", d.Name, busySec)
+		}
+	}
+	if matched == 0 || matched != len(spans) {
+		t.Fatalf("%d busy lanes, %d recorded lanes", matched, len(spans))
 	}
 }

@@ -41,8 +41,6 @@ type MultiStreamRow struct {
 	SwapsPerStream float64
 	Loads          int
 	Evictions      int
-	// AvgEnergyJ is the mean per-frame energy across streams.
-	AvgEnergyJ float64
 }
 
 // MultiStreamResult is the full sweep.
@@ -105,7 +103,7 @@ func MultiStream(env *Env) (*MultiStreamResult, error) {
 func summarizeServe(n int, streams []*runtime.StreamResult, ls loader.Stats) MultiStreamRow {
 	row := MultiStreamRow{Streams: n, Loads: ls.Loads, Evictions: ls.Evictions}
 	var lats []float64
-	var waitSum, iouSum, energySum float64
+	var waitSum, iouSum float64
 	success, missed, swaps := 0, 0, 0
 	for _, s := range streams {
 		lats = append(lats, s.Latencies()...)
@@ -114,7 +112,6 @@ func summarizeServe(n int, streams []*runtime.StreamResult, ls loader.Stats) Mul
 		swaps += pipeline.SwapCount(s.Result)
 		for _, rec := range s.Result.Records {
 			iouSum += rec.IoU
-			energySum += rec.EnergyJ
 			if rec.IoU >= metrics.SuccessIoU {
 				success++
 			}
@@ -125,7 +122,6 @@ func summarizeServe(n int, streams []*runtime.StreamResult, ls loader.Stats) Mul
 		f := float64(row.Frames)
 		row.AvgIoU = iouSum / f
 		row.SuccessRate = float64(success) / f
-		row.AvgEnergyJ = energySum / f
 		row.DeadlineMissRate = float64(missed) / f
 		row.AvgQueueWaitSec = waitSum / f
 	}

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/fleet"
@@ -41,22 +39,4 @@ func ScaleGrid() []Cell {
 	r8 := DayCell(1000, 100_000, 86_400)
 	r8.Regions = 8
 	return []Cell{DayCell(1000, 100_000, 86_400), r8}
-}
-
-// ScaleReport renders served day cells: the simulated columns (events,
-// latency profile, misses) are deterministic per seed and identical across
-// region counts of one trace; wall clock and events/sec measure the
-// simulator's event loop itself and drift run to run.
-func ScaleReport(rows []*CellResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Fleet scale sweep: wall-clock event-loop throughput\n")
-	fmt.Fprintf(&b, "%8s %8s %8s %10s %9s %8s %8s %8s %12s\n",
-		"devices", "streams", "regions", "events", "wall_s", "ev/s", "p50_s", "p99_s", "miss")
-	for _, row := range rows {
-		fmt.Fprintf(&b, "%8d %8d %8d %10d %9.2f %8.0f %8.3f %8.3f %11.2f%%\n",
-			row.Cell.Devices, row.Cell.Workload.Streams, max(1, row.Cell.Regions), row.Run.Events,
-			row.WallSec, row.EventsPerSec(), row.Latency.P50, row.Latency.P99,
-			100*row.DeadlineMissRate)
-	}
-	return b.String()
 }

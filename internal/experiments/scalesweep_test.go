@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // quickScaleCells shrinks the grid to unit-test size: a 4-device fleet
 // serving 200 streams over a compressed two-minute "day", single-region
@@ -51,9 +48,6 @@ func TestScaleSweepSelectorsAgree(t *testing.T) {
 		if row.WallSec <= 0 || row.EventsPerSec() <= 0 {
 			t.Fatalf("non-positive wall-clock measurement: %v s, %v events/s", row.WallSec, row.EventsPerSec())
 		}
-	}
-	if report := ScaleReport(rows); !strings.Contains(report, "regions") || strings.Count(report, "\n") != 5 {
-		t.Fatalf("report missing its header or rows:\n%s", report)
 	}
 }
 

@@ -12,11 +12,10 @@ import (
 
 // TableICell is one (model, processor-kind) measurement of Table I or IV.
 type TableICell struct {
-	Supported  bool
-	TimeSec    float64
-	PowerW     float64
-	EnergyJ    float64
-	Executions int
+	Supported bool
+	TimeSec   float64
+	PowerW    float64
+	EnergyJ   float64
 }
 
 // TableIRow is one model row of Table I.
@@ -80,9 +79,9 @@ func profileExec(sys *zoo.System, entry *zoo.Entry, kind accel.Kind, nExec int) 
 	}
 	perf := entry.PerfByKind[kind]
 	procID := sys.SoC.ProcIDsByKind(kind)[0]
-	cell := TableICell{Supported: true, Executions: nExec}
+	cell := TableICell{Supported: true}
 	for i := 0; i < nExec; i++ {
-		sp, err := sys.SoC.ExecFrom(procID, sys.SoC.Clock.Now(), perf.LatencySec, perf.PowerW)
+		sp, err := sys.SoC.ExecFrom(procID, sys.SoC.Now(), perf.LatencySec, perf.PowerW)
 		if err != nil {
 			return TableICell{}, err
 		}

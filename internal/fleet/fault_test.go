@@ -134,7 +134,7 @@ func TestFaultBrownoutSlowsWithoutMigration(t *testing.T) {
 		}
 		return res, f
 	}
-	base, _ := run(nil)
+	base, bf := run(nil)
 	slow, f := run([]Fault{{
 		Device: "solo", Kind: FaultBrownout, At: 0,
 		Duration: 1000 * time.Second, Factor: 3,
@@ -147,8 +147,25 @@ func TestFaultBrownoutSlowsWithoutMigration(t *testing.T) {
 	if ratio < 2.8 || ratio > 3.2 {
 		t.Fatalf("brownout horizon ratio %.3f, want ~3", ratio)
 	}
-	if ts := f.Devices()[0].Sys.SoC.TimeScale; ts != 1 {
-		t.Fatalf("time scale %v after recovery, want 1", ts)
+	checkBaseScale(t, f, bf)
+}
+
+// checkBaseScale: after every brownout recovers, the device's next execution
+// costs exactly what the fault-free run's does. Both runs made the same
+// draws, so only a time scale other than exactly 1 could tell them apart.
+func checkBaseScale(t *testing.T, faulty, base *Fleet) {
+	t.Helper()
+	soc, ref := faulty.Devices()[0].Sys.SoC, base.Devices()[0].Sys.SoC
+	got, err := soc.ExecFrom("gpu", soc.Now(), 0.1, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.ExecFrom("gpu", ref.Now(), 0.1, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Cost != want.Cost {
+		t.Fatalf("post-recovery execution %+v, want the base scale's %+v", got.Cost, want.Cost)
 	}
 }
 
@@ -168,7 +185,7 @@ func TestFaultOverlappingBrownoutsCompound(t *testing.T) {
 		}
 		return res, f
 	}
-	base, _ := run(nil)
+	base, bf := run(nil)
 	long := 1000 * time.Second
 	nested, f := run([]Fault{
 		{Device: "solo", Kind: FaultBrownout, At: 0, Duration: long, Factor: 2},
@@ -179,9 +196,7 @@ func TestFaultOverlappingBrownoutsCompound(t *testing.T) {
 	if ratio < 3.8 || ratio > 4.2 {
 		t.Fatalf("nested brownout horizon ratio %.3f, want ~4 (overlap must compound)", ratio)
 	}
-	if ts := f.Devices()[0].Sys.SoC.TimeScale; ts != 1 {
-		t.Fatalf("time scale %v after both recoveries, want exactly 1", ts)
-	}
+	checkBaseScale(t, f, bf)
 }
 
 // TestFaultFrameAttributionAcrossMigration: per-device frame totals credit

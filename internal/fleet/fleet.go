@@ -492,7 +492,6 @@ type StreamOutcome struct {
 	// ReplayedFrames counts frames served, lost to a crash (served after the
 	// last durable checkpoint) and served again after recovery.
 	ReplayedFrames int
-	PeriodSec      float64
 	// Stream holds the per-frame records and timings (nil when rejected).
 	Stream *runtime.StreamResult
 }
@@ -912,7 +911,6 @@ func (f *Fleet) arrive(req *StreamRequest, at time.Duration, queue *[]*pending) 
 		Name:       req.Name,
 		Scenario:   req.Scenario,
 		Arrival:    req.Arrival,
-		PeriodSec:  req.PeriodSec,
 		BestEffort: req.BestEffort,
 	}
 	if f.rec != nil {
@@ -1251,7 +1249,7 @@ func (f *Fleet) deviceStats(d *Device, horizon time.Duration) DeviceStats {
 	}
 	sort.Strings(procs)
 	for _, id := range procs {
-		busy := d.Sys.SoC.Meter.BusyTime[id]
+		busy := d.Sys.SoC.Procs[id].Busy()
 		st.BusySec += busy.Seconds()
 		if horizon > 0 {
 			if u := float64(busy) / float64(horizon); u > st.Utilization {

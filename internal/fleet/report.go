@@ -13,9 +13,8 @@ import (
 type Summary struct {
 	Offered, Served, Rejected int
 	Frames                    int
-	// AvgIoU and SuccessRate are detection quality across served frames.
-	AvgIoU      float64
-	SuccessRate float64
+	// AvgIoU is detection quality across served frames.
+	AvgIoU float64
 	// Latency is the arrival-to-completion profile across every served
 	// frame (device queueing included).
 	Latency metrics.LatencyProfile
@@ -92,7 +91,7 @@ func Summarize(res *Result) Summary {
 	}
 	var lats, postLats []float64
 	var iouSum, delaySum, downSum float64
-	success, missed, admitted := 0, 0, 0
+	missed, admitted := 0, 0
 	for _, out := range res.Outcomes {
 		if out.Rejected || out.Stream == nil {
 			continue
@@ -113,16 +112,12 @@ func Summarize(res *Result) Summary {
 		}
 		for _, rec := range out.Stream.Result.Records {
 			iouSum += rec.IoU
-			if rec.IoU >= metrics.SuccessIoU {
-				success++
-			}
 		}
 	}
 	s.Frames = len(lats)
 	if s.Frames > 0 {
 		f := float64(s.Frames)
 		s.AvgIoU = iouSum / f
-		s.SuccessRate = float64(success) / f
 		s.DeadlineMissRate = float64(missed) / f
 	}
 	if admitted > 0 {

@@ -87,8 +87,7 @@ type Stats struct {
 	Loads int
 	// Evictions counts engines removed to make space.
 	Evictions int
-	// LoadTimeSec and LoadEnergyJ accumulate the charged load costs.
-	LoadTimeSec float64
+	// LoadEnergyJ accumulates the charged load energy.
 	LoadEnergyJ float64
 }
 
@@ -328,7 +327,6 @@ func (l *Loader) ensureWith(pair zoo.Pair, exec ExecFn, speculative bool) (accel
 		return accel.Cost{}, err
 	}
 	l.stats.Loads++
-	l.stats.LoadTimeSec += cost.Lat.Seconds()
 	l.stats.LoadEnergyJ += cost.Energy
 	return cost, nil
 }

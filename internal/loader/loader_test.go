@@ -12,7 +12,7 @@ import (
 // submitted at the platform clock's current time.
 func execNow(soc *accel.SoC) ExecFn {
 	return func(procID string, latSec, powerW float64) (accel.Cost, error) {
-		sp, err := soc.ExecFrom(procID, soc.Clock.Now(), latSec, powerW)
+		sp, err := soc.ExecFrom(procID, soc.Now(), latSec, powerW)
 		return sp.Cost, err
 	}
 }
@@ -46,7 +46,7 @@ func TestEnsureLoadsAndCharges(t *testing.T) {
 		t.Fatalf("Loads = %d, want 1", got)
 	}
 	// Clock advanced by the load.
-	if sys.SoC.Clock.Now() != cost.Lat {
+	if sys.SoC.Now() != cost.Lat {
 		t.Fatal("load did not advance the virtual clock")
 	}
 }

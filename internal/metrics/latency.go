@@ -6,14 +6,11 @@ import (
 	"repro/internal/obs"
 )
 
-// LatencyProfile summarizes a per-frame latency series: the tail statistics
+// LatencyProfile summarizes a per-frame latency series: the median and tail
 // the multi-stream serving experiments report alongside the averages.
 type LatencyProfile struct {
-	Mean float64
-	P50  float64
-	P95  float64
-	P99  float64
-	Max  float64
+	P50 float64
+	P99 float64
 }
 
 // Latencies reduces a latency sample series (seconds) to its profile. An
@@ -25,15 +22,8 @@ func Latencies(samples []float64) LatencyProfile {
 	sorted := make([]float64, len(samples))
 	copy(sorted, samples)
 	sort.Float64s(sorted)
-	var sum float64
-	for _, v := range sorted {
-		sum += v
-	}
 	return LatencyProfile{
-		Mean: sum / float64(len(sorted)),
-		P50:  obs.PercentileSorted(sorted, 0.50),
-		P95:  obs.PercentileSorted(sorted, 0.95),
-		P99:  obs.PercentileSorted(sorted, 0.99),
-		Max:  sorted[len(sorted)-1],
+		P50: obs.PercentileSorted(sorted, 0.50),
+		P99: obs.PercentileSorted(sorted, 0.99),
 	}
 }

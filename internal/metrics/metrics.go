@@ -166,34 +166,18 @@ func MovingAverage(series []float64, window int) []float64 {
 	return out
 }
 
-// Welford accumulates running mean and variance without storing samples.
+// Welford accumulates a running mean without storing samples, by Welford's
+// recurrence: each sample moves the mean by its distance over the count.
 type Welford struct {
 	n    int
 	mean float64
-	m2   float64
 }
 
 // Add incorporates a sample.
 func (w *Welford) Add(v float64) {
 	w.n++
-	d := v - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (v - w.mean)
+	w.mean += (v - w.mean) / float64(w.n)
 }
-
-// N returns the sample count.
-func (w *Welford) N() int { return w.n }
 
 // Mean returns the running mean (0 with no samples).
 func (w *Welford) Mean() float64 { return w.mean }
-
-// Var returns the population variance (0 with fewer than 2 samples).
-func (w *Welford) Var() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n)
-}
-
-// Std returns the population standard deviation.
-func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }

@@ -12,12 +12,10 @@ import (
 // underlying Duration components sum bit-exactly, property-tested in
 // internal/fleet).
 type Attribution struct {
-	// Frames is the attributed frame-span count; TotalSec their summed
-	// end-to-end latency.
-	Frames   int
-	TotalSec float64
+	// Frames is the attributed frame-span count.
+	Frames int
 	// QueueShare, SwapShare, ExecShare and InterferenceShare split the
-	// total across the four components.
+	// frames' summed end-to-end latency across the four components.
 	QueueShare        float64
 	SwapShare         float64
 	ExecShare         float64
@@ -58,7 +56,6 @@ func (r *Recorder) Attribution() Attribution {
 	if a.Frames == 0 {
 		return a
 	}
-	a.TotalSec = total.Seconds()
 	if total > 0 {
 		a.QueueShare = float64(queue) / float64(total)
 		a.SwapShare = float64(swap) / float64(total)

@@ -32,11 +32,10 @@ type chromeEvent struct {
 // chromeArgs carries span labels and, for frame spans, the latency
 // decomposition in microseconds.
 type chromeArgs struct {
-	Name   string `json:"name,omitempty"` // metadata payload
-	Stream string `json:"stream,omitempty"`
-	Model  string `json:"model,omitempty"`
-	Proc   string `json:"proc,omitempty"`
-	Frame  *int   `json:"frame,omitempty"`
+	Name  string `json:"name,omitempty"` // metadata payload
+	Model string `json:"model,omitempty"`
+	Proc  string `json:"proc,omitempty"`
+	Frame *int   `json:"frame,omitempty"`
 
 	WaitUs  *float64 `json:"wait_us,omitempty"`
 	QueueUs *float64 `json:"queue_us,omitempty"`

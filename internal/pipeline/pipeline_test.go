@@ -111,12 +111,12 @@ func TestFirstFramePaysLoad(t *testing.T) {
 func TestVirtualClockAdvancesMonotonically(t *testing.T) {
 	s := freshSHIFT(t, DefaultOptions())
 	name, frames := shortScenario(t)
-	before := s.System().SoC.Clock.Now()
+	before := s.System().SoC.Now()
 	res, err := s.Run(name, frames)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := s.System().SoC.Clock.Now()
+	after := s.System().SoC.Now()
 	var totalLat float64
 	for _, rec := range res.Records {
 		totalLat += rec.LatSec

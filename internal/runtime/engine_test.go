@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/detmodel"
 	"repro/internal/loader"
@@ -152,6 +153,8 @@ func TestEngineDeterministic(t *testing.T) {
 	}
 }
 
+// TestEngineChargesMatchPlatformMeter: every charge lands in exactly one
+// frame record, so the records' latencies sum to the processors' busy time.
 func TestEngineChargesMatchPlatformMeter(t *testing.T) {
 	sys := zoo.Default(1)
 	eng := soloEngine(sys, &fixedPolicy{pair: testPair(t, sys, detmodel.YoloV7, "gpu")})
@@ -159,12 +162,15 @@ func TestEngineChargesMatchPlatformMeter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var recEnergy float64
+	var recLat float64
 	for _, rec := range res.Records {
-		recEnergy += rec.EnergyJ
+		recLat += rec.LatSec
 	}
-	meter := sys.SoC.Meter.TotalEnergy()
-	if diff := recEnergy - meter; diff > 1e-9 || diff < -1e-9 {
-		t.Fatalf("records sum to %.6f J but the meter holds %.6f J", recEnergy, meter)
+	var busy time.Duration
+	for _, p := range sys.SoC.Procs {
+		busy += p.Busy()
+	}
+	if diff := recLat - busy.Seconds(); diff > 1e-9 || diff < -1e-9 {
+		t.Fatalf("records sum to %.9f s but the processors were busy %.9f s", recLat, busy.Seconds())
 	}
 }

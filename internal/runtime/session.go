@@ -118,7 +118,7 @@ func OpenSessionAt(sys *zoo.System, dml *loader.Loader, spec StreamSpec, at time
 // time: the session Run and RunLive step. The caller must Close it.
 func (e *Engine) open(scenario string, frames []scene.Frame, periodSec float64) (*Session, error) {
 	spec := StreamSpec{Name: scenario, Frames: frames, PeriodSec: periodSec, Policy: e.policy}
-	return started(e.session(spec, scenario, e.sys.SoC.Clock.Now()))
+	return started(e.session(spec, scenario, e.sys.SoC.Now()))
 }
 
 // started runs a freshly built session's start, closing it on failure.

@@ -266,3 +266,40 @@ func TestMemoAuditTripsOnPlantedEntry(t *testing.T) {
 		}
 	}
 }
+
+// TestPrevNCCMemoAuditTripsOnSwappedImage arms the render-time gate memo
+// the way the device memo is armed. A copy of a rendered frame's successor
+// whose Image is another frame's still carries its render's stored NCC,
+// which no longer matches its pixels: with the system's memo audit armed,
+// imageNCC's recompute panics; disarmed, the scheduler takes the stored
+// term.
+func TestPrevNCCMemoAuditTripsOnSwappedImage(t *testing.T) {
+	f := fx(t)
+	frames := scene.Scenario1().Render(1)
+	for _, armed := range []bool{false, true} {
+		sys := zoo.Default(f.sys.Seed)
+		sys.EnableMemo(&armed)
+		s, err := New(sys, f.ch, f.graph, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur := s.Pairs()[0]
+		s.Decide(cur, detmodel.Detection{}, frames[10])
+		swapped := frames[11]
+		swapped.Image = frames[40].Image
+		if _, _, _, ok := swapped.PrevNCC(frames[10].Image); !ok {
+			t.Fatal("the swapped copy lost its stored NCC")
+		}
+		got := func() (r any) {
+			defer func() { r = recover() }()
+			s.Decide(cur, detmodel.Detection{}, swapped)
+			return nil
+		}()
+		if armed && !strings.HasPrefix(fmt.Sprint(got), "sched: stored NCC") {
+			t.Fatalf("armed: recovered %v, want a stored-NCC panic", got)
+		}
+		if !armed && got != nil {
+			t.Fatalf("disarmed: %v", got)
+		}
+	}
+}

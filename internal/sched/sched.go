@@ -110,7 +110,6 @@ type Decision struct {
 type Scheduler struct {
 	cfg   Config
 	graph *confgraph.Graph
-	ch    *profile.Characterization
 	sys   *zoo.System
 	pairs []zoo.Pair
 
@@ -218,7 +217,6 @@ func New(sys *zoo.System, ch *profile.Characterization, graph *confgraph.Graph, 
 	s := &Scheduler{
 		cfg:        cfg,
 		graph:      graph,
-		ch:         ch,
 		sys:        sys,
 		pairs:      pairs,
 		modelIdx:   make(map[string]int, n),
@@ -368,9 +366,17 @@ func (s *Scheduler) fillBox() {
 // only the new image is traversed (incremental NCC). When lastImg is the
 // frame's rendered predecessor, the term is the one Render already
 // computed: the same NCCMoments call over the same immutable pixels, since
-// lastImgSum/lastImgSumSq always hold lastImg's moments.
+// lastImgSum/lastImgSumSq always hold lastImg's moments. The system's armed
+// memo audit recomputes every stored term and panics on a difference.
 func (s *Scheduler) imageNCC(frame *scene.Frame) float64 {
 	ncc, sum, sumSq, ok := frame.PrevNCC(s.lastImg)
+	if ok && s.sys.Memo().Audit() {
+		want, wSum, wSumSq := img.NCCMoments(s.lastImg, frame.Image, s.lastImgSum, s.lastImgSumSq)
+		if math.Float64bits(ncc) != math.Float64bits(want) || sum != wSum || sumSq != wSumSq {
+			panic(fmt.Sprintf("sched: stored NCC of frame %d: %v with moments (%d, %d), recomputed %v with (%d, %d)",
+				frame.Index, ncc, sum, sumSq, want, wSum, wSumSq))
+		}
+	}
 	if !ok {
 		if s.lastImg != nil {
 			ncc, sum, sumSq = img.NCCMoments(s.lastImg, frame.Image, s.lastImgSum, s.lastImgSumSq)

@@ -365,7 +365,7 @@ func TestCandidatesDeduplicateDLAs(t *testing.T) {
 
 // benchSched builds a default scheduler over a small characterization, with
 // the YoloV7 detection of each frame.
-func benchSched(b *testing.B, frames []scene.Frame) (*Scheduler, []detmodel.Detection) {
+func benchSched(b *testing.B, frames []scene.Frame) (*Scheduler, []detmodel.Detection, *profile.Characterization) {
 	b.Helper()
 	sys := zoo.Default(1)
 	ch := profile.Characterize(sys, scene.ValidationSet(1, 300))
@@ -385,7 +385,7 @@ func benchSched(b *testing.B, frames []scene.Frame) (*Scheduler, []detmodel.Dete
 	for i, frame := range frames {
 		dets[i] = e.Model.Detect(frame, sys.Seed)
 	}
-	return s, dets
+	return s, dets, ch
 }
 
 // BenchmarkDecide feeds one standalone frame over and over, so the gate
@@ -393,7 +393,7 @@ func benchSched(b *testing.B, frames []scene.Frame) (*Scheduler, []detmodel.Dete
 func BenchmarkDecide(b *testing.B) {
 	ctx := scene.Context{Present: true, Distance: 0.5, Contrast: 0.6, Clutter: 0.4}
 	frame := scene.RenderSingle(0, ctx, rng.New(1))
-	s, dets := benchSched(b, []scene.Frame{frame})
+	s, dets, _ := benchSched(b, []scene.Frame{frame})
 	cur := s.Pairs()[0]
 	b.ResetTimer()
 	b.ReportAllocs()
@@ -408,7 +408,7 @@ func BenchmarkDecide(b *testing.B) {
 // streams serve, where the whole-frame NCC comes from the render.
 func BenchmarkDecideRendered(b *testing.B) {
 	frames := scene.Scenario2().Render(1)[:240]
-	s, dets := benchSched(b, frames)
+	s, dets, _ := benchSched(b, frames)
 	cur := s.Pairs()[0]
 	b.ResetTimer()
 	b.ReportAllocs()
@@ -429,7 +429,7 @@ func BenchmarkDecideRendered(b *testing.B) {
 // memo, and leaves the crop pending.
 func BenchmarkDecideMemoHit(b *testing.B) {
 	frames := scene.Scenario2().Render(1)[:240]
-	s, dets := benchSched(b, frames)
+	s, dets, ch := benchSched(b, frames)
 	s.sys.EnableMemo(nil)
 	lap := func(s *Scheduler) {
 		cur := s.Pairs()[0]
@@ -437,7 +437,7 @@ func BenchmarkDecideMemoHit(b *testing.B) {
 			cur = s.Decide(cur, dets[k], frames[k]).Pair
 		}
 	}
-	writer, err := New(s.sys, s.ch, s.graph, s.cfg)
+	writer, err := New(s.sys, ch, s.graph, s.cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -61,8 +61,8 @@ func (s *System) EnableMemo(audit *bool) { s.memo = &Memo{audit: audit} }
 // standalone system computes everything afresh).
 func (s *System) Memo() *Memo { return s.memo }
 
-// Audit reports whether the owner's audit switch is armed.
-func (m *Memo) Audit() bool { return m.audit != nil && *m.audit }
+// Audit reports whether the owner's audit switch is armed (never on a nil memo).
+func (m *Memo) Audit() bool { return m != nil && m.audit != nil && *m.audit }
 
 // entry returns the entry at index i.
 func (m *Memo) entry(i int32) *MemoEntry { return &m.chunks[i/memoChunk][i%memoChunk] }
