@@ -46,7 +46,7 @@
 //     tracer recording typed spans for every lifecycle event (arrival,
 //     queue wait, engine load vs. residency hit, per-processor exec,
 //     per-frame rollup, migration, drain, brownout, crash-recover), a
-//     counters-and-histograms registry folded from the span stream, exact
+//     counters-and-histograms registry folded from the spans on demand, exact
 //     per-frame latency attribution (queue + swap + exec + interference
 //     sum bit-exactly to end-to-end), Chrome trace-event JSON export and
 //     text timelines; strictly observational — attaching it never

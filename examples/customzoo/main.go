@@ -62,7 +62,7 @@ func run(sys *zoo.System, ch *profile.Characterization) metrics.Summary {
 		log.Fatal(err)
 	}
 	fmt.Printf("zoo of %d models, %d runtime (model, kind) pairs\n",
-		len(sys.Entries), sys.KindPairCount())
+		len(sys.Entries), len(sys.KindPairs()))
 	shift, err := pipeline.NewSHIFT(sys, ch, graph, pipeline.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)

@@ -73,73 +73,49 @@ type lane struct {
 // ExecFrom charged to it.
 func (p *Proc) Busy() time.Duration { return p.lane.busy }
 
-// MemPool is a named memory arena with explicit allocations. GPU and DLAs
-// share the SoC pool (as on the Xavier NX); the OAK-D has its own.
+// MemPool is a named memory arena that meters its used bytes. GPU and DLAs
+// share the SoC pool (as on the Xavier NX); the OAK-D has its own. Which
+// engines hold the bytes is the dynamic model loader's record, not the
+// pool's.
 type MemPool struct {
 	Name     string
 	Capacity int64
 
-	used   int64
-	allocs map[string]int64
+	used int64
 }
 
 // NewMemPool returns an empty pool of the given byte capacity.
 func NewMemPool(name string, capacity int64) *MemPool {
-	return &MemPool{Name: name, Capacity: capacity, allocs: make(map[string]int64)}
+	return &MemPool{Name: name, Capacity: capacity}
 }
 
-// Alloc reserves size bytes under key. It fails if the key is already
-// allocated or capacity would be exceeded; the dynamic model loader reacts
-// to that failure by evicting.
-func (p *MemPool) Alloc(key string, size int64) error {
+// Alloc reserves size bytes. It fails if capacity would be exceeded; the
+// dynamic model loader evicts before it allocates, so a failure is a loader
+// bookkeeping bug.
+func (p *MemPool) Alloc(size int64) error {
 	if size < 0 {
-		return fmt.Errorf("accel: negative allocation %d for %q", size, key)
-	}
-	if _, ok := p.allocs[key]; ok {
-		return fmt.Errorf("accel: %q already allocated in pool %s", key, p.Name)
+		return fmt.Errorf("accel: negative allocation %d in pool %s", size, p.Name)
 	}
 	if p.used+size > p.Capacity {
 		return fmt.Errorf("accel: pool %s full (%d used, %d requested, %d capacity)",
 			p.Name, p.used, size, p.Capacity)
 	}
-	p.allocs[key] = size
 	p.used += size
 	return nil
 }
 
-// Free releases the allocation under key; freeing an absent key is an error
-// so loader bookkeeping bugs surface immediately.
-func (p *MemPool) Free(key string) error {
-	size, ok := p.allocs[key]
-	if !ok {
-		return fmt.Errorf("accel: %q not allocated in pool %s", key, p.Name)
+// Free releases size bytes; freeing more than is allocated is an error so
+// loader bookkeeping bugs surface immediately.
+func (p *MemPool) Free(size int64) error {
+	if size < 0 || size > p.used {
+		return fmt.Errorf("accel: free of %d bytes in pool %s with %d used", size, p.Name, p.used)
 	}
-	delete(p.allocs, key)
 	p.used -= size
 	return nil
 }
 
-// Used returns the allocated byte count.
-func (p *MemPool) Used() int64 { return p.used }
-
 // Available returns the free byte count.
 func (p *MemPool) Available() int64 { return p.Capacity - p.used }
-
-// Has reports whether key is currently allocated.
-func (p *MemPool) Has(key string) bool {
-	_, ok := p.allocs[key]
-	return ok
-}
-
-// Keys returns the allocated keys in deterministic (sorted) order.
-func (p *MemPool) Keys() []string {
-	keys := make([]string, 0, len(p.allocs))
-	for k := range p.allocs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
 
 // Cost is the latency and energy charged for one operation.
 type Cost struct {
@@ -175,13 +151,13 @@ type SoC struct {
 	dmaR *rng.Stream
 	// dma is the copy channel's lane.
 	dma lane
-	// now is the latest completion of any lane: the platform's virtual time.
-	now time.Duration
-	// parked marks a powered-down platform: every execution is refused until
-	// Unpark. The fleet's autoscaler parks a device after draining it, so a
-	// retired device can never silently serve again.
+	// parked marks a powered-down platform: every execution is refused. The
+	// fleet's autoscaler parks a device after draining it, so a retired
+	// device can never serve again.
 	parked bool
-	// idsByKind is ProcIDsByKind's answer per kind, listed once by NewSoC.
+	// sorted is SortedProcs' answer and idsByKind ProcIDsByKind's, per
+	// kind; NewSoC lists both once.
+	sorted    []*Proc
 	idsByKind map[Kind][]string
 }
 
@@ -202,16 +178,14 @@ func NewSoC(procs []*Proc, pools []*MemPool, r *rng.Stream) *SoC {
 		s.Pools[p.Name] = p
 	}
 	// Nothing adds, removes or re-kinds a processor after construction, so
-	// each kind's sorted ID list is fixed here.
-	ids := make([]string, 0, len(s.Procs))
-	for id := range s.Procs {
-		ids = append(ids, id)
+	// the sorted processor list and each kind's ID list are fixed here.
+	for _, p := range s.Procs {
+		s.sorted = append(s.sorted, p)
 	}
-	sort.Strings(ids)
+	sort.Slice(s.sorted, func(i, j int) bool { return s.sorted[i].ID < s.sorted[j].ID })
 	s.idsByKind = make(map[Kind][]string)
-	for _, id := range ids {
-		k := s.Procs[id].Kind
-		s.idsByKind[k] = append(s.idsByKind[k], id)
+	for _, p := range s.sorted {
+		s.idsByKind[p.Kind] = append(s.idsByKind[p.Kind], p.ID)
 	}
 	return s
 }
@@ -230,19 +204,22 @@ func (s *SoC) SetTimeScale(scale float64) error {
 }
 
 // Now returns the platform's virtual time: the latest completion of any
-// work charged so far. The multi-stream event loop completes work out of
-// global order, so it is a horizon, never rewound; wall-clock time never
-// enters any measurement.
-func (s *SoC) Now() time.Duration { return s.now }
+// work charged so far, read from the lanes' FIFO horizons. The multi-stream
+// event loop completes work out of global order, so it is a horizon, never
+// rewound; wall-clock time never enters any measurement.
+func (s *SoC) Now() time.Duration {
+	now := s.dma.horizon
+	for _, p := range s.sorted {
+		now = max(now, p.lane.horizon)
+	}
+	return now
+}
 
-// Park powers the platform down: every subsequent ExecFrom/CopyFrom is refused
-// until Unpark. Memory pools and busy times are left intact — a parked device
-// is retired capacity, not a wiped one — so end-of-run accounting (busy time,
+// Park powers the platform down: every subsequent ExecFrom/CopyFrom is
+// refused. Memory pools and busy times are left intact — a parked device is
+// retired capacity, not a wiped one — so end-of-run accounting (busy time,
 // residency leak checks) still reads the device's final state.
 func (s *SoC) Park() { s.parked = true }
-
-// Unpark returns a parked platform to service.
-func (s *SoC) Unpark() { s.parked = false }
 
 // Parked reports whether the platform is powered down.
 func (s *SoC) Parked() bool { return s.parked }
@@ -317,8 +294,7 @@ func (s *SoC) CopyFrom(ready time.Duration, latMean, powerMean float64) (Span, e
 
 // charge is the one charge path behind ExecFrom and CopyFrom: validate, draw
 // latency then power from r, start at the later of ready and the lane's FIFO
-// horizon, and advance the lane's horizon, its busy time and the platform's
-// virtual time.
+// horizon, and advance the lane's horizon and its busy time.
 func (s *SoC) charge(r *rng.Stream, l *lane, ready time.Duration, latMean, powerMean float64) (Span, error) {
 	if s.parked {
 		return Span{}, fmt.Errorf("accel: platform is parked")
@@ -336,10 +312,13 @@ func (s *SoC) charge(r *rng.Stream, l *lane, ready time.Duration, latMean, power
 	end := start + d
 	l.horizon = end
 	l.busy += d
-	s.now = max(s.now, end)
 	energy := d.Seconds() * pow // rounded duration, so Energy == Lat·Power exactly
 	return Span{Start: start, End: end, Wait: start - ready, Cost: Cost{Lat: d, Energy: energy, PowerW: pow}}, nil
 }
+
+// SortedProcs returns the processors in ID order. Every call returns the
+// slice NewSoC built, so callers must treat it as read-only.
+func (s *SoC) SortedProcs() []*Proc { return s.sorted }
 
 // ProcIDsByKind returns processor IDs of the given kind in sorted order, or
 // nil if there are none. Every call returns the slice NewSoC built, so

@@ -59,16 +59,7 @@ func newOracle(sys *zoo.System, metric OracleMetric, chargeLoads bool) (*runtime
 	if metric != OracleEnergy && metric != OracleAccuracy && metric != OracleLatency {
 		return nil, fmt.Errorf("baseline: unknown oracle metric %d", metric)
 	}
-	seen := map[string]bool{}
-	var cands []zoo.Pair
-	for _, p := range sys.RuntimePairs() {
-		key := p.Model + "/" + p.Kind.String()
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		cands = append(cands, p)
-	}
+	cands := sys.KindPairs()
 	if len(cands) == 0 {
 		return nil, fmt.Errorf("baseline: system has no runtime pairs")
 	}
@@ -80,7 +71,7 @@ func newOracle(sys *zoo.System, metric OracleMetric, chargeLoads bool) (*runtime
 type oraclePolicy struct {
 	sys    *zoo.System
 	metric OracleMetric
-	// candidates are deduplicated per (model, kind).
+	// candidates are the system's engines (zoo.System.KindPairs).
 	candidates []zoo.Pair
 	// chargeLoads switches on the load-aware variant.
 	chargeLoads bool

@@ -27,8 +27,6 @@ const (
 	// CmdServe advances one stream by up to Chunk frames, opening or
 	// restoring its session first if the worker does not hold it live.
 	CmdServe = "serve"
-	// CmdPing checks liveness.
-	CmdPing = "ping"
 	// CmdShutdown closes every live session; the response reports residency
 	// references still held (must be zero) before the worker exits.
 	CmdShutdown = "shutdown"
@@ -69,7 +67,7 @@ type Response struct {
 	// Err carries the failure when OK is false (a protocol or serving error —
 	// not retryable, unlike a transport timeout).
 	Err string `json:"err,omitempty"`
-	// Device is the worker's name (hello/ping).
+	// Device is the worker's name (hello, shutdown).
 	Device string `json:"device,omitempty"`
 
 	// Serve results: Served is total frames recorded so far, Done marks

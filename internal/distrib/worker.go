@@ -112,7 +112,7 @@ func (wk *worker) closeAll() {
 // handle dispatches one request.
 func (wk *worker) handle(req *Request) *Response {
 	switch req.Cmd {
-	case CmdHello, CmdPing:
+	case CmdHello:
 		return &Response{ID: req.ID, OK: true, Device: wk.cfg.Name}
 	case CmdServe:
 		return wk.serve(req)

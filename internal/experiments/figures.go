@@ -2,16 +2,15 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/accel"
 	"repro/internal/detmodel"
 	"repro/internal/metrics"
 	"repro/internal/pipeline"
-	"repro/internal/profile"
 	"repro/internal/scene"
 	"repro/internal/textplot"
+	"repro/internal/zoo"
 )
 
 // Figure1Point is one model's normalized energy-accuracy-latency triple
@@ -43,7 +42,7 @@ func Figure1(env *Env) (*Figure1Result, error) {
 		return t.AvgIoU
 	}
 	point := func(model string) Figure1Point {
-		key := profile.PairKey{Model: model, Kind: accel.KindGPU}
+		key := zoo.PairKey{Model: model, Kind: accel.KindGPU}
 		return Figure1Point{
 			Model:    model,
 			Accuracy: accNorm(model),
@@ -218,11 +217,4 @@ func condense(frames []int) []int {
 		out = append(out, frames[i])
 	}
 	return out
-}
-
-// SwapsNear reports whether any swap happened within tol frames of target —
-// used to verify the Fig. 3 transition markers (~50, ~500, ~1100, ~1650).
-func (r *TimelineResult) SwapsNear(target, tol int) bool {
-	i := sort.SearchInts(r.SwapFrames, target-tol)
-	return i < len(r.SwapFrames) && r.SwapFrames[i] <= target+tol
 }

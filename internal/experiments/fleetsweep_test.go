@@ -139,16 +139,11 @@ func TestLaneBusyMatchesRecorder(t *testing.T) {
 	}
 	matched := 0
 	for _, d := range cr.fleet.Devices() {
-		var ids []string
-		for id := range d.Sys.SoC.Procs {
-			ids = append(ids, id)
-		}
-		slices.Sort(ids)
 		var busySec float64
-		for _, id := range ids {
-			busy := d.Sys.SoC.Procs[id].Busy()
-			if got := spans[lane{d.Name, id}]; got != busy {
-				t.Fatalf("%s/%s: spans sum to %v, lane busy %v", d.Name, id, got, busy)
+		for _, p := range d.Sys.SoC.SortedProcs() {
+			busy := p.Busy()
+			if got := spans[lane{d.Name, p.ID}]; got != busy {
+				t.Fatalf("%s/%s: spans sum to %v, lane busy %v", d.Name, p.ID, got, busy)
 			}
 			if busy > 0 {
 				matched++

@@ -136,7 +136,6 @@ func (f *Fleet) recoverJournal(as *activeSession) (*runtime.SessionSnapshot, err
 	}
 	lost := len(as.sess.Result().Result.Records) - snap.Served()
 	as.out.ReplayedFrames += lost
-	f.replayedFrames += lost
 	return snap, nil
 }
 
@@ -150,7 +149,6 @@ func (f *Fleet) recoverJournal(as *activeSession) (*runtime.SessionSnapshot, err
 // instead of an unbounded premium queue.
 func (f *Fleet) crash(d *Device, at time.Duration, queue *[]*pending) error {
 	d.crashes++
-	f.crashes++
 	moved, err := f.evacuate(d, at, true)
 	if err != nil {
 		return err

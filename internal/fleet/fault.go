@@ -21,8 +21,8 @@ const (
 	// FaultDeath removes the device permanently.
 	FaultDeath
 	// FaultBrownout multiplies the device's execution latency (accel
-	// TimeScale) by Factor for Duration — thermal throttling or a noisy
-	// neighbor. Streams stay put and simply run slower.
+	// TimeScale) by brownoutFactor for Duration — thermal throttling or a
+	// noisy neighbor. Streams stay put and simply run slower.
 	FaultBrownout
 	// FaultCrash kills the device's worker process: kill -9, OOM, or the
 	// hard phase of a rolling restart. Unlike an outage, nothing live
@@ -60,8 +60,6 @@ type Fault struct {
 	At time.Duration
 	// Duration is how long an outage or brownout lasts (ignored for death).
 	Duration time.Duration
-	// Factor is the brownout latency multiplier (> 1 is slower).
-	Factor float64
 }
 
 // FaultConfig parameterizes the seeded fault-schedule generator, the failure
@@ -175,7 +173,6 @@ func GenerateFaults(cfg FaultConfig, devices []string) ([]Fault, error) {
 			dead[name] = true
 		case FaultBrownout:
 			f.Duration = time.Duration(-math.Log(1-r.Float64()) * meanBrownoutSec * float64(time.Second))
-			f.Factor = brownoutFactor
 		case FaultCrash:
 			f.Duration = time.Duration(-math.Log(1-r.Float64()) * meanCrashRestartSec * float64(time.Second))
 		}
@@ -207,9 +204,6 @@ func (f *Fleet) expandFaults(faults []Fault) ([]faultEvent, error) {
 		case FaultOutage, FaultBrownout:
 			if ft.Duration <= 0 {
 				return nil, fmt.Errorf("fleet: %s on %s needs a positive duration", ft.Kind, ft.Device)
-			}
-			if ft.Kind == FaultBrownout && ft.Factor <= 0 {
-				return nil, fmt.Errorf("fleet: brownout on %s needs a positive factor", ft.Device)
 			}
 			evs = append(evs, faultEvent{at: ft.At, fault: ft})
 			evs = append(evs, faultEvent{at: ft.At + ft.Duration, fault: ft, recovery: true})

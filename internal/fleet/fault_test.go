@@ -137,15 +137,15 @@ func TestFaultBrownoutSlowsWithoutMigration(t *testing.T) {
 	base, bf := run(nil)
 	slow, f := run([]Fault{{
 		Device: "solo", Kind: FaultBrownout, At: 0,
-		Duration: 1000 * time.Second, Factor: 3,
+		Duration: 1000 * time.Second,
 	}})
 	out := slow.Outcomes[0]
 	if out.Migrations != 0 {
 		t.Fatalf("brownout migrated the stream (%d)", out.Migrations)
 	}
 	ratio := float64(slow.Horizon) / float64(base.Horizon)
-	if ratio < 2.8 || ratio > 3.2 {
-		t.Fatalf("brownout horizon ratio %.3f, want ~3", ratio)
+	if want := brownoutFactor; ratio < 0.95*want || ratio > 1.05*want {
+		t.Fatalf("brownout horizon ratio %.3f, want ~%v", ratio, want)
 	}
 	checkBaseScale(t, f, bf)
 }
@@ -188,13 +188,14 @@ func TestFaultOverlappingBrownoutsCompound(t *testing.T) {
 	base, bf := run(nil)
 	long := 1000 * time.Second
 	nested, f := run([]Fault{
-		{Device: "solo", Kind: FaultBrownout, At: 0, Duration: long, Factor: 2},
-		{Device: "solo", Kind: FaultBrownout, At: 0, Duration: long / 2, Factor: 2},
+		{Device: "solo", Kind: FaultBrownout, At: 0, Duration: long},
+		{Device: "solo", Kind: FaultBrownout, At: 0, Duration: long / 2},
 	})
-	// The whole (short) run sits inside both windows: compounded 4×, not 2×.
+	// The whole (short) run sits inside both windows: the factor compounds
+	// to its square.
 	ratio := float64(nested.Horizon) / float64(base.Horizon)
-	if ratio < 3.8 || ratio > 4.2 {
-		t.Fatalf("nested brownout horizon ratio %.3f, want ~4 (overlap must compound)", ratio)
+	if want := brownoutFactor * brownoutFactor; ratio < 0.95*want || ratio > 1.05*want {
+		t.Fatalf("nested brownout horizon ratio %.3f, want ~%v (overlap must compound)", ratio, want)
 	}
 	checkBaseScale(t, f, bf)
 }
@@ -528,7 +529,7 @@ func TestFaultScheduleValidation(t *testing.T) {
 		{{Device: "nope", Kind: FaultOutage, At: 0, Duration: time.Second}},
 		{{Device: "d0", Kind: FaultOutage, At: -time.Second, Duration: time.Second}},
 		{{Device: "d0", Kind: FaultOutage, At: 0}},
-		{{Device: "d0", Kind: FaultBrownout, At: 0, Duration: time.Second}},
+		{{Device: "d0", Kind: FaultBrownout, At: 0}},
 		{{Device: "d0", Kind: FaultKind(99), At: 0}},
 	}
 	for i, faults := range bad {

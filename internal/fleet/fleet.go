@@ -299,8 +299,8 @@ type Fleet struct {
 
 	// affinity is the dispatcher's learned residency model: for each
 	// scenario, the (model, kind) engines streams of that scenario ended up
-	// serving from, keyed by "model/kind" with a representative pair as
-	// value. Completed streams teach it — and displaced streams teach it
+	// serving from, keyed by the engine's zoo.PairKey spelling (whose order
+	// Affinity returns) with a representative pair as value. Completed streams teach it — and displaced streams teach it
 	// their partial working set at fault time, so the residency-affinity
 	// placement re-learns where a migrating scenario's engines live.
 	affinity map[string]map[string]zoo.Pair
@@ -316,25 +316,21 @@ type Fleet struct {
 	// Durability state (inert when durable == nil): journalStore maps each
 	// in-flight stream to its journal (latest wire-encoded checkpoint and
 	// the encoder that wrote it), journalSeq stamps entries in write order,
-	// and the remaining fields meter journal traffic and crash recovery for
-	// the run result.
-	durable        *DurabilityConfig
-	journalStore   map[*StreamOutcome]*journalEntry
-	journalSeq     uint64
-	journalWrites  int
-	journalBytes   int64
-	crashes        int
-	replayedFrames int
+	// and the remaining fields meter journal traffic for the run result.
+	durable       *DurabilityConfig
+	journalStore  map[*StreamOutcome]*journalEntry
+	journalSeq    uint64
+	journalWrites int
+	journalBytes  int64
 
-	// Event-loop state: nregions/regions hold the sharded session-event
-	// heaps (one region when sharding is off); audit (tests only) checks the
-	// heap's pick, and its key, against a full rescan of the live sessions
-	// before each selection, each journal write against a one-shot encode
+	// Event-loop state: regions hold the sharded session-event heaps (one
+	// region when sharding is off); audit (tests only) checks the heap's
+	// pick, and its key, against a full rescan of the live sessions before
+	// each selection, each journal write against a one-shot encode
 	// (commitJournal), and each device memo hit against a recompute (see
-	// zoo.Memo); events counts processed loop events;
-	// resHorizon accumulates departure completion times so Result.Horizon
-	// survives outcomes whose records an OnDepart hook released.
-	nregions   int
+	// zoo.Memo); events counts processed loop events; resHorizon
+	// accumulates departure completion times so Result.Horizon survives
+	// outcomes whose records an OnDepart hook released.
 	regions    []*region
 	audit      bool
 	onDepart   func(*StreamOutcome)
@@ -377,13 +373,13 @@ func New(cfg Config) (*Fleet, error) {
 		affinity:     map[string]map[string]zoo.Pair{},
 		durable:      cfg.Durability,
 		journalStore: map[*StreamOutcome]*journalEntry{},
-		nregions:     max(1, cfg.Regions),
+		regions:      make([]*region, max(1, cfg.Regions)),
 		onDepart:     cfg.OnDepart,
 		rec:          cfg.Recorder,
 		prefetch:     cfg.Prefetch,
 	}
-	for i := 0; i < f.nregions; i++ {
-		f.regions = append(f.regions, &region{})
+	for i := range f.regions {
+		f.regions[i] = &region{}
 	}
 	seen := map[string]bool{}
 	for _, dc := range cfg.Devices {
@@ -439,7 +435,7 @@ func (f *Fleet) buildDevice(dc DeviceConfig) (*Device, error) {
 		Scale:  scale,
 		Sys:    sys,
 		DML:    loader.New(sys, loader.EvictLRR),
-		region: regionIndex(dc.Name, f.nregions),
+		region: regionIndex(dc.Name, len(f.regions)),
 	}, nil
 }
 
@@ -536,6 +532,35 @@ type DeviceStats struct {
 	LeakedRefs int
 }
 
+// Counts are a fleet run's stream and lifecycle counts. Result holds them
+// and Summary embeds them, so a reduction copies them whole.
+type Counts struct {
+	// Offered, Served, Rejected and Aborted count streams; Migrations counts
+	// successful device moves — after faults and after drain-based scale-in.
+	Offered    int
+	Served     int
+	Rejected   int
+	Aborted    int
+	Migrations int
+	// Elasticity counters (zero when the autoscaler is off): ScaleOuts is
+	// devices provisioned from the warm pool, ScaleIns devices drained and
+	// retired, and PeakDevices the maximum concurrently serving-capable
+	// (neither dead nor retired) device count over the run.
+	ScaleOuts   int
+	ScaleIns    int
+	PeakDevices int
+	// Durability counters (zero when the journal is off): Crashes sums the
+	// devices' process kills, Shed counts the best-effort streams dropped
+	// during crash recovery, ReplayedFrames sums the outcomes' work lost to
+	// crashes and served again, and JournalWrites/JournalBytes are the
+	// checkpoint traffic the journal absorbed.
+	Crashes        int
+	Shed           int
+	ReplayedFrames int
+	JournalWrites  int
+	JournalBytes   int64
+}
+
 // Result is one fleet run.
 type Result struct {
 	// Outcomes are in offered (arrival) order.
@@ -544,32 +569,9 @@ type Result struct {
 	Devices []DeviceStats
 	// Horizon is the makespan: the latest stream completion.
 	Horizon time.Duration
-	// Offered, Served, Rejected and Aborted count streams; Migrations counts
-	// successful device moves — after faults and after drain-based scale-in.
-	Offered    int
-	Served     int
-	Rejected   int
-	Aborted    int
-	Migrations int
+	Counts
 	// Faults is the schedule the run was injected with (nil when fault-free).
 	Faults []Fault
-	// Elasticity counters (zero when the autoscaler is off): ScaleOuts is
-	// devices provisioned from the warm pool, ScaleIns devices drained and
-	// retired, and PeakDevices the maximum concurrently serving-capable
-	// (neither dead nor retired) device count over the run.
-	ScaleOuts   int
-	ScaleIns    int
-	PeakDevices int
-	// Durability counters (zero when the journal is off): Crashes is process
-	// kills taken, Shed the best-effort streams dropped during crash
-	// recovery, ReplayedFrames the work lost to crashes and served again,
-	// and JournalWrites/JournalBytes the checkpoint traffic the journal
-	// absorbed.
-	Crashes        int
-	Shed           int
-	ReplayedFrames int
-	JournalWrites  int
-	JournalBytes   int64
 	// Events counts processed loop events (arrivals, steps, departures,
 	// fault edges, scale ticks) — the denominator of the scale sweep's
 	// wall-clock events/sec. Deterministic per config and seed.
@@ -614,7 +616,7 @@ func (f *Fleet) RunWithFaults(reqs []StreamRequest, faults []Fault) (*Result, er
 		}
 		return ra.Name < rb.Name
 	})
-	res := &Result{Offered: len(reqs), Faults: faults}
+	res := &Result{Counts: Counts{Offered: len(reqs)}, Faults: faults}
 	outcomes := make([]*StreamOutcome, 0, len(reqs))
 
 	next := 0 // index into order: next unprocessed arrival
@@ -639,7 +641,7 @@ func (f *Fleet) RunWithFaults(reqs []StreamRequest, faults []Fault) (*Result, er
 	}
 
 	for {
-		if f.nregions > 1 && len(queue) == 0 {
+		if len(f.regions) > 1 && len(queue) == 0 {
 			// Advance all regions in parallel up to the next global event.
 			// Admissions happen only at global events, so a non-empty queue
 			// pins the loop sequential until it drains (a departure could
@@ -736,6 +738,7 @@ func (f *Fleet) RunWithFaults(reqs []StreamRequest, faults []Fault) (*Result, er
 			res.Served++
 		}
 		res.Migrations += out.Migrations
+		res.ReplayedFrames += out.ReplayedFrames
 		if !out.Rejected && out.Stream != nil {
 			for _, tm := range out.Stream.Timings {
 				if tm.Done > res.Horizon {
@@ -749,14 +752,14 @@ func (f *Fleet) RunWithFaults(reqs []StreamRequest, faults []Fault) (*Result, er
 	if f.auto != nil {
 		res.ScaleOuts, res.ScaleIns = f.auto.outs, f.auto.ins
 	}
-	res.Crashes = f.crashes
-	res.ReplayedFrames = f.replayedFrames
 	res.JournalWrites = f.journalWrites
 	res.JournalBytes = f.journalBytes
 	res.Events = f.events
 	res.Prefetch = f.prefTotal
 	for _, d := range f.devices {
-		res.Devices = append(res.Devices, f.deviceStats(d, res.Horizon))
+		st := f.deviceStats(d, res.Horizon)
+		res.Crashes += st.Crashes
+		res.Devices = append(res.Devices, st)
 	}
 	return res, nil
 }
@@ -791,8 +794,8 @@ func (f *Fleet) applyFault(ev faultEvent, queue *[]*pending) error {
 		// Recompute from the base so overlapping brownouts compound while
 		// active and the scale returns to exactly d.Scale once all recover.
 		scale := d.Scale
-		for _, bf := range d.brownouts {
-			scale *= bf.Factor
+		for range d.brownouts {
+			scale *= brownoutFactor
 		}
 		// Validated positive; only a harness bug could fail here. The
 		// sessions' event keys stay put: ReadyAt and Horizon derive from
@@ -1182,7 +1185,7 @@ func (f *Fleet) teach(scenario string, recs []runtime.FrameRecord) {
 		if i > 0 && rec.Pair == recs[i-1].Pair {
 			continue
 		}
-		m[rec.Pair.Model+"/"+rec.Pair.Kind.String()] = rec.Pair
+		m[rec.Pair.Key().String()] = rec.Pair
 	}
 }
 
@@ -1243,18 +1246,13 @@ func (f *Fleet) deviceStats(d *Device, horizon time.Duration) DeviceStats {
 	if d.down && horizon > d.downSince {
 		st.DownSec += (horizon - d.downSince).Seconds()
 	}
-	procs := make([]string, 0, len(d.Sys.SoC.Procs))
-	for id := range d.Sys.SoC.Procs {
-		procs = append(procs, id)
-	}
-	sort.Strings(procs)
-	for _, id := range procs {
-		busy := d.Sys.SoC.Procs[id].Busy()
+	for _, p := range d.Sys.SoC.SortedProcs() {
+		busy := p.Busy()
 		st.BusySec += busy.Seconds()
 		if horizon > 0 {
 			if u := float64(busy) / float64(horizon); u > st.Utilization {
 				st.Utilization = u
-				st.PeakProc = id
+				st.PeakProc = p.ID
 			}
 		}
 	}

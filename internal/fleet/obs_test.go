@@ -290,7 +290,7 @@ func TestRecorderBrownoutAndDrainSpans(t *testing.T) {
 		}},
 		[]Fault{
 			{Device: "d0", Kind: FaultOutage, At: time.Second, Duration: 20 * time.Second},
-			{Device: "d1", Kind: FaultBrownout, At: 2 * time.Second, Duration: 3 * time.Second, Factor: 2},
+			{Device: "d1", Kind: FaultBrownout, At: 2 * time.Second, Duration: 3 * time.Second},
 		},
 	)
 	if err != nil {

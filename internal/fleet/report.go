@@ -9,10 +9,11 @@ import (
 	"repro/internal/textplot"
 )
 
-// Summary reduces a fleet run to its headline serving metrics.
+// Summary reduces a fleet run to its headline serving metrics: the run's
+// counts plus what Summarize derives from its outcomes and devices.
 type Summary struct {
-	Offered, Served, Rejected int
-	Frames                    int
+	Counts
+	Frames int
 	// AvgIoU is detection quality across served frames.
 	AvgIoU float64
 	// Latency is the arrival-to-completion profile across every served
@@ -30,59 +31,24 @@ type Summary struct {
 	Loads, Evictions int
 	AvgUtilization   float64
 
-	// Recovery metrics (zero on fault-free runs). Migrations counts
-	// successful post-fault device moves and Aborted the displaced streams
-	// that never resumed; AvgDowntimeSec is the mean displacement-to-resume
-	// wait per migration. PostFaultP99 is the p99 frame latency restricted
-	// to frames completed at or after the first fault onset — the tail the
-	// fleet serves while absorbing failures. LeakedRefs sums residency
-	// references still held after the run (always zero unless migration
-	// bookkeeping is broken).
-	Migrations     int
-	Aborted        int
+	// Recovery metrics (zero on fault-free runs). AvgDowntimeSec is the
+	// mean displacement-to-resume wait per migration. PostFaultP99 is the
+	// p99 frame latency restricted to frames completed at or after the
+	// first fault onset — the tail the fleet serves while absorbing
+	// failures. LeakedRefs sums residency references still held after the
+	// run (always zero unless migration bookkeeping is broken).
 	AvgDowntimeSec float64
 	PostFaultP99   float64
 	LeakedRefs     int
 
-	// Elasticity metrics (zero when the autoscaler is off). ScaleOuts and
-	// ScaleIns count devices provisioned from and drained back into the warm
-	// pool; Drained sums the sessions those drains migrated; PeakDevices is
-	// the maximum concurrently serving-capable device count over the run.
-	ScaleOuts   int
-	ScaleIns    int
-	Drained     int
-	PeakDevices int
-
-	// Durability metrics (zero when the checkpoint journal is off). Crashes
-	// counts worker-process kills, Shed the best-effort streams dropped
-	// during crash recovery, ReplayedFrames the frames lost to crashes and
-	// served again, and JournalWrites/JournalBytes the wire-format
-	// checkpoint traffic the journal absorbed.
-	Crashes        int
-	Shed           int
-	ReplayedFrames int
-	JournalWrites  int
-	JournalBytes   int64
+	// Drained sums the sessions the autoscaler's drains migrated (zero
+	// when it is off).
+	Drained int
 }
 
 // Summarize reduces a fleet result.
 func Summarize(res *Result) Summary {
-	s := Summary{
-		Offered:     res.Offered,
-		Served:      res.Served,
-		Rejected:    res.Rejected,
-		Aborted:     res.Aborted,
-		Migrations:  res.Migrations,
-		ScaleOuts:   res.ScaleOuts,
-		ScaleIns:    res.ScaleIns,
-		PeakDevices: res.PeakDevices,
-
-		Crashes:        res.Crashes,
-		Shed:           res.Shed,
-		ReplayedFrames: res.ReplayedFrames,
-		JournalWrites:  res.JournalWrites,
-		JournalBytes:   res.JournalBytes,
-	}
+	s := Summary{Counts: res.Counts}
 	firstFault := time.Duration(-1)
 	for _, ft := range res.Faults {
 		if firstFault < 0 || ft.At < firstFault {

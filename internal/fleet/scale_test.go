@@ -117,8 +117,8 @@ func TestFleetSelectorEquivalenceFaulty(t *testing.T) {
 		reqs[i].Policy = shiftFactory(t)
 	}
 	faults := []Fault{
-		{Device: "edge-a", Kind: FaultBrownout, At: time.Second, Duration: 2 * time.Second, Factor: 2},
-		{Device: "edge-a", Kind: FaultBrownout, At: 1500 * time.Millisecond, Duration: 4 * time.Second, Factor: 1.5},
+		{Device: "edge-a", Kind: FaultBrownout, At: time.Second, Duration: 2 * time.Second},
+		{Device: "edge-a", Kind: FaultBrownout, At: 1500 * time.Millisecond, Duration: 4 * time.Second},
 		{Device: "edge-b", Kind: FaultCrash, At: 2 * time.Second, Duration: time.Second},
 		{Device: "edge-c", Kind: FaultOutage, At: 2500 * time.Millisecond, Duration: 2 * time.Second},
 	}

@@ -6,8 +6,9 @@
 // memory — the paper's strategy for making future swaps cheap.
 //
 // Engines are pool-specific (a TensorRT GPU engine differs from a DLA engine
-// and from an OpenVINO blob), so residency is keyed by (model, kind) within
-// each pool.
+// and from an OpenVINO blob), so residency is keyed by the engine
+// (zoo.PairKey) within each pool. The loader's table is the one record of
+// residency: a pool meters only its used bytes.
 package loader
 
 import (
@@ -58,7 +59,7 @@ func (p EvictionPolicy) String() string {
 
 // resident tracks one loaded engine.
 type resident struct {
-	key         string // residency key within the pool
+	key         string // residency key within the pool: the engine's zoo.PairKey spelling
 	model       string
 	kind        accel.Kind // processor kind the engine executes on
 	bytes       int64
@@ -98,10 +99,9 @@ type Loader struct {
 
 	seq      uint64
 	resident map[string]map[string]*resident // pool -> key -> resident
-	pinned   map[string]string               // pool -> key exempt from eviction
 	stats    Stats
 	// infos caches the per-pair lookups (processor, pool, entry, residency
-	// key) that Ensure would otherwise re-resolve on every frame.
+	// key, load cost) that every residency verb would otherwise re-resolve.
 	infos map[zoo.Pair]*pairInfo
 }
 
@@ -112,6 +112,10 @@ type pairInfo struct {
 	pool  *accel.MemPool
 	entry *zoo.Entry
 	key   string
+	// load is the model's load cost on pool; loadable is false when the
+	// model has no engine format for the pool.
+	load     zoo.LoadCost
+	loadable bool
 }
 
 // New creates a loader over the system with the given eviction policy.
@@ -120,13 +124,12 @@ func New(sys *zoo.System, policy EvictionPolicy) *Loader {
 		sys:      sys,
 		policy:   policy,
 		resident: map[string]map[string]*resident{},
-		pinned:   map[string]string{},
 		infos:    map[zoo.Pair]*pairInfo{},
 	}
 }
 
-// info resolves and caches the pair's processor, pool, entry and residency
-// key. Support errors are not cached (they surface per call as before).
+// info resolves and caches the pair's processor, pool, entry, residency key
+// and load cost. Lookup errors are not cached (they surface per call).
 func (l *Loader) info(pair zoo.Pair) (*pairInfo, error) {
 	if pi, ok := l.infos[pair]; ok {
 		return pi, nil
@@ -143,14 +146,11 @@ func (l *Loader) info(pair zoo.Pair) (*pairInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	pi := &pairInfo{proc: proc, pool: pool, entry: e, key: residencyKey(pair.Model, proc.Kind)}
+	lc, ok := e.LoadByPool[pool.Name]
+	pi := &pairInfo{proc: proc, pool: pool, entry: e, load: lc, loadable: ok,
+		key: zoo.PairKey{Model: pair.Model, Kind: proc.Kind}.String()}
 	l.infos[pair] = pi
 	return pi, nil
-}
-
-// residencyKey names an engine within its pool.
-func residencyKey(model string, kind accel.Kind) string {
-	return model + "/" + kind.String()
 }
 
 // Stats returns a copy of the accumulated loader statistics.
@@ -159,15 +159,11 @@ func (l *Loader) Stats() Stats { return l.stats }
 // IsResident reports whether the engine for pair is loaded (demand or
 // speculative).
 func (l *Loader) IsResident(pair zoo.Pair) bool {
-	pool, err := l.sys.SoC.PoolOf(pair.ProcID)
+	pi, err := l.info(pair)
 	if err != nil {
 		return false
 	}
-	m := l.resident[pool.Name]
-	if m == nil {
-		return false
-	}
-	_, ok := m[residencyKey(pair.Model, pair.Kind)]
+	_, ok := l.resident[pi.pool.Name][pi.key]
 	return ok
 }
 
@@ -176,11 +172,11 @@ func (l *Loader) IsResident(pair zoo.Pair) bool {
 // placement and fallback decisions keyed on residency see exactly the
 // engines a prefetch-free run would.
 func (l *Loader) DemandResident(pair zoo.Pair) bool {
-	pool, err := l.sys.SoC.PoolOf(pair.ProcID)
+	pi, err := l.info(pair)
 	if err != nil {
 		return false
 	}
-	r, ok := l.resident[pool.Name][residencyKey(pair.Model, pair.Kind)]
+	r, ok := l.resident[pi.pool.Name][pi.key]
 	return ok && !r.spec
 }
 
@@ -193,22 +189,6 @@ func (l *Loader) ResidentCount() int {
 	return n
 }
 
-// loadCost returns the load cost of model on pool, or an error if the model
-// has no engine format for that pool (accelerator incompatibility — the DML
-// "needs to have the knowledge about whether an accelerator can execute a
-// specific ODM").
-func (l *Loader) loadCost(model, poolName string) (zoo.LoadCost, error) {
-	e, err := l.sys.Entry(model)
-	if err != nil {
-		return zoo.LoadCost{}, err
-	}
-	lc, ok := e.LoadByPool[poolName]
-	if !ok {
-		return zoo.LoadCost{}, fmt.Errorf("loader: %s has no engine for pool %s", model, poolName)
-	}
-	return lc, nil
-}
-
 // ExecFn charges a load workload to the platform and returns its cost. The
 // serving runtime passes a queueing execution on the requesting processor
 // (accel.SoC.ExecFrom from the stream's time) for demand loads, and a DMA
@@ -218,11 +198,11 @@ type ExecFn func(procID string, latSec, powerW float64) (accel.Cost, error)
 
 // Ensure makes the engine for pair resident, evicting if necessary, charges
 // the load through exec, and returns the cost charged (zero if already
-// resident — only the request recency is refreshed). The engine being
-// requested is pinned for the duration of the call so it can never evict
-// itself. Before evicting anything it verifies that enough unheld bytes
-// exist to fit the engine; if not it fails with ErrNoMemory, leaving
-// residency untouched.
+// resident — only the request recency is refreshed). An engine never evicts
+// itself: a load's victims are chosen before it enters the table, and a
+// promoted engine is speculative, which policy eviction skips. Before
+// evicting anything it verifies that enough unheld bytes exist to fit the
+// engine; if not it fails with ErrNoMemory, leaving residency untouched.
 func (l *Loader) Ensure(pair zoo.Pair, exec ExecFn) (accel.Cost, error) {
 	return l.ensureWith(pair, exec, false)
 }
@@ -246,20 +226,21 @@ func (l *Loader) ensureWith(pair zoo.Pair, exec ExecFn, speculative bool) (accel
 	pool, key := pi.pool, pi.key
 	l.seq++
 
-	if m := l.resident[pool.Name]; m != nil {
-		if r, ok := m[key]; ok {
-			r.requestedAt = l.seq
-			if r.spec && !speculative {
-				return accel.Cost{}, l.promote(pool, key, r)
-			}
-			return accel.Cost{}, nil
+	if r, ok := l.resident[pool.Name][key]; ok {
+		r.requestedAt = l.seq
+		if r.spec && !speculative {
+			return accel.Cost{}, l.promote(pool, r)
 		}
+		return accel.Cost{}, nil
 	}
 
-	lc, err := l.loadCost(pair.Model, pool.Name)
-	if err != nil {
-		return accel.Cost{}, err
+	// A model with no engine format for the pool cannot load there: the DML
+	// "needs to have the knowledge about whether an accelerator can execute
+	// a specific ODM".
+	if !pi.loadable {
+		return accel.Cost{}, fmt.Errorf("loader: %s has no engine for pool %s", pair.Model, pool.Name)
 	}
+	lc := pi.load
 	if lc.Bytes > pool.Capacity {
 		return accel.Cost{}, fmt.Errorf("loader: %s (%d bytes) exceeds pool %s capacity %d: %w",
 			pair.Model, lc.Bytes, pool.Name, pool.Capacity, ErrNoMemory)
@@ -275,8 +256,6 @@ func (l *Loader) ensureWith(pair zoo.Pair, exec ExecFn, speculative bool) (accel
 	// all, so a doomed load never tears down residency first. Speculative
 	// bytes count as available: a prefetch-free run would not have them
 	// occupied.
-	l.pinned[pool.Name] = key
-	defer delete(l.pinned, pool.Name)
 	if speculative {
 		for pool.Available() < lc.Bytes && l.specBytes(pool) > 0 {
 			if err := l.evictSpecOne(pool); err != nil {
@@ -305,7 +284,7 @@ func (l *Loader) ensureWith(pair zoo.Pair, exec ExecFn, speculative bool) (accel
 			}
 		}
 	}
-	if err := pool.Alloc(key, lc.Bytes); err != nil {
+	if err := pool.Alloc(lc.Bytes); err != nil {
 		return accel.Cost{}, err
 	}
 	if l.resident[pool.Name] == nil {
@@ -337,9 +316,7 @@ func (l *Loader) ensureWith(pair zoo.Pair, exec ExecFn, speculative bool) (accel
 // that load's behavior: the same ErrNoMemory pre-check, then the same
 // policy-ordered evictions of demand residents, with the speculative
 // bytes (including the promoted engine's own) counting as free.
-func (l *Loader) promote(pool *accel.MemPool, key string, r *resident) error {
-	l.pinned[pool.Name] = key
-	defer delete(l.pinned, pool.Name)
+func (l *Loader) promote(pool *accel.MemPool, r *resident) error {
 	if pool.Available()+l.specBytes(pool)+l.evictableBytes(pool) < r.bytes {
 		return fmt.Errorf("loader: %s (%d bytes) cannot fit in pool %s: %w",
 			r.model, r.bytes, pool.Name, ErrNoMemory)
@@ -357,13 +334,12 @@ func (l *Loader) promote(pool *accel.MemPool, key string, r *resident) error {
 }
 
 // evictableBytes sums the resident bytes policy eviction may reclaim:
-// everything except the pinned (being-loaded) key, reference-held engines
-// and speculative residents (reclaimed separately as ghost bytes).
+// everything except reference-held engines and speculative residents
+// (reclaimed separately as ghost bytes).
 func (l *Loader) evictableBytes(pool *accel.MemPool) int64 {
 	var sum int64
-	pinnedKey := l.pinned[pool.Name]
 	for _, r := range l.resident[pool.Name] {
-		if r.key == pinnedKey || r.refs > 0 || r.spec {
+		if r.refs > 0 || r.spec {
 			continue
 		}
 		sum += r.bytes
@@ -457,24 +433,10 @@ func (l *Loader) Flush() error {
 	if n := l.TotalRefs(); n != 0 {
 		return fmt.Errorf("loader: flush with %d residency references held", n)
 	}
-	poolNames := make([]string, 0, len(l.resident))
-	for name := range l.resident {
-		poolNames = append(poolNames, name)
-	}
-	sort.Strings(poolNames)
-	for _, name := range poolNames {
-		pool, ok := l.sys.SoC.Pools[name]
-		m := l.resident[name]
-		keys := make([]string, 0, len(m))
-		for k := range m {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			if !ok {
-				continue
-			}
-			if err := pool.Free(k); err != nil {
+	for name, m := range l.resident {
+		pool := l.sys.SoC.Pools[name]
+		for _, r := range m {
+			if err := pool.Free(r.bytes); err != nil {
 				return fmt.Errorf("loader: flush pool %s: %w", name, err)
 			}
 		}
@@ -540,13 +502,9 @@ func (l *Loader) ResidentFallback(requested zoo.Pair) (zoo.Pair, bool) {
 // needed — so the victim sequence matches a prefetch-free run exactly.
 func (l *Loader) evictOne(pool *accel.MemPool) error {
 	m := l.resident[pool.Name]
-	if len(m) == 0 {
-		return fmt.Errorf("loader: pool %s has no evictable engines", pool.Name)
-	}
 	var victim *resident
-	pinnedKey := l.pinned[pool.Name]
 	for _, r := range m {
-		if r.key == pinnedKey || r.refs > 0 || r.spec {
+		if r.refs > 0 || r.spec {
 			continue
 		}
 		if victim == nil {
@@ -574,9 +532,9 @@ func (l *Loader) evictOne(pool *accel.MemPool) error {
 		}
 	}
 	if victim == nil {
-		return fmt.Errorf("loader: pool %s only holds the pinned engine", pool.Name)
+		return fmt.Errorf("loader: pool %s has no evictable engines", pool.Name)
 	}
-	if err := pool.Free(victim.key); err != nil {
+	if err := pool.Free(victim.bytes); err != nil {
 		return err
 	}
 	delete(m, victim.key)
@@ -588,10 +546,9 @@ func (l *Loader) evictOne(pool *accel.MemPool) error {
 // deterministic, and invisible to demand decisions by construction).
 func (l *Loader) evictSpecOne(pool *accel.MemPool) error {
 	m := l.resident[pool.Name]
-	pinnedKey := l.pinned[pool.Name]
 	var victim *resident
 	for _, r := range m {
-		if !r.spec || r.key == pinnedKey {
+		if !r.spec {
 			continue
 		}
 		if victim == nil || r.key < victim.key {
@@ -601,7 +558,7 @@ func (l *Loader) evictSpecOne(pool *accel.MemPool) error {
 	if victim == nil {
 		return fmt.Errorf("loader: pool %s has no speculative engines to reclaim", pool.Name)
 	}
-	if err := pool.Free(victim.key); err != nil {
+	if err := pool.Free(victim.bytes); err != nil {
 		return err
 	}
 	delete(m, victim.key)
@@ -636,35 +593,21 @@ func (l *Loader) PrefetchSpeculative(pairs []zoo.Pair, exec ExecFn) (int, error)
 func (l *Loader) prefetchWith(pairs []zoo.Pair, exec ExecFn, speculative bool) (int, error) {
 	loaded := 0
 	for _, pair := range pairs {
-		proc, err := l.sys.SoC.Proc(pair.ProcID)
+		pi, err := l.info(pair)
 		if err != nil {
 			return loaded, err
 		}
-		e, err := l.sys.Entry(pair.Model)
-		if err != nil {
-			return loaded, err
+		pool, size := pi.pool, pi.load.Bytes
+		if !pi.entry.Supports(pi.proc.Kind) || !pi.loadable {
+			continue // no engine for this processor or pool
 		}
-		if !e.Supports(proc.Kind) {
+		if _, ok := l.resident[pool.Name][pi.key]; ok {
 			continue
 		}
-		pool, err := l.sys.SoC.PoolOf(pair.ProcID)
-		if err != nil {
-			return loaded, err
-		}
-		key := residencyKey(pair.Model, proc.Kind)
-		if m := l.resident[pool.Name]; m != nil {
-			if _, ok := m[key]; ok {
-				continue
-			}
-		}
-		lc, err := l.loadCost(pair.Model, pool.Name)
-		if err != nil {
-			continue // no engine format for this pool
-		}
-		if !speculative && pool.Available() < lc.Bytes {
+		if !speculative && pool.Available() < size {
 			continue // prefetch never evicts
 		}
-		if speculative && pool.Available()+l.specBytes(pool)+l.evictableBytes(pool) < lc.Bytes {
+		if speculative && pool.Available()+l.specBytes(pool)+l.evictableBytes(pool) < size {
 			continue // best-effort: not enough reclaimable bytes for this pair
 		}
 		if _, err := l.ensureWith(pair, exec, speculative); err != nil {

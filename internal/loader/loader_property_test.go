@@ -29,9 +29,10 @@ func TestLoaderInvariantsUnderRandomOps(t *testing.T) {
 			checkPools := func(step int) {
 				t.Helper()
 				for _, pool := range sys.SoC.Pools {
-					if pool.Used() > pool.Capacity {
+					used := pool.Capacity - pool.Available()
+					if used > pool.Capacity {
 						t.Fatalf("step %d: pool %s over capacity (%d > %d)",
-							step, pool.Name, pool.Used(), pool.Capacity)
+							step, pool.Name, used, pool.Capacity)
 					}
 					var sum int64
 					for poolName, m := range l.resident {
@@ -42,9 +43,9 @@ func TestLoaderInvariantsUnderRandomOps(t *testing.T) {
 							sum += res.bytes
 						}
 					}
-					if sum != pool.Used() {
+					if sum != used {
 						t.Fatalf("step %d: pool %s used %d but residents sum to %d",
-							step, pool.Name, pool.Used(), sum)
+							step, pool.Name, used, sum)
 					}
 				}
 			}

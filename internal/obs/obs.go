@@ -1,10 +1,10 @@
 // Package obs is the fleet's flight recorder: a virtual-clock span tracer,
-// a counters-and-histograms registry derived from the span stream, and
-// per-frame latency attribution. It observes the deterministic event loop
-// without steering it — a Recorder never draws randomness, never charges the
-// platform, and attaching one leaves every simulated result bit-identical
-// (pinned by the fleet determinism fuzzer and the recorder equivalence
-// tests in internal/fleet).
+// a counters-and-histograms registry folded from the span list when it is
+// read, and per-frame latency attribution. It observes the deterministic
+// event loop without steering it — a Recorder never draws randomness, never
+// charges the platform, and attaching one leaves every simulated result
+// bit-identical (pinned by the fleet determinism fuzzer and the recorder
+// equivalence tests in internal/fleet).
 //
 // Two write paths feed one globally-ordered span list:
 //
@@ -142,32 +142,44 @@ type Span struct {
 func (s Span) Dur() time.Duration { return s.End - s.Start }
 
 // Recorder is the flight recorder: the globally-ordered span list and the
-// registry derived from it. A nil *Recorder is the detached state; every
-// instrumentation site nil-checks before doing any work, so a detached run
-// pays one predictable branch per hook (benchmarked by
-// BenchmarkRecorderOverhead).
+// counts of the three stream fates that have no span (rejected, aborted,
+// shed); the registry is derived from them on demand. A nil *Recorder is
+// the detached state; every instrumentation site nil-checks before doing
+// any work, so a detached run pays one predictable branch per hook
+// (benchmarked by BenchmarkRecorderOverhead).
 type Recorder struct {
-	spans []Span
-	reg   Registry
+	spans                   []Span
+	rejected, aborted, shed int64
 }
 
 // NewRecorder returns an empty, attached-ready recorder.
-func NewRecorder() *Recorder {
-	return &Recorder{reg: newRegistry()}
-}
+func NewRecorder() *Recorder { return &Recorder{} }
 
 // Spans returns the recorded spans in global event order. The slice is the
 // recorder's own; callers read, they do not mutate.
 func (r *Recorder) Spans() []Span { return r.spans }
 
-// Registry returns the counters-and-histograms registry derived from the
-// span stream.
-func (r *Recorder) Registry() *Registry { return &r.reg }
+// Registry folds the span list and the stream counts into a fresh
+// counters-and-histograms registry.
+func (r *Recorder) Registry() *Registry {
+	g := &Registry{counters: map[string]int64{}, hists: map[string]*Hist{}}
+	for _, sp := range r.spans {
+		g.fold(sp)
+	}
+	for _, c := range []CounterValue{
+		{"streams_rejected", r.rejected}, {"streams_aborted", r.aborted}, {"streams_shed", r.shed},
+	} {
+		if c.Value > 0 {
+			g.inc(c.Name, c.Value)
+		}
+	}
+	return g
+}
 
-// add appends one span in global order and folds it into the registry. The
-// list grows by doubling, which allocates less than four times the final
-// list in all; append grows a long slice by about 1.25× a step, which for
-// spans added one at a time allocates five to six times.
+// add appends one span in global order. The list grows by doubling, which
+// allocates less than four times the final list in all; append grows a long
+// slice by about 1.25× a step, which for spans added one at a time
+// allocates five to six times.
 func (r *Recorder) add(sp Span) {
 	if len(r.spans) == cap(r.spans) {
 		grown := make([]Span, len(r.spans), max(2*len(r.spans), 256))
@@ -175,7 +187,6 @@ func (r *Recorder) add(sp Span) {
 		r.spans = grown
 	}
 	r.spans = append(r.spans, sp)
-	r.reg.fold(sp)
 }
 
 // Arrival records a stream being offered at time at.
@@ -213,13 +224,13 @@ func (r *Recorder) Brownout(device string, onset, recovery time.Duration) {
 
 // Reject counts a stream the admission gate turned away (no span — the
 // arrival span already marks the offer).
-func (r *Recorder) Reject() { r.reg.Inc("streams_rejected", 1) }
+func (r *Recorder) Reject() { r.rejected++ }
 
 // Abort counts a displaced stream that could never resume.
-func (r *Recorder) Abort() { r.reg.Inc("streams_aborted", 1) }
+func (r *Recorder) Abort() { r.aborted++ }
 
 // Shed counts a best-effort stream dropped during crash recovery.
-func (r *Recorder) Shed() { r.reg.Inc("streams_shed", 1) }
+func (r *Recorder) Shed() { r.shed++ }
 
 // OpenStream returns the per-stream span buffer for one admission of stream
 // on device. A migrated stream gets a fresh StreamRec per admission, so

@@ -8,11 +8,12 @@ import (
 	"time"
 )
 
-// Registry is the recorder's live metrics store: monotonic counters and
-// virtual-time histograms, folded from the span stream as it is collected
-// (plus a few direct lifecycle counters the fleet bumps on the sequential
-// global path). Everything is integer arithmetic over virtual durations, so
-// a registry is bit-identical across region counts and host core counts.
+// Registry is the recorder's metrics view: monotonic counters and
+// virtual-time histograms, folded from the recorded spans when
+// Recorder.Registry is called (plus the three stream-fate counts the fleet
+// bumps on the sequential global path). Everything is integer arithmetic
+// over virtual durations, so a registry is bit-identical across region
+// counts and host core counts.
 //
 // fleet.Summary's integer serving counts are re-derivable from these
 // counters; the equivalence is pinned by TestRecorderRederivesSummary in
@@ -23,15 +24,11 @@ type Registry struct {
 	hists    map[string]*Hist
 }
 
-func newRegistry() Registry {
-	return Registry{counters: map[string]int64{}, hists: map[string]*Hist{}}
-}
+// inc adds delta to a monotonic counter, creating it at zero.
+func (g *Registry) inc(name string, delta int64) { g.counters[name] += delta }
 
-// Inc adds delta to a monotonic counter, creating it at zero.
-func (g *Registry) Inc(name string, delta int64) { g.counters[name] += delta }
-
-// Observe folds a virtual-time duration into a histogram, creating it empty.
-func (g *Registry) Observe(name string, d time.Duration) {
+// observe folds a virtual-time duration into a histogram, creating it empty.
+func (g *Registry) observe(name string, d time.Duration) {
 	h := g.hists[name]
 	if h == nil {
 		h = &Hist{}
@@ -72,48 +69,48 @@ func (g *Registry) HistNames() []string {
 	return out
 }
 
-// fold derives the registry updates for one collected span.
+// fold derives the registry updates for one recorded span.
 func (g *Registry) fold(sp Span) {
 	switch sp.Kind {
 	case SpanArrival:
-		g.Inc("streams_offered", 1)
+		g.inc("streams_offered", 1)
 	case SpanQueueWait:
-		g.Inc("streams_admitted", 1)
-		g.Observe("queue_wait", sp.Dur())
+		g.inc("streams_admitted", 1)
+		g.observe("queue_wait", sp.Dur())
 	case SpanLoadHit:
-		g.Inc("loads_hit", 1)
+		g.inc("loads_hit", 1)
 	case SpanLoad:
-		g.Inc("loads_miss", 1)
-		g.Observe("load_stall", sp.Dur())
+		g.inc("loads_miss", 1)
+		g.observe("load_stall", sp.Dur())
 	case SpanExec:
-		g.Inc("execs", 1)
-		g.Observe("exec", sp.Dur())
+		g.inc("execs", 1)
+		g.observe("exec", sp.Dur())
 	case SpanFrame:
-		g.Inc("frames", 1)
+		g.inc("frames", 1)
 		if sp.Dur() > sp.Deadline {
-			g.Inc("frames_missed", 1)
+			g.inc("frames_missed", 1)
 		}
-		g.Observe("frame_latency", sp.Dur())
-		g.Observe("frame_queue", sp.Queue)
-		g.Observe("frame_swap", sp.Swap)
-		g.Observe("frame_exec", sp.Exec)
-		g.Observe("frame_interference", sp.Wait)
+		g.observe("frame_latency", sp.Dur())
+		g.observe("frame_queue", sp.Queue)
+		g.observe("frame_swap", sp.Swap)
+		g.observe("frame_exec", sp.Exec)
+		g.observe("frame_interference", sp.Wait)
 	case SpanMigration:
-		g.Inc("migrations", 1)
-		g.Observe("downtime", sp.Dur())
+		g.inc("migrations", 1)
+		g.observe("downtime", sp.Dur())
 	case SpanDrain:
-		g.Inc("drains", 1)
+		g.inc("drains", 1)
 	case SpanBrownout:
-		g.Inc("brownouts", 1)
-		g.Observe("brownout", sp.Dur())
+		g.inc("brownouts", 1)
+		g.observe("brownout", sp.Dur())
 	case SpanCrashRecover:
-		g.Inc("crash_recoveries", 1)
-		g.Observe("downtime", sp.Dur())
+		g.inc("crash_recoveries", 1)
+		g.observe("downtime", sp.Dur())
 	case SpanPrefetch:
-		g.Inc("prefetch_issued", 1)
-		g.Observe("prefetch_load", sp.Dur())
+		g.inc("prefetch_issued", 1)
+		g.observe("prefetch_load", sp.Dur())
 	case SpanPrefetchHit:
-		g.Inc("prefetch_hits", 1)
+		g.inc("prefetch_hits", 1)
 	}
 }
 

@@ -233,9 +233,9 @@ func SwapCount(r *Result) int {
 // PairsUsed returns the number of distinct (model, kind) pairs that served
 // at least one frame (Table III "Pairs Used").
 func PairsUsed(r *Result) int {
-	seen := map[string]bool{}
+	seen := map[zoo.PairKey]bool{}
 	for _, rec := range r.Records {
-		seen[rec.Pair.Model+"/"+rec.Pair.Kind.String()] = true
+		seen[rec.Pair.Key()] = true
 	}
 	return len(seen)
 }

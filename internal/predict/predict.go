@@ -131,10 +131,9 @@ type tagEntry struct {
 // Predictor is one stream's swap-sequence predictor. Not safe for
 // concurrent use; every operation is deterministic.
 type Predictor struct {
-	// Interning: engines are identified by residency key (model + kind);
-	// the first-seen pair keeps its ProcID so predictions can be reissued
-	// as loads.
-	ids   map[string]uint16
+	// Interning: engines are identified by zoo.PairKey; the first-seen
+	// pair keeps its ProcID so predictions can be reissued as loads.
+	ids   map[zoo.PairKey]uint16
 	pairs []zoo.Pair
 
 	// hist is the sequence of recent distinct pair IDs, newest first.
@@ -163,7 +162,7 @@ type Predictor struct {
 // New builds a cold predictor.
 func New() *Predictor {
 	p := &Predictor{
-		ids:    map[string]uint16{},
+		ids:    map[zoo.PairKey]uint16{},
 		base:   make([]baseEntry, 1<<baseBits),
 		tables: make([][]tagEntry, len(histories)),
 	}
@@ -173,12 +172,8 @@ func New() *Predictor {
 	return p
 }
 
-// Key is the residency identity the predictor tracks — model plus engine
-// kind, matching the loader's resident-engine key.
-func Key(pair zoo.Pair) string { return pair.Model + "/" + pair.Kind.String() }
-
 func (p *Predictor) intern(pair zoo.Pair) uint16 {
-	k := Key(pair)
+	k := pair.Key()
 	if id, ok := p.ids[k]; ok {
 		return id
 	}
@@ -477,9 +472,9 @@ func (p *Predictor) Snapshot() *State {
 // Restore replaces the predictor's state with a snapshot.
 func (p *Predictor) Restore(st *State) {
 	p.pairs = append([]zoo.Pair(nil), st.Pairs...)
-	p.ids = make(map[string]uint16, len(p.pairs))
+	p.ids = make(map[zoo.PairKey]uint16, len(p.pairs))
 	for i, pair := range p.pairs {
-		p.ids[Key(pair)] = uint16(i)
+		p.ids[pair.Key()] = uint16(i)
 	}
 	p.hist = append([]uint16(nil), st.Hist...)
 	p.last, p.haveLast = st.Last, st.HaveL

@@ -32,8 +32,8 @@ func (c *Characterization) AddModel(sys *zoo.System, name string, frames []scene
 	c.ByModel[name] = characterizeModel(entry, frames, salts, sys.Seed)
 	// Pair score normalization is global, so rebuild both tables from the
 	// system's full pair set.
-	c.EnergyScore = map[PairKey]float64{}
-	c.LatencyScore = map[PairKey]float64{}
+	c.EnergyScore = map[zoo.PairKey]float64{}
+	c.LatencyScore = map[zoo.PairKey]float64{}
 	c.normalizePairScores(sys)
 	return nil
 }

@@ -13,8 +13,8 @@ import (
 func characterizeSequential(sys *zoo.System, frames []scene.Frame) *Characterization {
 	c := &Characterization{
 		ByModel:      make(map[string]*Traits, len(sys.Entries)),
-		EnergyScore:  map[PairKey]float64{},
-		LatencyScore: map[PairKey]float64{},
+		EnergyScore:  map[zoo.PairKey]float64{},
+		LatencyScore: map[zoo.PairKey]float64{},
 	}
 	for _, e := range sys.Entries {
 		t := &Traits{

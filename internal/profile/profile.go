@@ -13,7 +13,6 @@ import (
 	"encoding/json"
 	"sort"
 
-	"repro/internal/accel"
 	"repro/internal/detmodel"
 	"repro/internal/par"
 	"repro/internal/scene"
@@ -40,16 +39,6 @@ type Traits struct {
 	PerfByKind map[string]zoo.Perf `json:"perf_by_kind"`
 }
 
-// PairKey identifies a (model, processor-kind) combination in normalized
-// trait tables.
-type PairKey struct {
-	Model string
-	Kind  accel.Kind
-}
-
-// String returns "model/KIND".
-func (k PairKey) String() string { return k.Model + "/" + k.Kind.String() }
-
 // Characterization is the full offline profiling result for a system.
 type Characterization struct {
 	// ByModel maps model name to its traits.
@@ -57,8 +46,8 @@ type Characterization struct {
 	// EnergyScore and LatencyScore are the normalized, inverted
 	// (bigger-is-better) per-pair tables of Algorithm 1 lines 6-7: the most
 	// energy-hungry pair scores 0, the most frugal scores 1.
-	EnergyScore  map[PairKey]float64 `json:"-"`
-	LatencyScore map[PairKey]float64 `json:"-"`
+	EnergyScore  map[zoo.PairKey]float64 `json:"-"`
+	LatencyScore map[zoo.PairKey]float64 `json:"-"`
 }
 
 // Characterize profiles every zoo model over the validation frames. The
@@ -74,8 +63,8 @@ type Characterization struct {
 func Characterize(sys *zoo.System, frames []scene.Frame) *Characterization {
 	c := &Characterization{
 		ByModel:      make(map[string]*Traits, len(sys.Entries)),
-		EnergyScore:  map[PairKey]float64{},
-		LatencyScore: map[PairKey]float64{},
+		EnergyScore:  map[zoo.PairKey]float64{},
+		LatencyScore: map[zoo.PairKey]float64{},
 	}
 	salts := make([]uint64, len(frames))
 	par.ForEach(len(frames), func(i int) {
@@ -127,27 +116,21 @@ func characterizeModel(e *zoo.Entry, frames []scene.Frame, salts []uint64, seed 
 }
 
 // normalizePairScores builds the bigger-is-better energy and latency tables
-// over all runtime (model, kind) pairs.
+// over the runtime engines.
 func (c *Characterization) normalizePairScores(sys *zoo.System) {
 	type rec struct {
-		key     PairKey
+		key     zoo.PairKey
 		energy  float64
 		latency float64
 	}
 	var recs []rec
-	seen := map[PairKey]bool{}
-	for _, p := range sys.RuntimePairs() {
-		key := PairKey{Model: p.Model, Kind: p.Kind}
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
+	for _, p := range sys.KindPairs() {
 		e, err := sys.Entry(p.Model)
 		if err != nil {
 			continue
 		}
 		perf := e.PerfByKind[p.Kind]
-		recs = append(recs, rec{key: key, energy: perf.EnergyJ(), latency: perf.LatencySec})
+		recs = append(recs, rec{key: p.Key(), energy: perf.EnergyJ(), latency: perf.LatencySec})
 	}
 	if len(recs) == 0 {
 		return

@@ -102,10 +102,10 @@ func TestSuccessRateConsistentWithIoU(t *testing.T) {
 
 func TestNormalizedScoresSpanUnitInterval(t *testing.T) {
 	sys, c := testCharacterization(t, 50)
-	if len(c.EnergyScore) != sys.KindPairCount() {
-		t.Fatalf("energy table has %d pairs, want %d", len(c.EnergyScore), sys.KindPairCount())
+	if len(c.EnergyScore) != len(sys.KindPairs()) {
+		t.Fatalf("energy table has %d pairs, want %d", len(c.EnergyScore), len(sys.KindPairs()))
 	}
-	checkSpan := func(name string, m map[PairKey]float64) {
+	checkSpan := func(name string, m map[zoo.PairKey]float64) {
 		lo, hi := 2.0, -1.0
 		for _, v := range m {
 			if v < 0 || v > 1 {
@@ -129,8 +129,8 @@ func TestNormalizedScoresSpanUnitInterval(t *testing.T) {
 func TestNormalizedScoresOrdering(t *testing.T) {
 	// Bigger-is-better: Tiny@DLA must outscore full V7@GPU on both tables.
 	_, c := testCharacterization(t, 50)
-	tinyDLA := PairKey{Model: detmodel.YoloV7Tiny, Kind: accel.KindDLA}
-	v7GPU := PairKey{Model: detmodel.YoloV7, Kind: accel.KindGPU}
+	tinyDLA := zoo.PairKey{Model: detmodel.YoloV7Tiny, Kind: accel.KindDLA}
+	v7GPU := zoo.PairKey{Model: detmodel.YoloV7, Kind: accel.KindGPU}
 	if c.EnergyScore[tinyDLA] <= c.EnergyScore[v7GPU] {
 		t.Fatalf("energy score: Tiny@DLA %v <= V7@GPU %v",
 			c.EnergyScore[tinyDLA], c.EnergyScore[v7GPU])
@@ -177,7 +177,7 @@ func TestJSONRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		got   map[string]float64
-		table map[PairKey]float64
+		table map[zoo.PairKey]float64
 	}{
 		{"energy", doc.EnergyScore, c.EnergyScore},
 		{"latency", doc.LatencyScore, c.LatencyScore},
@@ -203,13 +203,6 @@ func TestModelNamesSorted(t *testing.T) {
 		if names[i] < names[i-1] {
 			t.Fatal("ModelNames not sorted")
 		}
-	}
-}
-
-func TestPairKeyString(t *testing.T) {
-	k := PairKey{Model: "YoloV7", Kind: accel.KindDLA}
-	if k.String() != "YoloV7/DLA" {
-		t.Fatalf("PairKey.String = %q", k.String())
 	}
 }
 

@@ -168,7 +168,7 @@ type Engine struct {
 	// acquire can settle them into a full hit (load finished: zero swap
 	// stall) or a late hit (stream stalls only for the residual).
 	pred      *predict.Predictor
-	prefReady map[string]prefFlight
+	prefReady map[zoo.PairKey]prefFlight
 
 	// step is the per-frame context, reused across frames so the hot loop
 	// stays allocation-free (policies must not retain it past Step).
@@ -180,10 +180,6 @@ type prefFlight struct {
 	ready time.Duration // completion time on the virtual clock
 	dur   time.Duration // charged load latency (stats only)
 }
-
-// resKey is the residency identity of a pair — model plus engine kind,
-// matching the loader's per-pool key.
-func resKey(p zoo.Pair) string { return p.Model + "/" + p.Kind.String() }
 
 // NewEngine builds an engine: policy over system and loader. It satisfies
 // Runner through Run.
@@ -258,9 +254,9 @@ func (e *Engine) ensureLoad(pair zoo.Pair) (accel.Cost, error) {
 		if cost.Lat > 0 {
 			// A prefetched engine evicted before demand reloads in full —
 			// drop the stale completion time; the prefetch was pure waste.
-			delete(e.prefReady, resKey(pair))
-		} else if fl, ok := e.prefReady[resKey(pair)]; ok {
-			delete(e.prefReady, resKey(pair))
+			delete(e.prefReady, pair.Key())
+		} else if fl, ok := e.prefReady[pair.Key()]; ok {
+			delete(e.prefReady, pair.Key())
 			return e.settlePrefetch(pair, fl), nil
 		}
 	}
@@ -318,7 +314,7 @@ func (e *Engine) overlapExec(pair zoo.Pair) loader.ExecFn {
 		if err != nil {
 			return accel.Cost{}, err
 		}
-		e.prefReady[resKey(pair)] = prefFlight{ready: span.End, dur: span.Cost.Lat}
+		e.prefReady[pair.Key()] = prefFlight{ready: span.End, dur: span.Cost.Lat}
 		if e.pred != nil {
 			e.pred.NoteIssued()
 		}
@@ -418,14 +414,6 @@ type LiveResult struct {
 	// recent detection evaluated against the dropped frame's ground truth —
 	// what a consumer of stale detections actually experiences.
 	EffectiveIoU float64
-}
-
-// DropRate returns the fraction of delivered frames that were dropped.
-func (l *LiveResult) DropRate() float64 {
-	if l.Delivered == 0 {
-		return 0
-	}
-	return float64(l.Dropped) / float64(l.Delivered)
 }
 
 // RunLive replays the frames as a live camera with the given frame period

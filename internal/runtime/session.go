@@ -66,7 +66,7 @@ func (e *Engine) session(spec StreamSpec, name string, at time.Duration) (*Sessi
 	e.at = at
 	if spec.Prefetch {
 		e.pred = predict.New()
-		e.prefReady = map[string]prefFlight{}
+		e.prefReady = map[zoo.PairKey]prefFlight{}
 	}
 	return &Session{
 		spec: spec,

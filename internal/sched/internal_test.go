@@ -6,7 +6,6 @@ import (
 	"repro/internal/detmodel"
 	"repro/internal/geom"
 	"repro/internal/img"
-	"repro/internal/profile"
 	"repro/internal/rng"
 	"repro/internal/scene"
 	"repro/internal/zoo"
@@ -121,7 +120,7 @@ func (s *Scheduler) challenger(cur zoo.Pair) (best zoo.Pair, bestScore, curScore
 		}
 	}
 	idx := s.internModel(cur.Model)
-	terms := s.knobTerms[profile.PairKey{Model: cur.Model, Kind: cur.Kind}]
+	terms := s.knobTerms[cur.Key()]
 	curR := 0.0
 	if s.rSet[idx] {
 		curR = s.rVals[idx]

@@ -25,7 +25,6 @@ package sched
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/confgraph"
 	"repro/internal/detmodel"
@@ -118,7 +117,7 @@ type Scheduler struct {
 	// both are invariants of the configuration, hoisted out of the per-frame
 	// decision loop.
 	candidates []candidate
-	knobTerms  map[profile.PairKey][2]float64
+	knobTerms  map[zoo.PairKey][2]float64
 
 	// Momentum state is index-based: modelIdx interns model names once and
 	// the per-model windows, averages and validity flags live in flat slices
@@ -230,28 +229,36 @@ func New(sys *zoo.System, ch *profile.Characterization, graph *confgraph.Graph, 
 	for _, e := range sys.Entries {
 		s.internModel(e.Name())
 	}
-	// knobTerms covers every runtime (model, kind) pair — a superset of the
-	// deduplicated candidates, since the hysteresis check may score an
-	// incumbent on a processor outside the candidate list (e.g. dla1). The
-	// candidates read their terms from it, keeping one source of truth.
-	s.knobTerms = make(map[profile.PairKey][2]float64, len(pairs))
+	// knobTerms covers every admitted engine, keyed per (model, kind): the
+	// hysteresis check may score an incumbent on a processor outside the
+	// candidate list (e.g. dla1). The candidates read their terms from it,
+	// keeping one source of truth.
+	s.knobTerms = make(map[zoo.PairKey][2]float64, len(pairs))
 	for _, p := range pairs {
-		key := profile.PairKey{Model: p.Model, Kind: p.Kind}
+		key := p.Key()
 		s.knobTerms[key] = [2]float64{
 			ch.EnergyScore[key] * cfg.Knobs.Energy,
 			ch.LatencyScore[key] * cfg.Knobs.Latency,
 		}
 	}
-	cands := s.candidatesSorted()
-	s.candidates = make([]candidate, len(cands))
-	for i, p := range cands {
-		terms := s.knobTerms[profile.PairKey{Model: p.Model, Kind: p.Kind}]
-		s.candidates[i] = candidate{
+	// The candidates are the admitted engines in KindPairs' order: ties
+	// between equal scores resolve to the first, and among same-kind
+	// processors the first (dla0 over dla1) hosts single-stream inference;
+	// the loader may still spread prefetched models across both DLAs. The
+	// constraints read only the kind's profile, so an engine is admitted
+	// on all of its processors or on none.
+	s.candidates = make([]candidate, 0, len(sys.KindPairs()))
+	for _, p := range sys.KindPairs() {
+		terms, ok := s.knobTerms[p.Key()]
+		if !ok {
+			continue
+		}
+		s.candidates = append(s.candidates, candidate{
 			pair:     p,
 			modelIdx: s.internModel(p.Model),
 			eTerm:    terms[0],
 			lTerm:    terms[1],
-		}
+		})
 	}
 	return s, nil
 }
@@ -587,7 +594,7 @@ func (s *Scheduler) Decide(cur zoo.Pair, det detmodel.Detection, frame scene.Fra
 	// predictions contributes accuracy 0, as with the map's zero value.
 	curIdx := s.internModel(cur.Model)
 	if best != cur && s.valid[curIdx] {
-		terms := s.knobTerms[profile.PairKey{Model: cur.Model, Kind: cur.Kind}]
+		terms := s.knobTerms[cur.Key()]
 		curR := 0.0
 		if s.rSet[curIdx] {
 			curR = s.rVals[curIdx]
@@ -604,20 +611,4 @@ func (s *Scheduler) Decide(cur zoo.Pair, det detmodel.Detection, frame scene.Fra
 		Gate:         gate,
 		MetThreshold: met,
 	}
-}
-
-// candidatesSorted returns pairs in Pair.String() order with the single
-// preferred processor per (model, kind): among same-kind processors the
-// first in that order (e.g. dla0 over dla1) hosts single-stream inference;
-// the loader may still spread prefetched models across both DLAs. s.pairs
-// is already in that order (RuntimePairs lists it so, and the constraint
-// filter keeps it), so keeping each (model, kind)'s first pair suffices.
-func (s *Scheduler) candidatesSorted() []zoo.Pair {
-	out := make([]zoo.Pair, 0, len(s.pairs))
-	for _, p := range s.pairs {
-		if !slices.ContainsFunc(out, func(q zoo.Pair) bool { return q.Model == p.Model && q.Kind == p.Kind }) {
-			out = append(out, p)
-		}
-	}
-	return out
 }

@@ -196,7 +196,7 @@ func TestEnergyKnobSteersToFrugalPairs(t *testing.T) {
 	// The chosen pair must be the most energy-frugal among candidates that
 	// actually qualified: models the graph predicted and (when any model
 	// met the goal) whose prediction cleared the accuracy threshold.
-	key := profile.PairKey{Model: dec.Pair.Model, Kind: dec.Pair.Kind}
+	key := dec.Pair.Key()
 	best := f.ch.EnergyScore[key]
 	preds := s.predicted()
 	for k, v := range f.ch.EnergyScore {
@@ -222,7 +222,7 @@ func TestLatencyKnobSteersToFastPairs(t *testing.T) {
 	if !dec.Rescheduled {
 		t.Fatal("expected reschedule")
 	}
-	key := profile.PairKey{Model: dec.Pair.Model, Kind: dec.Pair.Kind}
+	key := dec.Pair.Key()
 	best := f.ch.LatencyScore[key]
 	preds := s.predicted()
 	for k, v := range f.ch.LatencyScore {
@@ -341,10 +341,11 @@ func TestDecisionDeterminism(t *testing.T) {
 
 func TestCandidatesDeduplicateDLAs(t *testing.T) {
 	s := newSched(t, DefaultConfig())
-	seen := map[string]int{}
-	cands := s.candidatesSorted()
-	for _, p := range cands {
-		seen[p.Model+"/"+p.Kind.String()]++
+	var cands []zoo.Pair
+	seen := map[zoo.PairKey]int{}
+	for _, c := range s.candidates {
+		cands = append(cands, c.pair)
+		seen[c.pair.Key()]++
 	}
 	// Ties between equal scores resolve to the first candidate, so the
 	// order is part of every decision: Pair.String() order, where
@@ -357,9 +358,15 @@ func TestCandidatesDeduplicateDLAs(t *testing.T) {
 			t.Fatalf("candidate %s appears %d times", k, n)
 		}
 	}
-	// 18 distinct (model, kind) pairs per Table III.
+	// 18 distinct (model, kind) pairs per Table III, with dla0 hosting the
+	// DLA engines.
 	if len(seen) != 18 {
 		t.Fatalf("%d candidates, want 18", len(seen))
+	}
+	for _, p := range cands {
+		if p.Kind == accel.KindDLA && p.ProcID != "dla0" {
+			t.Fatalf("DLA candidate %v is not on dla0", p)
+		}
 	}
 }
 

@@ -73,20 +73,28 @@ type System struct {
 	// identical experiments bit-for-bit.
 	Seed uint64
 
-	byName map[string]int // index into Entries
-	pairs  []Pair         // RuntimePairs, listed once by NewSystem
-	memo   *Memo          // nil unless EnableMemo switched it on
+	byName    map[string]int // index into Entries
+	pairs     []Pair         // RuntimePairs, listed once by NewSystem
+	kindPairs []Pair         // KindPairs, listed once by NewSystem
+	memo      *Memo          // nil unless EnableMemo switched it on
 }
 
 // NewSystem assembles a system from a platform and zoo entries. Neither the
 // entries nor the platform's processors change afterwards, so the runtime
-// pairs are listed here once.
+// pairs and their engines are listed here once.
 func NewSystem(soc *accel.SoC, entries []*Entry, seed uint64) *System {
 	s := &System{SoC: soc, Entries: entries, Seed: seed, byName: make(map[string]int, len(entries))}
 	for i, e := range entries {
 		s.byName[e.Name()] = i
 	}
 	s.pairs = s.runtimePairs()
+	seen := make(map[PairKey]bool, len(s.pairs))
+	for _, p := range s.pairs {
+		if !seen[p.Key()] {
+			seen[p.Key()] = true
+			s.kindPairs = append(s.kindPairs, p)
+		}
+	}
 	return s
 }
 
@@ -129,6 +137,22 @@ type Pair struct {
 // String returns "model@proc".
 func (p Pair) String() string { return p.Model + "@" + p.ProcID }
 
+// Key returns the engine the pair executes.
+func (p Pair) Key() PairKey { return PairKey{Model: p.Model, Kind: p.Kind} }
+
+// PairKey names an engine: a model built for one processor kind. Processors
+// of one kind share the engine (both DLAs run the one DLA engine), so
+// residency, the swap predictor and the normalized trait tables key on it.
+type PairKey struct {
+	Model string
+	Kind  accel.Kind
+}
+
+// String returns "model/KIND", the one spelling of an engine. Where key
+// order decides an outcome (the loader's tie-breaks, the fleet's affinity
+// order) it is this string's order.
+func (k PairKey) String() string { return k.Model + "/" + k.Kind.String() }
+
 // RuntimePairs enumerates every executable (model, processor) pair on the
 // runtime accelerators (GPU, DLA, OAK-D — the CPU hosts the scheduler, as in
 // the paper). Pairs are returned in Pair.String() order. With the default
@@ -155,15 +179,12 @@ func (s *System) runtimePairs() []Pair {
 	return pairs
 }
 
-// KindPairCount returns the number of distinct (model, kind) combinations
-// among runtime pairs — the paper's "18 combinations possible".
-func (s *System) KindPairCount() int {
-	seen := map[string]bool{}
-	for _, p := range s.RuntimePairs() {
-		seen[p.Model+"/"+p.Kind.String()] = true
-	}
-	return len(seen)
-}
+// KindPairs returns the first runtime pair of each engine, in RuntimePairs'
+// order: among same-kind processors the first in that order (dla0 before
+// dla1) hosts the engine. On the default platform there are 18, the
+// paper's "18 combinations possible". Every call returns the one slice
+// NewSystem built, so callers must treat it as read-only.
+func (s *System) KindPairs() []Pair { return s.kindPairs }
 
 // Perf returns the execution profile for model name on processor procID.
 func (s *System) Perf(name, procID string) (Perf, error) {

@@ -1,6 +1,7 @@
 package zoo
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/accel"
@@ -67,8 +68,29 @@ func TestCPUSupportMatrix(t *testing.T) {
 func TestKindPairCountIs18(t *testing.T) {
 	// Table III caption: "a total of 18 combinations were possible".
 	s := Default(1)
-	if got := s.KindPairCount(); got != 18 {
-		t.Fatalf("KindPairCount = %d, want 18", got)
+	kp := s.KindPairs()
+	if len(kp) != 18 {
+		t.Fatalf("%d engines, want 18", len(kp))
+	}
+	// Each engine's pair is the first runtime pair with its key, and the
+	// engines keep RuntimePairs' order.
+	first := map[PairKey]Pair{}
+	var want []Pair
+	for _, p := range s.RuntimePairs() {
+		if _, ok := first[p.Key()]; !ok {
+			first[p.Key()] = p
+			want = append(want, p)
+		}
+	}
+	if !slices.Equal(kp, want) {
+		t.Fatalf("KindPairs = %v, want %v", kp, want)
+	}
+}
+
+func TestPairKeyString(t *testing.T) {
+	k := Pair{Model: "YoloV7", ProcID: "dla1", Kind: accel.KindDLA}.Key()
+	if k != (PairKey{Model: "YoloV7", Kind: accel.KindDLA}) || k.String() != "YoloV7/DLA" {
+		t.Fatalf("Key = %+v, String = %q", k, k.String())
 	}
 }
 
